@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -20,22 +19,6 @@ from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree,
 from .surfaces import cylinders, euler_characteristic, is_translation, staircase_complex
 
 DEFAULT_TOL = float(os.environ.get("MULTITWIST_TOL", "1e-10"))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    tol: float
-    exact: bool
-    window: int = 1
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise click.UsageError("tolerance must be positive")
-        if self.window < 1:
-            raise click.UsageError("window must be at least 1")
 
 
 def _fail(message: str, code: int = 2):
@@ -91,14 +74,14 @@ def main():
 @click.option("--mode", type=click.Choice(["perron", "closed-form", "truncated"]),
               default="perron", show_default=True)
 @click.option("--lambda", "lam", default=None, help="stretch factor (closed-form/truncated)")
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=DEFAULT_TOL,
+              show_default=True)
 @click.option("--exact/--float", "exact", default=True)
 @click.option("--boundary", type=click.Path(exists=True), default=None,
               help="harmonic file fixing boundary values (truncated mode)")
 @click.option("-o", "--out", default="-")
 def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
     """Compute a harmonic vertex function on a configuration graph."""
-    RunConfig(command="harmonic", tol=tol, exact=exact)
     try:
         g = formats.parse_graph(_read(graph_file))
     except formats.FormatError as exc:
@@ -294,13 +277,13 @@ def classify(word, lam, exact, depth, tol):
 @click.option("--start", required=True, help="EDGE:X:Y chart coordinates")
 @click.option("--dir", "direction", required=True, help="DX:DY")
 @click.option("--length", default=100.0, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True, help="corner hit tolerance")
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-9,
+              show_default=True, help="corner hit tolerance")
 @click.option("--exact/--float", "exact", default=False)
 @click.option("--window", default=0, help="coverage window: the K central rectangles")
 @click.option("-o", "--out", default="-")
 def flow_cmd(surface_file, start, direction, length, tol, exact, window, out):
     """Trace the straight-line flow and dump the trajectory."""
-    RunConfig(command="flow", tol=tol, exact=exact, window=max(window, 1))
     try:
         m = formats.parse_surface(_read(surface_file))
         toks = start.split(":")

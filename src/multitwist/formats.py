@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
 from .quadfield import QuadExt
-from .surfaces import RectangleComplex, RibbonData, build_surface
+from .surfaces import RectangleComplex, RibbonData, _components, build_surface
 
 
 class FormatError(ValueError):
@@ -141,40 +141,14 @@ def parse_harmonic(text: str) -> HarmonicAssignment:
 
 # -- surfaces ---------------------------------------------------------------
 
-def _component_lines(mapping: dict, edges, tag: str) -> list:
-    """Cycles as `tag e1 e2 ...`, open chains as `tag* e1 e2 ...`."""
-    targets = set(mapping.values())
-    seen = set()
-    lines = []
-    for start in sorted(set(edges) - targets):
-        seq = [start]
-        cur = start
-        while cur in mapping:
-            cur = mapping[cur]
-            seq.append(cur)
-        seen.update(seq)
-        lines.append(f"{tag}* " + " ".join(str(e) for e in seq))
-    for start in sorted(edges):
-        if start in seen or start not in mapping:
-            continue
-        seq = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            seq.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        lines.append(f"{tag} " + " ".join(str(e) for e in seq))
-    return lines
-
-
 def write_surface(m: RectangleComplex) -> str:
     lines = [write_graph(m.graph).rstrip("\n")]
     if m.harmonic is not None:
         lines.append(write_harmonic(m.harmonic).rstrip("\n"))
-    edges = m.edges
-    lines.extend(_component_lines(m.ribbon.h_map(), edges, "sigma_h"))
-    lines.extend(_component_lines(m.ribbon.v_map(), edges, "sigma_v"))
+    # cycles as `tag e1 e2 ...`, open chains as `tag* e1 e2 ...`
+    for tag, mapping in (("sigma_h", m.ribbon.h_map()), ("sigma_v", m.ribbon.v_map())):
+        for seq, closed in _components(mapping, m.edges):
+            lines.append(f"{tag}{'' if closed else '*'} " + " ".join(str(e) for e in seq))
     for e, side in sorted(m.ribbon.flips):
         lines.append(f"flip {e} {side}")
     for c in m.corner_cycles:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .quadfield import QuadExt, root_plus
 
-DENSE_SOLVE_LIMIT = 2000  # interior size above which the solver switches to Jacobi
+DENSE_SOLVE_LIMIT = 2000  # interior size above which the solver switches to conjugate gradients
 
 
 class ConvergenceError(RuntimeError):
@@ -110,12 +110,6 @@ class BipartiteConfigGraph:
 
     def degree(self, v) -> int:
         return len(self._incident[v])
-
-    def edge_endpoints(self, e) -> tuple:
-        for eid, i, j in self.edges:
-            if eid == e:
-                return i, j
-        raise KeyError(e)
 
     def edge_map(self) -> dict:
         return {e: (i, j) for e, i, j in self.edges}
@@ -266,7 +260,7 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
 
     boundary maps the designated boundary vertices to their (positive)
     values; every other vertex is interior.  Small systems use a direct
-    dense solve, larger ones damped Jacobi sweeps.  A singular system
+    dense solve, larger ones conjugate gradients.  A singular system
     raises; loss of positivity is reported, not raised.
     """
     lam = float(lam)

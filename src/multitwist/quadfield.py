@@ -17,9 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt as _isqrt
 from numbers import Rational
-from typing import Union
-
-Scalar = Union[int, Fraction, "QuadExt"]
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -257,14 +254,6 @@ def quad_sqrt(x) -> QuadExt:
     if m == 1:
         return QuadExt(coeff)
     return QuadExt(0, coeff, m)
-
-
-def sqrt_is_exact(x) -> bool:
-    """True when x is a nonnegative rational (so quad_sqrt applies)."""
-    try:
-        return Fraction(x) >= 0
-    except (TypeError, ValueError):
-        return False
 
 
 def root_plus(lam) -> QuadExt:

@@ -19,8 +19,10 @@ it carries m+2 two-sided faces, each of which must hold a puncture (an
 empty bigon would contradict minimal position).  Genus is added by splicing
 in four-square blocks whose faces are all 4-gons; a splice re-targets two
 parallel gluing arrows and merges the flanking faces pairwise, so spliced
-bigons are absorbed into 4- and 6-gons.  Puncture-heavy surfaces splice in
-pillowcase blocks, which contribute two fresh bigon faces each.
+bigons are absorbed into 4- and 6-gons.  Nothing adds faces for extra
+punctures: each face holds at most one, so a surface with more punctures
+than faces raises RecipeError (build_multicurves((0, 5), 1): only 4 faces
+for 5 punctures).
 
 One such genus arm absorbs at most two bigons.  When arms alone leave more
 bigons than punctures, the general chain is assembled again with a second
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field
 
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import RectangleComplex, RibbonData, build_surface, euler_characteristic
+from .surfaces import (_END_CORNER, RectangleComplex, RibbonData, _components, _glue_axis,
+                       build_surface, euler_characteristic, ribbon_from_gluings)
 
 FACE_BOUND = 8
 
@@ -418,14 +421,6 @@ class _Assembly:
         self.flips |= {(q[2], "E"), (q[3], "E"), (q[3], "N"), (q[4], "N")}
         return {"squares": q, "kind": "pente"}
 
-    def add_pillow_block(self) -> dict:
-        """Two squares glued as a pillowcase: four 2-gon faces."""
-        a, b = self.fresh(2)
-        self.h.update({a: b, b: a})
-        self.v.update({a: b, b: a})
-        self.flips |= {(a, "N"), (b, "N")}
-        return {"squares": [a, b], "kind": "pillow"}
-
     def splice(self, port1, port2):
         """Swap the partners of two side-gluings of the same kind (both
         vertical or both horizontal sides), then rebuild the successor maps.
@@ -434,8 +429,6 @@ class _Assembly:
         faces flanking the two gluings merge pairwise, everything else,
         including flipped arrows elsewhere in the cylinders, is untouched.
         """
-        from .surfaces import ribbon_from_gluings
-
         kinds = {"E": "h", "W": "h", "N": "v", "S": "v"}
         if kinds[port1[1]] != kinds[port2[1]]:
             raise RecipeError("splice needs two gluings of the same kind")
@@ -461,25 +454,8 @@ class _Assembly:
         """Chart-level side gluings derived from the successor maps alone
         (no graph construction, so disconnected stages are fine)."""
         gl = {}
-        for mapping, sides, key in ((self.h, ("E", "W"), "E"),
-                                    (self.v, ("N", "S"), "N")):
-            seen = set()
-            for start in sorted(mapping):
-                if start in seen:
-                    continue
-                e, o = start, 1
-                while True:
-                    seen.add(e)
-                    nxt = mapping[e]
-                    flip = (e, key) in self.flips
-                    o2 = -o if flip else o
-                    sa = sides[0] if o == 1 else sides[1]
-                    sb = sides[1] if o2 == 1 else sides[0]
-                    gl[(e, sa)] = (nxt, sb, flip)
-                    gl[(nxt, sb)] = (e, sa, flip)
-                    e, o = nxt, o2
-                    if e == start:
-                        break
+        for mapping, axis in ((self.h, "h"), (self.v, "v")):
+            gl.update(_glue_axis(_components(mapping, mapping), mapping, self.flips, axis)[0])
         return gl
 
     def build(self) -> RectangleComplex:
@@ -487,10 +463,10 @@ class _Assembly:
         if sorted(self.v) != squares:
             raise RecipeError("h/v square sets disagree")
         i_of, j_of = {}, {}
-        for k, cyc in enumerate(_cycles(self.h)):
+        for k, (cyc, _) in enumerate(_components(self.h, squares)):
             for s in cyc:
                 i_of[s] = 2 * k
-        for k, cyc in enumerate(_cycles(self.v)):
+        for k, (cyc, _) in enumerate(_components(self.v, squares)):
             for s in cyc:
                 j_of[s] = 2 * k + 1
         deg = {}
@@ -505,29 +481,8 @@ class _Assembly:
         return build_surface(graph, ribbon)
 
 
-def _cycles(mapping: dict) -> list:
-    seen, out = set(), []
-    for s in sorted(mapping):
-        if s in seen:
-            continue
-        cyc = [s]
-        seen.add(s)
-        cur = mapping[s]
-        while cur != s:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        out.append(cyc)
-    return out
-
-
 def _flanking(m: RectangleComplex) -> dict:
     """One key (edge, side) per gluing -> (face at lo end, face at hi end)."""
-    from .surfaces import _END_CORNER
-    cyc_of = {}
-    for c in m.corner_cycles:
-        for cor in c.corners:
-            cyc_of[cor] = c.index
     out = {}
     seen = set()
     for (e, side), (e2, side2, _) in m.gluings.items():
@@ -535,8 +490,8 @@ def _flanking(m: RectangleComplex) -> dict:
         if pair in seen:
             continue
         seen.add(pair)
-        lo = cyc_of[(e, _END_CORNER[(side, "lo")])]
-        hi = cyc_of[(e, _END_CORNER[(side, "hi")])]
+        lo = m.corner_index[(e, _END_CORNER[(side, "lo")])]
+        hi = m.corner_index[(e, _END_CORNER[(side, "hi")])]
         out[(e, side)] = (lo, hi)
     return out
 
@@ -622,10 +577,9 @@ def _pair_meetings(graph: BipartiteConfigGraph) -> dict:
 
 
 def _cycle_index_of(m: RectangleComplex, token) -> int:
-    for c in m.corner_cycles:
-        if token in c.corners:
-            return c.index
-    raise RecipeError(f"corner {token} lost during assembly")
+    if token not in m.corner_index:
+        raise RecipeError(f"corner {token} lost during assembly")
+    return m.corner_index[token]
 
 
 def _marked_face_index(m: RectangleComplex, p_squares) -> int:

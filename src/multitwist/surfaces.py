@@ -44,8 +44,6 @@ _END_CORNER = {
 # leave along the other
 _CCW_EXIT = {"SW": ("W", "lo"), "SE": ("S", "hi"), "NE": ("E", "hi"), "NW": ("N", "lo")}
 _CCW_ENTRY = {"SW": ("S", "lo"), "SE": ("E", "lo"), "NE": ("N", "hi"), "NW": ("W", "hi")}
-# chart angle of the quarter's entry ray, in quarter turns
-_ENTRY_QUARTER_TURNS = {"SW": 0, "SE": 1, "NE": 2, "NW": 3}
 
 
 class RibbonError(ValueError):
@@ -87,24 +85,6 @@ class RibbonData:
     def v_map(self) -> dict:
         return dict(self.sigma_v)
 
-    @staticmethod
-    def from_cycles(h_cycles, v_cycles, flips=()) -> "RibbonData":
-        """Build from explicit cycles/paths: (sequence, closed) pairs or plain lists (closed)."""
-
-        def unroll(items):
-            out = {}
-            for item in items:
-                seq, closed = (item if isinstance(item, tuple) and len(item) == 2
-                               and isinstance(item[1], bool) else (item, True))
-                seq = list(seq)
-                for a, b in zip(seq, seq[1:]):
-                    out[a] = b
-                if closed and len(seq) >= 1:
-                    out[seq[-1]] = seq[0]
-            return out
-
-        return RibbonData.make(unroll(h_cycles), unroll(v_cycles), flips)
-
 
 @dataclass(frozen=True)
 class CornerCycle:
@@ -119,10 +99,6 @@ class CornerCycle:
     @property
     def k(self) -> int:
         return len(self.corners)
-
-    @property
-    def angle_quarters(self) -> int:
-        return self.k
 
     def angle(self) -> float:
         return self.k * math.pi / 2
@@ -169,20 +145,13 @@ class RectangleComplex:
     corner_cycles: tuple
     h_layouts: dict
     v_layouts: dict
-    h_orient: dict
-    v_orient: dict
     harmonic: HarmonicAssignment = None
-    cover_projection: dict = field(default=None, compare=False)
+    # (edge, corner) -> index of the corner cycle holding that quarter
+    corner_index: dict = field(default=None, compare=False, repr=False)
 
     @property
     def edges(self) -> tuple:
         return tuple(e for e, _, _ in self.graph.edges)
-
-    def corner_cycle_of(self, edge, corner) -> CornerCycle:
-        for cyc in self.corner_cycles:
-            if (edge, corner) in cyc.corners:
-                return cyc
-        raise KeyError((edge, corner))
 
     def side_length(self, edge, side):
         return self.height[edge] if side in ("E", "W") else self.width[edge]
@@ -197,9 +166,6 @@ class RectangleComplex:
         if rev:
             coord = self.side_length(e2, s2) - coord
         return e2, s2, coord, rev
-
-    def is_window_truncated(self) -> bool:
-        return bool(self.frontier)
 
 
 def _components(mapping: dict, universe) -> list:
@@ -248,17 +214,49 @@ def _values_close(x, y) -> bool:
     return x == y
 
 
-def _unroll_axis(graph, edges, mapping, flips, flip_key, fiber_of, size, axis):
-    """Walk one axis of the ribbon; returns (gluings, frontier, orient, layouts).
+def _glue_axis(comps, mapping, flips, axis) -> tuple:
+    """Side gluings of one axis's arrows, walked component by component.
+
+    The walk keeps a chart orientation, +1 chart-aligned or -1 rotated by
+    pi: an arrow leaves through east (north for axis "v") and lands on west
+    (south) in the aligned chart, and a flipped arrow turns the orientation
+    over, pairing same-letter sides.  Returns the gluings and, per
+    component, its orientations and the one the walk ends with (+1 again
+    exactly when a cycle has an even number of flips).
+    """
+    src_side, tgt_side = ("E", "W") if axis == "h" else ("N", "S")
+    gluings = {}
+    walks = []
+    for seq, _ in comps:
+        o = 1
+        orients = []
+        for e in seq:
+            orients.append(o)
+            if e in mapping:
+                nxt = mapping[e]
+                flip = (e, src_side) in flips
+                o2 = -o if flip else o
+                side_a = src_side if o == 1 else tgt_side
+                side_b = tgt_side if o2 == 1 else src_side
+                gluings[(e, side_a)] = (nxt, side_b, flip)
+                gluings[(nxt, side_b)] = (e, side_a, flip)
+                o = o2
+        walks.append((orients, o))
+    return gluings, walks
+
+
+def _unroll_axis(edges, mapping, flips, fiber_of, size, axis):
+    """Walk one axis of the ribbon; returns (gluings, frontier, layouts).
 
     axis "h": arrows leave through intrinsic east, land on intrinsic west,
     sizes along the cylinder are widths.  axis "v": north/south, heights.
+    Every edge the ribbon names must be one of edges.
     """
-    src_side, tgt_side = ("E", "W") if axis == "h" else ("N", "S")
-    comps = _components(mapping, edges)
-    # fiber discipline: one component per vertex, covering its fiber exactly
+    src_side = "E" if axis == "h" else "N"
+    # the components partition edges; with one fiber per component and one
+    # component per fiber, each component covers its fiber exactly
     by_vertex = {}
-    for seq, closed in comps:
+    for seq, closed in _components(mapping, edges):
         verts = {fiber_of(e) for e in seq}
         if len(verts) != 1:
             raise RibbonError(f"sigma_{axis} component {seq} mixes fibers {sorted(verts)}")
@@ -266,42 +264,24 @@ def _unroll_axis(graph, edges, mapping, flips, flip_key, fiber_of, size, axis):
         if v in by_vertex:
             raise RibbonError(f"vertex {v} split across several sigma_{axis} components")
         by_vertex[v] = (seq, closed)
-    for v in ({fiber_of(e) for e in edges}):
-        seq, _ = by_vertex[v]
-        fiber = {e for e in edges if fiber_of(e) == v}
-        if set(seq) != fiber:
-            raise RibbonError(f"sigma_{axis} component at vertex {v} misses edges {sorted(fiber - set(seq))}")
 
-    gluings = {}
+    vertices = sorted(by_vertex)
+    comps = [by_vertex[v] for v in vertices]
+    gluings, walks = _glue_axis(comps, mapping, flips, axis)
     frontier = set()
-    orient = {}
     layouts = {}
-    for v, (seq, closed) in sorted(by_vertex.items()):
-        o = 1
-        orients = []
+    for v, (seq, closed), (orients, o) in zip(vertices, comps, walks):
         offsets = []
         pos = 0
         for e in seq:
-            orient[e] = o
-            orients.append(o)
             offsets.append(pos)
             pos = pos + size(e)
-            if e in mapping:
-                nxt = mapping[e]
-                flip = (e, flip_key) in flips
-                o2 = -o if flip else o
-                side_a = src_side if o == 1 else OPPOSITE[src_side]
-                side_b = tgt_side if o2 == 1 else OPPOSITE[tgt_side]
-                gluings[(e, side_a)] = (nxt, side_b, flip)
-                gluings[(nxt, side_b)] = (e, side_a, flip)
-                o = o2
         if closed and o != 1:
             raise RibbonError(
                 f"sigma_{axis} cycle at vertex {v} has an odd number of flips")
-        if not closed:
-            first, last = seq[0], seq[-1]
-            frontier.add((first, OPPOSITE[src_side] if orients[0] == 1 else src_side))
-            frontier.add((last, src_side if orients[-1] == 1 else OPPOSITE[src_side]))
+        if not closed:  # a path starts chart-aligned
+            frontier.add((seq[0], OPPOSITE[src_side]))
+            frontier.add((seq[-1], src_side if o == 1 else OPPOSITE[src_side]))
         transverse = None
         for e in seq:
             t = size(e, transverse_axis=True)
@@ -312,7 +292,7 @@ def _unroll_axis(graph, edges, mapping, flips, flip_key, fiber_of, size, axis):
         layouts[v] = CylinderLayout(vertex=v, edges=tuple(seq), orients=tuple(orients),
                                     offsets=tuple(offsets), length=pos,
                                     transverse=transverse, closed=closed)
-    return gluings, frontier, orient, layouts
+    return gluings, frontier, layouts
 
 
 def _corner_chains(edges, gluings, frontier):
@@ -437,12 +417,16 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     def v_size(e, transverse_axis=False):
         return width[e] if transverse_axis else height[e]
 
-    gl_h, fr_h, or_h, lay_h = _unroll_axis(
-        graph, edges, ribbon.h_map(), ribbon.flips, "E",
-        lambda e: emap[e][0], h_size, "h")
-    gl_v, fr_v, or_v, lay_v = _unroll_axis(
-        graph, edges, ribbon.v_map(), ribbon.flips, "N",
-        lambda e: emap[e][1], v_size, "v")
+    for name, named in (("sigma_h", {e for arrow in ribbon.sigma_h for e in arrow}),
+                        ("sigma_v", {e for arrow in ribbon.sigma_v for e in arrow}),
+                        ("flips", {e for e, _ in ribbon.flips})):
+        unknown = named - emap.keys()
+        if unknown:
+            raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
+    gl_h, fr_h, lay_h = _unroll_axis(
+        edges, ribbon.h_map(), ribbon.flips, lambda e: emap[e][0], h_size, "h")
+    gl_v, fr_v, lay_v = _unroll_axis(
+        edges, ribbon.v_map(), ribbon.flips, lambda e: emap[e][1], v_size, "v")
     gluings = {**gl_h, **gl_v}
     frontier = frozenset(fr_h | fr_v)
     for (e, side), (e2, side2, rev) in gluings.items():
@@ -452,15 +436,15 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
 
     chains = _corner_chains(edges, gluings, frontier)
     cycles = []
+    corner_index = {}
     for idx, (chain, truncated) in enumerate(chains):
         cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=truncated))
+        corner_index.update(dict.fromkeys(chain, idx))
 
     def resolve(token):
-        e, c = token
-        for cyc in cycles:
-            if (e, c) in cyc.corners:
-                return cyc.index
-        raise ValueError(f"no corner cycle contains {token}")
+        if token not in corner_index:
+            raise ValueError(f"no corner cycle contains {token}")
+        return corner_index[token]
 
     flagged = {}
     for token in punctures:
@@ -475,8 +459,8 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     return RectangleComplex(graph=graph, ribbon=ribbon, lam=lam,
                             width=width, height=height, gluings=gluings,
                             frontier=frontier, corner_cycles=tuple(cycles),
-                            h_layouts=lay_h, v_layouts=lay_v,
-                            h_orient=or_h, v_orient=or_v, harmonic=harmonic)
+                            h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic,
+                            corner_index=corner_index)
 
 
 def cylinders(m: RectangleComplex, direction: str) -> list:
@@ -506,10 +490,6 @@ def euler_characteristic(m: RectangleComplex) -> int:
     n = len(m.edges)
     v = len(m.corner_cycles)
     return v - 2 * n + n
-
-
-def total_angle_quarters(m: RectangleComplex) -> int:
-    return sum(c.k for c in m.corner_cycles)
 
 
 def is_translation(m: RectangleComplex) -> bool:
@@ -589,7 +569,6 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
 
     back = {ce: es for es, ce in cover_id.items()}
     values = {}
-    emap = m.graph.edge_map()
     for ce in cover_edges:
         e, _ = back[ce]
         values[i_of[ce]] = m.height[e]
@@ -612,10 +591,8 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
                 punctures.append(token)
             if cyc.marked:
                 marked = token if marked is None else marked
-    cover = build_surface(graph, ribbon, harmonic=harmonic,
-                          punctures=punctures, marked=marked, values=values)
-    projection = {ce: back[ce] for ce in cover_edges}
-    return replace(cover, cover_projection=projection)
+    return build_surface(graph, ribbon, harmonic=harmonic,
+                         punctures=punctures, marked=marked, values=values)
 
 
 # -- stock complexes -------------------------------------------------------
@@ -646,7 +623,7 @@ def staircase_complex(lo: int, hi: int, lam, exact: bool = True) -> RectangleCom
     sigma_h = {}
     sigma_v = {}
     for v in range(lo, hi + 1):
-        fiber = [e for e in range(lo, hi) if e in (v - 1, v)]
+        fiber = [e for e in (v - 1, v) if lo <= e < hi]
         if len(fiber) == 2:
             target = sigma_h if v % 2 == 0 else sigma_v
             target[fiber[0]] = fiber[1]

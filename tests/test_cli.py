@@ -74,6 +74,16 @@ class TestBuildVerify:
             outs.append(surf.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_unknown_ribbon_edge_exits_2(self, runner, tmp_path):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-4:5", "--lambda", "2", "-o", str(surf)])
+        text = surf.read_text().replace("sigma_h -3 -2\n", "sigma_h 99 -3 -2\n")
+        (tmp_path / "bad.surf").write_text(text)
+        res = runner.invoke(main, ["verify", str(tmp_path / "bad.surf")])
+        assert res.exit_code == 2, res.output
+        assert "99" in res.output
+
 
 class TestClassify:
     def test_parabolic_example(self, runner):
@@ -201,3 +211,14 @@ class TestBuildModes:
                                    "--lambda", "3", "-o", str(rebuilt)])
         assert res.exit_code == 0, res.output
         assert rebuilt.read_text() == surf.read_text()
+
+
+@pytest.mark.parametrize("command", ["harmonic", "flow"])
+def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
+    gf = tmp_path / "k2.graph"  # also a surface file: one rectangle, no gluings
+    gf.write_text(K2_GRAPH)
+    args = {"harmonic": ["harmonic", str(gf)],
+            "flow": ["flow", str(gf), "--start", "0:1/3:1/5", "--dir", "1:1"]}[command]
+    res = runner.invoke(main, args + ["--tol", "0"])
+    assert res.exit_code == 2, res.output
+    assert "--tol" in res.output

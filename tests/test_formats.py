@@ -104,6 +104,17 @@ class TestSurfaceFormat:
         with pytest.raises(formats.FormatError, match="line 3"):
             formats.parse_surface(text)
 
+    @pytest.mark.parametrize("old, new", [
+        ("sigma_h -3 -2\n", "sigma_h 99 -3 -2\n"),
+        ("sigma_v 0 1\n", "sigma_v 0 1 99\n"),
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 99 N\n"),
+    ], ids=["sigma_h", "sigma_v", "flip"])
+    def test_unknown_edge_in_ribbon(self, old, new):
+        text = formats.write_surface(staircase_complex(-4, 5, 2))
+        assert old in text
+        with pytest.raises(formats.FormatError, match="99"):
+            formats.parse_surface(text.replace(old, new))
+
 
 class TestTrajectoryFormat:
     def test_round_trip(self):

@@ -65,6 +65,12 @@ class TestBuild:
         with pytest.raises(RibbonError, match="mixes fibers"):
             build_surface(g, bad, unit_h(g))
 
+    def test_split_fiber_is_rejected(self):
+        g = double_edge_graph()
+        rib = RibbonData.make({0: 0, 1: 1}, {0: 1, 1: 0})
+        with pytest.raises(RibbonError, match="split across several sigma_h components"):
+            build_surface(g, rib, unit_h(g))
+
     def test_odd_flip_cycle_is_rejected(self):
         g = double_edge_graph()
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N")])
