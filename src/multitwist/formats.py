@@ -62,6 +62,13 @@ def _tokens(text: str):
             yield lineno, line.split()
 
 
+def _int(tok: str, line: int) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise FormatError(f"bad integer {tok!r}", line) from exc
+
+
 # -- graphs -----------------------------------------------------------------
 
 def write_graph(g: BipartiteConfigGraph) -> str:
@@ -78,14 +85,11 @@ def parse_graph(text: str) -> BipartiteConfigGraph:
         if toks[0] == "bipartite":
             if len(toks) != 5:
                 raise FormatError("bipartite header needs 4 integers", lineno)
-            header = tuple(int(t) for t in toks[1:])
+            header = tuple(_int(t, lineno) for t in toks[1:])
         elif toks[0] == "edge":
             if len(toks) != 4:
                 raise FormatError("edge needs <id> <i> <j>", lineno)
-            try:
-                e, i, j = (int(t) for t in toks[1:])
-            except ValueError as exc:
-                raise FormatError(f"bad edge line: {exc}", lineno) from exc
+            e, i, j = (_int(t, lineno) for t in toks[1:])
             if e in edges:
                 raise FormatError(f"duplicate edge id {e}", lineno)
             edges[e] = (i, j)
@@ -122,11 +126,13 @@ def parse_harmonic(text: str) -> HarmonicAssignment:
     values = {}
     for lineno, toks in _tokens(text):
         if toks[0] == "lambda":
+            if len(toks) != 2:
+                raise FormatError("lambda needs <value>", lineno)
             lam = parse_number(toks[1], lineno)
         elif toks[0] == "h":
             if len(toks) != 3:
                 raise FormatError("h needs <vertex> <value>", lineno)
-            values[int(toks[1])] = parse_number(toks[2], lineno)
+            values[_int(toks[1], lineno)] = parse_number(toks[2], lineno)
         elif toks[0] in ("bipartite", "edge", "sigma_h", "sigma_v", "sigma_h*",
                          "sigma_v*", "flip", "puncture", "marked"):
             continue
@@ -171,10 +177,7 @@ def parse_surface(text: str) -> RectangleComplex:
     for lineno, toks in _tokens(text):
         tag = toks[0]
         if tag in ("sigma_h", "sigma_v", "sigma_h*", "sigma_v*"):
-            try:
-                seq = [int(t) for t in toks[1:]]
-            except ValueError as exc:
-                raise FormatError(f"bad cycle: {exc}", lineno) from exc
+            seq = [_int(t, lineno) for t in toks[1:]]
             if not seq:
                 raise FormatError("empty cycle", lineno)
             target = sigma_h if tag.startswith("sigma_h") else sigma_v
@@ -186,11 +189,14 @@ def parse_surface(text: str) -> RectangleComplex:
         elif tag == "flip":
             if len(toks) != 3 or toks[2] not in ("E", "N"):
                 raise FormatError("flip needs <edge> <E|N>", lineno)
-            flips.append((int(toks[1]), toks[2]))
-        elif tag == "puncture":
-            punctures.append(int(toks[1]))
-        elif tag == "marked":
-            marked = int(toks[1])
+            flips.append((_int(toks[1], lineno), toks[2]))
+        elif tag in ("puncture", "marked"):
+            if len(toks) != 2:
+                raise FormatError(f"{tag} needs <cycle>", lineno)
+            if tag == "puncture":
+                punctures.append(_int(toks[1], lineno))
+            else:
+                marked = _int(toks[1], lineno)
     try:
         ribbon = RibbonData.make(sigma_h, sigma_v, flips)
         bare = build_surface(graph, ribbon, harmonic=harmonic)
@@ -254,8 +260,11 @@ def parse_trajectory(text: str) -> TrajectoryDump:
         if toks[0] == "seg":
             if len(toks) != 7:
                 raise FormatError("seg needs 6 fields", lineno)
-            segs.append((int(toks[1]),) + tuple(parse_number(t, lineno) for t in toks[2:]))
+            values = tuple(parse_number(t, lineno) for t in toks[2:])
+            segs.append((_int(toks[1], lineno),) + values)
         elif toks[0] == "end":
+            if len(toks) < 2:
+                raise FormatError("end needs <terminal>", lineno)
             terminal = toks[1]
             detail = tuple(toks[2:])
         else:
@@ -295,7 +304,7 @@ def parse_tree(text: str):
         if toks[0] == "family":
             if len(toks) != 3:
                 raise FormatError("family needs <tag> <depth>", lineno)
-            tag, depth = toks[1], int(toks[2])
+            tag, depth = toks[1], _int(toks[2], lineno)
             if tag == "loch-ness":
                 return loch_ness_tree(depth)
             if tag == "ladder":
@@ -309,12 +318,11 @@ def parse_tree(text: str):
                 root = v
             else:
                 parents[v] = _vertex_id(toks[2])
-        elif toks[0] == "puncture":
-            punctures.add(_vertex_id(toks[1]))
-        elif toks[0] == "genus-mark":
-            marks.add(_vertex_id(toks[1]))
-        elif toks[0] == "frontier":
-            frontier.add(_vertex_id(toks[1]))
+        elif toks[0] in ("puncture", "genus-mark", "frontier"):
+            if len(toks) != 2:
+                raise FormatError(f"{toks[0]} needs <vertex>", lineno)
+            target = {"puncture": punctures, "genus-mark": marks, "frontier": frontier}[toks[0]]
+            target.add(_vertex_id(toks[1]))
         else:
             raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if root is None:

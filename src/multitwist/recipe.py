@@ -45,8 +45,9 @@ from dataclasses import dataclass, field
 
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import (_END_CORNER, RectangleComplex, RibbonData, _components, _glue_axis,
-                       build_surface, euler_characteristic, ribbon_from_gluings)
+from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, RibbonData, _components,
+                       _config_graph, _glue_axis, build_surface, euler_characteristic,
+                       ribbon_from_gluings)
 
 FACE_BOUND = 8
 
@@ -462,21 +463,7 @@ class _Assembly:
         squares = sorted(self.h)
         if sorted(self.v) != squares:
             raise RecipeError("h/v square sets disagree")
-        i_of, j_of = {}, {}
-        for k, (cyc, _) in enumerate(_components(self.h, squares)):
-            for s in cyc:
-                i_of[s] = 2 * k
-        for k, (cyc, _) in enumerate(_components(self.v, squares)):
-            for s in cyc:
-                j_of[s] = 2 * k + 1
-        deg = {}
-        for s in squares:
-            deg[i_of[s]] = deg.get(i_of[s], 0) + 1
-            deg[j_of[s]] = deg.get(j_of[s], 0) + 1
-        graph = BipartiteConfigGraph.make(
-            set(i_of.values()), set(j_of.values()),
-            {s: (i_of[s], j_of[s]) for s in squares},
-            valence_bound=max(deg.values()))
+        graph = _config_graph(self.h, self.v, squares)
         ribbon = RibbonData.make(self.h, self.v, self.flips)
         return build_surface(graph, ribbon)
 
@@ -500,11 +487,16 @@ def _face_sizes(m: RectangleComplex) -> dict:
     return {c.index: c.k for c in m.corner_cycles}
 
 
-def _find_port(asm: _Assembly, marked_token, max_flank: int) -> tuple:
-    """Best arrow for a splice: flanked by two distinct faces of size at most
-    max_flank, neither the marked chamber; ports eating more bigon faces are
-    preferred, then smaller flanks.  Returns (arrow, bigons eaten) or None."""
-    m = asm.build()
+def _bigons(sizes: dict, marked: int) -> int:
+    """Two-sided faces other than the marked chamber."""
+    return sum(1 for idx, k in sizes.items() if k == 2 and idx != marked)
+
+
+def _find_port(m: RectangleComplex, marked_token, max_flank: int) -> tuple:
+    """Best arrow for a splice in the built assembly m: flanked by two
+    distinct faces of size at most max_flank, neither the marked chamber;
+    ports eating more bigon faces are preferred, then smaller flanks.
+    Returns (arrow, bigons eaten) or None."""
     fl = _flanking(m)
     sizes = _face_sizes(m)
     marked = _cycle_index_of(m, marked_token)
@@ -522,19 +514,19 @@ def _find_port(asm: _Assembly, marked_token, max_flank: int) -> tuple:
     return (best[2], -best[0]) if best else None
 
 
-def _find_handle(asm: _Assembly, marked_token) -> tuple:
+def _find_handle(asm: _Assembly, m: RectangleComplex, marked_token) -> tuple:
     """Best self-splice: two gluings of the assembly swapped against each
     other, adding one handle and no squares.  Legal when it raises the genus
     by exactly one, leaves the marked chamber alone, keeps every other face
     within FACE_BOUND and every pair of opposite curves meeting at most
     twice.  Prefers the move eating the most bigon faces, then the one whose
-    largest face is smallest.  Returns (port pair, bigons eaten) or None."""
-    m = asm.build()
+    largest face is smallest.  m is the assembly as built.  Returns (port
+    pair, bigons eaten) or None."""
     fl = _flanking(m)
     sizes = _face_sizes(m)
     marked = _cycle_index_of(m, marked_token)
     chi = euler_characteristic(m)
-    bigons = sum(1 for idx, k in sizes.items() if k == 2 and idx != marked)
+    bigons = _bigons(sizes, marked)
     arrows = [a for a in sorted(fl) if marked not in fl[a]]
     saved = (asm.h, asm.v, asm.flips)
     best = None
@@ -767,20 +759,15 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     base = asm.build()
     marked_token = base.corner_cycles[_marked_face_index(base, p_squares)].corners[0]
 
-    def bigon_excess() -> int:
-        mm = asm.build()
-        szs = _face_sizes(mm)
-        marked = _cycle_index_of(mm, marked_token)
-        return sum(1 for idx, k in szs.items()
-                   if k == 2 and idx != marked) - n
-
     genus_needed = genus - g0
     while genus_needed > 0:
-        found = _find_port(asm, marked_token, max_flank=4)
+        built = asm.build()
+        found = _find_port(built, marked_token, max_flank=4)
+        excess = _bigons(_face_sizes(built), _cycle_index_of(built, marked_token)) - n
         # a handle splice takes the place of the next arm when it eats more
         # bigons than the best arm port can (an arm eats at most two)
-        if absorb and bigon_excess() > 0:
-            handle = _find_handle(asm, marked_token)
+        if absorb and excess > 0:
+            handle = _find_handle(asm, built, marked_token)
             if handle is not None and handle[1] > (found[1] if found else 0):
                 asm.splice(*handle[0])
                 genus_needed -= 1
@@ -788,13 +775,13 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
         if found is None:
             raise RecipeError(f"{name}: no legal splice port for a genus arm")
         port, eaten = found
-        if bigon_excess() > 0 and eaten == 0:
+        if excess > 0 and eaten == 0:
             raise RecipeError(f"{name}: bigon faces outnumber punctures and "
                               "no port can absorb more")
         # while bigons still exceed punctures, spend genus one arm at a
         # time on absorbing ports; afterwards one long arm of through
         # blocks takes the rest
-        length = 1 if bigon_excess() > 0 else genus_needed
+        length = 1 if excess > 0 else genus_needed
         transposed = port[1] in ("E", "W")
         while length > 1:
             blk = asm.add_ff4_block(transposed=transposed)
@@ -816,7 +803,7 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     if sizes[marked_idx] != 2 * m:
         raise RecipeError(f"{name}: marked chamber has {sizes[marked_idx]} "
                           f"sides, wanted {2 * m}")
-    bigons = sum(1 for idx, k in sizes.items() if k == 2 and idx != marked_idx)
+    bigons = _bigons(sizes, marked_idx)
     if bigons > n:
         raise RecipeError(f"{name}: {bigons} bigon faces exceed {n} punctures")
     if n > len(sizes):  # every face can hold one puncture, p's included
@@ -862,120 +849,63 @@ def verify_recipe(out: CurveRecipeOutput, m: int) -> RecipeReport:
         failures.append(f"curves {bad} intersect {worst} > 2 times")
     # finite valence is structural; record the bound
     valence = max(out.graph.degree(v) for v in out.graph.vertices())
-    # essentiality of every curve
-    for v in sorted(out.graph.vertices()):
-        verdict = curve_is_essential(out.complex, v)
-        if not verdict:
-            failures.append(f"curve {v} bounds a disc or once-punctured disc")
+    for v in sorted(_inessential_curves(out.complex)):
+        failures.append(f"curve {v} bounds a disc or once-punctured disc")
     return RecipeReport(passes=not failures, failures=tuple(failures),
                         face_census=tuple(sorted(sizes.values())),
                         valence=valence, max_pair_intersections=worst)
 
 
 def curve_is_essential(m: RectangleComplex, vertex: int) -> bool:
-    """Cut along the core curve of the vertex's cylinder and test whether a
-    side is a disc or once-punctured disc (marked points count as punctures)."""
-    horizontal = vertex % 2 == 0
-    layouts = m.h_layouts if horizontal else m.v_layouts
-    lay = layouts[vertex]
-    cyl = set(lay.edges)
-    # cells: full squares outside, two halves inside the cylinder
-    cells = {}
-    for e in m.edges:
-        if e in cyl:
-            cells[(e, "pos")] = None  # N half (horizontal) or E half (vertical)
-            cells[(e, "neg")] = None
-        else:
-            cells[(e, "full")] = None
+    """False iff the vertex's core curve bounds a disc or once-punctured disc."""
+    return vertex not in _inessential_curves(m)
 
-    def cell_of(e, side):
-        if e not in cyl:
-            return (e, "full")
-        if horizontal:
-            return (e, "pos") if side == "N" else ((e, "neg") if side == "S" else None)
-        return (e, "pos") if side == "E" else ((e, "neg") if side == "W" else None)
 
-    parent = {c: c for c in cells}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            return True
-        return False
-
-    edge_count = 0
-    seen_gluings = set()
-    for (e, side), (e2, side2, rev) in m.gluings.items():
-        key = frozenset(((e, side), (e2, side2)))
-        if key in seen_gluings:
-            continue
-        seen_gluings.add(key)
-        along = ("E", "W") if horizontal else ("N", "S")
-        if e in cyl and e2 in cyl and side in along:
-            # side gluing inside the cylinder: connects halves levelwise,
-            # crosswise when the gluing reverses orientation
-            for half in ("pos", "neg"):
-                other = half if not rev else ("neg" if half == "pos" else "pos")
-                union((e, half), (e2, other))
-                edge_count += 1
-            continue
-        ca = cell_of(e, side)
-        cb = cell_of(e2, side2)
-        if ca is None or cb is None:
-            # gluing along the cut circle itself cannot happen: those sides
-            # are interior to the cylinder's transverse direction
-            raise RecipeError("unexpected cut side")
-        union(ca, cb)
-        edge_count += 1
-
-    comps = {}
-    for c in cells:
-        comps.setdefault(find(c), []).append(c)
-    if len(comps) == 1:
-        return True  # nonseparating
-    # chi per side: original vertices carried by the side + cells - edges
-    marked_like = {c.index for c in m.corner_cycles if c.puncture or c.marked}
-    for comp_cells in comps.values():
-        comp_set = set(comp_cells)
-        n_cells = len(comp_set)
-        n_edges = 0
-        for (e, side), (e2, side2, rev) in m.gluings.items():
-            key = frozenset(((e, side), (e2, side2)))
-            along = ("E", "W") if horizontal else ("N", "S")
-            if e in cyl and e2 in cyl and side in along:
-                for half in ("pos", "neg"):
-                    if (e, half) in comp_set:
-                        n_edges += 1
-                continue
-            ca = cell_of(e, side)
-            if ca in comp_set:
-                n_edges += 1
-        n_edges //= 2  # each gluing visited from both sides
-        # corner cycles whose corners all sit in this component
-        n_verts = 0
-        punct = 0
+def _inessential_curves(m: RectangleComplex) -> set:
+    """Vertices whose core bounds a disc or once-punctured disc (marked
+    points count as punctures), from one cut along all cores of a family.
+    The cut halves each rectangle; glued halves form slabs with chi = halves
+    - glued half-sides + corner cycles, a cycle counting in its first
+    corner's slab since no cone point lies on a core.  A core separates iff
+    it is a bridge of the graph of halves, gluings and cores; a side's chi is
+    then its slabs' sum, as gluing along a circle adds nothing to chi (along
+    a window's open core it subtracts one)."""
+    out = set()
+    for k, cut, layouts in ((0, ("N", "S"), m.h_layouts), (1, ("E", "W"), m.v_layouts)):
+        adj = {(e, c): [] for e in m.edges for c in cut}  # halves, named by a side
+        chi, holes = dict.fromkeys(adj, 1), dict.fromkeys(adj, 0)
+        links = [((lay.edges[0], cut[0]), (lay.edges[0], cut[1]), v)  # cores
+                 for v, lay in layouts.items()]
+        for (e, s), (e2, s2, rev) in m.gluings.items():  # like or crossed halves
+            if (e, s) < (e2, s2):
+                links += [((e, s), (e2, s2), None)] if s in cut else [
+                    ((e, c), (e2, OPPOSITE[c] if rev else c), None) for c in cut]
+        for i, (a, b, v) in enumerate(links):
+            chi[a] -= v is None or not layouts[v].closed  # a gluing, or an open core
+            adj[a].append((b, i))
+            adj[b].append((a, i))
         for c in m.corner_cycles:
-            side_cells = set()
-            for (e, cor) in c.corners:
-                if e in cyl:
-                    if horizontal:
-                        side_cells.add((e, "pos") if cor in ("NE", "NW") else (e, "neg"))
-                    else:
-                        side_cells.add((e, "pos") if cor in ("NE", "SE") else (e, "neg"))
-                else:
-                    side_cells.add((e, "full"))
-            if side_cells <= comp_set:
-                n_verts += 1
-                if c.index in marked_like:
-                    punct += 1
-        chi = n_verts - n_edges + n_cells
-        if chi == 1 and punct <= 1:
-            return False
-    return True
+            x = (c.corners[0][0], c.corners[0][1][k])
+            chi[x] += 1
+            holes[x] += c.puncture or c.marked
+        total = (sum(chi.values()), sum(holes.values()))
+        rank, tree, stack = {}, {}, [(next(iter(adj)), None, None)]
+        while stack:  # depth first: every link off the tree joins x to an ancestor
+            x, p, i = stack.pop()
+            if x not in rank:
+                rank[x], tree[x] = len(rank), (p, i)
+                stack += [(y, x, j) for y, j in adj[x]]
+        low = dict(rank)
+        for x in list(rank)[:0:-1]:  # descendants first; the root has no tree link
+            p, i = tree[x]
+            low[x] = min([low[x]] + [rank[y] for y, j in adj[x] if j != i])
+            a, _, v = links[i]
+            if low[x] == rank[x] and v is not None:  # core v is a bridge
+                sides = [[chi[x], holes[x]], [total[0] - chi[x], total[1] - holes[x]]]
+                sides[a != x][0] += not layouts[v].closed  # v is cut, not glued
+                if any(c == 1 and h <= 1 for c, h in sides):
+                    out.add(v)
+            low[p] = min(low[p], low[x])
+            chi[p] += chi[x]
+            holes[p] += holes[x]
+    return out

@@ -24,6 +24,7 @@ as truncated instead of closed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
@@ -204,6 +205,23 @@ def _components(mapping: dict, universe) -> list:
             raise RibbonError(f"component starting at {start} neither closes nor ends")
         comps.append((seq, True))
     return comps
+
+
+def _config_graph(sigma_h: dict, sigma_v: dict, edges,
+                  valence_bound=None) -> BipartiteConfigGraph:
+    """Configuration graph read off two successor maps: one I-vertex (even
+    id) per sigma_h component, one J-vertex (odd id) per sigma_v component,
+    one graph edge per entry of edges.  valence_bound defaults to the
+    largest degree."""
+    ends = {e: [None, None] for e in edges}
+    for side, mapping in enumerate((sigma_h, sigma_v)):
+        for k, (seq, _) in enumerate(_components(mapping, edges)):
+            for e in seq:
+                ends[e][side] = 2 * k + side
+    if valence_bound is None:
+        valence_bound = max(Counter(v for ij in ends.values() for v in ij).values())
+    return BipartiteConfigGraph.make({i for i, _ in ends.values()}, {j for _, j in ends.values()},
+                                     ends, valence_bound)
 
 
 def _values_close(x, y) -> bool:
@@ -550,29 +568,14 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
             sigma_v[ce] = ce2
     ribbon = RibbonData.make(sigma_h, sigma_v, flips=())
 
-    # cover graph: one I-vertex per horizontal cycle, one J-vertex per vertical
     cover_edges = sorted(cover_id.values())
-    h_comps = _components(sigma_h, cover_edges)
-    v_comps = _components(sigma_v, cover_edges)
-    i_of = {}
-    for k, (seq, _) in enumerate(h_comps):
-        for ce in seq:
-            i_of[ce] = 2 * k
-    j_of = {}
-    for k, (seq, _) in enumerate(v_comps):
-        for ce in seq:
-            j_of[ce] = 2 * k + 1
-    graph = BipartiteConfigGraph.make(
-        part_i=set(i_of.values()), part_j=set(j_of.values()),
-        edges={ce: (i_of[ce], j_of[ce]) for ce in cover_edges},
-        valence_bound=m.graph.valence_bound)
-
+    graph = _config_graph(sigma_h, sigma_v, cover_edges, m.graph.valence_bound)
     back = {ce: es for es, ce in cover_id.items()}
     values = {}
-    for ce in cover_edges:
+    for ce, (i, j) in graph.edge_map().items():
         e, _ = back[ce]
-        values[i_of[ce]] = m.height[e]
-        values[j_of[ce]] = m.width[e]
+        values[i] = m.height[e]
+        values[j] = m.width[e]
     harmonic = None
     if m.harmonic is not None:
         harmonic = HarmonicAssignment(lam=m.lam, values=values)

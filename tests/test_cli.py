@@ -84,6 +84,17 @@ class TestBuildVerify:
         assert res.exit_code == 2, res.output
         assert "99" in res.output
 
+    @pytest.mark.parametrize("record", ["flip x E", "puncture"])
+    def test_malformed_record_exits_2(self, runner, tmp_path, record):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-4:5", "--lambda", "2", "-o", str(surf)])
+        text = surf.read_text()
+        (tmp_path / "bad.surf").write_text(text + record + "\n")
+        res = runner.invoke(main, ["verify", str(tmp_path / "bad.surf")])
+        assert res.exit_code == 2, res.output
+        assert f"line {len(text.splitlines()) + 1}" in res.output
+
 
 class TestClassify:
     def test_parabolic_example(self, runner):

@@ -116,6 +116,25 @@ class TestSurfaceFormat:
             formats.parse_surface(text.replace(old, new))
 
 
+SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
+
+
+@pytest.mark.parametrize("parser, text, line", [
+    ("parse_surface", SURFACE + "flip x E\n", 5),
+    ("parse_surface", SURFACE + "puncture x\n", 5),
+    ("parse_surface", SURFACE + "puncture\n", 5),
+    ("parse_harmonic", "lambda 2\nh x 1\n", 2),
+    ("parse_harmonic", "lambda\nh 0 1\n", 1),
+    ("parse_graph", "bipartite a 1 1 2\nedge 0 0 1\n", 1),
+    ("parse_trajectory", "seg 0 0 0 0 0 0\nend\n", 2),
+    ("parse_tree", "family loch-ness x\n", 1),
+], ids=["flip-edge", "puncture-index", "bare-puncture", "h-vertex", "bare-lambda",
+        "bipartite-header", "bare-end", "family-depth"])
+def test_malformed_record_names_line(parser, text, line):
+    with pytest.raises(formats.FormatError, match=f"^line {line}: "):
+        getattr(formats, parser)(text)
+
+
 class TestTrajectoryFormat:
     def test_round_trip(self):
         t = square_torus()

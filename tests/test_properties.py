@@ -8,7 +8,8 @@ machinery, and double covers far beyond the hand-built examples:
   - the number of odd cones (angle an odd multiple of pi) is even,
   - half-translation complexes satisfy Riemann-Hurwitz under the
     orientation double cover, with branch points exactly the odd cones,
-  - cylinders biject with curves in both directions.
+  - cylinders biject with curves in both directions,
+  - one cut per curve family decides essentiality as one cut per curve does.
 """
 
 import random
@@ -18,7 +19,9 @@ import pytest
 
 from multitwist.flow import SurfacePoint, flow
 from multitwist.graphs import BipartiteConfigGraph
+from multitwist.recipe import curve_is_essential
 from multitwist.surfaces import (
+    OPPOSITE,
     RibbonData,
     build_surface,
     cylinders,
@@ -198,3 +201,64 @@ def test_lambda_zero_on_trivalent_tree():
     assert 2.0 <= lz <= 3.0
     res = harmonic_truncated(g, lz + 1e-3, boundary)
     assert res.positive
+
+
+def _cut_along_one_core(m, vertex):
+    """True iff the vertex's core bounds a disc or once-punctured disc, found
+    by cutting along that core alone: squares of its cylinder split in two
+    halves, every other square stays whole (complete complexes only)."""
+    k = vertex % 2  # 0: horizontal core, halves N/S; 1: vertical, halves E/W
+    cut = ("N", "S") if k == 0 else ("E", "W")
+    cyl = set((m.h_layouts, m.v_layouts)[k][vertex].edges)
+    cells = [(e, c) for e in m.edges for c in (cut if e in cyl else ("",))]
+    parent = {x: x for x in cells}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    sides = []  # glued pieces of sides, as pairs of cells
+    for (e, s), (e2, s2, rev) in m.gluings.items():
+        if (e, s) > (e2, s2):
+            continue
+        if e in cyl and s not in cut:  # along the cut cylinder: two half-sides
+            sides += [((e, c), (e2, OPPOSITE[c] if rev else c)) for c in cut]
+        else:
+            sides.append(((e, s if e in cyl else ""), (e2, s2 if e2 in cyl else "")))
+    for a, b in sides:
+        parent[find(a)] = find(b)
+    pieces = {find(x) for x in cells}
+    if len(pieces) == 1:
+        return False
+    for piece in pieces:
+        chi = sum(1 for x in cells if find(x) == piece)
+        chi -= sum(1 for a, _ in sides if find(a) == piece)
+        holes = 0
+        for cyc in m.corner_cycles:
+            e, corner = cyc.corners[0]
+            if find((e, corner[k] if e in cyl else "")) == piece:
+                chi += 1
+                holes += cyc.puncture or cyc.marked
+        if chi == 1 and holes <= 1:
+            return True
+    return False
+
+
+def test_essentiality_matches_single_cut_oracle():
+    """One cut per family gives the verdicts of one cut per curve, on random
+    complexes with random punctures and a random marked point."""
+    rng = random.Random(271828)
+    with_inessential = 0
+    for _ in range(1200):
+        m = random_complex(rng, rng.randint(1, 9))
+        if m is None:
+            continue
+        tokens = [c.corners[0] for c in m.corner_cycles]
+        m = build_surface(m.graph, m.ribbon, values={v: 1 for v in m.graph.vertices()},
+                          punctures=[t for t in tokens if rng.random() < 0.4],
+                          marked=rng.choice(tokens) if rng.random() < 0.5 else None)
+        inessential = {v for v in m.graph.vertices() if _cut_along_one_core(m, v)}
+        assert inessential == {v for v in m.graph.vertices() if not curve_is_essential(m, v)}
+        with_inessential += bool(inessential)
+    assert with_inessential >= 50

@@ -201,6 +201,50 @@ class TestEssential:
         m_all = build_surface(g, rib, values={0: 1, 1: 1}, punctures=tokens)
         assert curve_is_essential(m_all, 0) and curve_is_essential(m_all, 1)
 
+    @staticmethod
+    def _pillowcase(punctures, marked=None):
+        """Two squares folded into a sphere with four angle-pi cone points:
+        cycle 0 where the tops of both squares meet, 1 at the other top fold,
+        2 and 3 likewise at the bottom.  Curve 0 (the horizontal core) cuts
+        {0, 1} from {2, 3}, curve 1 (the vertical core) {0, 2} from {1, 3}."""
+        from multitwist.graphs import BipartiteConfigGraph
+        from multitwist.surfaces import RibbonData, build_surface
+
+        g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
+        rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
+        m = build_surface(g, rib, values={0: 1, 1: 1})
+        tokens = [c.corners[0] for c in m.corner_cycles]
+        return build_surface(g, rib, values={0: 1, 1: 1},
+                             punctures=[tokens[i] for i in punctures],
+                             marked=None if marked is None else tokens[marked])
+
+    def test_two_punctured_pillowcase_inessential_set(self):
+        # two holes among four cone points: each core has a side with at most
+        # one, a disc or once-punctured disc
+        for punctures in ((0, 1), (0, 2), (2, 3)):
+            m = self._pillowcase(punctures)
+            assert {v for v in (0, 1) if not curve_is_essential(m, v)} == {0, 1}
+        rep = verify_recipe(self._as_output(self._pillowcase((0, 1))), 1)
+        assert [f for f in rep.failures if "disc" in f] == [
+            "curve 0 bounds a disc or once-punctured disc",
+            "curve 1 bounds a disc or once-punctured disc"]
+
+    def test_marked_point_and_puncture_make_a_side_essential(self):
+        # cycle 1 marked, 0 punctured: curve 0's top side holds two holes
+        m = self._pillowcase((0, 2, 3), marked=1)
+        assert curve_is_essential(m, 0) and curve_is_essential(m, 1)
+        # without the mark the top side is a once-punctured disc
+        m = self._pillowcase((0, 2, 3))
+        assert not curve_is_essential(m, 0) and not curve_is_essential(m, 1)
+
+    @staticmethod
+    def _as_output(m):
+        """m as a weight-1 recipe output, for verify_recipe."""
+        faces = tuple(FaceInfo(c.index, c.k, c.puncture, False, c.marked)
+                      for c in m.corner_cycles)
+        return CurveRecipeOutput(graph=m.graph, ribbon=m.ribbon, faces=faces,
+                                 marked_face=0, m=1, genus=0, complex=m)
+
 
 class TestFeedsFlatBuilder:
     def test_cone_angles_match_census(self):
