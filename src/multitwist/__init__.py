@@ -30,6 +30,7 @@ from .surfaces import (
     cylinders,
     euler_characteristic,
     is_translation,
+    mark_faces,
     orientation_double_cover,
     square_torus,
     staircase_complex,
@@ -77,7 +78,7 @@ __all__ = [
     "lambda_zero", "perron_pair", "verify_harmonic",
     "CornerCycle", "Cylinder", "RectangleComplex", "RibbonData",
     "build_surface", "cone_points", "cylinders", "euler_characteristic",
-    "is_translation", "orientation_double_cover", "square_torus",
+    "is_translation", "mark_faces", "orientation_double_cover", "square_torus",
     "staircase_complex",
     "ALL_DIRECTIONS", "MobiusClass", "ProjectiveDirection", "TwistWord",
     "brenner_check", "classify", "eigendirections", "renormalizable", "rho",

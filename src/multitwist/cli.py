@@ -16,7 +16,8 @@ from . import formats, graphs, mobius, svg as svgmod
 from .flow import SurfacePoint, coverage_stats, flow
 
 from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
-from .surfaces import cylinders, euler_characteristic, is_translation, staircase_complex
+from .surfaces import (build_surface, cylinders, euler_characteristic, is_translation,
+                       mark_faces, staircase_complex)
 
 DEFAULT_TOL = float(os.environ.get("MULTITWIST_TOL", "1e-10"))
 
@@ -145,14 +146,12 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
         elif surface_file:
             m = formats.parse_surface(_read(surface_file))
             if m.harmonic is None or mode != "given":
-                from .surfaces import build_surface
                 if mode == "perron" or (mode == "given" and m.harmonic is None):
                     h = graphs.perron_pair(m.graph, tol=1e-13)
                 elif mode == "closed-form":
                     fam = _ladder_family_of(m.graph)
                     h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
-                marks = _marks_of(m)
-                m = build_surface(m.graph, m.ribbon, harmonic=h, **marks)
+                m = mark_faces(build_surface(m.graph, m.ribbon, harmonic=h), **_marks_of(m))
         else:
             raise click.UsageError("need a surface file or --family")
     except (ValueError, formats.FormatError) as exc:
@@ -213,17 +212,9 @@ def verify(surface_file, tol, weight):
     except formats.FormatError as exc:
         _fail(str(exc))
     if weight is not None:
-        from .recipe import CurveRecipeOutput, FaceInfo, verify_recipe as vrec
-        marked = next((c.index for c in m.corner_cycles if c.marked), None)
-        if marked is None:
+        if not any(c.marked for c in m.corner_cycles):
             _fail("no marked face for the weight check")
-        faces = tuple(FaceInfo(index=c.index, sides=c.k, puncture=c.puncture,
-                               marked=c.marked) for c in m.corner_cycles)
-        out = CurveRecipeOutput(graph=m.graph, ribbon=m.ribbon, faces=faces,
-                                marked_face=marked, m=weight,
-                                genus=(2 - euler_characteristic(m)) // 2 if not m.frontier else -1,
-                                complex=m)
-        rep = vrec(out, weight)
+        rep = verify_recipe(m, weight)
         for f in rep.failures:
             click.echo(f"FAIL {f}", err=True)
         click.echo(f"recipe census {rep.face_census}, valence {rep.valence}", err=True)
@@ -334,10 +325,11 @@ def multicurve(tree_file, family, depth, genus, punctures, weight, out):
         result = build_multicurves(source, weight)
     except (RecipeError, formats.FormatError, ValueError) as exc:
         _fail(str(exc))
-    rep = verify_recipe(result, weight)
+    rep = verify_recipe(result.complex, weight)
     _write_out(out, formats.write_surface(result.complex))
+    marked = next(c.index for c in result.complex.corner_cycles if c.marked)
     click.echo(f"faces {rep.face_census}; valence {rep.valence}; "
-               f"marked face {result.marked_face} ({2 * weight} sides); "
+               f"marked face {marked} ({2 * weight} sides); "
                f"genus {result.genus}", err=True)
     sys.exit(0 if rep.passes else 1)
 

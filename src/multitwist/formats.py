@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
 from .quadfield import QuadExt
-from .surfaces import RectangleComplex, RibbonData, _components, build_surface
+from .surfaces import RectangleComplex, RibbonData, _components, build_surface, mark_faces
 
 
 class FormatError(ValueError):
@@ -132,7 +132,10 @@ def parse_harmonic(text: str) -> HarmonicAssignment:
         elif toks[0] == "h":
             if len(toks) != 3:
                 raise FormatError("h needs <vertex> <value>", lineno)
-            values[_int(toks[1], lineno)] = parse_number(toks[2], lineno)
+            v = _int(toks[1], lineno)
+            if v in values:
+                raise FormatError(f"duplicate h record for vertex {v}", lineno)
+            values[v] = parse_number(toks[2], lineno)
         elif toks[0] in ("bipartite", "edge", "sigma_h", "sigma_v", "sigma_h*",
                          "sigma_v*", "flip", "puncture", "marked"):
             continue
@@ -167,55 +170,61 @@ def write_surface(m: RectangleComplex) -> str:
 
 def parse_surface(text: str) -> RectangleComplex:
     graph = parse_graph(text)
+    edges = graph.edge_map()
     harmonic = None
     if any(toks[0] == "lambda" for _, toks in _tokens(text)):
         harmonic = parse_harmonic(text)
-    sigma_h, sigma_v = {}, {}
-    flips = []
-    punctures = []
-    marked = None
+
+    def edge(tok, tag, line):
+        e = _int(tok, line)
+        if e not in edges:
+            raise FormatError(f"{tag} names edge {e} that is not in the graph", line)
+        return e
+
+    sigma = {"sigma_h": {}, "sigma_v": {}}
+    named = {"sigma_h": set(), "sigma_v": set()}
+    flips = set()
+    faces = []  # (tag, cycle index, line)
     for lineno, toks in _tokens(text):
         tag = toks[0]
         if tag in ("sigma_h", "sigma_v", "sigma_h*", "sigma_v*"):
-            seq = [_int(t, lineno) for t in toks[1:]]
+            name = tag.rstrip("*")
+            seq = [edge(t, name, lineno) for t in toks[1:]]
             if not seq:
                 raise FormatError("empty cycle", lineno)
-            target = sigma_h if tag.startswith("sigma_h") else sigma_v
-            closed = not tag.endswith("*")
+            for e in seq:
+                if e in named[name]:
+                    raise FormatError(f"{name} names edge {e} twice", lineno)
+                named[name].add(e)
+            target = sigma[name]
             for a, b in zip(seq, seq[1:]):
                 target[a] = b
-            if closed:
+            if not tag.endswith("*"):
                 target[seq[-1]] = seq[0]
         elif tag == "flip":
             if len(toks) != 3 or toks[2] not in ("E", "N"):
                 raise FormatError("flip needs <edge> <E|N>", lineno)
-            flips.append((_int(toks[1], lineno), toks[2]))
+            flip = (edge(toks[1], tag, lineno), toks[2])
+            if flip in flips:
+                raise FormatError(f"flip {flip[0]} {flip[1]} named twice", lineno)
+            flips.add(flip)
         elif tag in ("puncture", "marked"):
             if len(toks) != 2:
                 raise FormatError(f"{tag} needs <cycle>", lineno)
-            if tag == "puncture":
-                punctures.append(_int(toks[1], lineno))
-            else:
-                marked = _int(toks[1], lineno)
+            if tag == "marked" and any(t == tag for t, _, _ in faces):
+                raise FormatError("more than one marked record", lineno)
+            faces.append((tag, _int(toks[1], lineno), lineno))
     try:
-        ribbon = RibbonData.make(sigma_h, sigma_v, flips)
-        bare = build_surface(graph, ribbon, harmonic=harmonic)
+        m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
+                          harmonic=harmonic)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    punct_tokens = []
-    marked_token = None
-    for idx in punctures:
-        if not 0 <= idx < len(bare.corner_cycles):
-            raise FormatError(f"puncture cycle {idx} out of range")
-        punct_tokens.append(bare.corner_cycles[idx].corners[0])
-    if marked is not None:
-        if not 0 <= marked < len(bare.corner_cycles):
-            raise FormatError(f"marked cycle {marked} out of range")
-        marked_token = bare.corner_cycles[marked].corners[0]
-    if punct_tokens or marked_token:
-        return build_surface(graph, ribbon, harmonic=harmonic,
-                             punctures=punct_tokens, marked=marked_token)
-    return bare
+    tokens = {"puncture": [], "marked": []}
+    for tag, idx, line in faces:
+        if not 0 <= idx < len(m.corner_cycles):
+            raise FormatError(f"{tag} cycle {idx} out of range", line)
+        tokens[tag].append(m.corner_cycles[idx].corners[0])
+    return mark_faces(m, tokens["puncture"], *tokens["marked"])
 
 
 # -- trajectories -----------------------------------------------------------

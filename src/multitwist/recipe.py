@@ -41,13 +41,12 @@ form; a combination outside it raises RecipeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 
 from .graphs import BipartiteConfigGraph
 from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, RibbonData, _components,
                        _config_graph, _glue_axis, build_surface, euler_characteristic,
-                       ribbon_from_gluings)
+                       mark_faces, ribbon_from_gluings)
 
 FACE_BOUND = 8
 
@@ -584,28 +583,15 @@ def _marked_face_index(m: RectangleComplex, p_squares) -> int:
 
 
 @dataclass(frozen=True)
-class FaceInfo:
-    index: int
-    sides: int
-    puncture: bool = False
-    end: bool = False
-    marked: bool = False
-
-
-@dataclass(frozen=True)
 class CurveRecipeOutput:
-    """A filling pair as combinatorial data plus its assembled complex."""
+    """A filling pair as its assembled complex, whose corner cycles carry
+    the puncture and marked flags; end_faces holds the indices of the
+    punctured faces that stand for truncated ends."""
 
-    graph: BipartiteConfigGraph
-    ribbon: RibbonData
-    faces: tuple
-    marked_face: int
+    complex: RectangleComplex
     m: int
     genus: int
-    complex: RectangleComplex = field(compare=False)
-
-    def face(self, index: int) -> FaceInfo:
-        return self.faces[index]
+    end_faces: frozenset
 
 
 def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
@@ -642,7 +628,7 @@ def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
         except RecipeError as exc:
             last_error = exc
             continue
-        report = verify_recipe(out, m)
+        report = verify_recipe(out.complex, m)
         if report.passes:
             return out
         last_error = RecipeError(f"{variant}: verification failed: "
@@ -652,16 +638,15 @@ def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
 
 
 def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipeOutput:
-    """One variant end to end: assemble, distribute flags, build, package."""
+    """One variant end to end: assemble, distribute flags, package."""
     try:
-        asm, sizes, marked_idx, complex_ = _assemble_variant(variant, genus, n, m)
+        sizes, marked_idx, complex_ = _assemble_variant(variant, genus, n, m)
     except RecipeError:
         # the general chain tries again with handle splices; outputs that
         # arms alone realize stay as they are
         if variant != "chainlink":
             raise
-        asm, sizes, marked_idx, complex_ = _assemble_variant(variant, genus, n, m,
-                                                             absorb=True)
+        sizes, marked_idx, complex_ = _assemble_variant(variant, genus, n, m, absorb=True)
     # every unmarked bigon must hold a puncture (minimal position); leftover
     # punctures go to the largest faces; if slots run out, p doubles as a
     # marked puncture
@@ -679,21 +664,11 @@ def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipe
                       key=lambda idx: (-sizes[idx], idx))
     if len(end_pool) < ends:
         raise RecipeError(f"{variant}: not enough faces for {ends} ends")
-    end_faces = set(end_pool[:ends])
-    punct_faces = set(flagged)
-    infos = []
-    for c in complex_.corner_cycles:
-        infos.append(FaceInfo(index=c.index, sides=c.k,
-                              puncture=c.index in punct_faces,
-                              end=c.index in end_faces,
-                              marked=c.index == marked_idx))
-    punct_tokens = [complex_.corner_cycles[i].corners[0] for i in sorted(punct_faces)]
-    marked_token = complex_.corner_cycles[marked_idx].corners[0]
-    final = build_surface(complex_.graph, complex_.ribbon,
-                          punctures=punct_tokens, marked=marked_token)
-    return CurveRecipeOutput(graph=final.graph, ribbon=final.ribbon,
-                             faces=tuple(infos), marked_face=marked_idx,
-                             m=m, genus=genus, complex=final)
+    cycles = complex_.corner_cycles
+    return CurveRecipeOutput(
+        complex=mark_faces(complex_, [cycles[i].corners[0] for i in flagged],
+                           cycles[marked_idx].corners[0]),
+        m=m, genus=genus, end_faces=frozenset(end_pool[:ends]))
 
 
 def _p_block_variants(m: int):
@@ -756,20 +731,20 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     if standalone and genus > g0:
         raise RecipeError(f"{name} block has no splice ports to grow genus")
 
-    base = asm.build()
-    marked_token = base.corner_cycles[_marked_face_index(base, p_squares)].corners[0]
+    complex_ = asm.build()  # rebuilt after every splice
+    marked_token = complex_.corner_cycles[_marked_face_index(complex_, p_squares)].corners[0]
 
     genus_needed = genus - g0
     while genus_needed > 0:
-        built = asm.build()
-        found = _find_port(built, marked_token, max_flank=4)
-        excess = _bigons(_face_sizes(built), _cycle_index_of(built, marked_token)) - n
+        found = _find_port(complex_, marked_token, max_flank=4)
+        excess = _bigons(_face_sizes(complex_), _cycle_index_of(complex_, marked_token)) - n
         # a handle splice takes the place of the next arm when it eats more
         # bigons than the best arm port can (an arm eats at most two)
         if absorb and excess > 0:
-            handle = _find_handle(asm, built, marked_token)
+            handle = _find_handle(asm, complex_, marked_token)
             if handle is not None and handle[1] > (found[1] if found else 0):
                 asm.splice(*handle[0])
+                complex_ = asm.build()
                 genus_needed -= 1
                 continue
         if found is None:
@@ -793,9 +768,9 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
         blk = asm.add_genus_block()
         entry = (blk["squares"][0], "E" if port[1] in ("E", "W") else "N")
         asm.splice(port, entry)
+        complex_ = asm.build()
         genus_needed -= 1
 
-    complex_ = asm.build()
     sizes = _face_sizes(complex_)
     if any(k > max(FACE_BOUND, 2 * m) for k in sizes.values()):
         raise RecipeError(f"{name}: face bound exceeded: {sorted(sizes.values())}")
@@ -811,7 +786,7 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     chi = euler_characteristic(complex_)
     if chi != 2 - 2 * genus:
         raise RecipeError(f"{name}: assembled genus {(2 - chi) // 2} != {genus}")
-    return asm, sizes, marked_idx, complex_
+    return sizes, marked_idx, complex_
 
 
 # ---------------------------------------------------------------------------
@@ -827,32 +802,32 @@ class RecipeReport:
     max_pair_intersections: int
 
 
-def verify_recipe(out: CurveRecipeOutput, m: int) -> RecipeReport:
-    """Check the curve-recipe contract on an emitted filling pair."""
+def verify_recipe(m: RectangleComplex, weight: int) -> RecipeReport:
+    """Check the curve-recipe contract at this weight on a complex whose
+    corner cycles carry the puncture and marked flags."""
     failures = []
-    sizes = {f.index: f.sides for f in out.faces}
-    bound = max(FACE_BOUND, m)
-    for f in out.faces:
-        if f.marked:
-            if f.sides != 2 * m:
-                failures.append(f"marked face {f.index} has {f.sides} sides, "
-                                f"expected {2 * m}")
-        elif f.sides > bound:
-            failures.append(f"face {f.index} has {f.sides} > {bound} sides")
-        if f.sides == 2 and not (f.puncture or f.marked):
-            failures.append(f"bigon face {f.index} is empty (not minimal position)")
+    bound = max(FACE_BOUND, weight)
+    for c in m.corner_cycles:
+        if c.marked:
+            if c.k != 2 * weight:
+                failures.append(f"marked face {c.index} has {c.k} sides, "
+                                f"expected {2 * weight}")
+        elif c.k > bound:
+            failures.append(f"face {c.index} has {c.k} > {bound} sides")
+        if c.k == 2 and not (c.puncture or c.marked):
+            failures.append(f"bigon face {c.index} is empty (not minimal position)")
     # pairwise intersections <= 2
-    pair_counts = _pair_meetings(out.graph)
+    pair_counts = _pair_meetings(m.graph)
     worst = max(pair_counts.values()) if pair_counts else 0
     if worst > 2:
         bad = max(pair_counts, key=pair_counts.get)
         failures.append(f"curves {bad} intersect {worst} > 2 times")
     # finite valence is structural; record the bound
-    valence = max(out.graph.degree(v) for v in out.graph.vertices())
-    for v in sorted(_inessential_curves(out.complex)):
+    valence = max(m.graph.degree(v) for v in m.graph.vertices())
+    for v in sorted(_inessential_curves(m)):
         failures.append(f"curve {v} bounds a disc or once-punctured disc")
     return RecipeReport(passes=not failures, failures=tuple(failures),
-                        face_census=tuple(sorted(sizes.values())),
+                        face_census=tuple(sorted(c.k for c in m.corner_cycles)),
                         valence=valence, max_pair_intersections=worst)
 
 

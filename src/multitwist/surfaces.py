@@ -408,14 +408,13 @@ def ribbon_from_gluings(edges, gluings) -> RibbonData:
 
 
 def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
-                  harmonic: HarmonicAssignment = None, *,
-                  punctures=(), marked=None, values=None) -> RectangleComplex:
+                  harmonic: HarmonicAssignment = None, *, values=None) -> RectangleComplex:
     """Assemble the rectangle complex over a graph with ribbon data.
 
     Rectangle e gets width values[j] and height values[i] for its endpoints
     (i, j); values defaults to the harmonic assignment, or to all-1 squares
-    when neither is given (combinatorial census builds).  punctures and
-    marked select corner cycles by any (edge, corner) token they contain.
+    when neither is given (combinatorial census builds).  No corner cycle
+    is punctured or marked; mark_faces sets those flags on the result.
     """
     if values is None:
         values = harmonic.values if harmonic is not None else {v: 1 for v in graph.vertices()}
@@ -459,26 +458,31 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
         cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=truncated))
         corner_index.update(dict.fromkeys(chain, idx))
 
-    def resolve(token):
-        if token not in corner_index:
-            raise ValueError(f"no corner cycle contains {token}")
-        return corner_index[token]
-
-    flagged = {}
-    for token in punctures:
-        flagged.setdefault(resolve(tuple(token)), set()).add("puncture")
-    if marked is not None:
-        flagged.setdefault(resolve(tuple(marked)), set()).add("marked")
-    cycles = [replace(c, puncture="puncture" in flagged.get(c.index, ()),
-                      marked="marked" in flagged.get(c.index, ()))
-              for c in cycles]
-
     lam = harmonic.lam if harmonic is not None else None
     return RectangleComplex(graph=graph, ribbon=ribbon, lam=lam,
                             width=width, height=height, gluings=gluings,
                             frontier=frontier, corner_cycles=tuple(cycles),
                             h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic,
                             corner_index=corner_index)
+
+
+def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleComplex:
+    """m with exactly these corner cycles punctured and marked.
+
+    punctures and marked select cycles by any (edge, corner) token they
+    contain; every other cycle loses both flags.
+    """
+    def resolve(token):
+        token = tuple(token)
+        if token not in m.corner_index:
+            raise ValueError(f"no corner cycle contains {token}")
+        return m.corner_index[token]
+
+    punctured = {resolve(token) for token in punctures}
+    marked = None if marked is None else resolve(marked)
+    return replace(m, corner_cycles=tuple(
+        replace(c, puncture=c.index in punctured, marked=c.index == marked)
+        for c in m.corner_cycles))
 
 
 def cylinders(m: RectangleComplex, direction: str) -> list:
@@ -594,8 +598,8 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
                 punctures.append(token)
             if cyc.marked:
                 marked = token if marked is None else marked
-    return build_surface(graph, ribbon, harmonic=harmonic,
-                         punctures=punctures, marked=marked, values=values)
+    return mark_faces(build_surface(graph, ribbon, harmonic=harmonic, values=values),
+                      punctures, marked)
 
 
 # -- stock complexes -------------------------------------------------------

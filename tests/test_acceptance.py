@@ -258,12 +258,12 @@ def test_criterion_10_theorem_outputs():
     checked = 0
     for g, n, m in SUPPORTED_FINITE:
         out = build_multicurves((g, n), m)
-        rep = verify_recipe(out, m)
+        rep = verify_recipe(out.complex, m)
         assert rep.passes, ((g, n, m), rep.failures)
-        unmarked = {f.sides for f in out.faces if not f.marked}
+        unmarked = {c.k for c in out.complex.corner_cycles if not c.marked}
         assert unmarked <= {2, 4, 6, 8}
-        marked = next(f for f in out.faces if f.marked)
-        assert marked.sides == 2 * m
+        marked = next(c for c in out.complex.corner_cycles if c.marked)
+        assert marked.k == 2 * m
         assert rep.max_pair_intersections <= 2
         checked += 1
     for m in (1, 2, 3, 5):
@@ -272,7 +272,7 @@ def test_criterion_10_theorem_outputs():
                 out = build_multicurves(loch_ness_tree(depth), m)
             except RecipeError:
                 continue  # below the angle-excess bound for this weight
-            rep = verify_recipe(out, m)
+            rep = verify_recipe(out.complex, m)
             assert rep.passes, (("loch-ness", depth, m), rep.failures)
             checked += 1
         for depth in (1, 2, 3):
@@ -280,7 +280,7 @@ def test_criterion_10_theorem_outputs():
                 out = build_multicurves(ladder_tree(depth), m)
             except RecipeError:
                 continue
-            rep = verify_recipe(out, m)
+            rep = verify_recipe(out.complex, m)
             assert rep.passes, (("ladder", depth, m), rep.failures)
             checked += 1
     _report(10, f"{checked} surface/weight combinations: finite valence, "

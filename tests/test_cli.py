@@ -84,6 +84,14 @@ class TestBuildVerify:
         assert res.exit_code == 2, res.output
         assert "99" in res.output
 
+    def test_weight_check_needs_a_marked_face(self, runner, tmp_path):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-4:5", "--lambda", "2", "-o", str(surf)])
+        res = runner.invoke(main, ["verify", str(surf), "--m", "1"])
+        assert res.exit_code == 2, res.output
+        assert "no marked face" in res.output
+
     @pytest.mark.parametrize("record", ["flip x E", "puncture"])
     def test_malformed_record_exits_2(self, runner, tmp_path, record):
         surf = tmp_path / "st.surf"

@@ -20,7 +20,8 @@ from multitwist.flow import (
     visit_lengths,
 )
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
-from multitwist.surfaces import RibbonData, build_surface, square_torus, staircase_complex
+from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
+                                 staircase_complex)
 
 
 def pillowcase():
@@ -208,9 +209,7 @@ class TestSeparatrices:
 
     def test_puncture_refused(self):
         m = pillowcase()
-        tok = m.corner_cycles[0].corners[0]
-        g, rib, h = m.graph, m.ribbon, m.harmonic
-        m2 = build_surface(g, rib, h, punctures=[tok])
+        m2 = mark_faces(m, [m.corner_cycles[0].corners[0]])
         with pytest.raises(FlowError, match="puncture"):
             separatrices(m2, 0, (1, 1))
 

@@ -9,7 +9,7 @@ from multitwist.flow import SurfacePoint, flow
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
-from multitwist.surfaces import RibbonData, build_surface, square_torus, staircase_complex
+from multitwist.surfaces import RibbonData, build_surface, mark_faces, square_torus, staircase_complex
 
 
 class TestNumbers:
@@ -81,14 +81,19 @@ class TestSurfaceFormat:
     def test_marks_round_trip(self):
         g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
-        m = build_surface(g, rib, HarmonicAssignment(lam=2, values={0: 1, 1: 1}),
-                          punctures=[(0, "SW")], marked=(0, "NE"))
+        m = mark_faces(build_surface(g, rib, HarmonicAssignment(lam=2, values={0: 1, 1: 1})),
+                       [(0, "SW")], (0, "NE"))
         back = formats.parse_surface(formats.write_surface(m))
         assert [c.puncture for c in back.corner_cycles] == [c.puncture for c in m.corner_cycles]
         assert [c.marked for c in back.corner_cycles] == [c.marked for c in m.corner_cycles]
 
-    def test_multicurve_output_round_trips(self):
-        out = build_multicurves(loch_ness_tree(2), 2)
+    @pytest.mark.parametrize("source, m", [
+        ((1, 2), 3),
+        (loch_ness_tree(2), 2),
+        (ladder_tree(3), 2),
+    ], ids=["finite", "loch-ness", "ladder"])
+    def test_multicurve_output_round_trips(self, source, m):
+        out = build_multicurves(source, m)
         text = formats.write_surface(out.complex)
         back = formats.parse_surface(text)
         assert formats.write_surface(back) == text
@@ -104,16 +109,21 @@ class TestSurfaceFormat:
         with pytest.raises(formats.FormatError, match="line 3"):
             formats.parse_surface(text)
 
-    @pytest.mark.parametrize("old, new", [
-        ("sigma_h -3 -2\n", "sigma_h 99 -3 -2\n"),
-        ("sigma_v 0 1\n", "sigma_v 0 1 99\n"),
-        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 99 N\n"),
-    ], ids=["sigma_h", "sigma_v", "flip"])
-    def test_unknown_edge_in_ribbon(self, old, new):
+    @pytest.mark.parametrize("old, new, message", [
+        ("sigma_h -3 -2\n", "sigma_h 99 -3 -2\n", "sigma_h names edge 99 "),
+        ("sigma_v 0 1\n", "sigma_v 0 1 99\n", "sigma_v names edge 99 "),
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 99 N\n", "flip names edge 99 "),
+        ("sigma_v -4 -3\n", "sigma_v 0 1 0\n", "sigma_v names edge 0 twice"),
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 2 N\nflip 2 N\n", "flip 2 N named twice"),
+    ], ids=["sigma_h", "sigma_v", "flip", "repeated-sigma_v", "repeated-flip"])
+    def test_unknown_edge_in_ribbon(self, old, new, message):
         text = formats.write_surface(staircase_complex(-4, 5, 2))
         assert old in text
-        with pytest.raises(formats.FormatError, match="99"):
+        with pytest.raises(formats.FormatError, match=message) as err:
             formats.parse_surface(text.replace(old, new))
+        # the record at fault is the last line of new
+        line = text.splitlines().index(old.strip()) + len(new.splitlines())
+        assert err.value.line == line
 
 
 SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
@@ -125,10 +135,14 @@ SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
     ("parse_surface", SURFACE + "puncture\n", 5),
     ("parse_harmonic", "lambda 2\nh x 1\n", 2),
     ("parse_harmonic", "lambda\nh 0 1\n", 1),
+    ("parse_harmonic", "lambda 2\nh 0 1\nh 0 5\n", 3),
+    ("parse_surface", SURFACE + "puncture 9\n", 5),
+    ("parse_surface", SURFACE + "marked 0\nmarked 0\n", 6),
     ("parse_graph", "bipartite a 1 1 2\nedge 0 0 1\n", 1),
     ("parse_trajectory", "seg 0 0 0 0 0 0\nend\n", 2),
     ("parse_tree", "family loch-ness x\n", 1),
 ], ids=["flip-edge", "puncture-index", "bare-puncture", "h-vertex", "bare-lambda",
+        "repeated-h", "puncture-range", "second-marked",
         "bipartite-header", "bare-end", "family-depth"])
 def test_malformed_record_names_line(parser, text, line):
     with pytest.raises(formats.FormatError, match=f"^line {line}: "):

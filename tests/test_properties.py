@@ -27,6 +27,7 @@ from multitwist.surfaces import (
     cylinders,
     euler_characteristic,
     is_translation,
+    mark_faces,
     orientation_double_cover,
 )
 
@@ -255,9 +256,8 @@ def test_essentiality_matches_single_cut_oracle():
         if m is None:
             continue
         tokens = [c.corners[0] for c in m.corner_cycles]
-        m = build_surface(m.graph, m.ribbon, values={v: 1 for v in m.graph.vertices()},
-                          punctures=[t for t in tokens if rng.random() < 0.4],
-                          marked=rng.choice(tokens) if rng.random() < 0.5 else None)
+        m = mark_faces(m, [t for t in tokens if rng.random() < 0.4],
+                       rng.choice(tokens) if rng.random() < 0.5 else None)
         inessential = {v for v in m.graph.vertices() if _cut_along_one_core(m, v)}
         assert inessential == {v for v in m.graph.vertices() if not curve_is_essential(m, v)}
         with_inessential += bool(inessential)

@@ -3,9 +3,7 @@
 import pytest
 
 from multitwist.recipe import (
-    CurveRecipeOutput,
     EndTreeSpec,
-    FaceInfo,
     RecipeError,
     build_multicurves,
     curve_is_essential,
@@ -16,7 +14,7 @@ from multitwist.recipe import (
     surgery,
     verify_recipe,
 )
-from multitwist.surfaces import cylinders, euler_characteristic
+from multitwist.surfaces import cylinders, euler_characteristic, mark_faces
 
 
 class TestInducedSubtree:
@@ -100,36 +98,36 @@ class TestSurgery:
 class TestBuildMulticurves:
     def test_once_punctured_torus_m1(self):
         out = build_multicurves((1, 1), 1)
-        rep = verify_recipe(out, 1)
+        rep = verify_recipe(out.complex, 1)
         assert rep.passes
-        marked = next(f for f in out.faces if f.marked)
-        assert marked.sides == 2
+        marked = next(c for c in out.complex.corner_cycles if c.marked)
+        assert marked.k == 2
         assert euler_characteristic(out.complex) == 0
-        assert sum(1 for f in out.faces if f.puncture) == 1
+        assert sum(1 for c in out.complex.corner_cycles if c.puncture) == 1
 
     def test_loch_ness_m2(self):
         out = build_multicurves(loch_ness_tree(3), 2)
-        rep = verify_recipe(out, 2)
+        rep = verify_recipe(out.complex, 2)
         assert rep.passes
         assert out.genus == 3
-        assert sum(1 for f in out.faces if f.end) == 1
-        census = {f.sides for f in out.faces if not f.marked}
+        assert len(out.end_faces) == 1
+        census = {c.k for c in out.complex.corner_cycles if not c.marked}
         assert census <= {2, 4, 6, 8}
 
     def test_odd_m_adds_extra_pair(self):
         # the odd-weight chamber block ends on a straight curve: the marked
         # face has 2m sides for odd m
         out = build_multicurves((1, 2), 3)
-        marked = next(f for f in out.faces if f.marked)
-        assert marked.sides == 6
+        marked = next(c for c in out.complex.corner_cycles if c.marked)
+        assert marked.k == 6
 
     def test_weight_five(self):
         out = build_multicurves((2, 4), 5)
-        rep = verify_recipe(out, 5)
+        rep = verify_recipe(out.complex, 5)
         assert rep.passes
-        assert max(f.sides for f in out.faces if not f.marked) <= 8
-        marked = next(f for f in out.faces if f.marked)
-        assert marked.sides == 10
+        assert max(c.k for c in out.complex.corner_cycles if not c.marked) <= 8
+        marked = next(c for c in out.complex.corner_cycles if c.marked)
+        assert marked.k == 10
 
     def test_sphere_needs_four_punctures(self):
         with pytest.raises(RecipeError, match="sphere"):
@@ -143,34 +141,34 @@ class TestBuildMulticurves:
         for src, m in [((2, 0), 2), ((3, 2), 3), (loch_ness_tree(4), 1),
                        (ladder_tree(2), 2)]:
             out = build_multicurves(src, m)
-            rep = verify_recipe(out, m)
+            rep = verify_recipe(out.complex, m)
             assert rep.max_pair_intersections <= 2
 
     def test_every_bigon_is_flagged(self):
         out = build_multicurves((1, 2), 1)
-        for f in out.faces:
-            if f.sides == 2:
-                assert f.puncture or f.marked
+        for c in out.complex.corner_cycles:
+            if c.k == 2:
+                assert c.puncture or c.marked
 
 
 class TestVerifyRecipe:
     def test_hand_built_violations_fail_loudly(self):
-        out = build_multicurves((1, 1), 2)
-        # oversize the first unmarked face
-        victim = next(f.index for f in out.faces if not f.marked)
-        faces = tuple(FaceInfo(f.index, 10 if f.index == victim else f.sides,
-                               f.puncture, f.end, f.marked)
-                      for f in out.faces)
-        bad = CurveRecipeOutput(graph=out.graph, ribbon=out.ribbon, faces=faces,
-                                marked_face=out.marked_face, m=2,
-                                genus=out.genus, complex=out.complex)
-        rep = verify_recipe(bad, 2)
+        m = build_multicurves((2, 4), 5).complex
+        cycles = m.corner_cycles
+        assert cycles[0].marked and cycles[0].k == 10
+        # move the mark from the 10-gon to a 4-gon: the 10-gon is then an
+        # unmarked face above the bound, the 4-gon a marked face of the
+        # wrong size
+        square = next(c for c in cycles if c.k == 4 and not c.puncture)
+        bad = mark_faces(m, [c.corners[0] for c in cycles if c.puncture], square.corners[0])
+        rep = verify_recipe(bad, 5)
         assert not rep.passes
-        assert any("sides" in msg for msg in rep.failures)
+        assert "face 0 has 10 > 8 sides" in rep.failures
+        assert f"marked face {square.index} has 4 sides, expected 10" in rep.failures
 
     def test_wrong_marked_size_fails(self):
         out = build_multicurves((1, 1), 2)
-        rep = verify_recipe(out, 3)  # marked face is a 4-gon, not a 6-gon
+        rep = verify_recipe(out.complex, 3)  # marked face is a 4-gon, not a 6-gon
         assert not rep.passes
         assert any("marked" in msg for msg in rep.failures)
 
@@ -179,7 +177,7 @@ class TestEssential:
     def test_all_generated_curves_essential(self):
         for src, m in [((1, 1), 1), ((2, 0), 2), ((2, 1), 3)]:
             out = build_multicurves(src, m)
-            for v in out.graph.vertices():
+            for v in out.complex.graph.vertices():
                 assert curve_is_essential(out.complex, v)
 
     def test_curve_bounding_once_punctured_disc_detected(self):
@@ -196,9 +194,9 @@ class TestEssential:
         # bigons are punctured -> essential; with only one puncture per side
         # the cut pieces are once-punctured discs -> not essential
         tokens = [c.corners[0] for c in m.corner_cycles]
-        m_two = build_surface(g, rib, values={0: 1, 1: 1}, punctures=tokens[:2])
+        m_two = mark_faces(m, tokens[:2])
         assert not curve_is_essential(m_two, 0) or not curve_is_essential(m_two, 1)
-        m_all = build_surface(g, rib, values={0: 1, 1: 1}, punctures=tokens)
+        m_all = mark_faces(m, tokens)
         assert curve_is_essential(m_all, 0) and curve_is_essential(m_all, 1)
 
     @staticmethod
@@ -214,9 +212,8 @@ class TestEssential:
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
         m = build_surface(g, rib, values={0: 1, 1: 1})
         tokens = [c.corners[0] for c in m.corner_cycles]
-        return build_surface(g, rib, values={0: 1, 1: 1},
-                             punctures=[tokens[i] for i in punctures],
-                             marked=None if marked is None else tokens[marked])
+        return mark_faces(m, [tokens[i] for i in punctures],
+                          None if marked is None else tokens[marked])
 
     def test_two_punctured_pillowcase_inessential_set(self):
         # two holes among four cone points: each core has a side with at most
@@ -224,7 +221,7 @@ class TestEssential:
         for punctures in ((0, 1), (0, 2), (2, 3)):
             m = self._pillowcase(punctures)
             assert {v for v in (0, 1) if not curve_is_essential(m, v)} == {0, 1}
-        rep = verify_recipe(self._as_output(self._pillowcase((0, 1))), 1)
+        rep = verify_recipe(self._pillowcase((0, 1)), 1)
         assert [f for f in rep.failures if "disc" in f] == [
             "curve 0 bounds a disc or once-punctured disc",
             "curve 1 bounds a disc or once-punctured disc"]
@@ -237,24 +234,16 @@ class TestEssential:
         m = self._pillowcase((0, 2, 3))
         assert not curve_is_essential(m, 0) and not curve_is_essential(m, 1)
 
-    @staticmethod
-    def _as_output(m):
-        """m as a weight-1 recipe output, for verify_recipe."""
-        faces = tuple(FaceInfo(c.index, c.k, c.puncture, False, c.marked)
-                      for c in m.corner_cycles)
-        return CurveRecipeOutput(graph=m.graph, ribbon=m.ribbon, faces=faces,
-                                 marked_face=0, m=1, genus=0, complex=m)
-
 
 class TestFeedsFlatBuilder:
     def test_cone_angles_match_census(self):
         from multitwist.graphs import perron_pair
         from multitwist.surfaces import build_surface
 
-        out = build_multicurves((2, 1), 2)
+        out = build_multicurves((2, 1), 2).complex
         h = perron_pair(out.graph, tol=1e-13)
         m = build_surface(out.graph, out.ribbon, h)
-        assert sorted(c.k for c in m.corner_cycles) == sorted(f.sides for f in out.faces)
+        assert sorted(c.k for c in m.corner_cycles) == sorted(c.k for c in out.corner_cycles)
         for direction in ("horizontal", "vertical"):
             for cyl in cylinders(m, direction):
                 assert abs(float(cyl.modulus) * h.lam - 1) < 1e-10
@@ -263,7 +252,7 @@ class TestFeedsFlatBuilder:
         worst = 0
         for depth in (1, 2, 3, 4, 5):
             out = build_multicurves(loch_ness_tree(depth), 2)
-            rep = verify_recipe(out, 2)
+            rep = verify_recipe(out.complex, 2)
             worst = max(worst, rep.valence)
         assert worst <= 16  # frozen family constant
 
@@ -278,9 +267,9 @@ class TestExplicitTreePipeline:
         assert g.triangles == 1 and g.genus() == 1
         out = build_multicurves(t, 2)
         assert out.genus == 1
-        assert sum(1 for f in out.faces if f.puncture) == 2  # puncture + end
-        assert sum(1 for f in out.faces if f.end) == 1
-        assert verify_recipe(out, 2).passes
+        assert sum(1 for c in out.complex.corner_cycles if c.puncture) == 2  # puncture + end
+        assert len(out.end_faces) == 1
+        assert verify_recipe(out.complex, 2).passes
 
 
 class TestLargeWeights:
@@ -290,10 +279,10 @@ class TestLargeWeights:
                 out = build_multicurves((g, n), m)
             except RecipeError:
                 continue
-            rep = verify_recipe(out, m)
+            rep = verify_recipe(out.complex, m)
             assert rep.passes, (g, n, m, rep.failures)
-            marked = next(f for f in out.faces if f.marked)
-            assert marked.sides == 2 * m
+            marked = next(c for c in out.complex.corner_cycles if c.marked)
+            assert marked.k == 2 * m
         # at least the first must be feasible
         out = build_multicurves((3, 2), 6)
-        assert verify_recipe(out, 6).passes
+        assert verify_recipe(out.complex, 6).passes

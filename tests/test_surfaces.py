@@ -13,6 +13,7 @@ from multitwist.surfaces import (
     cylinders,
     euler_characteristic,
     is_translation,
+    mark_faces,
     orientation_double_cover,
     ribbon_from_gluings,
     square_torus,
@@ -224,8 +225,7 @@ class TestCoverFlagLifting:
         g = double_edge_graph()
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
         base = build_surface(g, rib, unit_h(g, 2))
-        tok = base.corner_cycles[0].corners[0]
-        m = build_surface(g, rib, unit_h(g, 2), punctures=[tok])
+        m = mark_faces(base, [base.corner_cycles[0].corners[0]])
         cov = orientation_double_cover(m)
         # an angle-pi cone is a branch point: one punctured preimage
         assert sum(1 for c in cov.corner_cycles if c.puncture) == 1
@@ -237,6 +237,6 @@ class TestCoverFlagLifting:
                               flips=[(0, "E"), (1, "E"), (2, "E"), (3, "E")])
         base = build_surface(g, rib)
         even = next(c for c in base.corner_cycles if c.k == 4)
-        m = build_surface(g, rib, punctures=[even.corners[0]])
+        m = mark_faces(base, [even.corners[0]])
         cov = orientation_double_cover(m)
         assert sum(1 for c in cov.corner_cycles if c.puncture) == 2
