@@ -89,7 +89,7 @@ def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
         _fail(str(exc))
     try:
         if mode == "perron":
-            h = graphs.perron_pair(g, tol=min(tol, 1e-12))
+            h = graphs.perron_pair(g)
         elif mode == "closed-form":
             fam = _ladder_family_of(g)
             h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
@@ -103,7 +103,7 @@ def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
                 click.echo(f"positivity failed at {res.nonpositive_vertices}")
                 sys.exit(1)
             h = res.assignment()
-    except (ValueError, graphs.ConvergenceError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
     boundary_verts = ()
     if mode != "perron":
@@ -147,7 +147,7 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
             m = formats.parse_surface(_read(surface_file))
             if m.harmonic is None or mode != "given":
                 if mode == "perron" or (mode == "given" and m.harmonic is None):
-                    h = graphs.perron_pair(m.graph, tol=1e-13)
+                    h = graphs.perron_pair(m.graph)
                 elif mode == "closed-form":
                     fam = _ladder_family_of(m.graph)
                     h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))

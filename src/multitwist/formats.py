@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
 from .quadfield import QuadExt
-from .surfaces import RectangleComplex, RibbonData, _components, build_surface, mark_faces
+from .surfaces import (RectangleComplex, RibbonData, RibbonError, _components, build_surface,
+                       mark_faces)
 
 
 class FormatError(ValueError):
@@ -182,7 +183,7 @@ def parse_surface(text: str) -> RectangleComplex:
         return e
 
     sigma = {"sigma_h": {}, "sigma_v": {}}
-    named = {"sigma_h": set(), "sigma_v": set()}
+    named = {"sigma_h": {}, "sigma_v": {}}  # edge -> line of the record naming it
     flips = set()
     faces = []  # (tag, cycle index, line)
     for lineno, toks in _tokens(text):
@@ -195,7 +196,7 @@ def parse_surface(text: str) -> RectangleComplex:
             for e in seq:
                 if e in named[name]:
                     raise FormatError(f"{name} names edge {e} twice", lineno)
-                named[name].add(e)
+                named[name][e] = lineno
             target = sigma[name]
             for a, b in zip(seq, seq[1:]):
                 target[a] = b
@@ -217,6 +218,8 @@ def parse_surface(text: str) -> RectangleComplex:
     try:
         m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
                           harmonic=harmonic)
+    except RibbonError as exc:
+        raise FormatError(str(exc), named.get(exc.record, {}).get(exc.edge, 0)) from exc
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     tokens = {"puncture": [], "marked": []}

@@ -17,6 +17,7 @@ in part I get even ids, curves in part J get odd ids.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -24,16 +25,6 @@ from typing import Mapping
 import numpy as np
 
 from .quadfield import QuadExt, root_plus
-
-DENSE_SOLVE_LIMIT = 2000  # interior size above which the solver switches to conjugate gradients
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the last residual seen."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -184,31 +175,22 @@ def apply_adjacency(g: BipartiteConfigGraph, f: Mapping) -> dict:
     return {v: sum((f[w] for _, w in g.incident(v)), start=0) for v in g.vertices()}
 
 
-def perron_pair(g: BipartiteConfigGraph, tol: float = 1e-12, max_iter: int = 50000) -> HarmonicAssignment:
+def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
     """Dominant eigenpair (lam, h) with h > 0, normalized to max value 1.
 
-    Power iteration runs on A + I rather than A: connected bipartite
-    adjacency matrices are 2-periodic, so plain iterates oscillate between
-    the parts, while the shift makes the matrix primitive without moving
-    the eigenvectors.  The start vector is constant 1 (inside the positive
-    cone), normalization is by the max entry.
+    lam and the vertex v0 with the largest Perron entry come from a
+    symmetric eigensolver; h is then the truncated solve with h(v0) = 1 as
+    its only boundary value.  Strict interlacing gives lam > rho(A - v0) on
+    a connected graph, so the Perron-Frobenius verdict of that solve holds
+    and every value is relative-accurate.  A Perron entry below the float
+    range (about 2.2e-308 of the largest) raises ValueError.
     """
     if not g.edges:
         raise ValueError("graph needs at least one edge")
     a, order = g.adjacency_matrix()
-    x = np.ones(len(order))
-    lam = 1.0
-    residual = np.inf
-    for _ in range(max_iter):
-        y = a @ x + x
-        y /= y.max()
-        lam = float(y @ (a @ y)) / float(y @ y)
-        residual = float(np.max(np.abs(a @ y - lam * y)))
-        x = y
-        if residual <= tol:
-            values = {v: float(x[k]) for k, v in enumerate(order)}
-            return HarmonicAssignment(lam=lam, values=values)
-    raise ConvergenceError(f"power iteration did not reach tol={tol}", residual)
+    eigvals, eigvecs = np.linalg.eigh(a)
+    v0 = order[int(np.argmax(np.abs(eigvecs[:, -1])))]
+    return harmonic_truncated(g, float(eigvals[-1]), {v0: 1.0}).assignment()
 
 
 def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
@@ -255,80 +237,64 @@ class TruncatedHarmonicResult:
         return HarmonicAssignment(lam=self.lam, values=self.values)
 
 
-def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> TruncatedHarmonicResult:
-    """Solve (A h)(v) = lam h(v) on interior vertices with fixed boundary.
-
-    boundary maps the designated boundary vertices to their (positive)
-    values; every other vertex is interior.  Small systems use a direct
-    dense solve, larger ones conjugate gradients.  A singular system
-    raises; loss of positivity is reported, not raised.
-    """
-    lam = float(lam)
+def _interior_system(g: BipartiteConfigGraph, boundary: Mapping) -> tuple:
+    """(interior vertices, A restricted to them, boundary sum at each)."""
+    if not boundary:
+        raise ValueError("truncated solve needs at least one boundary vertex")
     for v, x in boundary.items():
         if v not in g.vertices():
             raise ValueError(f"boundary vertex {v} not in graph")
         if not x > 0:
             raise ValueError(f"boundary value at {v} must be positive")
     interior = sorted(v for v in g.vertices() if v not in boundary)
-    if not interior:
-        values = {v: float(x) for v, x in boundary.items()}
-        return TruncatedHarmonicResult(lam, values, True, (), 0.0)
     idx = {v: k for k, v in enumerate(interior)}
-    n = len(interior)
-    rhs = np.zeros(n)
-    mat = np.zeros((n, n))
+    a_int = np.zeros((len(interior), len(interior)))
+    coupling = np.zeros(len(interior))
     for v in interior:
-        k = idx[v]
-        mat[k, k] -= lam
         for _, w in g.incident(v):
             if w in idx:
-                mat[k, idx[w]] += 1.0
+                a_int[idx[v], idx[w]] += 1.0
             else:
-                rhs[k] -= float(boundary[w])
-    if n <= DENSE_SOLVE_LIMIT:
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"degenerate truncation: interior system singular ({exc})") from exc
-    else:
-        sol = _conjugate_gradient(mat, rhs)
-    values = {v: float(x) for v, x in boundary.items()}
-    values.update({v: float(sol[idx[v]]) for v in interior})
-    adj = apply_adjacency(g, values)
-    resid = max(abs(adj[v] - lam * values[v]) for v in interior)
-    bad = tuple(v for v in interior if not values[v] > 0)
-    return TruncatedHarmonicResult(lam, values, not bad, bad, float(resid))
+                coupling[idx[v]] += float(boundary[w])
+    return interior, a_int, coupling
 
 
-def _conjugate_gradient(mat: np.ndarray, rhs: np.ndarray,
-                        tol: float = 1e-12) -> np.ndarray:
-    """Solve the symmetric interior system iteratively.
+def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> TruncatedHarmonicResult:
+    """Solve (A h)(v) = lam h(v) on interior vertices with fixed boundary.
 
-    lam*I - A_interior is positive definite whenever lam clears the window's
-    interior spectral radius, which holds for every lam >= 2 truncation of a
-    bounded-valence graph; flipping signs makes plain CG applicable.
+    boundary maps the designated boundary vertices (at least one) to their
+    positive values; every other vertex is interior.  The interior system
+    is (lam I - A_int) h = (boundary sums).  By Perron-Frobenius theory for
+    M-matrices, on a connected graph its solution is positive exactly when
+    lam I - A_int is positive definite, so `positive` comes from a Cholesky
+    factorization and does not depend on how small the solution is.  A
+    singular system raises; loss of positivity is reported, not raised.  A
+    positive solution with a value below the float range
+    (sys.float_info.min, about 2.2e-308) raises ValueError rather than
+    return underflowed values.
     """
-    a = -mat  # lam*I - A
-    b = -rhs
-    x = np.zeros_like(b)
-    r = b - a @ x
-    p = r.copy()
-    rs = float(r @ r)
-    scale = max(float(np.max(np.abs(b))), 1.0)
-    for _ in range(2 * len(b) + 100):
-        ap = a @ p
-        denom = float(p @ ap)
-        if denom <= 0:
-            raise ValueError("degenerate truncation: interior system not definite")
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        if rs_new ** 0.5 <= tol * scale:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError("conjugate gradient stalled", rs ** 0.5)
+    lam = float(lam)
+    interior, mat, coupling = _interior_system(g, boundary)
+    mat *= -1.0  # lam I - A_int, formed in place
+    mat[np.diag_indices_from(mat)] += lam
+    try:
+        np.linalg.cholesky(mat)
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    try:
+        sol = np.linalg.solve(mat, coupling)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"degenerate truncation: interior system singular ({exc})") from exc
+    if positive and np.any(sol < sys.float_info.min):
+        raise ValueError(f"positive solution underflows: smallest value {sol.min():.3g} "
+                         f"is below the float range ({sys.float_info.min:.3g})")
+    values = {v: float(x) for v, x in boundary.items()}
+    values.update(zip(interior, sol.tolist()))
+    adj = apply_adjacency(g, values)
+    resid = max((abs(adj[v] - lam * values[v]) for v in interior), default=0.0)
+    bad = tuple(v for v in interior if not values[v] > 0)
+    return TruncatedHarmonicResult(lam, values, positive, bad, float(resid))
 
 
 @dataclass(frozen=True)
@@ -361,29 +327,15 @@ def verify_harmonic(g: BipartiteConfigGraph, h: HarmonicAssignment, tol: float,
                           per_vertex=per, skipped=tuple(sorted(boundary)))
 
 
-def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping, tol: float = 1e-6) -> float:
-    """Bisect for the least lam in [2, valence_bound] with a positive truncated solve.
+def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
+    """Least lam >= 2 from which truncated solves with this boundary are positive.
 
-    Existence of positive harmonic functions for all large lam is taken as
-    given for bounded-valence graphs; this only locates the numerical
-    threshold on the window at hand.
+    By the Perron-Frobenius verdict of harmonic_truncated, a solve is
+    positive exactly when lam > rho(A_int), so this is max(2, rho(A_int)),
+    read off a symmetric eigensolver.  At lam = rho(A_int) > 2 itself the
+    system is singular; every larger lam is positive, though a solve can
+    still raise when its values fall below the float range.
     """
-    lo, hi = 2.0, float(g.valence_bound)
-
-    def positive(lam: float) -> bool:
-        try:
-            return harmonic_truncated(g, lam, boundary).positive
-        except ValueError:
-            return False
-
-    if positive(lo):
-        return lo
-    if not positive(hi):
-        raise ValueError(f"no positive solve up to valence bound {hi}")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    interior, a_int, _ = _interior_system(g, boundary)
+    rho = np.linalg.eigvalsh(a_int)[-1] if interior else 0.0
+    return max(2.0, float(rho))

@@ -48,7 +48,17 @@ _CCW_ENTRY = {"SW": ("S", "lo"), "SE": ("E", "lo"), "NE": ("N", "hi"), "NW": ("W
 
 
 class RibbonError(ValueError):
-    """Ribbon data inconsistent with the graph or with flat geometry."""
+    """Ribbon data inconsistent with the graph or with flat geometry.
+
+    record and edge, when set, name the successor map ("sigma_h" or
+    "sigma_v") and the first edge of its component at fault, so a parser
+    can point at the record that named that edge.
+    """
+
+    def __init__(self, message: str, record: str | None = None, edge: int | None = None):
+        super().__init__(message)
+        self.record = record
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -271,16 +281,19 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, axis):
     Every edge the ribbon names must be one of edges.
     """
     src_side = "E" if axis == "h" else "N"
+    record = f"sigma_{axis}"
     # the components partition edges; with one fiber per component and one
     # component per fiber, each component covers its fiber exactly
     by_vertex = {}
     for seq, closed in _components(mapping, edges):
         verts = {fiber_of(e) for e in seq}
         if len(verts) != 1:
-            raise RibbonError(f"sigma_{axis} component {seq} mixes fibers {sorted(verts)}")
+            raise RibbonError(f"{record} component {seq} mixes fibers {sorted(verts)}",
+                              record, seq[0])
         v = verts.pop()
         if v in by_vertex:
-            raise RibbonError(f"vertex {v} split across several sigma_{axis} components")
+            raise RibbonError(f"vertex {v} split across several {record} components",
+                              record, seq[0])
         by_vertex[v] = (seq, closed)
 
     vertices = sorted(by_vertex)
@@ -295,8 +308,8 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, axis):
             offsets.append(pos)
             pos = pos + size(e)
         if closed and o != 1:
-            raise RibbonError(
-                f"sigma_{axis} cycle at vertex {v} has an odd number of flips")
+            raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
+                              record, seq[0])
         if not closed:  # a path starts chart-aligned
             frontier.add((seq[0], OPPOSITE[src_side]))
             frontier.add((seq[-1], src_side if o == 1 else OPPOSITE[src_side]))

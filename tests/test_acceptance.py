@@ -98,7 +98,7 @@ def test_criterion_02_modulus_law():
                     assert cyl.modulus * lam == 1
     checked = 0
     for name, g, rib in _finite_htv_examples():
-        h = perron_pair(g, tol=1e-14)
+        h = perron_pair(g)
         m = build_surface(g, rib, h)
         for direction in ("horizontal", "vertical"):
             for cyl in cylinders(m, direction):
@@ -121,7 +121,7 @@ def test_criterion_03_finite_thurston_veech():
     g2 = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
     g3 = BipartiteConfigGraph.make([0], [1, 3], {0: (0, 1), 1: (0, 3)}, 2)
     for g, want in ((g1, 1.0), (g2, 2.0), (g3, math.sqrt(2))):
-        h = perron_pair(g, tol=1e-13)
+        h = perron_pair(g)
         assert abs(h.lam - want) <= 1e-10
     _report(3, "Perron pairs reproduce lam = 1, 2, sqrt(2) to 1e-10")
 
@@ -291,7 +291,7 @@ def test_criterion_10_theorem_outputs():
 def test_criterion_11_gauss_bonnet():
     samples = []
     for name, g, rib in _finite_htv_examples():
-        h = perron_pair(g, tol=1e-13)
+        h = perron_pair(g)
         samples.append(build_surface(g, rib, h))
     for g, n, m in ((1, 0, 2), (2, 0, 2), (2, 0, 4), (3, 0, 2), (3, 0, 3)):
         out = build_multicurves((g, n), m)

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from multitwist import formats
 from multitwist.cli import main
+from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
@@ -185,6 +186,17 @@ class TestMulticurve:
         res = runner.invoke(main, ["verify", str(out), "--m", "2"])
         assert res.exit_code == 0, res.output
 
+    def test_deep_loch_ness_perron_pipeline(self, runner, tmp_path):
+        # the Perron entries span many orders of magnitude at depth 40
+        mc, surf = tmp_path / "mc.surf", tmp_path / "perron.surf"
+        steps = (["multicurve", "--family", "loch-ness", "--depth", "40", "--m", "2",
+                  "-o", str(mc)],
+                 ["build", str(mc), "--mode", "perron", "-o", str(surf)],
+                 ["verify", str(surf), "--m", "2"])
+        for args in steps:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, (args[0], res.output)
+
     def test_infeasible_reports_usage_error(self, runner):
         res = runner.invoke(main, ["multicurve", "--genus", "0",
                                    "--punctures", "1", "--m", "1"])
@@ -213,6 +225,18 @@ class TestHarmonicModes:
         res = runner.invoke(main, ["harmonic", str(gf), "--mode", "truncated",
                                    "--lambda", "2"])
         assert res.exit_code == 2
+
+    def test_truncated_underflow_exits_2(self, runner, tmp_path):
+        # lam = 10 on -400..400: the middle values are near 1e-400
+        gf = tmp_path / "ladder.graph"
+        gf.write_text(formats.write_graph(LadderFamily(-400, 400).graph()))
+        bf = tmp_path / "boundary.harm"
+        bf.write_text("lambda 10\nh -400 1\nh 400 1\n")
+        res = runner.invoke(main, ["harmonic", str(gf), "--mode", "truncated",
+                                   "--lambda", "10", "--boundary", str(bf)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "underflow" in res.output
+        assert isinstance(res.exception, SystemExit)  # reported, not a traceback
 
 
 class TestBuildModes:

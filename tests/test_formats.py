@@ -125,6 +125,21 @@ class TestSurfaceFormat:
         line = text.splitlines().index(old.strip()) + len(new.splitlines())
         assert err.value.line == line
 
+    @pytest.mark.parametrize("old, new, message, record", [
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 2 N\n", "odd number of flips", "sigma_v 2 3"),
+        ("sigma_v -4 -3\nsigma_v -2 -1\n", "sigma_v -4 -3 -2 -1\n", "mixes fibers",
+         "sigma_v -4 -3 -2 -1"),
+        ("sigma_v 0 1\n", "sigma_v 0\nsigma_v 1\n", "split across several", "sigma_v 1"),
+    ], ids=["odd-flips", "mixed-fibers", "split-fiber"])
+    def test_ribbon_error_names_sigma_record(self, old, new, message, record):
+        text = formats.write_surface(staircase_complex(-4, 5, 2))
+        assert old in text
+        bad = text.replace(old, new)
+        with pytest.raises(formats.FormatError, match=message) as err:
+            formats.parse_surface(bad)
+        # the line is the sigma record that names the component at fault
+        assert bad.splitlines()[err.value.line - 1] == record
+
 
 SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
 

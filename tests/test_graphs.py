@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from multitwist.graphs import (
     BipartiteConfigGraph,
-    ConvergenceError,
     HarmonicAssignment,
     LadderFamily,
     apply_adjacency,
@@ -18,6 +17,7 @@ from multitwist.graphs import (
     verify_harmonic,
 )
 from multitwist.quadfield import root_plus
+from multitwist.recipe import build_multicurves, loch_ness_tree
 
 
 def k2():
@@ -87,7 +87,7 @@ class TestAdjacency:
 
 class TestPerron:
     def test_k2(self):
-        h = perron_pair(k2(), tol=1e-12)
+        h = perron_pair(k2())
         assert abs(h.lam - 1) < 1e-10
         assert abs(h[0] - 1) < 1e-10 and abs(h[1] - 1) < 1e-10
 
@@ -107,9 +107,10 @@ class TestPerron:
             assert all(v > 0 for v in h.values.values())
             assert max(h.values.values()) == pytest.approx(1.0)
 
-    def test_iteration_limit(self):
-        with pytest.raises(ConvergenceError):
-            perron_pair(path3(), tol=1e-12, max_iter=2)
+    def test_relative_residual_on_deep_loch_ness(self):
+        # the smallest Perron entries here are far below 1e-12 of the largest
+        g = build_multicurves(loch_ness_tree(80), 2).complex.graph
+        assert verify_harmonic(g, perron_pair(g), 1e-12).passes
 
 
 class TestClosedForm:
@@ -161,10 +162,30 @@ class TestTruncated:
         assert res.values[0] == pytest.approx(1.0)
 
     def test_positivity_failure_is_reported_not_raised(self):
+        # lam = 1.9 lies below rho(A_int) = 2 cos(pi/12) of the 11-vertex interior
         fam = LadderFamily(-6, 6)
-        res = harmonic_truncated(fam.graph(), 2.5,
-                                 {-6: 1.0, 6: 1e-9})
-        assert res.positive in (True, False)  # report exists either way
+        res = harmonic_truncated(fam.graph(), 1.9, {-6: 1.0, 6: 1.0})
+        assert res.positive is False
+        assert res.nonpositive_vertices == tuple(range(-4, 5))
+
+    def test_positive_verdict_is_scale_free(self):
+        # values span r^-1500 .. r^1500 with r = 5/4, about 1e-145 .. 1e145
+        fam = LadderFamily(-1500, 1500)
+        r = 1.25
+        res = harmonic_truncated(fam.graph(), 2.05, {-1500: r ** -1500, 1500: r ** 1500})
+        assert res.positive and res.nonpositive_vertices == ()
+        for n in fam.interior():
+            assert res.values[n] == pytest.approx(r ** n, rel=1e-10)
+
+    def test_underflow_raises(self):
+        # the middle values are near 2^-1500, below the float range
+        fam = LadderFamily(-1500, 1500)
+        with pytest.raises(ValueError, match="underflow"):
+            harmonic_truncated(fam.graph(), 2.5, {-1500: 1.0, 1500: 1.0})
+
+    def test_empty_boundary_raises(self):
+        with pytest.raises(ValueError, match="boundary"):
+            harmonic_truncated(path3(), 3, {})
 
 
 class TestVerify:
@@ -185,9 +206,9 @@ class TestVerify:
         assert rep.passes and rep.max_residual == 0
 
 
-def test_lambda_zero_bisection_on_ladder():
+def test_lambda_zero_on_ladder_is_two():
     fam = LadderFamily(-6, 6)
     g = fam.graph()
     boundary = {v: 1.0 for v in fam.boundary()}
     lz = lambda_zero(g, boundary)
-    assert 2.0 <= lz <= 2.0 + 1e-5  # constant boundary solves at lam = 2
+    assert lz == 2.0  # rho(A_int) = 2 cos(pi/12) < 2

@@ -12,6 +12,7 @@ machinery, and double covers far beyond the hand-built examples:
   - one cut per curve family decides essentiality as one cut per curve does.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -199,7 +200,7 @@ def test_lambda_zero_on_trivalent_tree():
     g = BipartiteConfigGraph.make(evens, odds, edges, valence_bound=3)
     boundary = {ids[v]: 1.0 for v in t.leaves()}
     lz = lambda_zero(g, boundary)
-    assert 2.0 <= lz <= 3.0
+    assert lz == pytest.approx(math.sqrt(6), rel=1e-12)
     res = harmonic_truncated(g, lz + 1e-3, boundary)
     assert res.positive
 

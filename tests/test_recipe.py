@@ -241,7 +241,7 @@ class TestFeedsFlatBuilder:
         from multitwist.surfaces import build_surface
 
         out = build_multicurves((2, 1), 2).complex
-        h = perron_pair(out.graph, tol=1e-13)
+        h = perron_pair(out.graph)
         m = build_surface(out.graph, out.ribbon, h)
         assert sorted(c.k for c in m.corner_cycles) == sorted(c.k for c in out.corner_cycles)
         for direction in ("horizontal", "vertical"):

@@ -213,7 +213,7 @@ def test_perron_built_surfaces_have_uniform_modulus():
                                    {0: (0, 1), 1: (0, 3), 2: (0, 5)}, 3)
     cases.append((g5, RibbonData.make({0: 1, 1: 2, 2: 0}, {0: 0, 1: 1, 2: 2})))
     for g, rib in cases:
-        h = perron_pair(g, tol=1e-14)
+        h = perron_pair(g)
         m = build_surface(g, rib, h)
         for direction in ("horizontal", "vertical"):
             for cyl in cylinders(m, direction):
