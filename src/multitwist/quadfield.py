@@ -20,23 +20,27 @@ from numbers import Rational
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*m with m squarefree; returns (s, m). n must be >= 0."""
+    """n = s*s*m with m squarefree; returns (s, m). n must be >= 0.
+
+    Trial division runs only while p**3 <= the cofactor r.  Every prime
+    factor of what is left is at least p, so r has at most two of them: it
+    is squarefree unless it is the square of a prime.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return 1, n
-    s, m, p = 1, n, 2
-    while p * p <= m:
+    s, r, p = 1, n, 2
+    while p * p * p <= r:
         e = 0
-        while m % p == 0:
-            m //= p
+        while r % p == 0:
+            r //= p
             e += 1
-        if e:
-            s *= p ** (e // 2)
-            if e % 2:
-                m *= p
-        # after dividing out p the remaining m may still be large; continue
+        s *= p ** (e // 2)
         p += 1 if p == 2 else 2
+    t = _isqrt(r)
+    if t * t == r:
+        s *= t
     return s, n // (s * s)
 
 

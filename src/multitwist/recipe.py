@@ -19,7 +19,10 @@ it carries m+2 two-sided faces, each of which must hold a puncture (an
 empty bigon would contradict minimal position).  Genus is added by splicing
 in four-square blocks whose faces are all 4-gons; a splice re-targets two
 parallel gluing arrows and merges the flanking faces pairwise, so spliced
-bigons are absorbed into 4- and 6-gons.  Nothing adds faces for extra
+bigons are absorbed into 4- and 6-gons.  The assembly is held as its
+side-gluing table alone: every block is a template glued in by one path,
+a splice swaps four entries of the table, and the successor maps are read
+off the table only when the complex is built.  Nothing adds faces for extra
 punctures: each face holds at most one, so a surface with more punctures
 than faces raises RecipeError (build_multicurves((0, 5), 1): only 4 faces
 for 5 punctures).
@@ -41,12 +44,13 @@ form; a combination outside it raises RecipeError.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, RibbonData, _components,
-                       _config_graph, _glue_axis, build_surface, euler_characteristic,
-                       mark_faces, ribbon_from_gluings)
+from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _components, _config_graph,
+                       _glue_axis, build_surface, euler_characteristic, mark_faces,
+                       ribbon_from_gluings)
 
 FACE_BOUND = 8
 
@@ -317,113 +321,94 @@ def ladder_tree(genus: int) -> EndTreeSpec:
 # square-complex assembly
 
 
+# A block template in local square ids 0, 1, ...: the successor of each
+# square along sigma_h and sigma_v, and the flipped arrows (square, "E"/"N").
+_Block = namedtuple("_Block", "sigma_h sigma_v flips", defaults=((),))
+
+
+def _chainlink(r: int) -> _Block:
+    """Chain of r linked taxicab loops.
+
+    Odd-position curves run horizontally, even vertically; consecutive
+    curves j, j+1 meet twice, in squares 2j-2 (u) and 2j-1 (d).  Curve ends
+    make U-turns (flips); a trailing even curve crosses its neighbour on one
+    column and closes without flips.
+    """
+    if r < 2:
+        raise ValueError("chain needs at least 2 curves")
+    h, v, flips = {}, {}, []
+    for j in range(1, r + 1):
+        pairs = [k for k in (j - 1, j) if 0 < k < r]  # neighbours j-1, j+1
+        loop = [2 * k - 2 for k in pairs] + [2 * k - 1 for k in reversed(pairs)]
+        tgt, ax = (h, "E") if j % 2 else (v, "N")
+        tgt.update(zip(loop, loop[1:] + loop[:1]))
+        if len(loop) == 4:  # a middle curve turns once beside each neighbour
+            flips += [(q, ax) for q in loop[j % 2::2]]
+        elif j % 2:  # an end curve, unless a trailing even one
+            flips += [(q, ax) for q in loop]
+    return _Block(tuple(h[q] for q in sorted(h)), tuple(v[q] for q in sorted(v)), tuple(flips))
+
+
+# Four squares, faces all 4-gons, genus one, no flips (the interleaved
+# sigma_v adds the handle).  Terminal arm block: enters at square 0.
+_GENUS = _Block((1, 0, 3, 2), (2, 3, 1, 0))
+# Six squares, faces {2,2,2,2,8,8}, genus one.  A through block: it enters
+# on the N side of square 0 and leaves on the E side of square 5 (E and N
+# swapped when transposed); both arrows are bigon-flanked and sit on
+# different curves, so chained blocks keep every curve's valence bounded.
+_FF4 = _Block((1, 0, 3, 5, 2, 4), (1, 3, 0, 2, 5, 4), ((0, "E"), (1, "E"), (4, "N"), (5, "N")))
+_TRANSPOSE = {"E": "N", "N": "E"}
+
+# Marked-chamber blocks other than the chain: name -> (block, genus g0,
+# standalone).  Standalone blocks have no spliceable port clear of the
+# marked chamber, so arms cannot grow their genus.
+_P_BLOCKS = {
+    # faces {4,4}, genus 1
+    "torus": (_Block((1, 0), (1, 0)), 1, True),
+    # open 3-chain, one flipped end: faces {2,2,6,6}, genus 1
+    "fs3": (_Block((1, 0, 3, 2), (1, 3, 0, 2), ((0, "E"), (1, "E"))), 1, False),
+    # faces {8,8}, genus 2
+    "double-handle": (_Block((1, 0, 3, 2), (1, 3, 0, 2)), 2, True),
+    # faces {2,2,2,4,10}, genus 1: a weight-5 chamber with three punctured
+    # bigons (frozen from an exhaustive search); it has bigon-flanked
+    # gluings clear of the chamber, so arms attach
+    "penta5": (_Block((0, 2, 3, 4, 1), (1, 2, 0, 4, 3), ((1, "E"), (3, "E"))), 1, False),
+    # faces {2,6,6,10}, genus 2: a weight-5 chamber with a single punctured
+    # bigon (frozen from a randomized search)
+    "pente": (_Block((1, 0, 4, 2, 3, 5), (0, 3, 5, 4, 1, 2),
+                     ((2, "E"), (3, "E"), (3, "N"), (4, "N"))), 2, True),
+}
+
+
 class _Assembly:
-    """Mutable square complex under construction: successor maps + flips."""
+    """Square complex under construction, held as its side-gluing table
+    (square, side) -> (square, side, reversed) over squares 0..squares-1.
+
+    Blocks are glued in from their templates and a splice swaps four table
+    entries; the successor maps are read off the table once, by build.
+    """
 
     def __init__(self):
-        self.h = {}
-        self.v = {}
-        self.flips = set()
-        self.next_id = 0
+        self.gluings = {}
+        self.squares = 0
 
-    def fresh(self, k: int) -> list:
-        ids = list(range(self.next_id, self.next_id + k))
-        self.next_id += k
-        return ids
-
-    def add_chainlink(self, r: int) -> dict:
-        """Chain of r linked taxicab loops; returns the block's square ids.
-
-        Odd-position curves run horizontally, even vertically; consecutive
-        curves meet twice (squares u, d per pair).  Curve ends make U-turns
-        (flips); a trailing even curve crosses its neighbour on one column
-        and closes without flips.
-        """
-        if r < 2:
-            raise ValueError("chain needs at least 2 curves")
-        ids = self.fresh(2 * (r - 1))
-
-        def u(j):
-            return ids[2 * (j - 1)]
-
-        def d(j):
-            return ids[2 * (j - 1) + 1]
-
-        for j in range(1, r + 1):
-            ax = "E" if j % 2 == 1 else "N"
-            tgt = self.h if j % 2 == 1 else self.v
-            if j == 1:
-                tgt[u(1)] = d(1)
-                tgt[d(1)] = u(1)
-                self.flips |= {(u(1), ax), (d(1), ax)}
-            elif j == r:
-                tgt[u(r - 1)] = d(r - 1)
-                tgt[d(r - 1)] = u(r - 1)
-                if j % 2 == 1:
-                    self.flips |= {(u(r - 1), ax), (d(r - 1), ax)}
-            elif j % 2 == 1:
-                tgt[u(j - 1)] = u(j)
-                tgt[u(j)] = d(j)
-                tgt[d(j)] = d(j - 1)
-                tgt[d(j - 1)] = u(j - 1)
-                self.flips |= {(u(j), ax), (d(j - 1), ax)}
-            else:
-                tgt[d(j - 1)] = u(j - 1)
-                tgt[u(j - 1)] = u(j)
-                tgt[u(j)] = d(j)
-                tgt[d(j)] = d(j - 1)
-                self.flips |= {(u(j - 1), ax), (d(j), ax)}
-        return {"squares": ids, "kind": f"chainlink({r})"}
-
-    def add_genus_block(self) -> dict:
-        """Four squares, faces all 4-gons, genus one, no flips.  Terminal
-        arm block: enters at (q0, axis), exposes nothing further."""
-        a, b, c, e = self.fresh(4)
-        self.h.update({a: b, b: a, c: e, e: c})
-        self.v.update({a: c, c: b, b: e, e: a})  # interleaved: adds the handle
-        return {"squares": [a, b, c, e], "kind": "genus"}
-
-    def add_ff4_block(self, transposed: bool = False) -> dict:
-        """Six squares, faces {2,2,2,2,8,8}, genus one.  A through block:
-        the entry and exit arrows are bigon-flanked and sit on different
-        curves, so chained blocks keep every curve's valence bounded."""
-        q = self.fresh(6)
-        h = {q[0]: q[1], q[1]: q[0], q[2]: q[3], q[3]: q[5], q[5]: q[4], q[4]: q[2]}
-        v = {q[0]: q[1], q[1]: q[3], q[3]: q[2], q[2]: q[0], q[4]: q[5], q[5]: q[4]}
-        fl = [(q[0], "E"), (q[1], "E"), (q[4], "N"), (q[5], "N")]
+    def add(self, block: _Block, transposed: bool = False) -> int:
+        """Glue in a relabelled copy of block, with sigma_h and sigma_v and
+        the letters E and N swapped if transposed; returns its first id."""
+        first = self.squares
+        self.squares += len(block.sigma_h)
+        h, v = ({first + k: first + t for k, t in enumerate(sigma)}
+                for sigma in (block.sigma_h, block.sigma_v))
+        flips = {(first + k, _TRANSPOSE[ax] if transposed else ax) for k, ax in block.flips}
         if transposed:
             h, v = v, h
-            fl = [(e, "N" if ax == "E" else "E") for e, ax in fl]
-        self.h.update(h)
-        self.v.update(v)
-        self.flips |= set(fl)
-        entry = (q[0], "E" if transposed else "N")
-        exit_ = (q[5], "N" if transposed else "E")
-        return {"squares": q, "kind": "ff4", "entry": entry, "exit": exit_}
+        for mapping, axis in ((h, "h"), (v, "v")):
+            self.gluings.update(_glue_axis(_components(mapping, mapping), mapping, flips, axis)[0])
+        return first
 
-    def add_penta5_block(self) -> dict:
-        """Five squares, faces {2,2,2,4,10}, genus one: a weight-5 chamber
-        with three punctured bigons (frozen from an exhaustive search)."""
-        q = self.fresh(5)
-        self.h.update({q[0]: q[0], q[1]: q[2], q[2]: q[3], q[3]: q[4], q[4]: q[1]})
-        self.v.update({q[0]: q[1], q[1]: q[2], q[2]: q[0], q[3]: q[4], q[4]: q[3]})
-        self.flips |= {(q[1], "E"), (q[3], "E")}
-        return {"squares": q, "kind": "penta5"}
-
-    def add_pente_block(self) -> dict:
-        """Six squares, faces {2,6,6,10}, genus two: a weight-5 chamber with
-        a single punctured bigon (frozen from a randomized search)."""
-        q = self.fresh(6)
-        self.h.update({q[0]: q[1], q[1]: q[0], q[2]: q[4], q[3]: q[2],
-                       q[4]: q[3], q[5]: q[5]})
-        self.v.update({q[0]: q[0], q[1]: q[3], q[2]: q[5], q[3]: q[4],
-                       q[4]: q[1], q[5]: q[2]})
-        self.flips |= {(q[2], "E"), (q[3], "E"), (q[3], "N"), (q[4], "N")}
-        return {"squares": q, "kind": "pente"}
-
-    def splice(self, port1, port2):
+    def splice(self, port1, port2) -> dict:
         """Swap the partners of two side-gluings of the same kind (both
-        vertical or both horizontal sides), then rebuild the successor maps.
+        vertical or both horizontal sides); returns the replaced entries.
 
         Working at the gluing level keeps the surgery local: exactly the
         faces flanking the two gluings merge pairwise, everything else,
@@ -432,39 +417,22 @@ class _Assembly:
         kinds = {"E": "h", "W": "h", "N": "v", "S": "v"}
         if kinds[port1[1]] != kinds[port2[1]]:
             raise RecipeError("splice needs two gluings of the same kind")
-        gl = self._gluings()
+        gl = self.gluings
         a, b = port1, gl[port1][:2]
         c, d = port2, gl[port2][:2]
         if len({a, b, c, d}) != 4:
             raise RecipeError("splice needs two disjoint gluings")
-
-        def reglue(x, y):
+        old = {x: gl[x] for x in (a, b, c, d)}
+        for x, y in ((a, d), (c, b)):
             rev = x[1] == y[1]  # same side letter: half-translation
             gl[x] = (y[0], y[1], rev)
             gl[y] = (x[0], x[1], rev)
-
-        reglue(a, d)
-        reglue(c, b)
-        rib = ribbon_from_gluings(sorted(self.h), gl)
-        self.h = rib.h_map()
-        self.v = rib.v_map()
-        self.flips = set(rib.flips)
-
-    def _gluings(self) -> dict:
-        """Chart-level side gluings derived from the successor maps alone
-        (no graph construction, so disconnected stages are fine)."""
-        gl = {}
-        for mapping, axis in ((self.h, "h"), (self.v, "v")):
-            gl.update(_glue_axis(_components(mapping, mapping), mapping, self.flips, axis)[0])
-        return gl
+        return old
 
     def build(self) -> RectangleComplex:
-        squares = sorted(self.h)
-        if sorted(self.v) != squares:
-            raise RecipeError("h/v square sets disagree")
-        graph = _config_graph(self.h, self.v, squares)
-        ribbon = RibbonData.make(self.h, self.v, self.flips)
-        return build_surface(graph, ribbon)
+        squares = range(self.squares)
+        ribbon = ribbon_from_gluings(squares, self.gluings)
+        return build_surface(_config_graph(ribbon.h_map(), ribbon.v_map(), squares), ribbon)
 
 
 def _flanking(m: RectangleComplex) -> dict:
@@ -527,35 +495,31 @@ def _find_handle(asm: _Assembly, m: RectangleComplex, marked_token) -> tuple:
     chi = euler_characteristic(m)
     bigons = _bigons(sizes, marked)
     arrows = [a for a in sorted(fl) if marked not in fl[a]]
-    saved = (asm.h, asm.v, asm.flips)
     best = None
-    try:
-        for k, a in enumerate(arrows):
-            for b in arrows[k + 1:]:
-                if (a[1] in ("E", "W")) != (b[1] in ("E", "W")):
-                    continue
-                asm.splice(a, b)
-                try:
-                    mm = asm.build()
-                except ValueError:  # the swap cut the surface in two
-                    continue
-                finally:
-                    asm.h, asm.v, asm.flips = saved
-                szs = _face_sizes(mm)
-                if euler_characteristic(mm) != chi - 2:
-                    continue
-                new_marked = _cycle_index_of(mm, marked_token)
-                rest = [k2 for idx, k2 in szs.items() if idx != new_marked]
-                if szs[new_marked] != sizes[marked] or max(rest) > FACE_BOUND:
-                    continue
-                if max(_pair_meetings(mm.graph).values()) > 2:
-                    continue
-                eaten = bigons - rest.count(2)
-                key = (-eaten, max(rest), a, b)
-                if best is None or key < best:
-                    best = key
-    finally:
-        asm.h, asm.v, asm.flips = saved
+    for k, a in enumerate(arrows):
+        for b in arrows[k + 1:]:
+            if (a[1] in ("E", "W")) != (b[1] in ("E", "W")):
+                continue
+            old = asm.splice(a, b)
+            try:
+                mm = asm.build()
+            except ValueError:  # the swap cut the surface in two
+                continue
+            finally:
+                asm.gluings.update(old)
+            szs = _face_sizes(mm)
+            if euler_characteristic(mm) != chi - 2:
+                continue
+            new_marked = _cycle_index_of(mm, marked_token)
+            rest = [k2 for idx, k2 in szs.items() if idx != new_marked]
+            if szs[new_marked] != sizes[marked] or max(rest) > FACE_BOUND:
+                continue
+            if max(_pair_meetings(mm.graph).values()) > 2:
+                continue
+            eaten = bigons - rest.count(2)
+            key = (-eaten, max(rest), a, b)
+            if best is None or key < best:
+                best = key
     return ((best[2], best[3]), -best[0]) if best else None
 
 
@@ -615,9 +579,6 @@ def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
     else:
         genus, punctures = source
     n_total = punctures + ends
-    if genus == 0 and n_total < 4:
-        raise RecipeError("a sphere needs at least 4 punctures to carry "
-                          "essential curves")
     if n_total < m + 2 - 4 * genus:
         raise RecipeError(f"weight {m} on genus {genus} needs at least "
                           f"{m + 2 - 4 * genus} punctures (angle excess count)")
@@ -693,45 +654,20 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     absorb also lets handle splices (_find_handle) add genus while bigon
     faces outnumber punctures."""
     asm = _Assembly()
-    standalone = False
-    g0 = 0
     if name == "chainlink":
-        p_block = asm.add_chainlink(m + 1)
-    elif name == "torus":
-        a, b = asm.fresh(2)
-        asm.h.update({a: b, b: a})
-        asm.v.update({a: b, b: a})
-        p_block = {"squares": [a, b], "kind": "torus"}
-        g0, standalone = 1, True
-    elif name == "fs3":
-        # open 3-chain, one flipped end: faces {2,2,6,6}, genus 1
-        a, b, c, e = asm.fresh(4)
-        asm.h.update({a: b, b: a, c: e, e: c})
-        asm.v.update({a: b, b: e, e: c, c: a})
-        asm.flips |= {(a, "E"), (b, "E")}
-        p_block = {"squares": [a, b, c, e], "kind": "fs3"}
-        g0 = 1
-    elif name == "double-handle":
-        a, b, c, e = asm.fresh(4)
-        asm.h.update({a: b, b: a, c: e, e: c})
-        asm.v.update({a: b, b: e, e: c, c: a})  # faces {8,8}, genus 2
-        p_block = {"squares": [a, b, c, e], "kind": "double-handle"}
-        g0, standalone = 2, True
-    elif name == "penta5":
-        p_block = asm.add_penta5_block()
-        g0 = 1  # has bigon-flanked gluings clear of the chamber: arms attach
-    elif name == "pente":
-        p_block = asm.add_pente_block()
-        g0, standalone = 2, True
+        block, g0, standalone = _chainlink(m + 1), 0, False
+    elif name in _P_BLOCKS:
+        block, g0, standalone = _P_BLOCKS[name]
     else:
         raise RecipeError(f"unknown block {name}")
-    p_squares = set(p_block["squares"])
+    asm.add(block)
+    p_squares = range(asm.squares)
     if genus < g0:
         raise RecipeError(f"{name} block carries genus {g0} > requested {genus}")
     if standalone and genus > g0:
         raise RecipeError(f"{name} block has no splice ports to grow genus")
 
-    complex_ = asm.build()  # rebuilt after every splice
+    complex_ = asm.build()  # rebuilt after every arm and handle splice
     marked_token = complex_.corner_cycles[_marked_face_index(complex_, p_squares)].corners[0]
 
     genus_needed = genus - g0
@@ -757,17 +693,13 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
         # time on absorbing ports; afterwards one long arm of through
         # blocks takes the rest
         length = 1 if excess > 0 else genus_needed
-        transposed = port[1] in ("E", "W")
-        while length > 1:
-            blk = asm.add_ff4_block(transposed=transposed)
-            asm.splice(port, blk["entry"])
-            port = blk["exit"]
-            transposed = not transposed
-            length -= 1
+        for _ in range(length - 1):
+            horizontal = port[1] in ("E", "W")
+            q = asm.add(_FF4, transposed=horizontal)
+            asm.splice(port, (q, "E" if horizontal else "N"))
+            port = (q + 5, "N" if horizontal else "E")
             genus_needed -= 1
-        blk = asm.add_genus_block()
-        entry = (blk["squares"][0], "E" if port[1] in ("E", "W") else "N")
-        asm.splice(port, entry)
+        asm.splice(port, (asm.add(_GENUS), "E" if port[1] in ("E", "W") else "N"))
         complex_ = asm.build()
         genus_needed -= 1
 

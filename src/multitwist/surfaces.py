@@ -392,7 +392,9 @@ def ribbon_from_gluings(edges, gluings) -> RibbonData:
     Inverse of the cycle walk in build_surface, for complete complexes:
     cycles are read anchored at their minimal edge with the chart-aligned
     orientation, and a same-letter gluing (E-E, W-W, ...) records a flip on
-    the outgoing arrow.
+    the outgoing arrow.  Side letters are kept: the walk leaves each edge by
+    the side the table names, so gluing the returned ribbon again (as
+    _glue_axis does) gives back the same table.
     """
     sigma_h, sigma_v = {}, {}
     flips = set()

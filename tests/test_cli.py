@@ -201,7 +201,7 @@ class TestMulticurve:
         res = runner.invoke(main, ["multicurve", "--genus", "0",
                                    "--punctures", "1", "--m", "1"])
         assert res.exit_code == 2
-        assert "sphere" in res.output
+        assert "angle excess" in res.output
 
 
 class TestHarmonicModes:

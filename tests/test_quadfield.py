@@ -1,17 +1,32 @@
 """Exact quadratic arithmetic."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from multitwist.quadfield import QuadExt, quad_sqrt, root_plus
+from multitwist.quadfield import QuadExt, _squarefree_split, quad_sqrt, root_plus
 
 
 def test_root_plus_satisfies_trace_identity():
     for lam in (2, Fraction(5, 2), 3, 7, Fraction(9, 4)):
         r = root_plus(lam)
         assert r + 1 / r == Fraction(lam)
+
+
+def test_squarefree_split_matches_brute_force():
+    for n in range(20000):
+        s = max(k for k in range(1, isqrt(n) + 2) if n % (k * k) == 0) if n else 1
+        assert _squarefree_split(n) == (s, n // (s * s)), n
+
+
+def test_squarefree_split_large_prime_factors():
+    q = 10**9 + 7
+    assert _squarefree_split(5 * q * q) == (q, 5)
+    assert _squarefree_split(q * (q + 2)) == (1, q * (q + 2))  # two large factors
+    # 2 * 5**2 * 58699937 * 340715873: trial division up to its square root hung
+    assert _squarefree_split(q * q + 1) == (5, 2 * 58699937 * 340715873)
 
 
 def test_root_plus_at_two_is_one():

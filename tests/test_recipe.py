@@ -1,7 +1,11 @@
 """Tree normal forms, surgery, and the multicurve recipe."""
 
+import hashlib
+
 import pytest
 
+from multitwist import recipe
+from multitwist.formats import write_surface
 from multitwist.recipe import (
     EndTreeSpec,
     RecipeError,
@@ -14,7 +18,7 @@ from multitwist.recipe import (
     surgery,
     verify_recipe,
 )
-from multitwist.surfaces import cylinders, euler_characteristic, mark_faces
+from multitwist.surfaces import cylinders, euler_characteristic, mark_faces, ribbon_from_gluings
 
 
 class TestInducedSubtree:
@@ -129,9 +133,14 @@ class TestBuildMulticurves:
         marked = next(c for c in out.complex.corner_cycles if c.marked)
         assert marked.k == 10
 
-    def test_sphere_needs_four_punctures(self):
-        with pytest.raises(RecipeError, match="sphere"):
-            build_multicurves((0, 3), 1)
+    def test_sphere_with_three_punctures(self):
+        # p is a hole too: three punctured bigons and p in the fourth face
+        out = build_multicurves((0, 3), 1)
+        assert verify_recipe(out.complex, 1).passes
+        assert sorted(c.k for c in out.complex.corner_cycles) == [2, 2, 2, 2]
+        for n, m in ((2, 1), (3, 2)):
+            with pytest.raises(RecipeError, match="angle excess"):
+                build_multicurves((0, n), m)
 
     def test_angle_excess_bound(self):
         with pytest.raises(RecipeError, match="at least"):
@@ -149,6 +158,58 @@ class TestBuildMulticurves:
         for c in out.complex.corner_cycles:
             if c.k == 2:
                 assert c.puncture or c.marked
+
+
+# SHA-1 of write_surface(out.complex), pinned before the assembly became a
+# gluing table: every marked-chamber block, a chain, handle splices and
+# long arms of through blocks
+GOLDEN = {
+    "torus (1, 0, 2)": "9e0ef0afaebb1afedc261943f6d8dc3dd6c50a76",
+    "fs3 (1, 2, 3)": "1ff8a4172baaaa781e040b30ed44b295990980a6",
+    "double-handle (2, 0, 4)": "f7c9da9487c2016e8851064c08eec1200ecd6b96",
+    "penta5 (1, 3, 5)": "75ae69d6a272dad6d07802ebf5e862df50eea692",
+    "pente (2, 1, 5)": "d68f0fca29203f81a39eb2725fa3518442b60a71",
+    "chainlink (1, 1, 1)": "1aff00866ccb7397620a002b9446a170d4540bf1",
+    "chainlink (0, 4, 1)": "8a99a57ff681cccfae237627f49cbc097a9c1230",
+    "handle splices (3, 2, 6)": "0991df44a97a331902fd278ee81ca2e8a215fe7c",
+    "loch-ness d=10 m=2": "9d0fac44c32cf9c1f624bc559ca2d2bf58c77e60",
+    "ladder d=10 m=2": "ff7f76f4d2d0b084b53a79dd5698c49954c1f695",
+}
+
+
+def _golden_output(case):
+    name, _, args = case.partition(" (")
+    if name.startswith(("loch-ness", "ladder")):
+        tree = loch_ness_tree if name.startswith("loch-ness") else ladder_tree
+        return build_multicurves(tree(10), 2)
+    g, n, m = (int(x) for x in args.rstrip(")").split(", "))
+    if name == "pente":  # penta5 comes first wherever pente would pass
+        return recipe._attempt("pente", g, n, 0, m)
+    return build_multicurves((g, n), m)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_outputs_are_pinned(self, case):
+        text = write_surface(_golden_output(case).complex)
+        assert hashlib.sha1(text.encode()).hexdigest() == GOLDEN[case]
+
+    def test_ribbon_read_per_arm_not_per_splice(self, monkeypatch):
+        # a long arm of through blocks splices once per handle, but the
+        # successor maps are read off the gluing table only per build
+        calls = []
+
+        def counted(edges, gluings):
+            calls.append(edges)
+            return ribbon_from_gluings(edges, gluings)
+
+        monkeypatch.setattr(recipe, "ribbon_from_gluings", counted)
+        counts = []
+        for d in (20, 40):
+            calls.clear()
+            build_multicurves(loch_ness_tree(d), 2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestVerifyRecipe:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
+from multitwist.recipe import build_multicurves, loch_ness_tree
 from multitwist.surfaces import (
     RibbonData,
     RibbonError,
@@ -195,6 +196,17 @@ class TestRibbonRoundTrip:
             rib = ribbon_from_gluings(m.edges, m.gluings)
             m2 = build_surface(m.graph, rib, values={v: 1 for v in m.graph.vertices()})
             assert m2.gluings == {k: v for k, v in m.gluings.items()}
+
+    @pytest.mark.parametrize("source, weight", [((3, 2), 6), ((1, 2), 3),
+                                                (loch_ness_tree(5), 2)])
+    def test_recipe_outputs_round_trip(self, source, weight):
+        # flipped arrows, handle splices ((3, 2, 6)) and arms of through
+        # blocks (loch-ness): the table alone gives back the ribbon
+        m = build_multicurves(source, weight).complex
+        rib = ribbon_from_gluings(m.edges, m.gluings)
+        assert rib == m.ribbon and rib.flips
+        m2 = build_surface(m.graph, rib, values={v: 1 for v in m.graph.vertices()})
+        assert m2.gluings == m.gluings
 
 
 def test_perron_built_surfaces_have_uniform_modulus():
