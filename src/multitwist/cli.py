@@ -64,6 +64,19 @@ def _parse_direction(text, exact: bool):
         raise click.UsageError(f"bad direction {text!r}: {exc}") from exc
 
 
+def _parse_start(text, exact: bool) -> SurfacePoint:
+    """A flow start EDGE:X:Y in chart coordinates; X and Y as floats unless
+    exact.  Whether the point lies in the complex is the flow's check."""
+    try:
+        edge, xs, ys = text.split(":")
+        x, y = formats.parse_number(xs), formats.parse_number(ys)
+        if not exact:
+            x, y = float(x), float(y)
+        return SurfacePoint(int(edge), x, y)
+    except (ValueError, formats.FormatError) as exc:
+        raise click.UsageError(f"--start needs EDGE:X:Y, got {text!r}: {exc}") from exc
+
+
 @click.group()
 def main():
     """Flat surfaces from filling multicurve pairs: harmonic functions,
@@ -277,15 +290,7 @@ def flow_cmd(surface_file, start, direction, length, tol, exact, window, out):
     """Trace the straight-line flow and dump the trajectory."""
     try:
         m = formats.parse_surface(_read(surface_file))
-        toks = start.split(":")
-        if len(toks) != 3:
-            raise click.UsageError("--start needs EDGE:X:Y")
-        e = int(toks[0])
-        if exact:
-            p0 = SurfacePoint(e, formats.parse_number(toks[1]), formats.parse_number(toks[2]))
-        else:
-            p0 = SurfacePoint(e, float(formats.parse_number(toks[1])),
-                              float(formats.parse_number(toks[2])))
+        p0 = _parse_start(start, exact)
         d = _parse_direction(direction, exact)
         traj = flow(m, p0, d, length, corner_tol=tol)
     except (ValueError, formats.FormatError) as exc:
@@ -344,15 +349,16 @@ def multicurve(tree_file, family, depth, genus, punctures, weight, out):
 @click.option("-o", "--out", default="-")
 def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, out):
     """Draw the surface (rows of horizontal cylinders) with flow overlays."""
+    if (start is None) != (direction is None):
+        raise click.UsageError("--start and --dir go together")
     try:
         m = formats.parse_surface(_read(surface_file))
         trajs = []
         for tf in traj_files:
             dump = formats.parse_trajectory(_read(tf))
             trajs.append(_dump_as_overlay(dump))
-        if start and direction:
-            toks = start.split(":")
-            p0 = SurfacePoint(int(toks[0]), float(toks[1]), float(toks[2]))
+        if start is not None:
+            p0 = _parse_start(start, False)
             trajs.append(flow(m, p0, _parse_direction(direction, False), length))
     except (ValueError, formats.FormatError) as exc:
         _fail(str(exc))

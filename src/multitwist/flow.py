@@ -76,6 +76,8 @@ class FlowError(ValueError):
 
 
 def _validate_point(m: RectangleComplex, p: SurfacePoint):
+    if p.edge not in m.width:
+        raise FlowError(f"point {p} names edge {p.edge} that is not in the complex")
     w, h = m.width[p.edge], m.height[p.edge]
     if not (0 <= p.x <= w and 0 <= p.y <= h):
         raise FlowError(f"point {p} outside its rectangle")
@@ -388,9 +390,7 @@ def separatrices(m: RectangleComplex, cycle, direction):
         dx, dy = -dx, -dy
     if dx > 0:
         base_quarter, local = 0, (dx, dy)
-    elif dx == 0:
-        base_quarter, local = 1, (dy, -dx)  # ray along the quarter's entry side
-    else:
+    else:  # dx == 0 puts the ray along the quarter's entry side
         base_quarter, local = 1, (dy, -dx)
     rays = []
     j = 0

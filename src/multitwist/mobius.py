@@ -296,12 +296,6 @@ class ProjectiveDirection:
             return None
         return self.x / self.y
 
-    @staticmethod
-    def from_slope_u(u) -> "ProjectiveDirection":
-        if u is None:
-            return ProjectiveDirection.make(1, 0)
-        return ProjectiveDirection.make(u, 1 if _is_exact(u) else 1.0)
-
     def is_exact(self) -> bool:
         return _is_exact(self.x) and _is_exact(self.y)
 

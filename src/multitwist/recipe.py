@@ -373,10 +373,6 @@ _P_BLOCKS = {
     # bigons (frozen from an exhaustive search); it has bigon-flanked
     # gluings clear of the chamber, so arms attach
     "penta5": (_Block((0, 2, 3, 4, 1), (1, 2, 0, 4, 3), ((1, "E"), (3, "E"))), 1, False),
-    # faces {2,6,6,10}, genus 2: a weight-5 chamber with a single punctured
-    # bigon (frozen from a randomized search)
-    "pente": (_Block((1, 0, 4, 2, 3, 5), (0, 3, 5, 4, 1, 2),
-                     ((2, "E"), (3, "E"), (3, "N"), (4, "N"))), 2, True),
 }
 
 
@@ -644,7 +640,7 @@ def _p_block_variants(m: int):
     if m == 4:
         variants.append("double-handle")
     if m == 5:
-        variants.extend(["penta5", "pente"])
+        variants.append("penta5")
     variants.append("chainlink")
     return variants
 

@@ -6,6 +6,11 @@ at the I-endpoint.  Ribbon data prescribes, for every curve, the cyclic
 order in which its rectangles are crossed; flip flags mark where the gluing
 is the half-translation z -> -z + c instead of a translation.
 
+Sizes match by construction: every rectangle of the cylinder over curve v
+has the value at v as its transverse side, so the cylinder has one
+transverse size all along it, and two sides glued along it have the same
+length.  Nothing is compared with a tolerance.
+
 Internally the ribbon permutations are unrolled into an explicit side-gluing
 table.  Walking a sigma_h cycle keeps a chart orientation: a flipped arrow
 lands in a rectangle whose chart is rotated by pi relative to the cylinder,
@@ -164,20 +169,6 @@ class RectangleComplex:
     def edges(self) -> tuple:
         return tuple(e for e, _, _ in self.graph.edges)
 
-    def side_length(self, edge, side):
-        return self.height[edge] if side in ("E", "W") else self.width[edge]
-
-    def cross(self, edge, side, coord):
-        """Follow the gluing on (edge, side) at position coord along the side.
-
-        Returns (edge2, side2, coord2, reversed).  Raises KeyError on a
-        frontier side.
-        """
-        e2, s2, rev = self.gluings[(edge, side)]
-        if rev:
-            coord = self.side_length(e2, s2) - coord
-        return e2, s2, coord, rev
-
 
 def _components(mapping: dict, universe) -> list:
     """Cycle/path decomposition of a partial injective map.
@@ -234,14 +225,6 @@ def _config_graph(sigma_h: dict, sigma_v: dict, edges,
                                      ends, valence_bound)
 
 
-def _values_close(x, y) -> bool:
-    if isinstance(x, float) or isinstance(y, float):
-        fx, fy = float(x), float(y)
-        scale = max(abs(fx), abs(fy), 1.0)
-        return abs(fx - fy) <= 1e-9 * scale
-    return x == y
-
-
 def _glue_axis(comps, mapping, flips, axis) -> tuple:
     """Side gluings of one axis's arrows, walked component by component.
 
@@ -273,12 +256,16 @@ def _glue_axis(comps, mapping, flips, axis) -> tuple:
     return gluings, walks
 
 
-def _unroll_axis(edges, mapping, flips, fiber_of, size, axis):
+def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
     """Walk one axis of the ribbon; returns (gluings, frontier, layouts).
 
     axis "h": arrows leave through intrinsic east, land on intrinsic west,
-    sizes along the cylinder are widths.  axis "v": north/south, heights.
-    Every edge the ribbon names must be one of edges.
+    size holds the widths along the cylinder.  axis "v": north/south,
+    heights.  Every edge the ribbon names must be one of edges.
+
+    Each component lies in the fibre over one curve v, so each of its
+    rectangles has values[v] as its other side: that is the cylinder's
+    transverse size, and the sides glued along it match.
     """
     src_side = "E" if axis == "h" else "N"
     record = f"sigma_{axis}"
@@ -306,58 +293,39 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, axis):
         pos = 0
         for e in seq:
             offsets.append(pos)
-            pos = pos + size(e)
+            pos = pos + size[e]
         if closed and o != 1:
             raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
                               record, seq[0])
         if not closed:  # a path starts chart-aligned
             frontier.add((seq[0], OPPOSITE[src_side]))
             frontier.add((seq[-1], src_side if o == 1 else OPPOSITE[src_side]))
-        transverse = None
-        for e in seq:
-            t = size(e, transverse_axis=True)
-            if transverse is None:
-                transverse = t
-            elif not _values_close(transverse, t):
-                raise RibbonError(f"cylinder at vertex {v} has mismatched sides")
         layouts[v] = CylinderLayout(vertex=v, edges=tuple(seq), orients=tuple(orients),
                                     offsets=tuple(offsets), length=pos,
-                                    transverse=transverse, closed=closed)
+                                    transverse=values[v], closed=closed)
     return gluings, frontier, layouts
 
 
-def _corner_chains(edges, gluings, frontier):
-    """Counterclockwise corner cycles; frontier-touching chains flagged."""
-    token_owner = {}
-    for e in edges:
-        for (side, end), corner in _END_CORNER.items():
-            token_owner[(e, side, end)] = (e, corner)
+def _corner_chains(edges, gluings):
+    """Counterclockwise corner cycles; chains that reach an unglued
+    (frontier) side are flagged truncated."""
 
-    def glued_token(e, side, end):
-        if (e, side) in frontier or (e, side) not in gluings:
+    def successor(corner, walk=_CCW_EXIT):
+        # the quarter across the gluing at the end of the side walk names;
+        # with walk=_CCW_ENTRY, the predecessor
+        e, c = corner
+        side, end = walk[c]
+        if (e, side) not in gluings:
             return None
         e2, side2, rev = gluings[(e, side)]
-        end2 = end if not rev else ("hi" if end == "lo" else "lo")
-        return (e2, side2, end2)
-
-    def successor(corner):
-        e, c = corner
-        side, end = _CCW_EXIT[c]
-        tok = glued_token(e, side, end)
-        return token_owner[tok] if tok else None
-
-    def predecessor(corner):
-        e, c = corner
-        side, end = _CCW_ENTRY[c]
-        tok = glued_token(e, side, end)
-        return token_owner[tok] if tok else None
+        return e2, _END_CORNER[(side2, ("hi" if end == "lo" else "lo") if rev else end)]
 
     all_corners = [(e, c) for e in edges for c in CORNERS]
     seen = set()
     chains = []
     # chains broken by the frontier first
     for corner in all_corners:
-        if corner in seen or predecessor(corner) is not None:
+        if corner in seen or successor(corner, _CCW_ENTRY) is not None:
             continue
         chain = [corner]
         seen.add(corner)
@@ -442,13 +410,6 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     edges = sorted(emap)
     width = {e: values[emap[e][1]] for e in edges}
     height = {e: values[emap[e][0]] for e in edges}
-
-    def h_size(e, transverse_axis=False):
-        return height[e] if transverse_axis else width[e]
-
-    def v_size(e, transverse_axis=False):
-        return width[e] if transverse_axis else height[e]
-
     for name, named in (("sigma_h", {e for arrow in ribbon.sigma_h for e in arrow}),
                         ("sigma_v", {e for arrow in ribbon.sigma_v for e in arrow}),
                         ("flips", {e for e, _ in ribbon.flips})):
@@ -456,17 +417,13 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
         if unknown:
             raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
     gl_h, fr_h, lay_h = _unroll_axis(
-        edges, ribbon.h_map(), ribbon.flips, lambda e: emap[e][0], h_size, "h")
+        edges, ribbon.h_map(), ribbon.flips, lambda e: emap[e][0], width, values, "h")
     gl_v, fr_v, lay_v = _unroll_axis(
-        edges, ribbon.v_map(), ribbon.flips, lambda e: emap[e][1], v_size, "v")
+        edges, ribbon.v_map(), ribbon.flips, lambda e: emap[e][1], height, values, "v")
     gluings = {**gl_h, **gl_v}
     frontier = frozenset(fr_h | fr_v)
-    for (e, side), (e2, side2, rev) in gluings.items():
-        la, lb = (height, height) if side in ("E", "W") else (width, width)
-        if not _values_close(la[e], lb[e2]):
-            raise RibbonError(f"glued sides ({e},{side})-({e2},{side2}) have different lengths")
 
-    chains = _corner_chains(edges, gluings, frontier)
+    chains = _corner_chains(edges, gluings)
     cycles = []
     corner_index = {}
     for idx, (chain, truncated) in enumerate(chains):
@@ -524,9 +481,7 @@ def euler_characteristic(m: RectangleComplex) -> int:
     """V - E + F of the cell structure; complete complexes only."""
     if m.frontier:
         raise ValueError("Euler characteristic of a window truncation is undefined")
-    n = len(m.edges)
-    v = len(m.corner_cycles)
-    return v - 2 * n + n
+    return len(m.corner_cycles) - len(m.edges)
 
 
 def is_translation(m: RectangleComplex) -> bool:
@@ -574,21 +529,11 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
             s2 = s ^ int(rev)
             side_a = side if s == 0 else OPPOSITE[side]
             side_b = side2 if s2 == 0 else OPPOSITE[side2]
-            lifted[(cover_id[(e, s)], side_a)] = (cover_id[(e2, s2)], side_b)
-
-    sigma_h = {}
-    sigma_v = {}
-    for (ce, side), (ce2, side2) in lifted.items():
-        if side == "E":
-            assert side2 == "W"
-            sigma_h[ce] = ce2
-        elif side == "N":
-            assert side2 == "S"
-            sigma_v[ce] = ce2
-    ribbon = RibbonData.make(sigma_h, sigma_v, flips=())
+            lifted[(cover_id[(e, s)], side_a)] = (cover_id[(e2, s2)], side_b, False)
 
     cover_edges = sorted(cover_id.values())
-    graph = _config_graph(sigma_h, sigma_v, cover_edges, m.graph.valence_bound)
+    ribbon = ribbon_from_gluings(cover_edges, lifted)
+    graph = _config_graph(ribbon.h_map(), ribbon.v_map(), cover_edges, m.graph.valence_bound)
     back = {ce: es for es, ce in cover_id.items()}
     values = {}
     for ce, (i, j) in graph.edge_map().items():

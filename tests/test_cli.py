@@ -176,6 +176,33 @@ class TestFlowSvg:
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command, start", [("svg", "0:0.5"), ("flow", "99:0.5:0.5"),
+                                                ("svg", "99:0.5:0.5")])
+    def test_bad_start_exits_2(self, runner, tmp_path, command, start):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-3:4", "--lambda", "2", "-o", str(surf)])
+        res = runner.invoke(main, [command, str(surf), "--start", start, "--dir", "1:1"])
+        assert res.exit_code == 2, res.output
+
+    @pytest.mark.parametrize("half", [["--start", "0:0.25:0.1"], ["--dir", "1:1"]])
+    def test_svg_start_and_dir_go_together(self, runner, tmp_path, half):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-3:4", "--lambda", "2", "-o", str(surf)])
+        res = runner.invoke(main, ["svg", str(surf)] + half)
+        assert res.exit_code == 2, res.output
+        assert "--start and --dir" in res.output
+
+    def test_svg_start_takes_fractions(self, runner, tmp_path):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-3:4", "--lambda", "2", "-o", str(surf)])
+        res = runner.invoke(main, ["svg", str(surf), "--start", "0:1/3:1/10",
+                                   "--dir", "1:1", "--length", "5"])
+        assert res.exit_code == 0, res.output
+        assert "<line" in res.output
+
 
 class TestMulticurve:
     def test_loch_ness_surface_file(self, runner, tmp_path):

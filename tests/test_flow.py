@@ -18,6 +18,7 @@ from multitwist.flow import (
     separatrices,
     twist_action,
     visit_lengths,
+    _land,
 )
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
@@ -105,9 +106,9 @@ class TestFlowMechanics:
                 side, coord = "N", a.x_out
             else:
                 side, coord = "S", a.x_out
-            e2, s2, c2, _ = st.cross(a.edge, side, coord)
-            assert e2 == b.edge
-            assert c2 in (b.x_in, b.y_in)
+            e2, s2, rev = st.gluings[(a.edge, side)]
+            landing = _land(st.width, st.height, e2, s2, rev, coord)
+            assert (b.edge, b.x_in, b.y_in) == (e2, *landing)
 
     def test_segment_lengths_sum(self):
         t = square_torus()

@@ -168,7 +168,6 @@ GOLDEN = {
     "fs3 (1, 2, 3)": "1ff8a4172baaaa781e040b30ed44b295990980a6",
     "double-handle (2, 0, 4)": "f7c9da9487c2016e8851064c08eec1200ecd6b96",
     "penta5 (1, 3, 5)": "75ae69d6a272dad6d07802ebf5e862df50eea692",
-    "pente (2, 1, 5)": "d68f0fca29203f81a39eb2725fa3518442b60a71",
     "chainlink (1, 1, 1)": "1aff00866ccb7397620a002b9446a170d4540bf1",
     "chainlink (0, 4, 1)": "8a99a57ff681cccfae237627f49cbc097a9c1230",
     "handle splices (3, 2, 6)": "0991df44a97a331902fd278ee81ca2e8a215fe7c",
@@ -183,8 +182,6 @@ def _golden_output(case):
         tree = loch_ness_tree if name.startswith("loch-ness") else ladder_tree
         return build_multicurves(tree(10), 2)
     g, n, m = (int(x) for x in args.rstrip(")").split(", "))
-    if name == "pente":  # penta5 comes first wherever pente would pass
-        return recipe._attempt("pente", g, n, 0, m)
     return build_multicurves((g, n), m)
 
 

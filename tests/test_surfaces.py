@@ -1,5 +1,6 @@
 """Rectangle complexes: building, cylinders, cone points, double covers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -252,3 +253,35 @@ class TestCoverFlagLifting:
         m = mark_faces(base, [even.corners[0]])
         cov = orientation_double_cover(m)
         assert sum(1 for c in cov.corner_cycles if c.puncture) == 2
+
+
+# SHA-1 of everything build_surface lays out, pinned before sizes came from
+# the curve values and corners straight off the gluing table: table order,
+# frontier, corner cycles with their flags, cylinder layouts, corner index
+SURFACE_GOLDEN = {
+    "float staircase -6:7 lambda 3": "b34eb35782ebbe41da2eb9a2095a880ac6da56d6",
+    "exact staircase -4:5 lambda 3": "6d98154436e67e86a9d3cce48acbbc164105c0dc",
+    "torus": "b8fd148efb14637523b970ffc035f6ea283c5921",
+    "recipe (1, 2, 3)": "6f2569889f26cf0bce80e6d3159aba71cc56bb89",
+    "recipe (1, 2, 3) double cover": "c4c010d685f66ba3c00c057654e821b807d40192",
+}
+
+
+def _golden_surface(case):
+    if case == "float staircase -6:7 lambda 3":
+        return staircase_complex(-6, 7, 3, exact=False)
+    if case == "exact staircase -4:5 lambda 3":
+        return staircase_complex(-4, 5, 3)
+    if case == "torus":
+        return square_torus()
+    m = build_multicurves((1, 2), 3).complex
+    return orientation_double_cover(m) if case.endswith("cover") else m
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE_GOLDEN))
+def test_surface_layout_is_pinned(case):
+    m = _golden_surface(case)
+    text = repr((list(m.gluings.items()), sorted(m.frontier), m.corner_cycles,
+                 list(m.h_layouts.items()), list(m.v_layouts.items()),
+                 list(m.corner_index.items())))
+    assert hashlib.sha1(text.encode()).hexdigest() == SURFACE_GOLDEN[case]
