@@ -20,6 +20,7 @@ from .surfaces import (build_surface, cylinders, euler_characteristic, is_transl
                        mark_faces, staircase_complex)
 
 DEFAULT_TOL = float(os.environ.get("MULTITWIST_TOL", "1e-10"))
+_TOL = click.FloatRange(min=0, min_open=True)
 
 
 def _fail(message: str, code: int = 2):
@@ -88,8 +89,7 @@ def main():
 @click.option("--mode", type=click.Choice(["perron", "closed-form", "truncated"]),
               default="perron", show_default=True)
 @click.option("--lambda", "lam", default=None, help="stretch factor (closed-form/truncated)")
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=DEFAULT_TOL,
-              show_default=True)
+@click.option("--tol", type=_TOL, default=DEFAULT_TOL, show_default=True)
 @click.option("--exact/--float", "exact", default=True)
 @click.option("--boundary", type=click.Path(exists=True), default=None,
               help="harmonic file fixing boundary values (truncated mode)")
@@ -148,7 +148,7 @@ def _ladder_family_of(g, quiet=False):
 @click.option("--mode", type=click.Choice(["given", "perron", "closed-form"]),
               default="given", show_default=True)
 @click.option("--exact/--float", "exact", default=True)
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=_TOL, default=DEFAULT_TOL, show_default=True)
 @click.option("-o", "--out", default="-")
 def build(surface_file, family, window, lam, mode, exact, tol, out):
     """Assemble a flat surface and write its surface file."""
@@ -215,7 +215,7 @@ def _verify_and_report(m, tol, exit_on_fail=True):
 
 @main.command()
 @click.argument("surface_file", type=click.Path(exists=True))
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=_TOL, default=DEFAULT_TOL, show_default=True)
 @click.option("--m", "weight", type=int, default=None,
               help="also check the curve-recipe contract at this weight")
 def verify(surface_file, tol, weight):
@@ -241,7 +241,7 @@ def verify(surface_file, tol, weight):
 @click.option("--lambda", "lam", required=True)
 @click.option("--exact/--float", "exact", default=True)
 @click.option("--depth", default=40, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", type=_TOL, default=1e-9, show_default=True)
 def classify(word, lam, exact, depth, tol):
     """Matrix, trace, class, and integer form of a multitwist word."""
     try:
@@ -281,7 +281,7 @@ def classify(word, lam, exact, depth, tol):
 @click.option("--start", required=True, help="EDGE:X:Y chart coordinates")
 @click.option("--dir", "direction", required=True, help="DX:DY")
 @click.option("--length", default=100.0, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-9,
+@click.option("--tol", type=_TOL, default=1e-9,
               show_default=True, help="corner hit tolerance")
 @click.option("--exact/--float", "exact", default=False)
 @click.option("--window", default=0, help="coverage window: the K central rectangles")

@@ -197,9 +197,10 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     """h(n) = r^n on the ladder window, r the larger root of r + 1/r = lam.
 
     Exact (quadratic-field) values when lam is rational; floats otherwise.
-    Below lam = 2 the bi-infinite path carries no positive harmonic
-    function, so that is a domain error.  At lam = 2 the function is
-    constant 1.
+    The exact heights cost one field multiply per vertex: r^lo once, then
+    h(n + 1) = h(n) * r.  Below lam = 2 the bi-infinite path carries no
+    positive harmonic function, so that is a domain error.  At lam = 2 the
+    function is constant 1.
     """
     try:
         lam_q = Fraction(lam)
@@ -212,7 +213,9 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
             values = {n: QuadExt(1) for n in range(fam.lo, fam.hi + 1)}
             return HarmonicAssignment(lam=QuadExt(2), values=values)
         r = root_plus(lam_q)
-        values = {n: r ** n for n in range(fam.lo, fam.hi + 1)}
+        values = {fam.lo: r ** fam.lo}
+        for n in range(fam.lo + 1, fam.hi + 1):
+            values[n] = values[n - 1] * r
         return HarmonicAssignment(lam=QuadExt(lam_q), values=values)
     lam_f = float(lam)
     if lam_f < 2:

@@ -4,6 +4,8 @@ Numbers are stored as a + b*sqrt(d) with rational a, b and a squarefree
 integer radicand d >= 0.  Radicands are canonicalized (square parts pulled
 into b, rationals forced to d == 0), so equality is componentwise and
 values from different extensions can at least be compared for equality.
+The constructor canonicalizes; results of arithmetic on canonical operands
+keep the operands' squarefree radicand and only fold b == 0 to d == 0.
 Mixing two genuinely different irrational radicands in one sum raises;
 callers that need that live in floating point instead.
 
@@ -44,6 +46,19 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, n // (s * s)
 
 
+def _sign(p, q, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for rationals p, q and d >= 0."""
+    if q == 0 or d == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if (p > 0) == (q > 0):
+        return 1 if p > 0 else -1
+    # opposite signs: compare p^2 with q^2 d
+    lhs, rhs = p * p, q * q * d
+    return (lhs > rhs) - (lhs < rhs) if p > 0 else (rhs > lhs) - (rhs < lhs)
+
+
 class QuadExt:
     """Immutable element a + b*sqrt(d) of a real quadratic field."""
 
@@ -79,7 +94,7 @@ class QuadExt:
         if isinstance(x, QuadExt):
             return x
         if isinstance(x, Rational):
-            return QuadExt(Fraction(x))
+            return _field(Fraction(x), _ZERO, 0)
         raise TypeError(f"cannot coerce {type(x).__name__} to QuadExt")
 
     def _join(self, other) -> tuple["QuadExt", "QuadExt", int]:
@@ -100,7 +115,7 @@ class QuadExt:
         if isinstance(other, float):
             return float(self) + other
         x, y, d = self._join(other)
-        return QuadExt(x.a + y.a, x.b + y.b, d)
+        return _field(x.a + y.a, x.b + y.b, d)
 
     __radd__ = __add__
 
@@ -108,7 +123,7 @@ class QuadExt:
         if isinstance(other, float):
             return float(self) - other
         x, y, d = self._join(other)
-        return QuadExt(x.a - y.a, x.b - y.b, d)
+        return _field(x.a - y.a, x.b - y.b, d)
 
     def __rsub__(self, other):
         if isinstance(other, float):
@@ -116,13 +131,13 @@ class QuadExt:
         return QuadExt.of(other) - self
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _field(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if isinstance(other, float):
             return float(self) * other
         x, y, d = self._join(other)
-        return QuadExt(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+        return _field(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
 
     __rmul__ = __mul__
 
@@ -133,8 +148,8 @@ class QuadExt:
         nrm = y.a * y.a - y.b * y.b * d
         if nrm == 0:
             raise ZeroDivisionError("division by zero field element")
-        inv = QuadExt(y.a / nrm, -y.b / nrm, d)
-        return x * inv
+        a = (x.a * y.a - x.b * y.b * d) / nrm
+        return _field(a, (x.b * y.a - x.a * y.b) / nrm, d)
 
     def __rtruediv__(self, other):
         if isinstance(other, float):
@@ -160,26 +175,21 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        a, b = self.a, self.b
+        # times a.denominator * b.denominator > 0: integer coefficients
+        return _sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     def _cmp(self, other) -> int:
         if isinstance(other, float):
             a, b = float(self), other
             return (a > b) - (a < b)
-        return (self - other).sign()
+        if isinstance(other, QuadExt) or not isinstance(other, Rational):
+            return (self - other).sign()
+        # sign of (a - p/q) + b*sqrt(d), times the positive a, b and q denominators
+        a, b = self.a, self.b
+        p, q = int(other.numerator), int(other.denominator)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        return _sign((an * q - p * ad) * bd, bn * ad * q, self.d)
 
     def __eq__(self, other):
         if isinstance(other, float):
@@ -242,6 +252,22 @@ class QuadExt:
         if self.a == 0:
             return f"{self.b}*r{self.d}"
         return f"{self.a}{'+' if self.b > 0 else ''}{self.b}*r{self.d}"
+
+
+_ZERO = Fraction(0)
+
+
+def _field(a: Fraction, b: Fraction, d: int) -> QuadExt:
+    """a + b*sqrt(d) from arithmetic on canonical operands: d is already
+    squarefree (or 0 with b == 0), so only b == 0 folds to d == 0."""
+    x = object.__new__(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d if b else 0)
+    return x
+
+
+_set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
 
 
 def quad_sqrt(x) -> QuadExt:

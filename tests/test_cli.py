@@ -283,12 +283,20 @@ class TestBuildModes:
         assert rebuilt.read_text() == surf.read_text()
 
 
-@pytest.mark.parametrize("command", ["harmonic", "flow"])
+@pytest.mark.parametrize("command", ["harmonic", "flow", "build", "verify", "classify"])
 def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
     gf = tmp_path / "k2.graph"  # also a surface file: one rectangle, no gluings
     gf.write_text(K2_GRAPH)
+    surf = tmp_path / "st.surf"  # a correct exact lambda = 3 window
+    res = runner.invoke(main, ["build", "--family", "staircase", "--window", "-3:4",
+                               "--lambda", "3", "-o", str(surf)])
+    assert res.exit_code == 0, res.output
     args = {"harmonic": ["harmonic", str(gf)],
-            "flow": ["flow", str(gf), "--start", "0:1/3:1/5", "--dir", "1:1"]}[command]
-    res = runner.invoke(main, args + ["--tol", "0"])
-    assert res.exit_code == 2, res.output
-    assert "--tol" in res.output
+            "flow": ["flow", str(gf), "--start", "0:1/3:1/5", "--dir", "1:1"],
+            "build": ["build", "--family", "staircase", "--lambda", "3"],
+            "verify": ["verify", str(surf)],
+            "classify": ["classify", "--word", "aB", "--lambda", "3"]}[command]
+    for tol in ("0", "-1"):
+        res = runner.invoke(main, args + ["--tol", tol])
+        assert res.exit_code == 2, res.output
+        assert "--tol" in res.output and "modulus" not in res.output

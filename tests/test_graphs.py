@@ -16,7 +16,7 @@ from multitwist.graphs import (
     perron_pair,
     verify_harmonic,
 )
-from multitwist.quadfield import root_plus
+from multitwist.quadfield import QuadExt, root_plus
 from multitwist.recipe import build_multicurves, loch_ness_tree
 
 
@@ -137,6 +137,28 @@ class TestClosedForm:
     def test_rejects_lambda_below_two(self):
         with pytest.raises(ValueError):
             harmonic_closed_form(LadderFamily(0, 3), Fraction(3, 2))
+
+    @pytest.mark.parametrize("lam", [3, Fraction(5, 2), 7])
+    @pytest.mark.parametrize("window", [(-9, 11), (4, 19), (-17, -6)])
+    def test_exact_heights_are_powers_of_r(self, lam, window):
+        h = harmonic_closed_form(LadderFamily(*window), lam)
+        r = root_plus(lam)
+        assert h.lam == lam and list(h.values) == list(range(window[0], window[1] + 1))
+        for n, x in h.values.items():
+            assert isinstance(x, QuadExt)
+            p = r ** n
+            assert (x.a, x.b, x.d) == (p.a, p.b, p.d)
+        for n in range(window[0] + 1, window[1]):
+            assert h[n - 1] + h[n + 1] == lam * h[n]
+
+    def test_constant_and_float_paths(self):
+        h = harmonic_closed_form(LadderFamily(-3, 4), 2)
+        assert h.lam == QuadExt(2) and h.values == {n: QuadExt(1) for n in range(-3, 5)}
+        lam = QuadExt(1, 1, 5)  # irrational: no Fraction, so floats
+        h = harmonic_closed_form(LadderFamily(-3, 4), lam)
+        lam_f = float(lam)
+        r = (lam_f + (lam_f * lam_f - 4.0) ** 0.5) / 2.0
+        assert h.lam == lam_f and h.values == {n: r ** float(n) for n in range(-3, 5)}
 
 
 class TestTruncated:

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from multitwist.quadfield import QuadExt, _squarefree_split, quad_sqrt, root_plus
+from multitwist.quadfield import QuadExt, _sign, _squarefree_split, quad_sqrt, root_plus
 
 
 def test_root_plus_satisfies_trace_identity():
@@ -85,3 +85,52 @@ def test_sign_matches_float_sign(a, b):
         assert x.sign() == (1 if f > 0 else -1)
     else:
         assert (x.sign() == 0) == (x == 0)
+
+
+radicands = st.sampled_from([0, 2, 3, 5, 12, 13, 45])
+small = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 360))
+plain = st.one_of(st.integers(-60, 60), small)
+
+
+def _assert_canonical(x):
+    assert isinstance(x, QuadExt)
+    again = QuadExt(x.a, x.b, x.d)
+    assert (again.a, again.b, again.d) == (x.a, x.b, x.d)
+    assert hash(again) == hash(x)
+    assert (x.b == 0) == (x.d == 0)
+    assert _squarefree_split(x.d)[0] == 1
+
+
+@given(a=small, b=small, c=small, e=small, d=radicands, q=plain)
+def test_arithmetic_results_are_canonical(a, b, c, e, d, q):
+    x, y = QuadExt(a, b, d), QuadExt(c, e, d)
+    results = [x + y, x - y, x * y, -x, x + q, q - x, x * q, x - x, x * 0]
+    if y != 0:
+        results += [x / y, q / y]
+    if q != 0:
+        results.append(x / q)
+    if x != 0:
+        results.append(x ** -3)
+    for res in results:
+        _assert_canonical(res)
+    assert (x + y) - y == x and (x * x) * y == x * (x * y)
+
+
+@given(a=small, b=small, d=radicands, q=plain)
+def test_order_against_rationals_matches_difference_sign(a, b, d, q):
+    x = QuadExt(a, b, d)
+    _assert_order_matches(x, (q, x.a, int(x.a), 0))
+
+
+def test_order_on_near_ties():
+    r = root_plus(3)
+    for k in range(-40, 41):
+        x = r ** k  # a and b*sqrt(5) nearly cancel for k < 0
+        _assert_order_matches(x, (Fraction(float(x)), Fraction(float(x)) * (1 + Fraction(1, 10**12))))
+
+
+def _assert_order_matches(x, others):
+    for q in others:
+        s = (x - QuadExt(q)).sign()
+        assert (x < q, x <= q, x > q, x >= q, x == q) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    assert x.sign() == _sign(x.a, x.b, x.d) == (0 < x) - (x < 0)  # integer = rational scaling
