@@ -1,12 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 usage or parse errors.  MULTITWIST_TOL sets the default tolerance.
+2 usage or parse errors.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree,
 from .surfaces import (build_surface, cylinders, euler_characteristic, is_translation,
                        mark_faces, staircase_complex)
 
-DEFAULT_TOL = float(os.environ.get("MULTITWIST_TOL", "1e-10"))
+DEFAULT_TOL = 1e-10
 _TOL = click.FloatRange(min=0, min_open=True)
 
 
@@ -45,13 +44,13 @@ def _write_out(path, text: str):
 
 
 def _parse_lambda(text, exact: bool):
+    """lambda as written: a rational stays exact under --float too, so
+    closed-form heights are computed exactly (staircase windows round them)."""
     if text is None:
         return None
     value = formats.parse_number(text)
     if exact and isinstance(value, float):
         raise click.UsageError(f"--exact needs a rational lambda, got {text}")
-    if not exact:
-        value = float(value)
     return value
 
 
@@ -247,6 +246,8 @@ def classify(word, lam, exact, depth, tol):
     try:
         w = mobius.TwistWord.make(word)
         lam_v = _parse_lambda(lam, exact)
+        if not exact:
+            lam_v = float(lam_v)
         m = mobius.rho(w, lam_v)
     except ValueError as exc:
         _fail(str(exc))
@@ -330,13 +331,11 @@ def multicurve(tree_file, family, depth, genus, punctures, weight, out):
         result = build_multicurves(source, weight)
     except (RecipeError, formats.FormatError, ValueError) as exc:
         _fail(str(exc))
-    rep = verify_recipe(result.complex, weight)
     _write_out(out, formats.write_surface(result.complex))
     marked = next(c.index for c in result.complex.corner_cycles if c.marked)
-    click.echo(f"faces {rep.face_census}; valence {rep.valence}; "
+    click.echo(f"faces {result.report.face_census}; valence {result.report.valence}; "
                f"marked face {marked} ({2 * weight} sides); "
                f"genus {result.genus}", err=True)
-    sys.exit(0 if rep.passes else 1)
 
 
 @main.command(name="svg")

@@ -17,6 +17,7 @@ in part I get even ids, curves in part J get odd ids.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -196,14 +197,15 @@ def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
 def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     """h(n) = r^n on the ladder window, r the larger root of r + 1/r = lam.
 
-    Exact (quadratic-field) values when lam is rational; floats otherwise.
-    The exact heights cost one field multiply per vertex: r^lo once, then
-    h(n + 1) = h(n) * r.  Below lam = 2 the bi-infinite path carries no
-    positive harmonic function, so that is a domain error.  At lam = 2 the
+    Exact (quadratic-field) values when lam is an int or a Fraction; floats
+    when lam is a float or irrational.  The exact heights cost one field
+    multiply per vertex: r^lo once, then h(n + 1) = h(n) * r.  Below lam = 2
+    the bi-infinite path carries no positive harmonic function, so that is
+    a domain error, as is a lam that is not finite.  At lam = 2 the
     function is constant 1.
     """
     try:
-        lam_q = Fraction(lam)
+        lam_q = None if isinstance(lam, float) else Fraction(lam)
     except (TypeError, ValueError):
         lam_q = None
     if lam_q is not None:
@@ -218,10 +220,14 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
             values[n] = values[n - 1] * r
         return HarmonicAssignment(lam=QuadExt(lam_q), values=values)
     lam_f = float(lam)
-    if lam_f < 2:
-        raise ValueError("ladder harmonic functions need lam >= 2")
+    if not (math.isfinite(lam_f) and lam_f >= 2):
+        raise ValueError(f"ladder harmonic functions need a finite lam >= 2, got {lam_f}")
     r = (lam_f + (lam_f * lam_f - 4.0) ** 0.5) / 2.0
-    return HarmonicAssignment(lam=lam_f, values={n: r ** float(n) for n in range(fam.lo, fam.hi + 1)})
+    try:
+        values = {n: r ** float(n) for n in range(fam.lo, fam.hi + 1)}
+    except OverflowError as exc:
+        raise ValueError(f"heights r^n overflow a float on [{fam.lo}, {fam.hi}]") from exc
+    return HarmonicAssignment(lam=lam_f, values=values)
 
 
 @dataclass(frozen=True)

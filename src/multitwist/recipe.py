@@ -44,7 +44,7 @@ form; a combination outside it raises RecipeError.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .graphs import BipartiteConfigGraph
@@ -134,18 +134,24 @@ class EndTreeSpec:
             raise ValueError(f"leaves {sorted(bare, key=repr)} are neither "
                              "punctures nor frontier")
 
-    def is_simple(self) -> bool:
-        ch = self.children()
-        for v in self.vertices():
-            if v == self.root or self.degree(v) != 2:
+    def _shadowing(self) -> set:
+        """Non-root degree-2 vertices (one child) with a descendant that has
+        two or more children.  One bottom-up pass: walk up from each
+        branching vertex until an ancestor already found."""
+        pm = self.parent_map()
+        kids = Counter(pm.values())
+        above = set()  # vertices with a branching strict descendant
+        for w, k in kids.items():
+            if k < 2:
                 continue
-            stack = list(ch[v])
-            while stack:
-                w = stack.pop()
-                if self.degree(w) != 2 and w not in self.leaves():
-                    return False
-                stack.extend(ch[w])
-        return True
+            while w in pm and pm[w] not in above:
+                w = pm[w]
+                above.add(w)
+        return {v for v in above if v != self.root and kids[v] == 1}
+
+    def is_simple(self) -> bool:
+        """Every descendant of a non-root degree-2 vertex has degree 2 or is a leaf."""
+        return not self._shadowing()
 
 
 def induced_subtree(addresses, depth: int) -> EndTreeSpec:
@@ -196,20 +202,7 @@ def simplify_tree(t: EndTreeSpec) -> EndTreeSpec:
     so the tree is simple; the end space at the materialized depth is kept.
     """
     pm = t.parent_map()
-    ch = t.children()
-    protected = t.punctures | t.frontier | t.genus_marks | {t.root}
-
-    def has_branch_below(v) -> bool:
-        stack = list(ch[v])
-        while stack:
-            w = stack.pop()
-            if t.degree(w) >= 3:
-                return True
-            stack.extend(ch[w])
-        return False
-
-    removable = {v for v in t.vertices()
-                 if v not in protected and t.degree(v) == 2 and has_branch_below(v)}
+    removable = t._shadowing() - t.punctures - t.frontier - t.genus_marks
     new_parents = {}
     for v in t.vertices():
         if v == t.root or v in removable:
@@ -546,15 +539,17 @@ def _marked_face_index(m: RectangleComplex, p_squares) -> int:
 class CurveRecipeOutput:
     """A filling pair as its assembled complex, whose corner cycles carry
     the puncture and marked flags; end_faces holds the indices of the
-    punctured faces that stand for truncated ends."""
+    punctured faces that stand for truncated ends, and report the passing
+    verify_recipe check of the complex at weight m."""
 
     complex: RectangleComplex
     m: int
     genus: int
     end_faces: frozenset
+    report: RecipeReport
 
 
-def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
+def build_multicurves(source, m: int) -> CurveRecipeOutput:
     """Assemble a filling pair realizing a surface with weight-m marked point.
 
     source: a SurgeredGraph, an EndTreeSpec (surgered automatically), or a
@@ -563,8 +558,6 @@ def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
     """
     if m < 1:
         raise RecipeError("weight m must be at least 1")
-    if p != "auto":
-        raise RecipeError("only the automatic p placement is implemented")
     ends = 0
     if isinstance(source, EndTreeSpec):
         source = surgery(source)
@@ -581,21 +574,15 @@ def build_multicurves(source, m: int, p: str = "auto") -> CurveRecipeOutput:
     last_error = None
     for variant in _p_block_variants(m):
         try:
-            out = _attempt(variant, genus, n_total, ends, m)
+            return _attempt(variant, genus, n_total, ends, m)
         except RecipeError as exc:
             last_error = exc
-            continue
-        report = verify_recipe(out.complex, m)
-        if report.passes:
-            return out
-        last_error = RecipeError(f"{variant}: verification failed: "
-                                 f"{report.failures}")
     raise RecipeError(f"no supported assembly for genus {genus}, {n_total} "
                       f"punctures/ends, weight {m}: {last_error}")
 
 
 def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipeOutput:
-    """One variant end to end: assemble, distribute flags, package."""
+    """One variant end to end: assemble, distribute flags, verify, package."""
     try:
         sizes, marked_idx, complex_ = _assemble_variant(variant, genus, n, m)
     except RecipeError:
@@ -622,10 +609,13 @@ def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipe
     if len(end_pool) < ends:
         raise RecipeError(f"{variant}: not enough faces for {ends} ends")
     cycles = complex_.corner_cycles
-    return CurveRecipeOutput(
-        complex=mark_faces(complex_, [cycles[i].corners[0] for i in flagged],
-                           cycles[marked_idx].corners[0]),
-        m=m, genus=genus, end_faces=frozenset(end_pool[:ends]))
+    complex_ = mark_faces(complex_, [cycles[i].corners[0] for i in flagged],
+                          cycles[marked_idx].corners[0])
+    report = verify_recipe(complex_, m)
+    if not report.passes:
+        raise RecipeError(f"{variant}: verification failed: {report.failures}")
+    return CurveRecipeOutput(complex=complex_, m=m, genus=genus,
+                             end_faces=frozenset(end_pool[:ends]), report=report)
 
 
 def _p_block_variants(m: int):

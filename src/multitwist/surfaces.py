@@ -46,10 +46,12 @@ _END_CORNER = {
     ("N", "lo"): "NW", ("N", "hi"): "NE",
     ("S", "lo"): "SW", ("S", "hi"): "SE",
 }
-# counterclockwise walk around a vertex: enter a quarter along one side,
-# leave along the other
+# counterclockwise walk around a vertex: a quarter is left along one side,
+# at one end of it
 _CCW_EXIT = {"SW": ("W", "lo"), "SE": ("S", "hi"), "NE": ("E", "hi"), "NW": ("N", "lo")}
-_CCW_ENTRY = {"SW": ("S", "lo"), "SE": ("E", "lo"), "NE": ("N", "hi"), "NW": ("W", "hi")}
+# (corner, side landed on, reversed) -> corner of the quarter the walk lands in
+_CCW_LAND = {(c, side2, rev): _END_CORNER[(side2, {"lo": "hi", "hi": "lo"}[end] if rev else end)]
+             for c, (_, end) in _CCW_EXIT.items() for side2 in SIDES for rev in (False, True)}
 
 
 class RibbonError(ValueError):
@@ -173,13 +175,17 @@ class RectangleComplex:
 def _components(mapping: dict, universe) -> list:
     """Cycle/path decomposition of a partial injective map.
 
-    Returns (sequence, closed) pairs covering all of universe; paths start
-    at elements without a preimage, cycles are anchored at their minimum.
+    Returns (sequence, closed) pairs covering all of universe, paths first;
+    paths start at elements without a preimage, cycles at their first
+    element.  universe is walked in the order given, and every caller
+    passes it ascending, so each cycle is anchored at its minimum.
     """
     targets = set(mapping.values())
     seen = set()
     comps = []
-    for start in sorted(set(universe) - targets):  # path starts
+    for start in universe:  # path starts
+        if start in targets:
+            continue
         seq = [start]
         seen.add(start)
         cur = start
@@ -190,7 +196,7 @@ def _components(mapping: dict, universe) -> list:
             seq.append(cur)
             seen.add(cur)
         comps.append((seq, False))
-    for start in sorted(set(universe) - seen):  # remaining: cycles
+    for start in universe:  # remaining: cycles
         if start in seen:
             continue
         seq = [start]
@@ -307,87 +313,53 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
 
 
 def _corner_chains(edges, gluings):
-    """Counterclockwise corner cycles; chains that reach an unglued
-    (frontier) side are flagged truncated."""
-
-    def successor(corner, walk=_CCW_EXIT):
-        # the quarter across the gluing at the end of the side walk names;
-        # with walk=_CCW_ENTRY, the predecessor
-        e, c = corner
-        side, end = walk[c]
-        if (e, side) not in gluings:
-            return None
-        e2, side2, rev = gluings[(e, side)]
-        return e2, _END_CORNER[(side2, ("hi" if end == "lo" else "lo") if rev else end)]
-
-    all_corners = [(e, c) for e in edges for c in CORNERS]
-    seen = set()
-    chains = []
-    # chains broken by the frontier first
-    for corner in all_corners:
-        if corner in seen or successor(corner, _CCW_ENTRY) is not None:
-            continue
-        chain = [corner]
-        seen.add(corner)
-        cur = successor(corner)
-        while cur is not None:
-            chain.append(cur)
-            seen.add(cur)
-            cur = successor(cur)
-        chains.append((chain, True))
-    for corner in all_corners:
-        if corner in seen:
-            continue
-        chain = [corner]
-        seen.add(corner)
-        cur = successor(corner)
-        while cur != corner:
-            if cur is None or cur in seen:
-                raise RibbonError(f"corner walk broke at {cur} from {corner}")
-            chain.append(cur)
-            seen.add(cur)
-            cur = successor(cur)
-        # canonical rotation: start at the minimal corner token
-        k = chain.index(min(chain))
-        chains.append((chain[k:] + chain[:k], False))
-    chains.sort(key=lambda item: item[0][0])
-    return chains
+    """Counterclockwise corner chains as (quarters, closed), in ascending
+    order of their first quarter; a chain that reaches an unglued (frontier)
+    side is open.  edges must be ascending."""
+    succ = {}
+    for e in edges:
+        for c, (side, _) in _CCW_EXIT.items():
+            if (e, side) in gluings:
+                e2, side2, rev = gluings[(e, side)]
+                succ[(e, c)] = (e2, _CCW_LAND[(c, side2, rev)])
+    corners = sorted(CORNERS)
+    return sorted(_components(succ, [(e, c) for e in edges for c in corners]),
+                  key=lambda item: item[0][0])
 
 
 def ribbon_from_gluings(edges, gluings) -> RibbonData:
     """Reconstruct successor maps and flip flags from a side-gluing table.
 
-    Inverse of the cycle walk in build_surface, for complete complexes:
-    cycles are read anchored at their minimal edge with the chart-aligned
-    orientation, and a same-letter gluing (E-E, W-W, ...) records a flip on
-    the outgoing arrow.  Side letters are kept: the walk leaves each edge by
-    the side the table names, so gluing the returned ribbon again (as
-    _glue_axis does) gives back the same table.
+    Inverse of the cycle walk in build_surface, for complete complexes.  A
+    walk state (edge, side it leaves by) crosses that gluing and leaves the
+    next rectangle by the far side.  Each curve gives two state cycles, one
+    per direction; the one anchored at (its minimal edge, E or N) is the
+    chart-aligned walk, and a same-letter gluing (E-E, W-W, ...) on it
+    records a flip on the outgoing arrow.  Side letters are kept, so gluing
+    the returned ribbon again (as _glue_axis does) gives back the same table.
     """
-    sigma_h, sigma_v = {}, {}
+    sides = sorted(SIDES)
+    states = [(e, side) for e in sorted(edges) for side in sides]
+    succ = {}
+    for state in states:
+        if state not in gluings:
+            raise ValueError("ribbon reconstruction needs every side glued")
+        e2, side2, _ = gluings[state]
+        succ[state] = (e2, OPPOSITE[side2])
+    sigma = {"E": {}, "N": {}}  # keyed by the side an aligned walk leaves by
     flips = set()
-    for sides, sigma, arrow_key in ((("E", "W"), sigma_h, "E"),
-                                    (("N", "S"), sigma_v, "N")):
-        seen = set()
-        for start in sorted(edges):
-            if start in seen:
-                continue
-            e, o = start, 1
-            while True:
-                seen.add(e)
-                out_side = sides[0] if o == 1 else sides[1]
-                if (e, out_side) not in gluings:
-                    raise ValueError("ribbon reconstruction needs every side glued")
-                e2, s2, _ = gluings[(e, out_side)]
-                flip = s2 == out_side
-                sigma[e] = e2
-                if flip:
-                    flips.add((e, arrow_key))
-                o = -o if flip else o
-                e = e2
-                if e == start:
-                    break
-    return RibbonData.make(sigma_h, sigma_v, flips)
+    for seq, _ in _components(succ, states):
+        axis = seq[0][1]
+        if axis not in sigma:  # a curve walked backwards
+            continue
+        for e, side in seq:
+            if e in sigma[axis]:  # turned back at a side glued to itself
+                raise RibbonError(f"one curve crosses edge {e} twice")
+            e2, side2, _ = gluings[(e, side)]
+            sigma[axis][e] = e2
+            if side2 == side:
+                flips.add((e, axis))
+    return RibbonData.make(sigma["E"], sigma["N"], flips)
 
 
 def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
@@ -426,8 +398,8 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     chains = _corner_chains(edges, gluings)
     cycles = []
     corner_index = {}
-    for idx, (chain, truncated) in enumerate(chains):
-        cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=truncated))
+    for idx, (chain, closed) in enumerate(chains):
+        cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed))
         corner_index.update(dict.fromkeys(chain, idx))
 
     lam = harmonic.lam if harmonic is not None else None

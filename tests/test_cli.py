@@ -1,12 +1,19 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
+import multitwist
 from multitwist import formats
 from multitwist.cli import main
 from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
+from multitwist.recipe import build_multicurves, loch_ness_tree
+from multitwist.surfaces import staircase_complex
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
 LADDER = "\n".join(["bipartite 3 4 6 2"] + [
@@ -75,6 +82,27 @@ class TestBuildVerify:
             outs.append(surf.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_float_build_of_a_rational_lambda_rounds_exact_heights(self, runner):
+        res = runner.invoke(main, ["build", "--family", "staircase", "--float",
+                                   "--lambda", "3"])
+        assert res.exit_code == 0, res.output
+        text = formats.write_surface(staircase_complex(-4, 5, 3, exact=False))
+        assert res.output.startswith(text)  # the surface file, then the report
+
+    def test_float_build_of_a_float_lambda_takes_the_float_path(self, runner):
+        res = runner.invoke(main, ["build", "--family", "staircase", "--float",
+                                   "--lambda", "5.55"])
+        assert res.exit_code == 0, res.output
+        assert "lambda 5.55" in res.output
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-inf", "1.5"])
+    def test_float_build_of_a_bad_lambda_exits_2(self, runner, lam):
+        res = runner.invoke(main, ["build", "--family", "staircase", "--float",
+                                   "--lambda", lam])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "lam >= 2" in res.output
+        assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+
     def test_unknown_ribbon_edge_exits_2(self, runner, tmp_path):
         surf = tmp_path / "st.surf"
         runner.invoke(main, ["build", "--family", "staircase", "--window",
@@ -125,6 +153,17 @@ class TestClassify:
     def test_bad_letters_usage_error(self, runner):
         res = runner.invoke(main, ["classify", "--word", "xyz", "--lambda", "2"])
         assert res.exit_code == 2
+
+    def test_no_tolerance_from_the_environment(self):
+        # the default tolerance is a constant, so a stray variable is ignored
+        src = os.path.dirname(os.path.dirname(multitwist.__file__))
+        env = {**os.environ, "MULTITWIST_TOL": "abc",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-m", "multitwist.cli", "classify",
+                              "--word", "aB", "--lambda", "3"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "hyperbolic" in res.stdout and "Traceback" not in res.stderr
 
 
 class TestFlowSvg:
@@ -212,6 +251,14 @@ class TestMulticurve:
         assert res.exit_code == 0, res.output
         res = runner.invoke(main, ["verify", str(out), "--m", "2"])
         assert res.exit_code == 0, res.output
+
+    def test_census_is_the_recipe_report(self, runner):
+        rep = build_multicurves(loch_ness_tree(3), 2).report
+        assert rep.passes
+        res = runner.invoke(main, ["multicurve", "--family", "loch-ness",
+                                   "--depth", "3", "--m", "2"])
+        assert res.exit_code == 0, res.output
+        assert f"faces {rep.face_census}; valence {rep.valence};" in res.output
 
     def test_deep_loch_ness_perron_pipeline(self, runner, tmp_path):
         # the Perron entries span many orders of magnitude at depth 40

@@ -1,5 +1,6 @@
 """Configuration graphs and harmonic functions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,23 @@ class TestClosedForm:
         lam_f = float(lam)
         r = (lam_f + (lam_f * lam_f - 4.0) ** 0.5) / 2.0
         assert h.lam == lam_f and h.values == {n: r ** float(n) for n in range(-3, 5)}
+
+    def test_float_lambda_takes_float_path(self):
+        # a float is not turned into its exact binary fraction (a radicand
+        # of about 100 bits)
+        h = harmonic_closed_form(LadderFamily(-4, 5), 3.1)
+        r = (3.1 + (3.1 * 3.1 - 4.0) ** 0.5) / 2.0
+        assert h.lam == 3.1 and h.values == {n: r ** n for n in range(-4, 6)}
+        assert all(type(x) is float for x in h.values.values())
+
+    def test_float_heights_that_overflow_are_a_domain_error(self):
+        with pytest.raises(ValueError, match="overflow"):
+            harmonic_closed_form(LadderFamily(-800, 800), 3.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, 1.5])
+    def test_non_finite_or_small_float_lambda_is_a_domain_error(self, lam):
+        with pytest.raises(ValueError):
+            harmonic_closed_form(LadderFamily(-4, 5), lam)
 
 
 class TestTruncated:

@@ -73,6 +73,66 @@ class TestSimplify:
         assert s.is_simple()
 
 
+def _reference_is_simple(t):
+    """Brute force: every descendant of a non-root degree-2 vertex has
+    degree 2 or is a leaf."""
+    ch = t.children()
+    for v in t.vertices():
+        if v == t.root or t.degree(v) != 2:
+            continue
+        stack = list(ch[v])
+        while stack:
+            w = stack.pop()
+            if t.degree(w) != 2 and w not in t.leaves():
+                return False
+            stack.extend(ch[w])
+    return True
+
+
+def _reference_simplify(t):
+    """Brute force: contract unprotected degree-2 vertices with a branching
+    vertex (degree >= 3) somewhere below."""
+    pm, ch = t.parent_map(), t.children()
+
+    def has_branch_below(v):
+        stack = list(ch[v])
+        while stack:
+            w = stack.pop()
+            if t.degree(w) >= 3:
+                return True
+            stack.extend(ch[w])
+        return False
+
+    protected = t.punctures | t.frontier | t.genus_marks | {t.root}
+    removable = {v for v in t.vertices()
+                 if v not in protected and t.degree(v) == 2 and has_branch_below(v)}
+    new_parents = {}
+    for v in t.vertices() - {t.root} - removable:
+        p = pm[v]
+        while p in removable:
+            p = pm[p]
+        new_parents[v] = p
+    return EndTreeSpec.make(t.root, new_parents, punctures=t.punctures,
+                            genus_marks=t.genus_marks & (set(new_parents) | {t.root}),
+                            frontier=t.frontier, family=t.family)
+
+
+_TREE_GRID = ([induced_subtree(addrs, depth)
+               for addrs in (["000"], ["cone:"], ["000000", "00001"], ["cone:0", "ray:1"],
+                             ["0" * 6] + [("0" * k) + "1" for k in (2, 4)],
+                             ["cone:01", "ray:1", "ray:0011"], ["1101", "cone:100", "0"])
+               for depth in (1, 3, 6)]
+              + [tree(d) for tree in (loch_ness_tree, ladder_tree) for d in (1, 2, 5)])
+
+
+@pytest.mark.parametrize("t", _TREE_GRID)
+def test_tree_walks_match_brute_force(t):
+    assert t.is_simple() == _reference_is_simple(t)
+    s = simplify_tree(t)
+    assert s == _reference_simplify(t)
+    assert s.is_simple() == _reference_is_simple(s)
+
+
 class TestSurgery:
     def test_empty_marks_change_nothing(self):
         t = induced_subtree(["000"], depth=3)

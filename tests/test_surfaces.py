@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
 from multitwist.recipe import build_multicurves, loch_ness_tree
@@ -17,6 +18,9 @@ from multitwist.surfaces import (
     is_translation,
     mark_faces,
     orientation_double_cover,
+    _components,
+    _config_graph,
+    _corner_chains,
     ribbon_from_gluings,
     square_torus,
     staircase_complex,
@@ -198,6 +202,14 @@ class TestRibbonRoundTrip:
             m2 = build_surface(m.graph, rib, values={v: 1 for v in m.graph.vertices()})
             assert m2.gluings == {k: v for k, v in m.gluings.items()}
 
+    def test_side_glued_to_itself_has_no_ribbon(self):
+        # a fold z -> -z + c along a side: the curve through it would cross
+        # its square twice, once each way
+        gluings = {(0, "E"): (0, "E", True), (0, "W"): (0, "W", True),
+                   (0, "N"): (0, "S", False), (0, "S"): (0, "N", False)}
+        with pytest.raises(RibbonError, match="crosses edge 0 twice"):
+            ribbon_from_gluings([0], gluings)
+
     @pytest.mark.parametrize("source, weight", [((3, 2), 6), ((1, 2), 3),
                                                 (loch_ness_tree(5), 2)])
     def test_recipe_outputs_round_trip(self, source, weight):
@@ -285,3 +297,139 @@ def test_surface_layout_is_pinned(case):
                  list(m.h_layouts.items()), list(m.v_layouts.items()),
                  list(m.corner_index.items())))
     assert hashlib.sha1(text.encode()).hexdigest() == SURFACE_GOLDEN[case]
+
+
+# -- successor-map walks on square-tiled surfaces ---------------------------
+#
+# A pair of permutations (sigma_h, sigma_v) of N squares is a square-tiled
+# surface (Zorich, "Square tiled surfaces and Teichmueller volumes of the
+# moduli spaces of Abelian differentials", 2002); flipped arrows, even in
+# number on every cycle, make it half-translation, and dropped arrows give
+# window truncations with frontier sides.
+
+def _cycles(perm: dict) -> list:
+    seen, out = set(), []
+    for start in sorted(perm):
+        if start not in seen:
+            cyc = [start]
+            while perm[cyc[-1]] != start:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            out.append(cyc)
+    return out
+
+
+@st.composite
+def square_tiled(draw, partial: bool):
+    """(N, sigma_h, sigma_v, flips) of a connected surface, every closed
+    cycle evenly flipped; partial drops at most one arrow per cycle, which
+    opens it without disconnecting the surface."""
+    n = draw(st.integers(1, 8))
+    maps = [dict(enumerate(draw(st.permutations(range(n))))) for _ in "hv"]
+    parent = list(range(n))  # union-find over the orbits of <sigma_h, sigma_v>
+
+    def root(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for mapping in maps:
+        for e, t in mapping.items():
+            parent[root(e)] = root(t)
+    for b in range(n):  # sigma_h times the transposition (0 b) joins two orbits
+        if root(b) != root(0):
+            maps[0][0], maps[0][b] = maps[0][b], maps[0][0]
+            parent[root(b)] = root(0)
+    flips = set()
+    for k, axis in enumerate("EN"):
+        flipped = {e for e in range(n) if draw(st.booleans())}
+        cut = set()
+        for cyc in _cycles(maps[k]):
+            if len(flipped & set(cyc)) % 2:
+                flipped ^= {cyc[0]}
+            if partial:
+                cut.add(draw(st.sampled_from([None] + cyc)))
+        maps[k] = {e: t for e, t in maps[k].items() if e not in cut}
+        flips |= {(e, axis) for e in flipped if e in maps[k]}
+    return n, maps[0], maps[1], flips
+
+
+def _build(case):
+    n, sigma_h, sigma_v, flips = case
+    graph = _config_graph(sigma_h, sigma_v, range(n))
+    return build_surface(graph, RibbonData.make(sigma_h, sigma_v, flips))
+
+
+# a corner (x, y) of the unit square; a side fixes one coordinate: the
+# position along it is the other one
+_XY = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+_FIXED = {"W": (0, 0), "E": (0, 1), "S": (1, 0), "N": (1, 1)}
+
+
+def _brute_corner_chains(edges, gluings):
+    """Corner chains from coordinates: a quarter at (x, y) is left
+    counterclockwise through the vertical side when (1-2x)(1-2y) > 0, else
+    through the horizontal one, and lands at the same position along the
+    glued side, or the mirrored one when the gluing is reversed."""
+    name = {xy: c for c, xy in _XY.items()}
+    succ = {}
+    for e in edges:
+        for c, (x, y) in _XY.items():
+            side = ("W", "E")[x] if (1 - 2 * x) * (1 - 2 * y) > 0 else ("S", "N")[y]
+            if (e, side) not in gluings:
+                continue
+            axis, _ = _FIXED[side]
+            t = (x, y)[1 - axis]
+            e2, side2, rev = gluings[(e, side)]
+            axis2, value2 = _FIXED[side2]
+            t2 = 1 - t if rev else t
+            succ[(e, c)] = (e2, name[(value2, t2) if axis2 == 0 else (t2, value2)])
+    targets = set(succ.values())
+    chains = []
+    for q in sorted((e, c) for e in edges for c in _XY):
+        chain = [q]
+        while chain[-1] in succ and succ[chain[-1]] != q:
+            chain.append(succ[chain[-1]])
+        if q not in targets:
+            chains.append((chain, False))  # starts where the frontier cuts
+        elif chain[-1] in succ and q == min(chain):
+            chains.append((chain, True))
+    return sorted(chains)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.booleans().flatmap(square_tiled))
+def test_corner_chains_match_a_brute_force_walk(case):
+    m = _build(case)
+    chains = _corner_chains(m.edges, m.gluings)
+    assert chains == _brute_corner_chains(m.edges, m.gluings)
+    quarters = [q for chain, _ in chains for q in chain]
+    assert sorted(quarters) == sorted((e, c) for e in m.edges for c in _XY)
+    assert [(list(c.corners), not c.truncated) for c in m.corner_cycles] == chains
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=square_tiled(partial=False))
+def test_ribbon_from_gluings_inverts_the_build(case):
+    m = _build(case)
+    assert not m.frontier
+    assert ribbon_from_gluings(m.edges, m.gluings) == m.ribbon
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.booleans().flatmap(square_tiled))
+def test_components_partition_their_universe(case):
+    n, sigma_h, sigma_v, _ = case
+    for mapping in (sigma_h, sigma_v):
+        comps = _components(mapping, range(n))
+        assert sorted(x for seq, _ in comps for x in seq) == list(range(n))
+        targets = set(mapping.values())
+        opened = [seq for seq, closed in comps if not closed]
+        cycles = [seq for seq, closed in comps if closed]
+        assert comps == [(seq, False) for seq in opened] + [(seq, True) for seq in cycles]
+        for seq in opened:
+            assert seq[0] not in targets and seq[-1] not in mapping
+        for seq in cycles:
+            assert seq[0] == min(seq) and mapping[seq[-1]] == seq[0]
+        for seq, _ in comps:
+            assert all(mapping[a] == b for a, b in zip(seq, seq[1:]))
