@@ -9,6 +9,14 @@ of the completion where cone angle concentrates, and distinguishing true
 saddle connections from near misses is exactly the corner_tol contract.
 With exact coordinates the tolerance degenerates to exact incidence.
 
+A crossing does a constant amount of work, whatever the size of the
+window: the flow reads the complex's chart table (RectangleComplex.charts,
+or float_charts for flows run in floats), one row per rectangle holding its
+width, height and the gluing of each side.  The table is built once per
+complex, on first use, and cached on it.  The exit wall is the nearer of
+the E/W and the N/S wall ahead (E/W on a tie), and segments are Segment
+NamedTuples, cheap to make and still read by field name.
+
 Twists act cylinder by cylinder: inside a horizontal cylinder of
 circumference c and height h with h/c = 1/lam, the point (x, y) in
 unrolled coordinates moves to (x + power*lam*y mod c, y), which is the
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from typing import NamedTuple
 
 from .quadfield import QuadExt, quad_sqrt
 from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, cylinders
@@ -41,8 +49,7 @@ class SurfacePoint:
         return (self.edge, float(self.x), float(self.y))
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     edge: int
     x_in: object
     y_in: object
@@ -100,17 +107,16 @@ def canonical_point(m: RectangleComplex, p: SurfacePoint) -> SurfacePoint:
         if side is None or (p.edge, side) not in m.gluings:
             continue
         e2, s2, rev = m.gluings[(p.edge, side)]
-        q = SurfacePoint(e2, *_land(m.width, m.height, e2, s2, rev, coord))
+        q = SurfacePoint(e2, *_land(m.width[e2], m.height[e2], s2, rev, coord))
         reps[(_side_rank(m, q), q.as_floats())] = q
     return reps[min(reps)]
 
 
-def _land(wd, ht, e2, s2, rev, coord) -> tuple:
-    """Chart point (x, y) on side s2 of rectangle e2 where a crossing at
-    coord along the side it left arrives; rev reverses the coordinate.
-    wd and ht are the caller's width and height tables, so float flows
-    stay float, and a zero keeps the type of the side lengths."""
-    w2, h2 = wd[e2], ht[e2]
+def _land(w2, h2, s2, rev, coord) -> tuple:
+    """Chart point (x, y) on side s2 of a w2-by-h2 rectangle where a crossing
+    at coord along the side it left arrives; rev reverses the coordinate.
+    w2 and h2 come from the caller's chart table, so float flows stay
+    float, and a zero keeps the type of the side lengths."""
     if s2 == "E":
         return w2, (h2 - coord if rev else coord)
     if s2 == "W":
@@ -161,13 +167,14 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     if _is_corner(m, p0) and not _allow_corner_start:
         raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     e, x, y = p0.edge, p0.x, p0.y
-    exact = not any(isinstance(v, float) for v in (x, y, dx, dy))
-    exact = exact and not any(isinstance(v, float) for v in m.width.values())
+    charts = m.charts
+    exact = not charts.float_widths and not any(isinstance(v, float) for v in (x, y, dx, dy))
     if exact:
-        wd, ht = m.width, m.height
+        rows = charts.rows
         budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
         speed2 = dx * dx + dy * dy
-        speed = _speed_in_field(speed2, chain(wd.values(), ht.values(), (x, y, dx, dy)))
+        speed = _speed_in_field(speed2, charts.radicands.union(
+            v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
         if speed is None:
             float_speed = math.sqrt(float(speed2))
             budget2 = budget * budget
@@ -181,89 +188,109 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         elapsed = 0  # exact time run so far
     else:  # keep mixed inputs from dragging exact types through float math
         x, y, dx, dy = float(x), float(y), float(dx), float(dy)
-        wd = {k: float(v) for k, v in m.width.items()}
-        ht = {k: float(v) for k, v in m.height.items()}
+        rows = m.float_charts.rows
         budget = float(max_length)
         speed = math.hypot(dx, dy)
     float_lengths = speed is None or not exact
     acc = 0.0  # running length while lengths are floats
     segments = []
+    add = segments.append
+    new_tuple = tuple.__new__  # a Segment without the Python-level __new__
     min_corner = math.inf
     terminal = "budget"
     detail = None
+    d_in = (dx, dy)
+    sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
+    sy = (dy > 0) - (dy < 0)
+    if not sx and not sy:  # a NaN direction has no wall ahead
+        raise FlowError("flow stalled: no exit wall")
+    row = rows[e]
     for _ in range(max_steps):
-        w, h = wd[e], ht[e]
-        # first wall hit
-        best_t, best_side = None, None
-        for side, t in (("E", (w - x) / dx if dx > 0 else None),
-                        ("W", -x / dx if dx < 0 else None),
-                        ("N", (h - y) / dy if dy > 0 else None),
-                        ("S", -y / dy if dy < 0 else None)):
-            if t is None:
-                continue
-            if best_t is None or t < best_t:
-                best_t, best_side = t, side
-        if best_t is None:  # direction parallel to an unglued axis? impossible
-            raise FlowError("flow stalled: no exit wall")
+        w, h, glue_e, glue_w, glue_n, glue_s = row
+        # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
+        if sx > 0:
+            tx = (w - x) / dx
+        elif sx:
+            tx = -x / dx
+        if sy > 0:
+            ty = (h - y) / dy
+        elif sy:
+            ty = -y / dy
+        across = not sy or (sx and not ty < tx)  # leaves through E or W
+        t = tx if across else ty
         if exact:
-            run = elapsed + best_t
+            run = elapsed + t
             reached = float(run) >= t_screen and (
                 run >= t_budget if speed is not None
                 else run * run * speed2 >= budget2)  # squared lengths
-            seg_len = best_t * speed if speed is not None else float(best_t) * float_speed
+            seg_len = t * speed if speed is not None else float(t) * float_speed
         else:
-            seg_len = best_t * speed
+            seg_len = t * speed
             reached = acc + seg_len >= budget
         if reached:
             if not exact:
                 t_cut = (budget - acc) / speed
             elif speed is None:
-                t_cut = min(max(budget / _sqrt_approx(speed2) - elapsed, 0), best_t)
+                t_cut = min(max(budget / _sqrt_approx(speed2) - elapsed, 0), t)
             else:
                 acc = elapsed * speed
                 t_cut = t_budget - elapsed
             fx, fy = x + t_cut * dx, y + t_cut * dy
-            segments.append(Segment(e, x, y, fx, fy, budget - acc, (dx, dy)))
+            add(Segment(e, x, y, fx, fy, budget - acc, d_in))
             e_fin, x_fin, y_fin = e, fx, fy
             break
         if exact:
             elapsed = run
-        x2, y2 = x + best_t * dx, y + best_t * dy
-        # pin the crossing onto the wall to kill float drift
-        if not exact:
-            if best_side == "E":
-                x2 = float(w)
-            elif best_side == "W":
-                x2 = 0.0
-            elif best_side == "N":
-                y2 = float(h)
+            x2, y2 = x + t * dx, y + t * dy
+        # a float crossing is pinned onto its wall to kill drift
+        if across:
+            if sx > 0:
+                side, glue = "E", glue_e
+                if not exact:
+                    x2, y2 = w, y + t * dy
             else:
-                y2 = 0.0
-        segments.append(Segment(e, x, y, x2, y2, seg_len, (dx, dy)))
+                side, glue = "W", glue_w
+                if not exact:
+                    x2, y2 = 0.0, y + t * dy
+            coord, side_len = y2, h
+        else:
+            if sy > 0:
+                side, glue = "N", glue_n
+                if not exact:
+                    x2, y2 = x + t * dx, h
+            else:
+                side, glue = "S", glue_s
+                if not exact:
+                    x2, y2 = x + t * dx, 0.0
+            coord, side_len = x2, w
+        add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
         if float_lengths:
             acc += seg_len
-        coord = y2 if best_side in ("E", "W") else x2
-        side_len = ht[e] if best_side in ("E", "W") else wd[e]
-        f_coord, f_side = float(coord), float(side_len)
-        dist = min(f_coord, f_side - f_coord)
+        if exact:
+            f_coord, f_side = float(coord), float(side_len)
+        else:
+            f_coord, f_side = coord, side_len
+        dist = f_side - f_coord
+        if not dist < f_coord:  # dist = min(f_coord, f_side - f_coord)
+            dist = f_coord
+        hit = dist == 0 if exact else dist <= corner_tol
         if dist < min_corner:
             min_corner = dist
-        hit = (dist == 0) if exact else (dist <= corner_tol)
         if hit:
             end = "lo" if f_coord <= f_side / 2 else "hi"
-            corner = _END_CORNER[(best_side, end)]
-            terminal, detail = "singular", (e, corner)
+            terminal, detail = "singular", (e, _END_CORNER[(side, end)])
             e_fin, x_fin, y_fin = e, x2, y2
             break
-        if (e, best_side) in m.frontier:
-            terminal, detail = "window-exit", (e, best_side)
+        if glue is None:
+            terminal, detail = "window-exit", (e, side)
             e_fin, x_fin, y_fin = e, x2, y2
             break
-        e2, s2, rev = m.gluings[(e, best_side)]
-        x, y = _land(wd, ht, e2, s2, rev, coord)
+        e, s2, rev = glue
+        row = rows[e]
+        x, y = _land(row[0], row[1], s2, rev, coord)
         if rev:
-            dx, dy = -dx, -dy
-        e = e2
+            dx, dy, sx, sy = -dx, -dy, -sx, -sy
+            d_in = (dx, dy)
     else:
         raise FlowError(f"flow exceeded {max_steps} crossings before the length budget")
     if terminal == "budget" and not segments:
@@ -277,11 +304,12 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
 _FACTOR_LIMIT = 1 << 40  # trial division up to 2**20 stays fast
 
 
-def _speed_in_field(speed2, values):
-    """sqrt(speed2) when it shares one quadratic field with all values, else
-    None.  Only rational speed2 is tried.  Over rational values the speed
-    opens the field, and its radicand is factored only below
-    _FACTOR_LIMIT (trial division)."""
+def _speed_in_field(speed2, radicands):
+    """sqrt(speed2) when it shares one quadratic field with the values whose
+    squarefree radicands are given (0 for rationals), else None.  Only
+    rational speed2 is tried.  Over rational values the speed opens the
+    field, and its radicand is factored only below _FACTOR_LIMIT (trial
+    division)."""
     if isinstance(speed2, QuadExt):
         if not speed2.is_rational():
             return None
@@ -292,7 +320,7 @@ def _speed_in_field(speed2, values):
     root = math.isqrt(n)
     if root * root == n:
         return Fraction(root, q)
-    radicands = {v.d for v in values if isinstance(v, QuadExt)} - {0}
+    radicands = set(radicands) - {0}
     if not radicands:
         return quad_sqrt(speed2) if n < _FACTOR_LIMIT else None
     if len(radicands) > 1:

@@ -13,6 +13,10 @@ for the flat-surface builder: the cylinder over each curve then has modulus
 
 Vertex ids follow the even/odd convention used by the file format: curves
 in part I get even ids, curves in part J get odd ids.
+
+numpy is imported inside the float solvers that use it (adjacency matrix,
+Perron pair, truncated solves, lambda_0): importing it takes about 12 MB
+of memory, which closed-form harmonic data, surfaces and flow never need.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
-
-import numpy as np
 
 from .quadfield import QuadExt, root_plus
 
@@ -106,8 +108,11 @@ class BipartiteConfigGraph:
     def edge_map(self) -> dict:
         return {e: (i, j) for e, i, j in self.edges}
 
-    def adjacency_matrix(self) -> tuple[np.ndarray, list]:
-        """Dense adjacency with multiplicity; returns (matrix, vertex order)."""
+    def adjacency_matrix(self) -> tuple:
+        """Dense adjacency with multiplicity; returns (numpy matrix, vertex
+        order)."""
+        import numpy as np
+
         order = sorted(self.vertices())
         idx = {v: k for k, v in enumerate(order)}
         a = np.zeros((len(order), len(order)))
@@ -188,6 +193,8 @@ def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
     """
     if not g.edges:
         raise ValueError("graph needs at least one edge")
+    import numpy as np
+
     a, order = g.adjacency_matrix()
     eigvals, eigvecs = np.linalg.eigh(a)
     v0 = order[int(np.argmax(np.abs(eigvecs[:, -1])))]
@@ -255,6 +262,8 @@ def _interior_system(g: BipartiteConfigGraph, boundary: Mapping) -> tuple:
             raise ValueError(f"boundary vertex {v} not in graph")
         if not x > 0:
             raise ValueError(f"boundary value at {v} must be positive")
+    import numpy as np
+
     interior = sorted(v for v in g.vertices() if v not in boundary)
     idx = {v: k for k, v in enumerate(interior)}
     a_int = np.zeros((len(interior), len(interior)))
@@ -282,6 +291,8 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
     (sys.float_info.min, about 2.2e-308) raises ValueError rather than
     return underflowed values.
     """
+    import numpy as np
+
     lam = float(lam)
     interior, mat, coupling = _interior_system(g, boundary)
     mat *= -1.0  # lam I - A_int, formed in place
@@ -345,6 +356,8 @@ def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
     system is singular; every larger lam is positive, though a solve can
     still raise when its values fall below the float range.
     """
+    import numpy as np
+
     interior, a_int, _ = _interior_system(g, boundary)
     rho = np.linalg.eigvalsh(a_int)[-1] if interior else 0.0
     return max(2.0, float(rho))

@@ -110,13 +110,15 @@ class EndTreeSpec:
         pm = self.parent_map()
         if self.root in pm:
             raise ValueError("root cannot have a parent")
+        rooted = {self.root}  # vertices known to reach the root
         for c, p in pm.items():
             cur, seen = p, {c}
-            while cur != self.root:
+            while cur not in rooted:  # each walk stops where an earlier one ended
                 if cur in seen or cur not in pm:
                     raise ValueError(f"vertex {c} is not connected to the root")
                 seen.add(cur)
                 cur = pm[cur]
+            rooted |= seen
         if self.degree(self.root) > 2:
             raise ValueError("root degree must be at most 2")
         leaves = self.leaves()
@@ -126,8 +128,9 @@ class EndTreeSpec:
         for v in self.genus_marks:
             if v in leaves:
                 raise ValueError(f"genus mark {v} sits on a leaf")
+        vertices = self.vertices()
         for v in self.frontier:
-            if v not in self.vertices():
+            if v not in vertices:
                 raise ValueError(f"frontier vertex {v} not in the tree")
         bare = leaves - self.punctures - self.frontier
         if bare:

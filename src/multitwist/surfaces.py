@@ -31,8 +31,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
+from .quadfield import QuadExt
 
 SIDES = ("E", "W", "N", "S")
 OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
@@ -170,6 +173,41 @@ class RectangleComplex:
     @property
     def edges(self) -> tuple:
         return tuple(e for e, _, _ in self.graph.edges)
+
+    @cached_property
+    def charts(self) -> "ChartTable":
+        """The flow's per-rectangle table, in the complex's own side lengths.
+        Built on first use and kept on the complex (not a field, so outside
+        ==, repr and build time); it shares the width, height and gluing
+        objects."""
+        frontier, gluings = self.frontier, self.gluings
+        rows = {e: (w, self.height[e],
+                    *(None if (e, s) in frontier else gluings[(e, s)] for s in SIDES))
+                for e, w in self.width.items()}
+        sides = (*self.width.values(), *self.height.values())
+        return ChartTable(rows, any(isinstance(w, float) for w in self.width.values()),
+                          frozenset(v.d for v in sides if isinstance(v, QuadExt)) - {0})
+
+    @cached_property
+    def float_charts(self) -> "ChartTable":
+        """charts with float side lengths, for flows run in floats: charts
+        itself when every side length is a float already."""
+        rows = self.charts.rows
+        if all(isinstance(w, float) and isinstance(h, float) for w, h, *_ in rows.values()):
+            return self.charts
+        return ChartTable({e: (float(w), float(h), *glue) for e, (w, h, *glue) in rows.items()},
+                          True, frozenset())
+
+
+class ChartTable(NamedTuple):
+    """Per-rectangle data of the straight-line flow, built once per complex."""
+
+    # edge -> (width, height, glue_E, glue_W, glue_N, glue_S); a glue is the
+    # complex's gluings entry (edge, side, reversed) for that side, or None
+    # on a frontier side
+    rows: dict
+    float_widths: bool  # some width is a float: flows on the complex run in floats
+    radicands: frozenset  # squarefree radicands of the QuadExt side lengths
 
 
 def _components(mapping: dict, universe) -> list:

@@ -8,6 +8,7 @@ import pytest
 
 from multitwist.flow import (
     FlowError,
+    Segment,
     SurfacePoint,
     canonical_point,
     closure_length,
@@ -20,6 +21,7 @@ from multitwist.flow import (
     visit_lengths,
     _land,
 )
+from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
@@ -107,7 +109,7 @@ class TestFlowMechanics:
             else:
                 side, coord = "S", a.x_out
             e2, s2, rev = st.gluings[(a.edge, side)]
-            landing = _land(st.width, st.height, e2, s2, rev, coord)
+            landing = _land(st.width[e2], st.height[e2], s2, rev, coord)
             assert (b.edge, b.x_in, b.y_in) == (e2, *landing)
 
     def test_segment_lengths_sum(self):
@@ -125,6 +127,64 @@ class TestFlowMechanics:
         t = square_torus()
         p = canonical_point(t, SurfacePoint(0, 1, Fraction(1, 3)))
         assert p.x == 0  # east side folded onto the west side
+
+
+class TestFlowKernel:
+    def test_flowing_leaves_the_complex_unchanged(self):
+        st = staircase_complex(-8, 9, 3)
+        text, shown = write_surface(st), repr(st)
+        flow(st, SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)), (Fraction(2), Fraction(1)), 6)
+        flow(st, SurfacePoint(1, 0.4, 0.3), (0.8, -0.6), 20.0)  # float flow, float chart table
+        assert st == parse_surface(write_surface(st))
+        assert repr(st) == shown
+        assert write_surface(st) == text
+
+    def test_float_flow_on_an_exact_window_matches_the_float_window(self):
+        ex = staircase_complex(-20, 21, 3)
+        fl = staircase_complex(-20, 21, 3, exact=False)
+        assert all(float(ex.width[e]) == fl.width[e] and float(ex.height[e]) == fl.height[e]
+                   for e in ex.width)
+        rng = random.Random(7)
+        for _ in range(20):
+            e = rng.randint(-4, 0)
+            p = SurfacePoint(e, float(ex.width[e]) * rng.uniform(0.05, 0.95),
+                             float(ex.height[e]) * rng.uniform(0.05, 0.95))
+            a = rng.uniform(0, 2 * math.pi)
+            d = (math.cos(a), math.sin(a))
+            on_exact, on_float = flow(ex, p, d, 15.0), flow(fl, p, d, 15.0)
+            assert len(on_exact.segments) > 1
+            assert on_exact == on_float
+            assert all(type(v) is float for s in on_exact.segments for v in s[1:6])
+
+    def test_a_corner_tie_reports_the_corner(self):
+        # from (1/2, 0) on the unit torus, direction (1, 2) meets the east
+        # and the north wall at t = 1/2: the ray ends on the NE corner after
+        # one segment of length sqrt(5)/2; direction (-1, 2) on the NW corner
+        t = square_torus()
+        start = SurfacePoint(0, Fraction(1, 2), Fraction(0))
+        for d, corner, x_out in (((1, 2), "NE", 1), ((-1, 2), "NW", 0)):
+            traj = flow(t, start, (Fraction(d[0]), Fraction(d[1])), 5)
+            assert traj.terminal == "singular"
+            assert traj.terminal_detail == (0, corner)
+            assert traj.min_corner_distance == 0.0
+            (seg,) = traj.segments
+            assert (seg.x_out, seg.y_out) == (x_out, 1)
+            assert seg.length == pytest.approx(math.sqrt(5) / 2)
+            ftraj = flow(t, SurfacePoint(0, 0.5, 0.0), (float(d[0]), float(d[1])), 5.0)
+            assert (ftraj.terminal, ftraj.terminal_detail) == ("singular", (0, corner))
+
+    def test_segment_is_an_immutable_named_tuple(self):
+        traj = flow(square_torus(), SurfacePoint(0, 0.25, 0.0), (1.0, 1.0), 2.0)
+        seg = traj.segments[0]
+        assert isinstance(seg, Segment)
+        assert (seg.edge, seg.x_in, seg.y_in, seg.x_out, seg.y_out) == (0, 0.25, 0.0, 1.0, 0.75)
+        assert seg.length == pytest.approx(0.75 * math.sqrt(2))
+        assert seg.dir_in == (1.0, 1.0)
+        assert seg == (0, 0.25, 0.0, 1.0, 0.75, seg.length, (1.0, 1.0))
+        with pytest.raises(AttributeError):
+            seg.edge = 1
+        with pytest.raises(TypeError):
+            seg[0] = 1
 
 
 class TestTwist:

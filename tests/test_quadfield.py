@@ -64,7 +64,7 @@ def test_mixed_float_degrades():
     assert r > 2.6 and r < 2.62
 
 
-rationals = st.fractions(min_value=-50, max_value=50).filter(lambda q: q.denominator <= 20)
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 @given(a=rationals, b=rationals, c=rationals, d=rationals)

@@ -1,6 +1,7 @@
 """Tree normal forms, surgery, and the multicurve recipe."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -42,6 +43,27 @@ class TestInducedSubtree:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             induced_subtree([], depth=3)
+
+
+class TestTreeValidation:
+    def test_unrooted_vertices_are_named(self):
+        with pytest.raises(ValueError, match="vertex 1 is not connected to the root"):
+            EndTreeSpec.make(0, {1: 2, 2: 1, 3: 0}, frontier={3})  # a cycle
+        with pytest.raises(ValueError, match="vertex 2 is not connected to the root"):
+            EndTreeSpec.make(0, {1: 0, 2: 5}, frontier={1, 2})  # 5 has no parent
+
+    def test_deep_tree_validates_in_linear_time(self):
+        def seconds(depth):
+            spec = loch_ness_tree(depth)
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                spec._validate()
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        # a walk to the root from every vertex would take 4x per doubling
+        assert seconds(4000) <= 2.5 * seconds(2000)
 
 
 class TestSimplify:
