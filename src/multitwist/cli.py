@@ -352,10 +352,7 @@ def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, 
         raise click.UsageError("--start and --dir go together")
     try:
         m = formats.parse_surface(_read(surface_file))
-        trajs = []
-        for tf in traj_files:
-            dump = formats.parse_trajectory(_read(tf))
-            trajs.append(_dump_as_overlay(dump))
+        trajs = [formats.parse_trajectory(_read(tf)) for tf in traj_files]
         if start is not None:
             p0 = _parse_start(start, False)
             trajs.append(flow(m, p0, _parse_direction(direction, False), length))
@@ -364,21 +361,8 @@ def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, 
     shade = set()
     if shade_coverage:
         for t in trajs:
-            shade |= {s.edge for s in t.segments}
+            shade |= {edge for edge, *_ in t.segments}
     _write_out(out, svgmod.surface_svg(m, trajectories=trajs, shade=shade))
-
-
-def _dump_as_overlay(dump):
-    from .flow import Segment, Trajectory
-
-    segs = tuple(Segment(e, xi, yi, xo, yo, float(ln), (0.0, 0.0))
-                 for e, xi, yi, xo, yo, ln in dump.segments)
-    start = SurfacePoint(segs[0].edge, segs[0].x_in, segs[0].y_in) if segs else None
-    final = SurfacePoint(segs[-1].edge, segs[-1].x_out, segs[-1].y_out) if segs else None
-    return Trajectory(start=start, direction=(0.0, 0.0), segments=segs,
-                      terminal=dump.terminal, terminal_detail=dump.detail,
-                      final_point=final, final_direction=(0.0, 0.0),
-                      min_corner_distance=0.0)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,12 @@ affine Dehn twist fixing both boundary circles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quadfield import QuadExt, quad_sqrt
+from .quadfield import QuadExt, _equal, quad_sqrt
 from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, cylinders
 
 _CORNER_COORDS = {
@@ -489,61 +490,35 @@ def twist_action(m: RectangleComplex, family: str, p: SurfacePoint, power: int,
     if m.lam is None:
         raise ValueError("complex carries no modulus parameter")
     _validate_point(m, p)
-    direction = "horizontal" if family == "alpha" else "vertical"
-    for cyl in cylinders(m, direction):
-        if not cyl.truncated and not _mod_is_inverse_lam(cyl, m.lam):
+    alpha = family == "alpha"
+    for cyl in cylinders(m, "horizontal" if alpha else "vertical"):
+        if not cyl.truncated and not _equal(cyl.modulus * m.lam, 1, 1e-12):
             raise ValueError(f"cylinder at vertex {cyl.vertex} has modulus != 1/lam; "
                              "uniform-modulus complexes only")
-    emap = m.graph.edge_map()
-    vertex = emap[p.edge][0] if family == "alpha" else emap[p.edge][1]
+    vertex = m.graph.edge_map()[p.edge][0 if alpha else 1]
     if support is not None and vertex not in support:
         return p
-    layouts = m.h_layouts if family == "alpha" else m.v_layouts
-    lay = layouts[vertex]
+    lay = (m.h_layouts if alpha else m.v_layouts)[vertex]
     if not lay.closed:
         raise ValueError(f"cylinder at vertex {vertex} is window-truncated; twist undefined")
+    # cylinder coordinates: along from the cylinder's start, across from its
+    # bottom; a rotated chart (orient -1) counts both from the far side
+    size = m.width if alpha else m.height
+    along, across = (p.x, p.y) if alpha else (p.y, p.x)
     k = lay.edges.index(p.edge)
-    o = lay.orients[k]
-    w, h = m.width[p.edge], m.height[p.edge]
-    if family == "alpha":
-        along, across, across_len = p.x, p.y, h
-        rect_len = w
-    else:
-        along, across, across_len = p.y, p.x, w
-        rect_len = h
-    pos = lay.offsets[k] + (along if o == 1 else rect_len - along)
-    trans = across if o == 1 else across_len - across
-    if trans == 0 or trans == lay.transverse:
+    if lay.orients[k] != 1:
+        along, across = size[p.edge] - along, lay.transverse - across
+    if across == 0 or across == lay.transverse:
         return p  # cylinder boundary is fixed pointwise
-    shift = power * m.lam * trans
-    if family == "beta":
-        shift = -shift
-    pos2 = _mod_length(pos + shift, lay.length)
-    # locate the rectangle containing pos2
-    k2 = len(lay.edges) - 1
-    for idx in range(len(lay.edges)):
-        nxt = lay.offsets[idx + 1] if idx + 1 < len(lay.edges) else lay.length
-        if pos2 < nxt:
-            k2 = idx
-            break
-    e2 = lay.edges[k2]
-    o2 = lay.orients[k2]
-    rect_len2 = m.width[e2] if family == "alpha" else m.height[e2]
-    local = pos2 - lay.offsets[k2]
-    along2 = local if o2 == 1 else rect_len2 - local
-    across2 = trans if o2 == 1 else lay.transverse - trans
-    if family == "alpha":
-        q = SurfacePoint(e2, along2, across2)
-    else:
-        q = SurfacePoint(e2, across2, along2)
+    shift = power * m.lam * across
+    pos = _mod_length(lay.offsets[k] + along + (shift if alpha else -shift), lay.length)
+    k = bisect_right(lay.offsets, pos) - 1
+    e2 = lay.edges[k]
+    along = pos - lay.offsets[k]
+    if lay.orients[k] != 1:
+        along, across = size[e2] - along, lay.transverse - across
+    q = SurfacePoint(e2, along, across) if alpha else SurfacePoint(e2, across, along)
     return canonical_point(m, q)
-
-
-def _mod_is_inverse_lam(cyl, lam) -> bool:
-    mod = cyl.modulus
-    if isinstance(mod, float) or isinstance(lam, float):
-        return abs(float(mod) * float(lam) - 1.0) <= 1e-12
-    return mod * lam == 1
 
 
 def _mod_length(x, length):

@@ -148,11 +148,8 @@ class LadderFamily:
 
     lo: int
     hi: int
-    family: str = "ladder"
 
     def __post_init__(self):
-        if self.family != "ladder":
-            raise ValueError(f"unknown periodic family {self.family!r}")
         if self.hi <= self.lo:
             raise ValueError("window must contain at least one edge")
 

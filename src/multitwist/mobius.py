@@ -21,34 +21,34 @@ and repeatedly applying the inverse of the owning generator either drives
 the point into a gap (not in the limit set), reaches an excluded
 eigendirection, or survives, in which case the direction is declared
 renormalizable at the probed depth.
+
+Every computation here is exact exactly when its inputs are: rational or
+quadratic-field lam and entries give exact matrices, directions and
+verdicts, and a float anywhere makes the result float.  Exact values are
+compared with ==, and once a float is involved with a tolerance
+(`quadfield._equal`).  The one exception is an exact hyperbolic matrix
+whose trace is irrational: its eigendirections are floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
-from .quadfield import QuadExt, quad_sqrt
+from .quadfield import QuadExt, _equal, _number, quad_sqrt
 
 # word letters: +1 = A, -1 = A^-1, +2 = B, -2 = B^-1
 LETTER_NAMES = {1: "A", -1: "A'", 2: "B", -2: "B'"}
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
 _LETTER_TO_CHAR = {v: k for k, v in _CHAR_TO_LETTER.items()}
 
+# (b, c) of each letter's matrix [[1, b], [c, 1]] in units of lam; the
+# indexes 0, 1, -1 pick 0, lam, -lam out of (0, lam, -lam)
+_SHEARS = {1: (1, 0), -1: (-1, 0), 2: (0, -1), -2: (0, 1)}
+
 ALL_DIRECTIONS = object()  # sentinel: every direction is an eigendirection of +-Id
 
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (Rational, QuadExt)) and not isinstance(x, float)
-
-
-def _exactify(x):
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return None
+_MATRIX_TOL = 1e-12  # float determinant and identity test
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,16 @@ class MobiusClass:
     d: object
 
     @staticmethod
-    def make(a, b, c, d, tol: float = 1e-12) -> "MobiusClass":
-        entries = (a, b, c, d)
+    def make(a, b, c, d) -> "MobiusClass":
         det = a * d - b * c
-        if _is_exact(det):
-            if det != 1:
-                raise ValueError(f"determinant must be 1, got {det}")
-        elif abs(float(det) - 1.0) > tol:
+        if not _equal(det, 1, _MATRIX_TOL):
             raise ValueError(f"determinant must be 1, got {det}")
-        for x in entries:
+        for x in (a, b, c, d):
             if x != 0:
                 if x < 0:
-                    entries = tuple(-e for e in entries)
+                    return MobiusClass(-a, -b, -c, -d)
                 break
-        return MobiusClass(*entries)
+        return MobiusClass(a, b, c, d)
 
     @staticmethod
     def identity(exact: bool = True) -> "MobiusClass":
@@ -147,13 +143,10 @@ class MobiusClass:
         return (self.a, self.b, self.c, self.d)
 
     def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in self.entries())
+        return not any(isinstance(x, float) for x in self.entries())
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        vals = (self.a - 1, self.b, self.c, self.d - 1)
-        if self.is_exact():
-            return all(v == 0 for v in vals)
-        return all(abs(float(v)) <= tol for v in vals)
+    def is_identity(self) -> bool:
+        return all(_equal(x, y, _MATRIX_TOL) for x, y in zip(self.entries(), (1, 0, 0, 1)))
 
     def apply_slope(self, u):
         """Action on the slope coordinate u = x/y; None encodes infinity."""
@@ -168,30 +161,23 @@ class MobiusClass:
 
 def generator(letter: int, lam) -> MobiusClass:
     """Derivative matrix of one multitwist letter."""
-    lam_e = _exactify(lam)
-    lam = lam_e if lam_e is not None else float(lam)
+    lam = _number(lam)
+    if letter not in _SHEARS:
+        raise ValueError(f"invalid letter {letter}")
     one = lam / lam if lam != 0 else 1  # matches the numeric type of lam
-    zero = lam - lam
-    if letter == 1:
-        return MobiusClass.make(one, lam, zero, one)
-    if letter == -1:
-        return MobiusClass.make(one, -lam, zero, one)
-    if letter == 2:
-        return MobiusClass.make(one, zero, -lam, one)
-    if letter == -2:
-        return MobiusClass.make(one, zero, lam, one)
-    raise ValueError(f"invalid letter {letter}")
+    units = (lam - lam, lam, -lam)
+    b, c = _SHEARS[letter]
+    return MobiusClass.make(one, units[b], units[c], one)
 
 
 def rho(word: TwistWord, lam) -> MobiusClass:
     """Evaluate the representation on a word, left to right."""
     if float(lam) <= 0:
         raise ValueError("lam must be positive")
-    lam_e = _exactify(lam)
-    exact = lam_e is not None
-    out = MobiusClass.identity(exact=exact)
+    lam = _number(lam)
+    out = MobiusClass.identity(exact=not isinstance(lam, float))
     for letter in word.letters:
-        out = out * generator(letter, lam_e if exact else float(lam))
+        out = out * generator(letter, lam)
     return out
 
 
@@ -199,16 +185,10 @@ def classify(m: MobiusClass, tol: float = 1e-9) -> str:
     """identity / elliptic / parabolic / hyperbolic by |trace| against 2."""
     if m.is_identity():
         return "identity"
-    tr = m.trace()
-    if m.is_exact():
-        at = abs(tr)
-        if at == 2:
-            return "parabolic"
-        return "elliptic" if at < 2 else "hyperbolic"
-    at = abs(float(tr))
-    if abs(at - 2.0) <= tol:
+    at = abs(m.trace())
+    if _equal(at, 2, tol):
         return "parabolic"
-    return "elliptic" if at < 2.0 else "hyperbolic"
+    return "elliptic" if at < 2 else "hyperbolic"
 
 
 @dataclass(frozen=True)
@@ -226,26 +206,21 @@ class BrennerReport:
 def brenner_check(m: MobiusClass, lam, tol: float = 1e-9) -> BrennerReport:
     """Recover the integer parameters (k11, k12, k21, k22) and test the
     trace-field interval exclusion with t = (lam + sqrt(lam^2 - 4))/2."""
-    lam_e = _exactify(lam)
-    if lam_e is None or lam_e < 2:
+    lam = _number(lam)
+    if isinstance(lam, float) or lam < 2:
         raise ValueError("brenner_check needs rational lam >= 2")
-    lam2 = lam_e * lam_e
+    lam2 = lam * lam
 
     def try_sign(sign):
         a, b, c, d = (sign * x for x in m.entries())
-        raw = ((a - 1) / lam2, b / lam_e, c / lam_e, (d - 1) / lam2)
         ks = []
-        for r in raw:
-            if _is_exact(r):
-                fr = r.as_fraction() if isinstance(r, QuadExt) else Fraction(r)
-                if fr.denominator != 1:
-                    return None
-                ks.append(int(fr))
-            else:
-                n = round(float(r))
-                if abs(float(r) - n) > tol:
-                    return None
-                ks.append(n)
+        for r in ((a - 1) / lam2, b / lam, c / lam, (d - 1) / lam2):
+            if isinstance(r, QuadExt):
+                r = r.as_fraction()
+            n = round(r)
+            if not _equal(r, n, tol):
+                return None
+            ks.append(n)
         return tuple(ks)
 
     ks = try_sign(1)
@@ -258,9 +233,9 @@ def brenner_check(m: MobiusClass, lam, tol: float = 1e-9) -> BrennerReport:
     k11, k12, _, _ = ks
     if k12 == 0:
         return BrennerReport(True, ks, sign, True, True, None)
-    t = (QuadExt(lam_e) + quad_sqrt(lam2 - 4)) / 2
+    t = (QuadExt(lam) + quad_sqrt(lam2 - 4)) / 2
     num = 1 + k11 * lam2
-    ratio = abs(Fraction(num, 1) / (Fraction(k12) * lam_e))
+    ratio = abs(Fraction(num, 1) / (Fraction(k12) * lam))
     inside = (1 / t) < ratio < t
     return BrennerReport(True, ks, sign, not inside, False, ratio)
 
@@ -276,16 +251,14 @@ class ProjectiveDirection:
     def make(x, y) -> "ProjectiveDirection":
         if x == 0 and y == 0:
             raise ValueError("direction (0,0) is not projective")
-        xe, ye = _exactify(x), _exactify(y)
-        if xe is None or ye is None:
+        x, y = _number(x), _number(y)
+        if isinstance(x, float) or isinstance(y, float):
             x, y = float(x), float(y)
             n = (x * x + y * y) ** 0.5
             x, y = x / n, y / n
             if x < 0 or (x == 0 and y < 0):
                 x, y = -x, -y
             return ProjectiveDirection(x, y)
-        x = xe if xe is not None else x
-        y = ye if ye is not None else y
         if x != 0:
             return ProjectiveDirection(x / x, y / x)
         return ProjectiveDirection(x - x, y / y)
@@ -297,16 +270,23 @@ class ProjectiveDirection:
         return self.x / self.y
 
     def is_exact(self) -> bool:
-        return _is_exact(self.x) and _is_exact(self.y)
+        return not (isinstance(self.x, float) or isinstance(self.y, float))
 
     def close_to(self, other: "ProjectiveDirection", tol: float = 1e-9) -> bool:
-        cross = self.x * other.y - self.y * other.x
-        if self.is_exact() and other.is_exact():
-            return cross == 0
-        return abs(float(cross)) <= tol
+        return _equal(self.x * other.y - self.y * other.x, 0, tol)
 
     def vector(self) -> tuple:
         return (self.x, self.y)
+
+
+def _fixed_direction(a, b, c, d, mu, diagonal) -> ProjectiveDirection:
+    """Direction fixed by [[a, b], [c, d]] with eigenvalue mu; the given
+    diagonal direction when b == c == 0."""
+    if b != 0:
+        return ProjectiveDirection.make(b, mu - a)
+    if c != 0:
+        return ProjectiveDirection.make(mu - d, c)
+    return ProjectiveDirection.make(*diagonal)
 
 
 def eigendirections(m: MobiusClass, tol: float = 1e-9):
@@ -320,38 +300,21 @@ def eigendirections(m: MobiusClass, tol: float = 1e-9):
     a, b, c, d = m.entries()
     tr = m.trace()
     if cls == "parabolic":
-        mu = tr / 2
-        if b != 0:
-            return [ProjectiveDirection.make(b, mu - a)]
-        if c != 0:
-            return [ProjectiveDirection.make(mu - d, c)]
-        return [ProjectiveDirection.make(1, 0)]
+        return [_fixed_direction(a, b, c, d, tr / 2, (1, 0))]
     disc = tr * tr - 4
     root = None
     if m.is_exact():
         try:
-            fr = disc.as_fraction() if isinstance(disc, QuadExt) else Fraction(disc)
-            root = quad_sqrt(fr)
-            half = Fraction(1, 2)
+            root = quad_sqrt(QuadExt.of(disc).as_fraction())
         except ValueError:  # irrational trace: drop to floats
-            root = None
+            pass
     if root is None:
-        tr = float(tr)
-        a, b, c, d = (float(x) for x in (a, b, c, d))
+        tr, a, b, c, d = (float(x) for x in (tr, a, b, c, d))
         root = float(disc) ** 0.5
-        half = 0.5
-    mus = [(tr + root) * half, (tr - root) * half]
-    mus.sort(key=lambda t_: -abs(float(t_)))  # expanding eigenvalue first
-    out = []
-    for mu in mus:
-        if b != 0:
-            out.append(ProjectiveDirection.make(b, mu - a))
-        elif c != 0:
-            out.append(ProjectiveDirection.make(mu - d, c))
-        else:
-            out.append(ProjectiveDirection.make(1, 0) if abs(float(a)) > 1
-                       else ProjectiveDirection.make(0, 1))
-    return out
+    # expanding eigenvalue first
+    mus = sorted(((tr + root) / 2, (tr - root) / 2), key=lambda mu: -abs(float(mu)))
+    diagonal = (1, 0) if abs(float(a)) > 1 else (0, 1)
+    return [_fixed_direction(a, b, c, d, mu, diagonal) for mu in mus]
 
 
 @dataclass(frozen=True)
@@ -364,12 +327,9 @@ class RenormVerdict:
 def _excluded_slopes(lam):
     """Slopes (as u values) whose group orbits are never renormalizable:
     fixed directions of A, of B^-1, and of the product B*A."""
-    lam_e = _exactify(lam)
-    exact = lam_e is not None
-    lamv = lam_e if exact else float(lam)
-    targets = [None, lamv - lamv]  # u = inf (A) and u = 0 (B^-1)
-    ba = generator(2, lamv) * generator(1, lamv)
-    eig = eigendirections(ba)
+    lam = _number(lam)
+    targets = [None, lam - lam]  # u = inf (A) and u = 0 (B^-1)
+    eig = eigendirections(generator(2, lam) * generator(1, lam))
     if eig is not ALL_DIRECTIONS:
         targets.extend(e.slope_u() for e in eig)
     return targets
@@ -383,19 +343,19 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60,
     excluded eigendirection; "yes" when it survives depth steps; floating
     ties too close to an interval boundary leave "undetermined".
     """
-    lam_e = _exactify(lam)
-    exact = lam_e is not None and d.is_exact()
-    if (lam_e if lam_e is not None else float(lam)) < 2:
+    lam = _number(lam)
+    if lam < 2:
         raise ValueError("renormalizable directions need lam >= 2")
     if depth < 1:
         raise ValueError("depth must be positive")
-    lamv = lam_e if exact else float(lam)
+    exact = d.is_exact() and not isinstance(lam, float)
     u = d.slope_u()
-    if not exact and u is not None:
-        u = float(u)
-    half = lamv / 2
-    small = 2 / lamv
-    excluded = _excluded_slopes(lamv)
+    if not exact:
+        lam = float(lam)
+        u = u if u is None else float(u)
+    half = lam / 2
+    small = 2 / lam
+    excluded = _excluded_slopes(lam)
     inv_letter = {1: -1, -1: 1, 2: -2, -2: 2}
     # interval owners, each as (letter, membership test)
     zones = [
@@ -406,17 +366,8 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60,
     ]
 
     def hits_excluded(v):
-        for t in excluded:
-            if v is None and t is None:
-                return True
-            if v is None or t is None:
-                continue
-            if exact and _is_exact(t):
-                if v == t:
-                    return True
-            elif abs(float(v) - float(t)) <= tol:
-                return True
-        return False
+        return any(v is t if v is None or t is None else _equal(v, t, tol)
+                   for t in excluded)
 
     def near_boundary(v):
         if v is None:
@@ -437,7 +388,7 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60,
                 return RenormVerdict("undetermined", "boundary-ambiguous exit", step)
             return RenormVerdict("no", "coding exits the limit-set intervals", step)
         letter = owners[0]
-        u = generator(inv_letter[letter], lamv).apply_slope(u)
+        u = generator(inv_letter[letter], lam).apply_slope(u)
         prev = letter
     if ambiguous and not exact:
         return RenormVerdict("undetermined", "depth exhausted near interval boundary", depth)

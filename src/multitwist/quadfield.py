@@ -12,6 +12,11 @@ callers that need that live in floating point instead.
 Everything the builders need stays inside one extension: for a rational
 stretch factor lam >= 2 the cylinder data lives in Q(sqrt(lam^2-4)), and
 eigendirections of integer matrices live in Q(sqrt(trace^2-4)).
+
+One rule says which values are exact: a number is exact when it is a
+rational or a QuadExt, and a computation is exact exactly when its inputs
+are; a float anywhere makes it float.  `_number` coerces a value under that
+rule and `_equal` compares two values under it.
 """
 
 from __future__ import annotations
@@ -268,6 +273,22 @@ def _field(a: Fraction, b: Fraction, d: int) -> QuadExt:
 
 
 _set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
+
+
+def _number(x):
+    """x as a Fraction or QuadExt when it is exact, as a float otherwise."""
+    if isinstance(x, QuadExt):
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    return float(x)
+
+
+def _equal(a, b, tol) -> bool:
+    """a == b when both are exact; |a - b| <= tol once either is a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(float(a) - float(b)) <= tol
+    return a == b
 
 
 def quad_sqrt(x) -> QuadExt:

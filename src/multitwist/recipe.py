@@ -245,17 +245,18 @@ def surgery(t: EndTreeSpec, marks=None) -> SurgeredGraph:
     """
     marks = t.genus_marks if marks is None else frozenset(marks)
     leaves = t.leaves()
+    vertices = t.vertices()
+    ch = t.children()
     for v in marks:
         if v in leaves:
             raise ValueError(f"genus mark {v} is a leaf")
-        if v not in t.vertices():
+        if v not in vertices:
             raise ValueError(f"genus mark {v} not in the tree")
     edges = set()
     pm = t.parent_map()
     for c, p in pm.items():
         edges.add(tuple(sorted((repr(c), repr(p)))))
     triangles = 0
-    ch = t.children()
     for v in sorted(marks, key=repr):
         kids = sorted(ch[v], key=repr)
         va, vb = f"{v!r}*a", f"{v!r}*b"

@@ -46,8 +46,13 @@ class _Layout:
 
 def surface_svg(m: RectangleComplex, trajectories=(), shade=None,
                 scale: float = 60.0) -> str:
-    """Render the complex; trajectories are flow Trajectory objects, shade an
-    optional set of edges to fill (coverage pictures)."""
+    """Render the complex; shade is an optional set of edges to fill
+    (coverage pictures).
+
+    A trajectory is anything with `segments`, each read by position as
+    (edge, x_in, y_in, x_out, y_out, ...), and a `terminal`: a flow
+    Trajectory or a parsed TrajectoryDump.
+    """
     lay = _Layout(m)
     shade = set(shade or ())
     pad = 0.5
@@ -91,14 +96,12 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None,
     palette = ("#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
     for k, traj in enumerate(trajectories):
         color = palette[k % len(palette)]
-        for seg in traj.segments:
-            x1, y1 = lay.point(seg.edge, seg.x_in, seg.y_in)
-            x2, y2 = lay.point(seg.edge, seg.x_out, seg.y_out)
+        for edge, x_in, y_in, x_out, y_out, *_ in traj.segments:
+            x1, y1 = lay.point(edge, x_in, y_in)
+            x2, y2 = lay.point(edge, x_out, y_out)
             out.append(f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" '
                        f'y2="{sy(y2)}" stroke="{color}" stroke-width="1.5"/>')
-        if traj.segments:
-            last = traj.segments[-1]
-            x2, y2 = lay.point(last.edge, last.x_out, last.y_out)
+        if traj.segments:  # (x2, y2) is where the last segment leaves
             if traj.terminal == "window-exit":
                 out.append(f'<circle cx="{sx(x2)}" cy="{sy(y2)}" r="4" '
                            f'fill="none" stroke="{color}" stroke-width="1.5" '

@@ -215,6 +215,23 @@ class TestFlowSvg:
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
 
+    # 1:2 runs out of budget, 1:3 leaves the window (a dashed end marker)
+    @pytest.mark.parametrize("direction", ["1:2", "1:3"])
+    @pytest.mark.parametrize("shade", [[], ["--shade-coverage"]])
+    def test_svg_of_dump_matches_svg_of_flow(self, runner, tmp_path, direction, shade):
+        surf = tmp_path / "st.surf"
+        runner.invoke(main, ["build", "--family", "staircase", "--window",
+                             "-3:4", "--lambda", "2", "-o", str(surf)])
+        flow_args = ["--start", "0:0.25:0.1", "--dir", direction, "--length", "20"]
+        traj = tmp_path / "t.dump"
+        res = runner.invoke(main, ["flow", str(surf), *flow_args, "-o", str(traj)])
+        assert res.exit_code == 0, res.output
+        from_dump = runner.invoke(main, ["svg", str(surf), "--traj", str(traj), *shade])
+        from_flow = runner.invoke(main, ["svg", str(surf), *flow_args, *shade])
+        assert from_dump.exit_code == 0 and from_flow.exit_code == 0
+        assert "<line" in from_flow.output
+        assert from_dump.output == from_flow.output
+
     @pytest.mark.parametrize("command, start", [("svg", "0:0.5"), ("flow", "99:0.5:0.5"),
                                                 ("svg", "99:0.5:0.5")])
     def test_bad_start_exits_2(self, runner, tmp_path, command, start):

@@ -1,5 +1,6 @@
 """Straight-line flow, twists, separatrices, convergence scenarios."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -238,6 +239,53 @@ class TestTwist:
         assert twist_action(st, "alpha", p, 1, support={2}) == p  # 0 not in support
         moved = twist_action(st, "alpha", p, 1, support={0})
         assert moved != p
+
+
+def double_edge_complex(flips, exact):
+    """Two unit squares over the double-edge graph at lam = 2: each family
+    is one cylinder of modulus 1/2; flips rotate charts along it."""
+    g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
+    rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=flips)
+    one = 1 if exact else 1.0
+    return build_surface(g, rib, HarmonicAssignment(lam=2 * one, values={0: one, 1: one}))
+
+
+class TestTwistRotatedCharts:
+    FLIPS = {"N": [(0, "N"), (1, "N")], "E": [(0, "E"), (1, "E")],
+             "NE": [(0, "N"), (1, "N"), (0, "E"), (1, "E")]}
+    # dyadic coordinates keep float arithmetic exact at lam = 2
+    INTERIOR = ((Fraction(1, 8), Fraction(3, 16)), (Fraction(3, 4), Fraction(5, 8)),
+                (Fraction(1, 2), Fraction(7, 8)))
+
+    @staticmethod
+    def points(m, coords):
+        num = float if isinstance(m.lam, float) else Fraction
+        return [SurfacePoint(e, num(x), num(y)) for e in (0, 1) for x, y in coords]
+
+    @pytest.mark.parametrize("flips", FLIPS)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_group_action(self, flips, exact, family):
+        m = double_edge_complex(self.FLIPS[flips], exact)
+        assert -1 in m.h_layouts[0].orients + m.v_layouts[1].orients
+        for p in self.points(m, self.INTERIOR):
+            once = twist_action(m, family, p, 1)
+            assert once != p
+            assert twist_action(m, family, once, -1) == p
+            assert twist_action(m, family, once, 1) == twist_action(m, family, p, 2)
+
+    @pytest.mark.parametrize("flips", FLIPS)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_boundary_fixed(self, flips, exact, family):
+        m = double_edge_complex(self.FLIPS[flips], exact)
+        along = (Fraction(1, 8), Fraction(1, 2), Fraction(3, 4))
+        ends = (Fraction(0), Fraction(1))
+        coords = [(a, b) if family == "alpha" else (b, a)
+                  for a, b in itertools.product(along, ends)]
+        for p in self.points(m, coords):
+            for power in (-1, 1, 2):
+                assert twist_action(m, family, p, power) == p
 
 
 class TestSeparatrices:

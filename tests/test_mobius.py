@@ -1,5 +1,6 @@
 """Multitwist matrices: representation, classification, projective coding."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from multitwist.mobius import (
     renormalizable,
     rho,
 )
+from multitwist.quadfield import QuadExt
 
 
 def random_reduced_word(rng, alphabet, max_len):
@@ -218,3 +220,40 @@ class TestRenormalizable:
         exp = eigendirections(rho(TwistWord.make("aB"), 2))[0]
         v = renormalizable(exp, 2, 40)
         assert v.verdict == "yes"
+
+
+class TestExactOrFloat:
+    """A value is exact or float; a float anywhere compares with a tolerance."""
+
+    def test_close_to_between_exact_and_float_uses_the_tolerance(self):
+        exact = ProjectiveDirection.make(1, 2)
+        near = ProjectiveDirection.make(1.0, 2.0 + 1e-12)
+        far = ProjectiveDirection.make(1.0, 2.001)
+        assert exact.is_exact() and not near.is_exact()
+        assert exact.close_to(near) and near.close_to(exact)
+        assert not exact.close_to(near, tol=1e-15)
+        assert not exact.close_to(far) and not far.close_to(exact)
+
+    def test_float_determinant_within_tolerance(self):
+        m = MobiusClass.make(1.0, 0.0, 0.0, 1.0 + 1e-13)
+        assert m.is_identity() and classify(m) == "identity"
+        with pytest.raises(ValueError, match="determinant must be 1"):
+            MobiusClass.make(1.0, 0.0, 0.0, 1.0 + 1e-9)
+
+    def test_exact_determinant_has_no_tolerance(self):
+        with pytest.raises(ValueError, match="determinant must be 1"):
+            MobiusClass.make(Fraction(1), Fraction(0), Fraction(0), 1 + Fraction(1, 10**15))
+
+    def test_exact_coding_compares_across_quadratic_fields(self):
+        # the excluded slopes at lam = 3 lie in Q(sqrt 5); most positive
+        # words of length 6 have their eigendirections in other fields
+        radicands = set()
+        for letters in itertools.product((1, -2), repeat=6):
+            m = rho(TwistWord.make(letters), 3)
+            exp = eigendirections(m)[0]
+            assert exp.is_exact()
+            if isinstance(exp.y, QuadExt):
+                radicands.add(exp.y.d)
+            v = renormalizable(exp, 3, depth=60)
+            assert v.verdict == ("yes" if classify(m) == "hyperbolic" else "no")
+        assert radicands - {0, 5}

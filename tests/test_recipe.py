@@ -180,6 +180,26 @@ class TestSurgery:
         with pytest.raises(ValueError, match="leaf"):
             surgery(t, marks={leaf})
 
+    def test_unknown_mark_rejected(self):
+        with pytest.raises(ValueError, match="genus mark 99 not in the tree"):
+            surgery(loch_ness_tree(3), marks={1, 99})
+
+    def test_deep_tree_in_linear_time(self):
+        def ratio():
+            specs = {depth: loch_ness_tree(depth) for depth in (2000, 4000)}
+            best = dict.fromkeys(specs, float("inf"))
+            for _ in range(5):  # interleaved, so both sizes see the same load
+                for depth, spec in specs.items():
+                    t0 = time.perf_counter()
+                    surgery(spec)
+                    best[depth] = min(best[depth], time.perf_counter() - t0)
+            return best[4000] / best[2000]
+
+        # linear work plus the sort of the output measures about 2.2x per
+        # doubling, a membership scan per mark 4x; three attempts keep a
+        # busy machine from failing the linear case
+        assert any(ratio() <= 2.5 for _ in range(3))
+
 
 class TestBuildMulticurves:
     def test_once_punctured_torus_m1(self):
