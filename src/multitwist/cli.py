@@ -258,12 +258,16 @@ def classify(word, lam, exact, depth, tol):
                f"[{formats.format_number(c)}, {formats.format_number(d)}]]")
     click.echo(f"trace {formats.format_number(m.trace())}  class {cls}")
     if float(lam_v) >= 2 and not isinstance(lam_v, float):
-        rep = mobius.brenner_check(m, lam_v, tol)
-        if rep.in_form:
-            extra = "vacuous" if rep.vacuous else ("ok" if rep.interval_ok else "VIOLATED")
-            click.echo(f"integer form ks={rep.ks} interval {extra}")
+        try:
+            rep = mobius.brenner_check(m, lam_v, tol)
+        except ValueError as exc:  # an irrational lambda
+            click.echo(f"integer form: not checked ({exc})")
         else:
-            click.echo("integer form: not matched")
+            if rep.in_form:
+                extra = "vacuous" if rep.vacuous else ("ok" if rep.interval_ok else "VIOLATED")
+                click.echo(f"integer form ks={rep.ks} interval {extra}")
+            else:
+                click.echo("integer form: not matched")
     eig = mobius.eigendirections(m, tol)
     if eig is mobius.ALL_DIRECTIONS:
         click.echo("eigendirections: all (identity)")

@@ -2,7 +2,7 @@
 
 Every emitter is deterministic (sorted iteration, canonical number
 formatting) and every parser reports the offending line number.  Numbers
-round-trip exactly: rationals as p/q, quadratic values as a+b*rD (so
+round-trip exactly: rationals as p/q, quadratic values as a+brd (so
 3/2+1/2r5 is (3 + sqrt(5))/2), floats via repr.
 """
 
@@ -24,10 +24,6 @@ class FormatError(ValueError):
         self.line = line
 
 
-_QUAD_RE = re.compile(r"^(?P<a>[+-]?\d+(?:/\d+)?)"
-                      r"(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)r(?P<d>\d+)$")
-
-
 def format_number(x) -> str:
     if isinstance(x, QuadExt):
         if x.b == 0:
@@ -41,26 +37,54 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
+def _is_ratio(s: str) -> bool:
+    """s is digits, or digits/digits (decimal digits of any script)."""
+    num, slash, den = s.partition("/")
+    return num.isdecimal() and (not slash or den.isdecimal())
+
+
+def _quad_parts(tok: str):
+    """(a, sign, b, d) of a token a+brd or a-brd, where a is an optionally
+    signed ratio, b a ratio and d digits; None for any other token.  d may
+    end in one newline, which `int` ignores."""
+    head, r, d = tok.partition("r")
+    cut = max(head.rfind("+"), head.rfind("-"))
+    a, b = head[:cut], head[cut + 1:]
+    if (r and cut > 0 and d.removesuffix("\n").isdecimal() and _is_ratio(b)
+            and _is_ratio(a[1:] if a[:1] in ("+", "-") else a)):
+        return a, head[cut], b, d
+    return None
+
+
 def parse_number(tok: str, line: int = 0):
-    m = _QUAD_RE.match(tok)
-    if m:
-        b = Fraction(m.group("b"))
-        if m.group("sign") == "-":
-            b = -b
-        return QuadExt(Fraction(m.group("a")), b, int(m.group("d")))
+    """An integer or p/q token as a Fraction, a+brd or a-brd as a QuadExt
+    (a, b integers or ratios, d digits), anything else as a float; a
+    token none of these read is a FormatError."""
+    if "r" in tok:
+        parts = _quad_parts(tok)
+        if parts is not None:
+            a, sign, b, d = parts
+            b = Fraction(b)
+            return QuadExt(Fraction(a), -b if sign == "-" else b, int(d))
     try:
-        if "/" in tok or re.fullmatch(r"[+-]?\d+", tok):
+        if "/" in tok or (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
             return Fraction(tok)
         return float(tok)
     except ValueError as exc:
         raise FormatError(f"bad number {tok!r}", line) from exc
 
 
-def _tokens(text: str):
+def _tokens(text: str) -> list:
+    """(line number, tokens) of every line with a token, comments dropped.
+    The tokens are a tuple of strings, which the garbage collector stops
+    tracking at its next pass, so a long file does not add to the
+    collections the rest of the program pays for."""
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        toks = tuple(raw.partition("#")[0].split())
+        if toks:
+            out.append((lineno, toks))
+    return out
 
 
 def _int(tok: str, line: int) -> int:
@@ -80,9 +104,13 @@ def write_graph(g: BipartiteConfigGraph) -> str:
 
 
 def parse_graph(text: str) -> BipartiteConfigGraph:
+    return _read_graph(_tokens(text))
+
+
+def _read_graph(lines) -> BipartiteConfigGraph:
     header = None
     edges = {}
-    for lineno, toks in _tokens(text):
+    for lineno, toks in lines:
         if toks[0] == "bipartite":
             if len(toks) != 5:
                 raise FormatError("bipartite header needs 4 integers", lineno)
@@ -123,9 +151,13 @@ def write_harmonic(h: HarmonicAssignment) -> str:
 
 
 def parse_harmonic(text: str) -> HarmonicAssignment:
+    return _read_harmonic(_tokens(text))
+
+
+def _read_harmonic(lines) -> HarmonicAssignment:
     lam = None
     values = {}
-    for lineno, toks in _tokens(text):
+    for lineno, toks in lines:
         if toks[0] == "lambda":
             if len(toks) != 2:
                 raise FormatError("lambda needs <value>", lineno)
@@ -170,11 +202,33 @@ def write_surface(m: RectangleComplex) -> str:
 
 
 def parse_surface(text: str) -> RectangleComplex:
-    graph = parse_graph(text)
+    # the text is split once; its tokens are dropped before the build
+    graph, harmonic, sigma, flips, named, faces = _read_surface(_tokens(text))
+    try:
+        m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
+                          harmonic=harmonic)
+    except RibbonError as exc:
+        raise FormatError(str(exc), named.get(exc.record, {}).get(exc.edge, 0)) from exc
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    tokens = {"puncture": [], "marked": []}
+    for tag, idx, line in faces:
+        if not 0 <= idx < len(m.corner_cycles):
+            raise FormatError(f"{tag} cycle {idx} out of range", line)
+        tokens[tag].append(m.corner_cycles[idx].corners[0])
+    return mark_faces(m, tokens["puncture"], *tokens["marked"])
+
+
+def _read_surface(lines) -> tuple:
+    """A surface file's records, read by the graph, harmonic and ribbon
+    readers in turn: (graph, harmonic data or None, the sigma_h and sigma_v
+    successor maps, flips, the line naming each edge in each map, face
+    marks as (tag, cycle index, line))."""
+    graph = _read_graph(lines)
     edges = graph.edge_map()
     harmonic = None
-    if any(toks[0] == "lambda" for _, toks in _tokens(text)):
-        harmonic = parse_harmonic(text)
+    if any(toks[0] == "lambda" for _, toks in lines):
+        harmonic = _read_harmonic(lines)
 
     def edge(tok, tag, line):
         e = _int(tok, line)
@@ -186,7 +240,7 @@ def parse_surface(text: str) -> RectangleComplex:
     named = {"sigma_h": {}, "sigma_v": {}}  # edge -> line of the record naming it
     flips = set()
     faces = []  # (tag, cycle index, line)
-    for lineno, toks in _tokens(text):
+    for lineno, toks in lines:
         tag = toks[0]
         if tag in ("sigma_h", "sigma_v", "sigma_h*", "sigma_v*"):
             name = tag.rstrip("*")
@@ -215,19 +269,7 @@ def parse_surface(text: str) -> RectangleComplex:
             if tag == "marked" and any(t == tag for t, _, _ in faces):
                 raise FormatError("more than one marked record", lineno)
             faces.append((tag, _int(toks[1], lineno), lineno))
-    try:
-        m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
-                          harmonic=harmonic)
-    except RibbonError as exc:
-        raise FormatError(str(exc), named.get(exc.record, {}).get(exc.edge, 0)) from exc
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    tokens = {"puncture": [], "marked": []}
-    for tag, idx, line in faces:
-        if not 0 <= idx < len(m.corner_cycles):
-            raise FormatError(f"{tag} cycle {idx} out of range", line)
-        tokens[tag].append(m.corner_cycles[idx].corners[0])
-    return mark_faces(m, tokens["puncture"], *tokens["marked"])
+    return graph, harmonic, sigma, flips, named, faces
 
 
 # -- trajectories -----------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .quadfield import QuadExt, root_plus
+from .quadfield import _ZERO, QuadExt, _field, _squarefree_split
 
 
 @dataclass(frozen=True)
@@ -198,15 +198,51 @@ def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
     return harmonic_truncated(g, float(eigvals[-1]), {v0: 1.0}).assignment()
 
 
+def _trusted(lam, values) -> HarmonicAssignment:
+    """A HarmonicAssignment whose values are positive by construction,
+    made without running the per-value check again."""
+    h = object.__new__(HarmonicAssignment)
+    object.__setattr__(h, "lam", lam)
+    object.__setattr__(h, "values", values)
+    return h
+
+
+def _lucas_pair(p: int, q2: int, disc: int, n: int) -> tuple:
+    """(V_n, U_n) of the Lucas sequences x_{k+1} = p x_k - q2 x_{k-1} with
+    V_0, V_1 = 2, p and U_0, U_1 = 0, 1, by squaring on alpha^n =
+    (V_n + U_n sqrt(disc)) / 2, where disc = p^2 - 4 q2."""
+    out, base = (2, 0), (p, 1)
+    while n:
+        if n & 1:
+            out = ((out[0] * base[0] + disc * out[1] * base[1]) // 2,
+                   (out[0] * base[1] + out[1] * base[0]) // 2)
+        base = ((base[0] * base[0] + disc * base[1] * base[1]) // 2, base[0] * base[1])
+        n >>= 1
+    return out
+
+
 def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     """h(n) = r^n on the ladder window, r the larger root of r + 1/r = lam.
 
     Exact (quadratic-field) values when lam is an int or a Fraction; floats
-    when lam is a float or irrational.  The exact heights cost one field
-    multiply per vertex: r^lo once, then h(n + 1) = h(n) * r.  Below lam = 2
-    the bi-infinite path carries no positive harmonic function, so that is
-    a domain error, as is a lam that is not finite.  At lam = 2 the
-    function is constant 1.
+    when lam is a float or irrational.  Below lam = 2 the bi-infinite path
+    carries no positive harmonic function, so that is a domain error, as is
+    a lam that is not finite.  At lam = 2 the function is constant 1, one
+    shared QuadExt(1).
+
+    For lam = p/q > 2 in lowest terms, r = (p + sqrt(D)) / (2q) with
+    D = p^2 - 4q^2 = s^2 d, d squarefree, and
+
+        r^n = (V_n + U_n s sqrt(d)) / (2 q^n),    r^-n = (V_n - U_n s sqrt(d)) / (2 q^n),
+
+    the second being the conjugate of the first since r times its
+    conjugate is 1.  V_n and U_n are the integer Lucas sequences of
+    x_{n+1} = p x_n - q^2 x_{n-1} (V_0, V_1 = 2, p; U_0, U_1 = 0, 1), run
+    over the |n| the window covers, so each height costs a few integer
+    operations and two Fractions, whatever its size.  When D is a square
+    (lam = 5/2, 10/3, ...) r is rational and the heights are QuadExt with
+    d = 0.  The exact heights are powers of r > 0, so positive by
+    construction; only the float path checks its values.
     """
     try:
         lam_q = None if isinstance(lam, float) else Fraction(lam)
@@ -216,13 +252,30 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
         if lam_q < 2:
             raise ValueError("ladder harmonic functions need lam >= 2")
         if lam_q == 2:
-            values = {n: QuadExt(1) for n in range(fam.lo, fam.hi + 1)}
-            return HarmonicAssignment(lam=QuadExt(2), values=values)
-        r = root_plus(lam_q)
-        values = {fam.lo: r ** fam.lo}
-        for n in range(fam.lo + 1, fam.hi + 1):
-            values[n] = values[n - 1] * r
-        return HarmonicAssignment(lam=QuadExt(lam_q), values=values)
+            return _trusted(QuadExt(2), dict.fromkeys(range(fam.lo, fam.hi + 1), QuadExt(1)))
+        p, q = lam_q.numerator, lam_q.denominator
+        q2 = q * q
+        disc = p * p - 4 * q2
+        s, d = _squarefree_split(disc)
+        if d == 1:  # r is rational: s sqrt(d) is the integer sqrt(disc)
+            s, d = math.isqrt(disc), 0
+        lo, hi = fam.lo, fam.hi
+        first = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        (v, u), (v1, u1) = (_lucas_pair(p, q2, disc, k) for k in (first, first + 1))
+        den = 2 * q ** first
+        powers = []  # (r^k, r^-k) for k = first .. max |n|
+        for _ in range(first, max(abs(lo), abs(hi)) + 1):
+            if d:
+                a, b = Fraction(v, den), Fraction(u * s, den)
+                powers.append((_field(a, b, d), _field(a, -b, d)))
+            else:
+                powers.append((_field(Fraction(v + u * s, den), _ZERO, 0),
+                               _field(Fraction(v - u * s, den), _ZERO, 0)))
+            v, v1 = v1, p * v1 - q2 * v
+            u, u1 = u1, p * u1 - q2 * u
+            den *= q
+        values = {n: powers[abs(n) - first][n < 0] for n in range(lo, hi + 1)}
+        return _trusted(QuadExt(lam_q), values)
     lam_f = float(lam)
     if not (math.isfinite(lam_f) and lam_f >= 2):
         raise ValueError(f"ladder harmonic functions need a finite lam >= 2, got {lam_f}")

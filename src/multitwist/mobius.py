@@ -205,9 +205,12 @@ class BrennerReport:
 
 def brenner_check(m: MobiusClass, lam, tol: float = 1e-9) -> BrennerReport:
     """Recover the integer parameters (k11, k12, k21, k22) and test the
-    trace-field interval exclusion with t = (lam + sqrt(lam^2 - 4))/2."""
+    trace-field interval exclusion with t = (lam + sqrt(lam^2 - 4))/2.
+    lam must be a rational >= 2 (a QuadExt with no sqrt part counts)."""
     lam = _number(lam)
-    if isinstance(lam, float) or lam < 2:
+    if isinstance(lam, QuadExt) and lam.is_rational():
+        lam = lam.as_fraction()
+    if not isinstance(lam, Fraction) or lam < 2:
         raise ValueError("brenner_check needs rational lam >= 2")
     lam2 = lam * lam
 
@@ -311,10 +314,11 @@ def eigendirections(m: MobiusClass, tol: float = 1e-9):
     if root is None:
         tr, a, b, c, d = (float(x) for x in (tr, a, b, c, d))
         root = float(disc) ** 0.5
-    # expanding eigenvalue first
+    # expanding eigenvalue first; a diagonal matrix expands along the axis
+    # of its entry of modulus > 1 and contracts along the other
     mus = sorted(((tr + root) / 2, (tr - root) / 2), key=lambda mu: -abs(float(mu)))
-    diagonal = (1, 0) if abs(float(a)) > 1 else (0, 1)
-    return [_fixed_direction(a, b, c, d, mu, diagonal) for mu in mus]
+    axes = ((1, 0), (0, 1)) if abs(float(a)) > 1 else ((0, 1), (1, 0))
+    return [_fixed_direction(a, b, c, d, mu, axis) for mu, axis in zip(mus, axes)]
 
 
 @dataclass(frozen=True)

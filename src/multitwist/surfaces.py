@@ -125,8 +125,7 @@ class CornerCycle:
         return self.k * math.pi / 2
 
 
-@dataclass(frozen=True)
-class CylinderLayout:
+class CylinderLayout(NamedTuple):
     """Unrolled coordinates of one cylinder: rectangles, orientations, offsets."""
 
     vertex: int
@@ -333,9 +332,9 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
     frontier = set()
     layouts = {}
     for v, (seq, closed), (orients, o) in zip(vertices, comps, walks):
-        offsets = []
-        pos = 0
-        for e in seq:
+        offsets = [0]
+        pos = size[seq[0]]
+        for e in seq[1:]:
             offsets.append(pos)
             pos = pos + size[e]
         if closed and o != 1:
@@ -344,9 +343,8 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
         if not closed:  # a path starts chart-aligned
             frontier.add((seq[0], OPPOSITE[src_side]))
             frontier.add((seq[-1], src_side if o == 1 else OPPOSITE[src_side]))
-        layouts[v] = CylinderLayout(vertex=v, edges=tuple(seq), orients=tuple(orients),
-                                    offsets=tuple(offsets), length=pos,
-                                    transverse=values[v], closed=closed)
+        layouts[v] = CylinderLayout(v, tuple(seq), tuple(orients), tuple(offsets), pos,
+                                    values[v], closed)
     return gluings, frontier, layouts
 
 
@@ -357,8 +355,9 @@ def _corner_chains(edges, gluings):
     succ = {}
     for e in edges:
         for c, (side, _) in _CCW_EXIT.items():
-            if (e, side) in gluings:
-                e2, side2, rev = gluings[(e, side)]
+            glue = gluings.get((e, side))
+            if glue is not None:
+                e2, side2, rev = glue
                 succ[(e, c)] = (e2, _CCW_LAND[(c, side2, rev)])
     corners = sorted(CORNERS)
     return sorted(_components(succ, [(e, c) for e in edges for c in corners]),
@@ -406,15 +405,18 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
 
     Rectangle e gets width values[j] and height values[i] for its endpoints
     (i, j); values defaults to the harmonic assignment, or to all-1 squares
-    when neither is given (combinatorial census builds).  No corner cycle
-    is punctured or marked; mark_faces sets those flags on the result.
+    when neither is given (combinatorial census builds).  Only an explicit
+    values argument is checked positive here: a HarmonicAssignment checked
+    its own values when it was made.  No corner cycle is punctured or
+    marked; mark_faces sets those flags on the result.
     """
-    if values is None:
+    checked = values is None
+    if checked:
         values = harmonic.values if harmonic is not None else {v: 1 for v in graph.vertices()}
     for v in graph.vertices():
         if v not in values:
             raise ValueError(f"no value for vertex {v}")
-        if not values[v] > 0:
+        if not (checked or values[v] > 0):
             raise ValueError(f"value at vertex {v} must be positive")
     emap = graph.edge_map()
     edges = sorted(emap)
@@ -462,9 +464,12 @@ def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleCompl
 
     punctured = {resolve(token) for token in punctures}
     marked = None if marked is None else resolve(marked)
-    return replace(m, corner_cycles=tuple(
-        replace(c, puncture=c.index in punctured, marked=c.index == marked)
-        for c in m.corner_cycles))
+    cycles = []
+    for c in m.corner_cycles:
+        flags = (c.index in punctured, c.index == marked)
+        cycles.append(c if flags == (c.puncture, c.marked)
+                      else replace(c, puncture=flags[0], marked=flags[1]))
+    return replace(m, corner_cycles=tuple(cycles))
 
 
 def cylinders(m: RectangleComplex, direction: str) -> list:
@@ -568,7 +573,8 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
                 punctures.append(token)
             if cyc.marked:
                 marked = token if marked is None else marked
-    return mark_faces(build_surface(graph, ribbon, harmonic=harmonic, values=values),
+    return mark_faces(build_surface(graph, ribbon, harmonic=harmonic,
+                                    values=None if harmonic is not None else values),
                       punctures, marked)
 
 
@@ -595,7 +601,7 @@ def staircase_complex(lo: int, hi: int, lam, exact: bool = True) -> RectangleCom
     fam = LadderFamily(lo, hi)
     g = fam.graph()
     h = harmonic_closed_form(fam, lam)
-    if not exact:
+    if not exact and not isinstance(h.lam, float):  # round the exact heights
         h = HarmonicAssignment(lam=float(h.lam), values={v: float(x) for v, x in h.values.items()})
     sigma_h = {}
     sigma_v = {}

@@ -145,6 +145,13 @@ class TestClassify:
         assert "trace 11" in res.output and "hyperbolic" in res.output
         assert "ks=(1, 1, 1, 0)" in res.output
 
+    def test_irrational_lambda_skips_the_integer_form(self, runner):
+        res = runner.invoke(main, ["classify", "--word", "aB", "--lambda", "1+1r5"])
+        assert res.exit_code == 0, res.output
+        assert res.exception is None
+        assert "integer form: not checked (brenner_check needs rational lam >= 2)" in res.output
+        assert "hyperbolic" in res.output and "eigendirection" in res.output
+
     def test_empty_word_is_identity(self, runner):
         res = runner.invoke(main, ["classify", "--word", "", "--lambda", "2"])
         assert res.exit_code == 0

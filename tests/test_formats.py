@@ -31,6 +31,23 @@ class TestNumbers:
         with pytest.raises(formats.FormatError):
             formats.parse_number("3r", line=7)
 
+    @pytest.mark.parametrize("tok, want", [
+        ("17", Fraction(17)), ("+3", Fraction(3)), ("-0", Fraction(0)), ("-12/5", Fraction(-12, 5)),
+        ("1+1r5", QuadExt(1, 1, 5)), ("-1/3-2/7r13", QuadExt(Fraction(-1, 3), Fraction(-2, 7), 13)),
+        ("1+2r4", QuadExt(5)), ("1e5", 1e5), ("inf", float("inf")), ("1_0", 10.0), ("5.", 5.0),
+    ])
+    def test_number_forms(self, tok, want):
+        got = formats.parse_number(tok)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("tok", ["", "+", "++1", "1/", "/2", "1 /2", "0x10", "1+r5", "1r5",
+                                     "+1r5", "1+1r", "1+1r5r", "1+1R5", "1.5+1r5", "1+1r-5",
+                                     "1+-1r5", "1+1/2/3r5"])
+    def test_rejected_tokens_name_their_line(self, tok):
+        with pytest.raises(formats.FormatError) as err:
+            formats.parse_number(tok, line=7)
+        assert str(err.value) == f"line 7: bad number {tok!r}" and err.value.line == 7
+
 
 class TestGraphFormat:
     def test_round_trip(self):

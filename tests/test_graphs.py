@@ -139,8 +139,9 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             harmonic_closed_form(LadderFamily(0, 3), Fraction(3, 2))
 
-    @pytest.mark.parametrize("lam", [3, Fraction(5, 2), 7])
-    @pytest.mark.parametrize("window", [(-9, 11), (4, 19), (-17, -6)])
+    @pytest.mark.parametrize("lam", [3, Fraction(5, 2), 7, Fraction(10, 3), Fraction(7, 3)])
+    @pytest.mark.parametrize("window", [(-9, 11), (4, 19), (-17, -6), (-1, 0), (0, 1),
+                                        (300, 305), (-305, -300)])
     def test_exact_heights_are_powers_of_r(self, lam, window):
         h = harmonic_closed_form(LadderFamily(*window), lam)
         r = root_plus(lam)
@@ -151,6 +152,18 @@ class TestClosedForm:
             assert (x.a, x.b, x.d) == (p.a, p.b, p.d)
         for n in range(window[0] + 1, window[1]):
             assert h[n - 1] + h[n + 1] == lam * h[n]
+
+    @pytest.mark.parametrize("lam", [Fraction(5, 2), Fraction(10, 3)])
+    def test_rational_r_folds_to_the_rationals(self, lam):
+        h = harmonic_closed_form(LadderFamily(-6, 7), lam)
+        r = root_plus(lam)
+        assert r.d == 0
+        assert all(x.b == 0 and x.d == 0 for x in h.values.values())
+        assert all(h[n] == r.a ** n for n in range(-6, 8))
+
+    def test_lambda_two_shares_one_height(self):
+        h = harmonic_closed_form(LadderFamily(-30, 31), 2)
+        assert len({id(x) for x in h.values.values()}) == 1
 
     def test_constant_and_float_paths(self):
         h = harmonic_closed_form(LadderFamily(-3, 4), 2)

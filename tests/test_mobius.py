@@ -152,6 +152,16 @@ class TestBrenner:
         m = MobiusClass.make(Fraction(2), Fraction(1), Fraction(1), Fraction(1))
         assert not brenner_check(m, 3).in_form
 
+    @pytest.mark.parametrize("word", ["aB", "ab", "aaB", "aBBa"])
+    def test_irrational_lambda_is_the_documented_error(self, word):
+        lam = QuadExt(1, 1, 5)
+        with pytest.raises(ValueError, match="needs rational lam >= 2"):
+            brenner_check(rho(TwistWord.make(word), lam), lam)
+
+    def test_rational_quadext_lambda_reads_as_its_fraction(self):
+        m = rho(TwistWord.make("aB"), 3)
+        assert brenner_check(m, QuadExt(3)) == brenner_check(m, 3)
+
 
 class TestEigendirections:
     def test_unipotent_fixes_horizontal(self):
@@ -173,6 +183,19 @@ class TestEigendirections:
 
     def test_identity_sentinel(self):
         assert eigendirections(MobiusClass.identity()) is ALL_DIRECTIONS
+
+    @pytest.mark.parametrize("a, expanding", [(Fraction(2), (1, 0)), (Fraction(1, 2), (0, 1)),
+                                              (2.0, (1, 0)), (0.5, (0, 1))])
+    def test_diagonal_matrix_has_both_axes(self, a, expanding):
+        m = MobiusClass.make(a, 0 * a, 0 * a, 1 / a)
+        contracting = (expanding[1], expanding[0])
+        assert [d.vector() for d in eigendirections(m)] == [expanding, contracting]
+
+    def test_diagonal_word_at_lambda_one_half(self):
+        m = rho(TwistWord.make("abbAAB"), Fraction(1, 2))
+        assert m.entries() == (Fraction(1, 2), 0, 0, 2)
+        exp, con = eigendirections(m)
+        assert exp.vector() == (0, 1) and con.vector() == (1, 0)
 
     def test_elliptic_has_none(self):
         m = MobiusClass.make(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))

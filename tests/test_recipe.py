@@ -53,17 +53,19 @@ class TestTreeValidation:
             EndTreeSpec.make(0, {1: 0, 2: 5}, frontier={1, 2})  # 5 has no parent
 
     def test_deep_tree_validates_in_linear_time(self):
-        def seconds(depth):
-            spec = loch_ness_tree(depth)
-            best = float("inf")
-            for _ in range(5):
-                t0 = time.perf_counter()
-                spec._validate()
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def ratio():
+            specs = {depth: loch_ness_tree(depth) for depth in (2000, 4000)}
+            best = dict.fromkeys(specs, float("inf"))
+            for _ in range(5):  # interleaved, so both sizes see the same load
+                for depth, spec in specs.items():
+                    t0 = time.perf_counter()
+                    spec._validate()
+                    best[depth] = min(best[depth], time.perf_counter() - t0)
+            return best[4000] / best[2000]
 
-        # a walk to the root from every vertex would take 4x per doubling
-        assert seconds(4000) <= 2.5 * seconds(2000)
+        # a walk to the root from every vertex would take 4x per doubling;
+        # three attempts keep a busy machine from failing the linear case
+        assert any(ratio() <= 2.5 for _ in range(3))
 
 
 class TestSimplify:

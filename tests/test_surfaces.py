@@ -89,6 +89,31 @@ class TestBuild:
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0})
         with pytest.raises(ValueError, match="positive"):
             build_surface(g, rib, values={0: 1, 1: 0})
+        with pytest.raises(ValueError, match="no value for vertex 1"):
+            build_surface(g, rib, HarmonicAssignment(lam=1, values={0: 1}))
+
+    def test_cylinder_layout_reads_by_field(self):
+        lay = square_torus().h_layouts[0]
+        assert lay._fields == ("vertex", "edges", "orients", "offsets", "length",
+                               "transverse", "closed")
+        assert (lay.vertex, lay.edges, lay.offsets, lay.length, lay.closed) == (0, (0,), (0,), 1, True)
+        assert repr(lay) == ("CylinderLayout(vertex=0, edges=(0,), orients=(1,), offsets=(0,), "
+                             "length=1, transverse=1, closed=True)")
+        with pytest.raises(AttributeError):
+            lay.length = 2
+
+    def test_mark_faces_replaces_only_the_cycles_it_changes(self):
+        m = build_multicurves((1, 2), 3).complex
+        flagged = [c.index for c in m.corner_cycles if c.puncture or c.marked]
+        punctures = [c.corners[0] for c in m.corner_cycles if c.puncture]
+        marked = next(c.corners[0] for c in m.corner_cycles if c.marked)
+        same = mark_faces(m, punctures, marked)
+        assert same == m
+        assert all(a is b for a, b in zip(same.corner_cycles, m.corner_cycles))
+        cleared = mark_faces(m)
+        assert not any(c.puncture or c.marked for c in cleared.corner_cycles)
+        assert [c.index for c in m.corner_cycles
+                if c is not cleared.corner_cycles[c.index]] == flagged
 
 
 class TestCylinders:
