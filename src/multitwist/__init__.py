@@ -22,7 +22,6 @@ from .graphs import (
 )
 from .surfaces import (
     CornerCycle,
-    Cylinder,
     RectangleComplex,
     RibbonData,
     build_surface,
@@ -76,7 +75,7 @@ __all__ = [
     "BipartiteConfigGraph", "HarmonicAssignment", "LadderFamily",
     "apply_adjacency", "harmonic_closed_form", "harmonic_truncated",
     "lambda_zero", "perron_pair", "verify_harmonic",
-    "CornerCycle", "Cylinder", "RectangleComplex", "RibbonData",
+    "CornerCycle", "RectangleComplex", "RibbonData",
     "build_surface", "cone_points", "cylinders", "euler_characteristic",
     "is_translation", "mark_faces", "orientation_double_cover", "square_torus",
     "staircase_complex",

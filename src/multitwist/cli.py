@@ -15,7 +15,7 @@ from . import formats, graphs, mobius, svg as svgmod
 from .flow import SurfacePoint, coverage_stats, flow
 
 from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
-from .surfaces import (build_surface, cylinders, euler_characteristic, is_translation,
+from .surfaces import (_off_modulus, build_surface, euler_characteristic, is_translation,
                        mark_faces, staircase_complex)
 
 DEFAULT_TOL = 1e-10
@@ -179,18 +179,14 @@ def _marks_of(m):
 
 
 def _verify_and_report(m, tol, exit_on_fail=True):
-    """Modulus law, corner partition, Euler count; exit 1 on failure."""
+    """Modulus law (exact on exact surfaces, within tol on float ones),
+    corner partition, Euler count; exit 1 on failure."""
     failures = []
     if m.lam is not None:
         for direction in ("horizontal", "vertical"):
-            for cyl in cylinders(m, direction):
-                if cyl.truncated:
-                    continue
-                mod = cyl.modulus
-                err = abs(float(mod) * float(m.lam) - 1.0)
-                if err > tol:
-                    failures.append(f"cylinder {direction}@{cyl.vertex} has "
-                                    f"modulus {float(mod):.6g} != 1/lambda")
+            for lay in _off_modulus(m, direction, tol):
+                failures.append(f"cylinder {direction}@{lay.vertex} has modulus "
+                                f"{float(lay.transverse) / float(lay.length):.6g} != 1/lambda")
     quarters = sum(c.k for c in m.corner_cycles)
     if quarters != 4 * len(m.edges):
         failures.append(f"corner partition broken: {quarters} != {4 * len(m.edges)}")

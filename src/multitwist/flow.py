@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quadfield import QuadExt, _equal, quad_sqrt
-from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, cylinders
+from .quadfield import QuadExt, quad_sqrt
+from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, _off_modulus
 
 _CORNER_COORDS = {
     "SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1),
@@ -138,9 +138,11 @@ def _side_rank(m, p) -> int:
     return rank
 
 
+_MAX_STEPS = 2_000_000  # crossings before a flow gives up
+
+
 def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
-         corner_tol: float = 1e-9, max_steps: int = 2_000_000,
-         _allow_corner_start: bool = False) -> Trajectory:
+         corner_tol: float = 1e-9, _allow_corner_start: bool = False) -> Trajectory:
     """Trace the straight-line flow from p0 with oriented direction (dx, dy).
 
     Exact coordinates flow exactly (corner incidence is then exact); float
@@ -153,11 +155,11 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     are exact, so total_length equals the budget and the final point is a
     field element.  Otherwise no point of the field lies at exactly the
     budget (direction (1, 3) on a Q(sqrt 5) window, or an irrational
-    eigendirection): the segment holding the cut is still decided exactly,
-    by comparing squared lengths, and the final point is the exact point of
-    that segment at time budget / s, where s is a rational within about
-    2**-64 of the speed, found with integer square roots; segment lengths
-    are then floats.
+    eigendirection): the final point is the exact point of the cut segment
+    at time budget / s, where s is a rational within about 2**-64 of the
+    speed, found with integer square roots; segment lengths are then
+    floats.  Either way the segment holding the cut is decided exactly, by
+    comparing squared lengths.
     """
     dx, dy = direction
     if dx == 0 and dy == 0:
@@ -173,19 +175,15 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     if exact:
         rows = charts.rows
         budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
+        budget2 = budget * budget
         speed2 = dx * dx + dy * dy
         speed = _speed_in_field(speed2, charts.radicands.union(
             v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
-        if speed is None:
-            float_speed = math.sqrt(float(speed2))
-            budget2 = budget * budget
-            t_screen = float(budget) / float_speed
-        else:
-            t_budget = budget / speed
-            t_screen = float(t_budget)
+        float_speed = math.sqrt(float(speed2))
         # below t_screen the exact cut test cannot succeed; the margin covers
-        # the rounding of the float conversions
-        t_screen *= 1 - 1e-12
+        # the rounding of the float conversions (a speed that underflows
+        # leaves every step to the exact test)
+        t_screen = float(budget) / float_speed * (1 - 1e-12) if float_speed else 0.0
         elapsed = 0  # exact time run so far
     else:  # keep mixed inputs from dragging exact types through float math
         x, y, dx, dy = float(x), float(y), float(dx), float(dy)
@@ -206,7 +204,7 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     if not sx and not sy:  # a NaN direction has no wall ahead
         raise FlowError("flow stalled: no exit wall")
     row = rows[e]
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         w, h, glue_e, glue_w, glue_n, glue_s = row
         # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
         if sx > 0:
@@ -221,21 +219,19 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         t = tx if across else ty
         if exact:
             run = elapsed + t
-            reached = float(run) >= t_screen and (
-                run >= t_budget if speed is not None
-                else run * run * speed2 >= budget2)  # squared lengths
+            reached = float(run) >= t_screen and run * run * speed2 >= budget2
             seg_len = t * speed if speed is not None else float(t) * float_speed
         else:
             seg_len = t * speed
             reached = acc + seg_len >= budget
         if reached:
-            if not exact:
-                t_cut = (budget - acc) / speed
-            elif speed is None:
-                t_cut = min(max(budget / _sqrt_approx(speed2) - elapsed, 0), t)
+            if exact:
+                s = _sqrt_approx(speed2) if speed is None else speed
+                t_cut = min(max(budget / s - elapsed, 0), t)
+                if speed is not None:
+                    acc = elapsed * speed
             else:
-                acc = elapsed * speed
-                t_cut = t_budget - elapsed
+                t_cut = (budget - acc) / speed
             fx, fy = x + t_cut * dx, y + t_cut * dy
             add(Segment(e, x, y, fx, fy, budget - acc, d_in))
             e_fin, x_fin, y_fin = e, fx, fy
@@ -293,7 +289,7 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
             dx, dy, sx, sy = -dx, -dy, -sx, -sy
             d_in = (dx, dy)
     else:
-        raise FlowError(f"flow exceeded {max_steps} crossings before the length budget")
+        raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
     if terminal == "budget" and not segments:
         e_fin, x_fin, y_fin = e, x, y
     return Trajectory(start=p0, direction=direction, segments=tuple(segments),
@@ -491,10 +487,10 @@ def twist_action(m: RectangleComplex, family: str, p: SurfacePoint, power: int,
         raise ValueError("complex carries no modulus parameter")
     _validate_point(m, p)
     alpha = family == "alpha"
-    for cyl in cylinders(m, "horizontal" if alpha else "vertical"):
-        if not cyl.truncated and not _equal(cyl.modulus * m.lam, 1, 1e-12):
-            raise ValueError(f"cylinder at vertex {cyl.vertex} has modulus != 1/lam; "
-                             "uniform-modulus complexes only")
+    bad = _off_modulus(m, "horizontal" if alpha else "vertical", 1e-12)
+    if bad:
+        raise ValueError(f"cylinder at vertex {bad[0].vertex} has modulus != 1/lam; "
+                         "uniform-modulus complexes only")
     vertex = m.graph.edge_map()[p.edge][0 if alpha else 1]
     if support is not None and vertex not in support:
         return p
@@ -542,9 +538,11 @@ class ConvergenceReport:
     touching: tuple  # per n, whether the support difference meets the window
 
 
+_PROBES_PER_EDGE = 2  # spot-check points per window rectangle
+
+
 def compact_open_convergence_check(m: RectangleComplex, supports, limit_support,
-                                   window, n_max: int, probes_per_edge: int = 2
-                                   ) -> ConvergenceReport:
+                                   window, n_max: int) -> ConvergenceReport:
     """Least N with T_alpha T_{beta_n}^-1 == T_alpha T_{beta'}^-1 on the window
     for all n >= N; equality of point actions is exact once the support
     difference misses every window rectangle.
@@ -570,8 +568,8 @@ def compact_open_convergence_check(m: RectangleComplex, supports, limit_support,
     probes = []
     for e in window:
         w, h = m.width[e], m.height[e]
-        for k in range(1, probes_per_edge + 1):
-            frac = Fraction(k, probes_per_edge + 2)
+        for k in range(1, _PROBES_PER_EDGE + 1):
+            frac = Fraction(k, _PROBES_PER_EDGE + 2)
             probes.append(SurfacePoint(e, w * frac, h * frac))
 
     def act(p, support):

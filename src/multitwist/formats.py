@@ -12,10 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import BipartiteConfigGraph, HarmonicAssignment
+from .graphs import BipartiteConfigGraph, HarmonicAssignment, _trusted
 from .quadfield import QuadExt
-from .surfaces import (RectangleComplex, RibbonData, RibbonError, _components, build_surface,
-                       mark_faces)
+from .surfaces import RectangleComplex, RibbonData, RibbonError, build_surface, mark_faces
 
 
 class FormatError(ValueError):
@@ -59,18 +58,19 @@ def _quad_parts(tok: str):
 def parse_number(tok: str, line: int = 0):
     """An integer or p/q token as a Fraction, a+brd or a-brd as a QuadExt
     (a, b integers or ratios, d digits), anything else as a float; a
-    token none of these read is a FormatError."""
-    if "r" in tok:
-        parts = _quad_parts(tok)
-        if parts is not None:
-            a, sign, b, d = parts
-            b = Fraction(b)
-            return QuadExt(Fraction(a), -b if sign == "-" else b, int(d))
+    token none of these read, or one with a zero denominator, is a
+    FormatError."""
     try:
+        if "r" in tok:
+            parts = _quad_parts(tok)
+            if parts is not None:
+                a, sign, b, d = parts
+                b = Fraction(b)
+                return QuadExt(Fraction(a), -b if sign == "-" else b, int(d))
         if "/" in tok or (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
             return Fraction(tok)
         return float(tok)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad number {tok!r}", line) from exc
 
 
@@ -168,7 +168,10 @@ def _read_harmonic(lines) -> HarmonicAssignment:
             v = _int(toks[1], lineno)
             if v in values:
                 raise FormatError(f"duplicate h record for vertex {v}", lineno)
-            values[v] = parse_number(toks[2], lineno)
+            value = parse_number(toks[2], lineno)
+            if not value > 0:  # NaN included
+                raise FormatError(f"h value {toks[2]} at vertex {v} must be positive", lineno)
+            values[v] = value
         elif toks[0] in ("bipartite", "edge", "sigma_h", "sigma_v", "sigma_h*",
                          "sigma_v*", "flip", "puncture", "marked"):
             continue
@@ -178,7 +181,7 @@ def _read_harmonic(lines) -> HarmonicAssignment:
         raise FormatError("missing lambda record")
     if not values:
         raise FormatError("no h records")
-    return HarmonicAssignment(lam=lam, values=values)
+    return _trusted(lam, values)
 
 
 # -- surfaces ---------------------------------------------------------------
@@ -187,10 +190,11 @@ def write_surface(m: RectangleComplex) -> str:
     lines = [write_graph(m.graph).rstrip("\n")]
     if m.harmonic is not None:
         lines.append(write_harmonic(m.harmonic).rstrip("\n"))
-    # cycles as `tag e1 e2 ...`, open chains as `tag* e1 e2 ...`
-    for tag, mapping in (("sigma_h", m.ribbon.h_map()), ("sigma_v", m.ribbon.v_map())):
-        for seq, closed in _components(mapping, m.edges):
-            lines.append(f"{tag}{'' if closed else '*'} " + " ".join(str(e) for e in seq))
+    # one record per cylinder, open chains (`tag* e1 e2 ...`) before cycles
+    # (`tag e1 e2 ...`), each family in order of first edge
+    for tag, layouts in (("sigma_h", m.h_layouts), ("sigma_v", m.v_layouts)):
+        for lay in sorted(layouts.values(), key=lambda c: (c.closed, c.edges[0])):
+            lines.append(f"{tag}{'' if lay.closed else '*'} " + " ".join(map(str, lay.edges)))
     for e, side in sorted(m.ribbon.flips):
         lines.append(f"flip {e} {side}")
     for c in m.corner_cycles:

@@ -48,11 +48,11 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _components, _config_graph,
-                       _glue_axis, build_surface, euler_characteristic, mark_faces,
-                       ribbon_from_gluings)
+from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _config_graph, _glue_axis,
+                       build_surface, euler_characteristic, mark_faces, ribbon_from_gluings)
 
 FACE_BOUND = 8
+_MAX_FLANK = 4  # largest face beside a splice port
 
 
 class RecipeError(ValueError):
@@ -396,7 +396,7 @@ class _Assembly:
         if transposed:
             h, v = v, h
         for mapping, axis in ((h, "h"), (v, "v")):
-            self.gluings.update(_glue_axis(_components(mapping, mapping), mapping, flips, axis)[0])
+            self.gluings.update(_glue_axis(mapping, flips, axis)[0])
         return first
 
     def splice(self, port1, port2) -> dict:
@@ -425,7 +425,7 @@ class _Assembly:
     def build(self) -> RectangleComplex:
         squares = range(self.squares)
         ribbon = ribbon_from_gluings(squares, self.gluings)
-        return build_surface(_config_graph(ribbon.h_map(), ribbon.v_map(), squares), ribbon)
+        return build_surface(_config_graph(ribbon.sigma_h, ribbon.sigma_v, squares), ribbon)
 
 
 def _flanking(m: RectangleComplex) -> dict:
@@ -452,9 +452,9 @@ def _bigons(sizes: dict, marked: int) -> int:
     return sum(1 for idx, k in sizes.items() if k == 2 and idx != marked)
 
 
-def _find_port(m: RectangleComplex, marked_token, max_flank: int) -> tuple:
+def _find_port(m: RectangleComplex, marked_token) -> tuple:
     """Best arrow for a splice in the built assembly m: flanked by two
-    distinct faces of size at most max_flank, neither the marked chamber;
+    distinct faces of size at most _MAX_FLANK, neither the marked chamber;
     ports eating more bigon faces are preferred, then smaller flanks.
     Returns (arrow, bigons eaten) or None."""
     fl = _flanking(m)
@@ -465,7 +465,7 @@ def _find_port(m: RectangleComplex, marked_token, max_flank: int) -> tuple:
         lo, hi = fl[arrow]
         if lo == hi or marked in (lo, hi):
             continue
-        if sizes[lo] > max_flank or sizes[hi] > max_flank:
+        if sizes[lo] > _MAX_FLANK or sizes[hi] > _MAX_FLANK:
             continue
         eaten = (sizes[lo] == 2) + (sizes[hi] == 2)
         key = (-eaten, sizes[lo] + sizes[hi], arrow)
@@ -662,7 +662,7 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
 
     genus_needed = genus - g0
     while genus_needed > 0:
-        found = _find_port(complex_, marked_token, max_flank=4)
+        found = _find_port(complex_, marked_token)
         excess = _bigons(_face_sizes(complex_), _cycle_index_of(complex_, marked_token)) - n
         # a handle splice takes the place of the next arm when it eats more
         # bigons than the best arm port can (an arm eats at most two)

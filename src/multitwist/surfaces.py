@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment
-from .quadfield import QuadExt
+from .quadfield import QuadExt, _equal
 
 SIDES = ("E", "W", "N", "S")
 OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
@@ -82,29 +82,22 @@ class RibbonData:
     (source edge, "E") for horizontal and (source edge, "N") for vertical.
     """
 
-    sigma_h: tuple  # ((edge, successor), ...) sorted
-    sigma_v: tuple
+    sigma_h: dict  # edge -> successor, in ascending order of edge
+    sigma_v: dict
     flips: frozenset
 
     @staticmethod
     def make(sigma_h, sigma_v, flips=()) -> "RibbonData":
-        sh = tuple(sorted((int(a), int(b)) for a, b in dict(sigma_h).items()))
-        sv = tuple(sorted((int(a), int(b)) for a, b in dict(sigma_v).items()))
+        sh = dict(sorted((int(a), int(b)) for a, b in dict(sigma_h).items()))
+        sv = dict(sorted((int(a), int(b)) for a, b in dict(sigma_v).items()))
         fl = frozenset((int(e), str(s)) for e, s in flips)
         for e, s in fl:
             if s not in ("E", "N"):
                 raise RibbonError(f"flip side must be E or N, got {s!r}")
-        for name, entries in (("sigma_h", sh), ("sigma_v", sv)):
-            targets = [b for _, b in entries]
-            if len(set(targets)) != len(targets):
+        for name, mapping in (("sigma_h", sh), ("sigma_v", sv)):
+            if len(set(mapping.values())) != len(mapping):
                 raise RibbonError(f"{name} is not injective")
         return RibbonData(sh, sv, fl)
-
-    def h_map(self) -> dict:
-        return dict(self.sigma_h)
-
-    def v_map(self) -> dict:
-        return dict(self.sigma_v)
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,7 @@ class CornerCycle:
 
 
 class CylinderLayout(NamedTuple):
-    """Unrolled coordinates of one cylinder: rectangles, orientations, offsets."""
+    """The maximal cylinder over one curve, unrolled: rectangles, orientations, offsets."""
 
     vertex: int
     edges: tuple
@@ -136,19 +129,13 @@ class CylinderLayout(NamedTuple):
     transverse: object  # common transverse dimension (height for horizontal)
     closed: bool
 
-
-@dataclass(frozen=True)
-class Cylinder:
-    direction: str  # "horizontal" | "vertical"
-    vertex: int
-    edges: tuple
-    circumference: object
-    height: object
-    truncated: bool
+    @property
+    def truncated(self) -> bool:  # cut open by a window truncation
+        return not self.closed
 
     @property
     def modulus(self):
-        return self.height / self.circumference
+        return self.transverse / self.length
 
 
 @dataclass(frozen=True)
@@ -157,11 +144,9 @@ class RectangleComplex:
 
     graph: BipartiteConfigGraph
     ribbon: RibbonData
-    lam: object
     width: dict
     height: dict
     gluings: dict  # (edge, side) -> (edge, side, reversed); symmetric
-    frontier: frozenset
     corner_cycles: tuple
     h_layouts: dict
     v_layouts: dict
@@ -173,15 +158,25 @@ class RectangleComplex:
     def edges(self) -> tuple:
         return tuple(e for e, _, _ in self.graph.edges)
 
+    @property
+    def lam(self):
+        """Every closed cylinder has modulus 1/lam; None without harmonic data."""
+        return self.harmonic.lam if self.harmonic is not None else None
+
+    @cached_property
+    def frontier(self) -> frozenset:
+        """The (edge, side) pairs with no gluing, left open by a window truncation."""
+        gluings = self.gluings
+        return frozenset((e, s) for e in self.width for s in SIDES if (e, s) not in gluings)
+
     @cached_property
     def charts(self) -> "ChartTable":
         """The flow's per-rectangle table, in the complex's own side lengths.
         Built on first use and kept on the complex (not a field, so outside
         ==, repr and build time); it shares the width, height and gluing
         objects."""
-        frontier, gluings = self.frontier, self.gluings
-        rows = {e: (w, self.height[e],
-                    *(None if (e, s) in frontier else gluings[(e, s)] for s in SIDES))
+        get = self.gluings.get
+        rows = {e: (w, self.height[e], *(get((e, s)) for s in SIDES))
                 for e, w in self.width.items()}
         sides = (*self.width.values(), *self.height.values())
         return ChartTable(rows, any(isinstance(w, float) for w in self.width.values()),
@@ -268,8 +263,9 @@ def _config_graph(sigma_h: dict, sigma_v: dict, edges,
                                      ends, valence_bound)
 
 
-def _glue_axis(comps, mapping, flips, axis) -> tuple:
-    """Side gluings of one axis's arrows, walked component by component.
+def _glue_axis(mapping, flips, axis, comps=None) -> tuple:
+    """Side gluings of one axis's arrows, walked component by component:
+    comps in the order given, or every component of mapping, ascending.
 
     The walk keeps a chart orientation, +1 chart-aligned or -1 rotated by
     pi: an arrow leaves through east (north for axis "v") and lands on west
@@ -281,7 +277,7 @@ def _glue_axis(comps, mapping, flips, axis) -> tuple:
     src_side, tgt_side = ("E", "W") if axis == "h" else ("N", "S")
     gluings = {}
     walks = []
-    for seq, _ in comps:
+    for seq, _ in _components(mapping, sorted(mapping)) if comps is None else comps:
         o = 1
         orients = []
         for e in seq:
@@ -300,7 +296,7 @@ def _glue_axis(comps, mapping, flips, axis) -> tuple:
 
 
 def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
-    """Walk one axis of the ribbon; returns (gluings, frontier, layouts).
+    """Walk one axis of the ribbon; returns (gluings, layouts).
 
     axis "h": arrows leave through intrinsic east, land on intrinsic west,
     size holds the widths along the cylinder.  axis "v": north/south,
@@ -310,7 +306,6 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
     rectangles has values[v] as its other side: that is the cylinder's
     transverse size, and the sides glued along it match.
     """
-    src_side = "E" if axis == "h" else "N"
     record = f"sigma_{axis}"
     # the components partition edges; with one fiber per component and one
     # component per fiber, each component covers its fiber exactly
@@ -328,8 +323,7 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
 
     vertices = sorted(by_vertex)
     comps = [by_vertex[v] for v in vertices]
-    gluings, walks = _glue_axis(comps, mapping, flips, axis)
-    frontier = set()
+    gluings, walks = _glue_axis(mapping, flips, axis, comps)
     layouts = {}
     for v, (seq, closed), (orients, o) in zip(vertices, comps, walks):
         offsets = [0]
@@ -340,12 +334,9 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
         if closed and o != 1:
             raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
                               record, seq[0])
-        if not closed:  # a path starts chart-aligned
-            frontier.add((seq[0], OPPOSITE[src_side]))
-            frontier.add((seq[-1], src_side if o == 1 else OPPOSITE[src_side]))
         layouts[v] = CylinderLayout(v, tuple(seq), tuple(orients), tuple(offsets), pos,
                                     values[v], closed)
-    return gluings, frontier, layouts
+    return gluings, layouts
 
 
 def _corner_chains(edges, gluings):
@@ -422,18 +413,17 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     edges = sorted(emap)
     width = {e: values[emap[e][1]] for e in edges}
     height = {e: values[emap[e][0]] for e in edges}
-    for name, named in (("sigma_h", {e for arrow in ribbon.sigma_h for e in arrow}),
-                        ("sigma_v", {e for arrow in ribbon.sigma_v for e in arrow}),
+    for name, named in (("sigma_h", {*ribbon.sigma_h, *ribbon.sigma_h.values()}),
+                        ("sigma_v", {*ribbon.sigma_v, *ribbon.sigma_v.values()}),
                         ("flips", {e for e, _ in ribbon.flips})):
         unknown = named - emap.keys()
         if unknown:
             raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
-    gl_h, fr_h, lay_h = _unroll_axis(
-        edges, ribbon.h_map(), ribbon.flips, lambda e: emap[e][0], width, values, "h")
-    gl_v, fr_v, lay_v = _unroll_axis(
-        edges, ribbon.v_map(), ribbon.flips, lambda e: emap[e][1], height, values, "v")
+    gl_h, lay_h = _unroll_axis(
+        edges, ribbon.sigma_h, ribbon.flips, lambda e: emap[e][0], width, values, "h")
+    gl_v, lay_v = _unroll_axis(
+        edges, ribbon.sigma_v, ribbon.flips, lambda e: emap[e][1], height, values, "v")
     gluings = {**gl_h, **gl_v}
-    frontier = frozenset(fr_h | fr_v)
 
     chains = _corner_chains(edges, gluings)
     cycles = []
@@ -442,10 +432,9 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
         cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed))
         corner_index.update(dict.fromkeys(chain, idx))
 
-    lam = harmonic.lam if harmonic is not None else None
-    return RectangleComplex(graph=graph, ribbon=ribbon, lam=lam,
+    return RectangleComplex(graph=graph, ribbon=ribbon,
                             width=width, height=height, gluings=gluings,
-                            frontier=frontier, corner_cycles=tuple(cycles),
+                            corner_cycles=tuple(cycles),
                             h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic,
                             corner_index=corner_index)
 
@@ -473,17 +462,26 @@ def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleCompl
 
 
 def cylinders(m: RectangleComplex, direction: str) -> list:
-    """Maximal cylinders in one direction, one per curve of that family."""
+    """The complex's own CylinderLayouts in one direction, one per curve, ascending."""
     if direction not in ("horizontal", "vertical"):
         raise ValueError(f"direction must be horizontal or vertical, got {direction!r}")
-    layouts = m.h_layouts if direction == "horizontal" else m.v_layouts
-    out = []
-    for v in sorted(layouts):
-        lay = layouts[v]
-        out.append(Cylinder(direction=direction, vertex=v, edges=lay.edges,
-                            circumference=lay.length, height=lay.transverse,
-                            truncated=not lay.closed))
-    return out
+    return list((m.h_layouts if direction == "horizontal" else m.v_layouts).values())
+
+
+def _off_modulus(m: RectangleComplex, direction: str, tol) -> list:
+    """The closed cylinders of one direction that break the modulus law
+    lam * modulus == 1, compared as quadfield._equal compares (exactly on
+    exact complexes, within tol once a float enters).  A modulus in another
+    quadratic field than lam breaks it too."""
+    bad = []
+    for lay in cylinders(m, direction):
+        try:
+            holds = not lay.closed or _equal(lay.modulus * m.lam, 1, tol)
+        except ValueError:  # lam and the modulus lie in two quadratic fields
+            holds = False
+        if not holds:
+            bad.append(lay)
+    return bad
 
 
 def cone_points(m: RectangleComplex) -> list:
@@ -548,7 +546,7 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
 
     cover_edges = sorted(cover_id.values())
     ribbon = ribbon_from_gluings(cover_edges, lifted)
-    graph = _config_graph(ribbon.h_map(), ribbon.v_map(), cover_edges, m.graph.valence_bound)
+    graph = _config_graph(ribbon.sigma_h, ribbon.sigma_v, cover_edges, m.graph.valence_bound)
     back = {ce: es for es, ce in cover_id.items()}
     values = {}
     for ce, (i, j) in graph.edge_map().items():

@@ -71,6 +71,40 @@ class TestBuildVerify:
         assert res.exit_code == 1
         assert "modulus" in res.output
 
+    @pytest.mark.parametrize("edits", [
+        {"lambda 3\n": "lambda 3000000000001/1000000000000\n"},
+        {"lambda 3\n": "lambda 3+1/1000r2\n", "h 0 1\n": "h 0 1+1r5\n"},
+    ], ids=["rational", "two-radicands"])
+    def test_exact_modulus_law_has_no_tolerance(self, runner, tmp_path, edits):
+        text = formats.write_surface(staircase_complex(-4, 5, 3))
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / "bad.surf").write_text(text)
+        res = runner.invoke(main, ["verify", str(tmp_path / "bad.surf")])
+        assert res.exit_code == 1, res.output
+        assert "FAIL cylinder" in res.output and "!= 1/lambda" in res.output
+        assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+
+    @pytest.mark.parametrize("tol, code", [("1e-10", 0), ("1e-12", 1)])
+    def test_float_modulus_law_within_tol(self, runner, tmp_path, tol, code):
+        text = formats.write_surface(staircase_complex(-4, 5, 2, exact=False))
+        assert "lambda 2.0\n" in text
+        (tmp_path / "near.surf").write_text(text.replace("lambda 2.0\n", "lambda 2.0000000001\n"))
+        res = runner.invoke(main, ["verify", str(tmp_path / "near.surf"), "--tol", tol])
+        assert res.exit_code == code, res.output
+
+    @pytest.mark.parametrize("value", ["1/0", "0", "-1", "nan"])
+    def test_bad_height_value_exits_2(self, runner, tmp_path, value):
+        lines = formats.write_surface(staircase_complex(-4, 5, 2)).splitlines()
+        k = lines.index("h 0 1")
+        lines[k] = f"h 0 {value}"
+        (tmp_path / "bad.surf").write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["verify", str(tmp_path / "bad.surf")])
+        assert res.exit_code == 2, res.output
+        assert f"line {k + 1}" in res.output
+        assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+
     def test_build_is_deterministic(self, runner, tmp_path):
         outs = []
         for name in ("a.surf", "b.surf"):

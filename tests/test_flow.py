@@ -449,3 +449,11 @@ class TestExactQuadraticFlow:
                     (Fraction(10**9 + 7), Fraction(1)), 2.0)
         assert traj.terminal == "budget"
         assert not isinstance(traj.final_point.x, float)
+
+    def test_tiny_direction_in_the_field_cuts_exactly(self):
+        # the speed 5 * 10^-200 underflows as a float; the cut stays exact
+        traj = flow(square_torus(), SurfacePoint(0, Fraction(1, 4), Fraction(1, 7)),
+                    (Fraction(3, 10**200), Fraction(4, 10**200)), 2.0)
+        assert traj.terminal == "budget" and traj.total_length == 2
+        assert traj.final_point == SurfacePoint(0, Fraction(1, 4) + Fraction(6, 5) - 1,
+                                                Fraction(1, 7) + Fraction(8, 5) - 1)

@@ -42,7 +42,7 @@ class TestNumbers:
 
     @pytest.mark.parametrize("tok", ["", "+", "++1", "1/", "/2", "1 /2", "0x10", "1+r5", "1r5",
                                      "+1r5", "1+1r", "1+1r5r", "1+1R5", "1.5+1r5", "1+1r-5",
-                                     "1+-1r5", "1+1/2/3r5"])
+                                     "1+-1r5", "1+1/2/3r5", "3/0", "1+1/0r5"])
     def test_rejected_tokens_name_their_line(self, tok):
         with pytest.raises(formats.FormatError) as err:
             formats.parse_number(tok, line=7)
@@ -77,6 +77,12 @@ class TestHarmonicFormat:
         h = HarmonicAssignment(lam=2 ** 0.5, values={0: 1.0, 1: 2 ** -0.5})
         back = formats.parse_harmonic(formats.write_harmonic(h))
         assert back.lam == h.lam and back.values == h.values
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1-1r2"])
+    def test_non_positive_value_names_its_line(self, value):
+        with pytest.raises(formats.FormatError) as err:
+            formats.parse_harmonic(f"lambda 2\nh 0 1\nh 1 {value}\n")
+        assert err.value.line == 3 and "must be positive" in str(err.value)
 
 
 class TestSurfaceFormat:

@@ -54,8 +54,8 @@ class TestBuild:
         hc = cylinders(m, "horizontal")
         vc = cylinders(m, "vertical")
         assert len(hc) == len(vc) == 1
-        assert hc[0].circumference == 2 and hc[0].height == 1
-        assert vc[0].circumference == 2 and vc[0].height == 1
+        assert hc[0].length == 2 and hc[0].transverse == 1
+        assert vc[0].length == 2 and vc[0].transverse == 1
 
     def test_staircase_window_matches_picture(self):
         st = staircase_complex(-4, 5, 2)
@@ -130,13 +130,21 @@ class TestCylinders:
                     if not cyl.truncated:
                         assert cyl.modulus * lam == 1
 
+    def test_cylinders_are_the_complex_layouts(self):
+        st = staircase_complex(-4, 5, 3)
+        for direction, layouts in (("horizontal", st.h_layouts), ("vertical", st.v_layouts)):
+            cyls = cylinders(st, direction)
+            assert len(cyls) == len(layouts)
+            assert all(cyl is layouts[cyl.vertex] for cyl in cyls)
+            assert [cyl.truncated for cyl in cyls] == [not cyl.closed for cyl in cyls]
+
     def test_staircase_lam3_circumference_identity(self):
         st = staircase_complex(-4, 5, 3)
         h = st.harmonic
         for cyl in cylinders(st, "horizontal"):
             if not cyl.truncated:
                 n = cyl.vertex
-                assert cyl.circumference == 3 * h[n]  # r^(n-1) + r^(n+1) = 3 r^n
+                assert cyl.length == 3 * h[n]  # r^(n-1) + r^(n+1) = 3 r^n
 
     def test_cylinder_fiber_duality(self):
         st = staircase_complex(-4, 5, 2)
