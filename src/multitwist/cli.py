@@ -99,12 +99,14 @@ def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
         g = formats.parse_graph(_read(graph_file))
     except formats.FormatError as exc:
         _fail(str(exc))
+    fixed = ()  # the vertices the solve fixed, which the verdict skips
     try:
         if mode == "perron":
             h = graphs.perron_pair(g)
         elif mode == "closed-form":
             fam = _ladder_family_of(g)
             h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
+            fixed = fam.boundary()
         else:
             if lam is None or boundary is None:
                 raise click.UsageError("truncated mode needs --lambda and --boundary")
@@ -115,27 +117,21 @@ def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
                 click.echo(f"positivity failed at {res.nonpositive_vertices}")
                 sys.exit(1)
             h = res.assignment()
+            fixed = bh.values.keys()
     except ValueError as exc:
         _fail(str(exc))
-    boundary_verts = ()
-    if mode != "perron":
-        fam = _ladder_family_of(g, quiet=True)
-        if fam is not None:
-            boundary_verts = fam.boundary()
-    report = graphs.verify_harmonic(g, h, tol, boundary=boundary_verts)
+    report = graphs.verify_harmonic(g, h, tol, boundary=fixed)
     _write_out(out, formats.write_harmonic(h))
     click.echo(f"max residual {report.max_residual:.3e} "
                f"({'pass' if report.passes else 'FAIL'})", err=True)
     sys.exit(0 if report.passes else 1)
 
 
-def _ladder_family_of(g, quiet=False):
+def _ladder_family_of(g):
     verts = sorted(g.vertices())
     if verts == list(range(verts[0], verts[-1] + 1)) and all(
             g.degree(v) <= 2 for v in verts):
         return graphs.LadderFamily(verts[0], verts[-1])
-    if quiet:
-        return None
     raise click.UsageError("graph is not a ladder window")
 
 

@@ -156,10 +156,12 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     field element.  Otherwise no point of the field lies at exactly the
     budget (direction (1, 3) on a Q(sqrt 5) window, or an irrational
     eigendirection): the final point is the exact point of the cut segment
-    at time budget / s, where s is a rational within about 2**-64 of the
-    speed, found with integer square roots; segment lengths are then
-    floats.  Either way the segment holding the cut is decided exactly, by
-    comparing squared lengths.
+    at time budget / s, where s is a rational found with integer square
+    roots, within about 2**-64 of the speed when the speed is at least 1
+    and with about 64 significant bits below 1; segment lengths are then
+    floats, from the float speed, or from float(s) when the speed
+    underflows as a float.  Either way the segment holding the cut is
+    decided exactly, by comparing squared lengths.
     """
     dx, dy = direction
     if dx == 0 and dy == 0:
@@ -179,10 +181,10 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         speed2 = dx * dx + dy * dy
         speed = _speed_in_field(speed2, charts.radicands.union(
             v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
-        float_speed = math.sqrt(float(speed2))
+        float_speed = math.sqrt(float(speed2)) or float(_sqrt_approx(speed2))
         # below t_screen the exact cut test cannot succeed; the margin covers
-        # the rounding of the float conversions (a speed that underflows
-        # leaves every step to the exact test)
+        # the rounding of the float conversions (a speed below the float
+        # range even from _sqrt_approx leaves every step to the exact test)
         t_screen = float(budget) / float_speed * (1 - 1e-12) if float_speed else 0.0
         elapsed = 0  # exact time run so far
     else:  # keep mixed inputs from dragging exact types through float math
@@ -263,14 +265,16 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
         if float_lengths:
             acc += seg_len
-        if exact:
+        if exact:  # a float 0 may be a rounded near miss: the exact distance decides
             f_coord, f_side = float(coord), float(side_len)
+            dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
+            hit = dist == 0
         else:
             f_coord, f_side = coord, side_len
-        dist = f_side - f_coord
-        if not dist < f_coord:  # dist = min(f_coord, f_side - f_coord)
-            dist = f_coord
-        hit = dist == 0 if exact else dist <= corner_tol
+            dist = f_side - f_coord
+            if not dist < f_coord:  # dist = min(f_coord, f_side - f_coord)
+                dist = f_coord
+            hit = dist <= corner_tol
         if dist < min_corner:
             min_corner = dist
         if hit:
@@ -328,13 +332,17 @@ def _speed_in_field(speed2, radicands):
 
 
 def _sqrt_approx(q) -> Fraction:
-    """A multiple of 2**-64 within about 2**-64 of sqrt(q), for q >= 0
-    rational or quadratic; integer square roots only."""
+    """sqrt(q) for q >= 0 rational or quadratic, by integer square roots: a
+    multiple of 2**-64 within about 2**-64 of it when it is at least 1, else
+    one with about 64 significant bits (a multiple of 2**-(64 + k) for the
+    k leading zero bits of sqrt(q))."""
     scale = 1 << 64
     if isinstance(q, QuadExt):
         q = q.a + q.b * Fraction(math.isqrt(q.d * scale * scale), scale)
     q = Fraction(q)
-    return Fraction(math.isqrt(q.numerator * scale * scale // q.denominator), scale)
+    n, d = q.numerator, q.denominator
+    scale <<= max(0, (d.bit_length() - n.bit_length() - 1) // 2)
+    return Fraction(math.isqrt(n * scale * scale // d), scale)
 
 
 def closure_length(m: RectangleComplex, p0: SurfacePoint, direction,
@@ -357,7 +365,6 @@ def closure_length(m: RectangleComplex, p0: SurfacePoint, direction,
 
 @dataclass(frozen=True)
 class FlowStats:
-    distinct_rectangles: int
     visits_to_start: int
     min_corner_distance: float
     coverage_fraction: float
@@ -366,12 +373,9 @@ class FlowStats:
 def coverage_stats(traj: Trajectory, window) -> FlowStats:
     """Coverage of a window of rectangles by one trajectory."""
     window = set(window)
-    visited = traj.visited_edges()
-    in_window = visited & window
     visits = sum(1 for s in traj.segments if s.edge == traj.start.edge)
-    frac = len(in_window) / len(window) if window else 0.0
-    return FlowStats(distinct_rectangles=len(in_window),
-                     visits_to_start=visits,
+    frac = len(traj.visited_edges() & window) / len(window) if window else 0.0
+    return FlowStats(visits_to_start=visits,
                      min_corner_distance=traj.min_corner_distance,
                      coverage_fraction=frac)
 

@@ -14,8 +14,8 @@ for the flat-surface builder: the cylinder over each curve then has modulus
 Vertex ids follow the even/odd convention used by the file format: curves
 in part I get even ids, curves in part J get odd ids.
 
-numpy is imported inside the float solvers that use it (adjacency matrix,
-Perron pair, truncated solves, lambda_0): importing it takes about 12 MB
+numpy is imported inside the float solvers that use it (Perron pair,
+truncated solves, lambda_0): importing it takes about 12 MB
 of memory, which closed-form harmonic data, surfaces and flow never need.
 """
 
@@ -108,19 +108,6 @@ class BipartiteConfigGraph:
     def edge_map(self) -> dict:
         return {e: (i, j) for e, i, j in self.edges}
 
-    def adjacency_matrix(self) -> tuple:
-        """Dense adjacency with multiplicity; returns (numpy matrix, vertex
-        order)."""
-        import numpy as np
-
-        order = sorted(self.vertices())
-        idx = {v: k for k, v in enumerate(order)}
-        a = np.zeros((len(order), len(order)))
-        for _, i, j in self.edges:
-            a[idx[i], idx[j]] += 1.0
-            a[idx[j], idx[i]] += 1.0
-        return a, order
-
 
 @dataclass(frozen=True)
 class HarmonicAssignment:
@@ -192,7 +179,7 @@ def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
         raise ValueError("graph needs at least one edge")
     import numpy as np
 
-    a, order = g.adjacency_matrix()
+    order, a, _ = _interior_system(g, {})  # no boundary: the whole of A
     eigvals, eigvecs = np.linalg.eigh(a)
     v0 = order[int(np.argmax(np.abs(eigvecs[:, -1])))]
     return harmonic_truncated(g, float(eigvals[-1]), {v0: 1.0}).assignment()
@@ -295,7 +282,6 @@ class TruncatedHarmonicResult:
     values: dict
     positive: bool
     nonpositive_vertices: tuple
-    max_interior_residual: float
 
     def assignment(self) -> HarmonicAssignment:
         if not self.positive:
@@ -304,9 +290,8 @@ class TruncatedHarmonicResult:
 
 
 def _interior_system(g: BipartiteConfigGraph, boundary: Mapping) -> tuple:
-    """(interior vertices, A restricted to them, boundary sum at each)."""
-    if not boundary:
-        raise ValueError("truncated solve needs at least one boundary vertex")
+    """(interior vertices, A restricted to them, boundary sum at each), the
+    interior sorted; the only place a dense adjacency matrix is built."""
     for v, x in boundary.items():
         if v not in g.vertices():
             raise ValueError(f"boundary vertex {v} not in graph")
@@ -344,6 +329,8 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
     import numpy as np
 
     lam = float(lam)
+    if not boundary:
+        raise ValueError("truncated solve needs at least one boundary vertex")
     interior, mat, coupling = _interior_system(g, boundary)
     mat *= -1.0  # lam I - A_int, formed in place
     mat[np.diag_indices_from(mat)] += lam
@@ -361,10 +348,8 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
                          f"is below the float range ({sys.float_info.min:.3g})")
     values = {v: float(x) for v, x in boundary.items()}
     values.update(zip(interior, sol.tolist()))
-    adj = apply_adjacency(g, values)
-    resid = max((abs(adj[v] - lam * values[v]) for v in interior), default=0.0)
     bad = tuple(v for v in interior if not values[v] > 0)
-    return TruncatedHarmonicResult(lam, values, positive, bad, float(resid))
+    return TruncatedHarmonicResult(lam, values, positive, bad)
 
 
 @dataclass(frozen=True)
@@ -374,12 +359,6 @@ class HarmonicReport:
     passes: bool
     max_residual: float
     per_vertex: dict
-    skipped: tuple
-
-    def worst(self):
-        if not self.per_vertex:
-            return None
-        return max(self.per_vertex, key=lambda v: self.per_vertex[v])
 
 
 def verify_harmonic(g: BipartiteConfigGraph, h: HarmonicAssignment, tol: float,
@@ -393,8 +372,7 @@ def verify_harmonic(g: BipartiteConfigGraph, h: HarmonicAssignment, tol: float,
         per[v] = abs(r) / h[v]
     judged = [float(per[v]) for v in per if v not in boundary]
     worst = max(judged) if judged else 0.0
-    return HarmonicReport(passes=worst <= tol, max_residual=worst,
-                          per_vertex=per, skipped=tuple(sorted(boundary)))
+    return HarmonicReport(passes=worst <= tol, max_residual=worst, per_vertex=per)
 
 
 def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
@@ -408,6 +386,8 @@ def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
     """
     import numpy as np
 
+    if not boundary:
+        raise ValueError("truncated solve needs at least one boundary vertex")
     interior, a_int, _ = _interior_system(g, boundary)
     rho = np.linalg.eigvalsh(a_int)[-1] if interior else 0.0
     return max(2.0, float(rho))

@@ -44,8 +44,9 @@ form; a combination outside it raises RecipeError.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import BipartiteConfigGraph
 from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _config_graph, _glue_axis,
@@ -89,22 +90,26 @@ class EndTreeSpec:
     def parent_map(self) -> dict:
         return dict(self.parents)
 
-    def vertices(self) -> set:
-        return {self.root} | set(self.parent_map())
-
-    def children(self) -> dict:
-        out = {v: [] for v in self.vertices()}
+    @cached_property
+    def _children(self) -> dict:
+        """Each vertex's children, sorted by repr; read only once _validate
+        has walked every parent to the root, so every parent is a vertex."""
+        out = {self.root: []} | {c: [] for c, _ in self.parents}
         for c, p in self.parents:
             out[p].append(c)
-        return {v: sorted(ch, key=repr) for v, ch in out.items()}
+        return {v: tuple(sorted(ch, key=repr)) for v, ch in out.items()}
+
+    def vertices(self) -> set:
+        return set(self._children)
+
+    def children(self) -> dict:
+        return {v: list(ch) for v, ch in self._children.items()}
 
     def degree(self, v) -> int:
-        ch = self.children()
-        return len(ch[v]) + (0 if v == self.root else 1)
+        return len(self._children[v]) + (0 if v == self.root else 1)
 
     def leaves(self) -> set:
-        ch = self.children()
-        return {v for v in self.vertices() if v != self.root and not ch[v]}
+        return {v for v, ch in self._children.items() if not ch and v != self.root}
 
     def _validate(self):
         pm = self.parent_map()
@@ -141,16 +146,15 @@ class EndTreeSpec:
         """Non-root degree-2 vertices (one child) with a descendant that has
         two or more children.  One bottom-up pass: walk up from each
         branching vertex until an ancestor already found."""
-        pm = self.parent_map()
-        kids = Counter(pm.values())
+        pm, ch = self.parent_map(), self._children
         above = set()  # vertices with a branching strict descendant
-        for w, k in kids.items():
-            if k < 2:
+        for w, kids in ch.items():
+            if len(kids) < 2:
                 continue
             while w in pm and pm[w] not in above:
                 w = pm[w]
                 above.add(w)
-        return {v for v in above if v != self.root and kids[v] == 1}
+        return {v for v in above if v != self.root and len(ch[v]) == 1}
 
     def is_simple(self) -> bool:
         """Every descendant of a non-root degree-2 vertex has degree 2 or is a leaf."""
@@ -190,11 +194,7 @@ def induced_subtree(addresses, depth: int) -> EndTreeSpec:
                 verts.add(w + b)
                 frontier_layer.append(w + b)
     parents = {v: v[:-1] for v in verts if v}
-    kids = {v: 0 for v in verts}
-    for v in verts:
-        if v:
-            kids[v[:-1]] += 1
-    leaves = {v for v in verts if v and kids[v] == 0}
+    leaves = verts - {v[:-1] for v in verts} - {""}
     return EndTreeSpec.make("", parents, frontier=leaves, family="induced")
 
 
@@ -221,19 +221,15 @@ def simplify_tree(t: EndTreeSpec) -> EndTreeSpec:
 
 @dataclass(frozen=True)
 class SurgeredGraph:
-    """Plain graph after genus surgery: adjacency plus bookkeeping marks."""
+    """A tree after genus surgery, kept as what the recipe reads of it: the
+    puncture and frontier marks (as reprs) and the number of triangles."""
 
-    edges: tuple  # sorted pairs
     punctures: frozenset
     frontier: frozenset
     triangles: int
 
-    def vertices(self) -> set:
-        return {v for e in self.edges for v in e}
-
     def genus(self) -> int:
-        v = len(self.vertices())
-        return len(self.edges) - v + 1 if v else 0
+        return self.triangles
 
 
 def surgery(t: EndTreeSpec, marks=None) -> SurgeredGraph:
@@ -241,45 +237,26 @@ def surgery(t: EndTreeSpec, marks=None) -> SurgeredGraph:
 
     A degree-3 vertex loses its two descendant edges and gains the triangle
     v, v'_*, v''_* re-routing them; a degree-2 vertex splits its descendant
-    edge through the triangle.  Leaves cannot be marked.
+    edge through the triangle.  Either way the graph gains two vertices and
+    three edges, so each triangle adds exactly one independent cycle to the
+    tree and the genus is the number of triangles; only that count is kept.
+    Leaves cannot be marked.
     """
     marks = t.genus_marks if marks is None else frozenset(marks)
     leaves = t.leaves()
-    vertices = t.vertices()
-    ch = t.children()
+    ch = t._children
     for v in marks:
         if v in leaves:
             raise ValueError(f"genus mark {v} is a leaf")
-        if v not in vertices:
+        if v not in ch:
             raise ValueError(f"genus mark {v} not in the tree")
-    edges = set()
-    pm = t.parent_map()
-    for c, p in pm.items():
-        edges.add(tuple(sorted((repr(c), repr(p)))))
-    triangles = 0
     for v in sorted(marks, key=repr):
-        kids = sorted(ch[v], key=repr)
-        va, vb = f"{v!r}*a", f"{v!r}*b"
-        if len(kids) == 2:
-            c1, c2 = kids
-            edges.discard(tuple(sorted((repr(v), repr(c1)))))
-            edges.discard(tuple(sorted((repr(v), repr(c2)))))
-            edges |= {tuple(sorted(e)) for e in
-                      ((repr(v), va), (repr(v), vb), (va, repr(c1)),
-                       (vb, repr(c2)), (va, vb))}
-        elif len(kids) == 1:
-            c1 = kids[0]
-            edges.discard(tuple(sorted((repr(v), repr(c1)))))
-            edges |= {tuple(sorted(e)) for e in
-                      ((repr(v), va), (repr(v), vb), (va, repr(c1)), (va, vb))}
-        else:
-            raise ValueError(f"marked vertex {v} has {len(kids)} descendants; "
+        if len(ch[v]) not in (1, 2):
+            raise ValueError(f"marked vertex {v} has {len(ch[v])} descendants; "
                              "only degree 2 and 3 are supported")
-        triangles += 1
-    return SurgeredGraph(edges=tuple(sorted(edges)),
-                         punctures=frozenset(repr(v) for v in t.punctures),
+    return SurgeredGraph(punctures=frozenset(repr(v) for v in t.punctures),
                          frontier=frozenset(repr(v) for v in t.frontier),
-                         triangles=triangles)
+                         triangles=len(marks))
 
 
 def loch_ness_tree(genus: int) -> EndTreeSpec:

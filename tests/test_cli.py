@@ -370,6 +370,33 @@ class TestHarmonicModes:
         assert "error:" in res.output and "underflow" in res.output
         assert isinstance(res.exception, SystemExit)  # reported, not a traceback
 
+    def test_truncated_verdict_skips_the_boundary_file(self, runner, tmp_path):
+        # a ladder window, fixed at its ends and in the middle: the residual
+        # at 0 is not a defect of the solve
+        gf = tmp_path / "ladder.graph"
+        gf.write_text(LADDER)
+        bf = tmp_path / "boundary.harm"
+        bf.write_text("lambda 3\nh -3 1\nh 0 1\nh 3 1\n")
+        res = runner.invoke(main, ["harmonic", str(gf), "--mode", "truncated",
+                                   "--lambda", "3", "--boundary", str(bf), "-o",
+                                   str(tmp_path / "h.harm")])
+        assert res.exit_code == 0, res.output
+        assert "max residual 0.000e+00 (pass)" in res.output
+
+    def test_truncated_verdict_on_a_recipe_graph(self, runner, tmp_path):
+        # not a ladder window, so no boundary can be guessed from its shape
+        surf = tmp_path / "ln.surf"
+        res = runner.invoke(main, ["multicurve", "--family", "loch-ness", "--depth", "3",
+                                   "--m", "2", "-o", str(surf)])
+        assert res.exit_code == 0, res.output
+        bf = tmp_path / "boundary.harm"
+        bf.write_text("lambda 10\nh 0 1\n")
+        res = runner.invoke(main, ["harmonic", str(surf), "--mode", "truncated",
+                                   "--lambda", "10", "--boundary", str(bf), "-o",
+                                   str(tmp_path / "h.harm")])
+        assert res.exit_code == 0, res.output
+        assert "(pass)" in res.output
+
 
 class TestBuildModes:
     def test_closed_form_build_from_surface_file(self, runner, tmp_path):

@@ -457,3 +457,37 @@ class TestExactQuadraticFlow:
         assert traj.terminal == "budget" and traj.total_length == 2
         assert traj.final_point == SurfacePoint(0, Fraction(1, 4) + Fraction(6, 5) - 1,
                                                 Fraction(1, 7) + Fraction(8, 5) - 1)
+
+    @pytest.mark.parametrize("base", [(1, 3), (1, 1)])
+    def test_tiny_direction_outside_the_field_scales(self, base):
+        # scaled by 10^-200 the speed underflows as a float and lies outside
+        # the field: the flow still takes the same crossings, ends at the
+        # same point and measures the same lengths
+        st = staircase_complex(-4, 5, 2)
+        p0 = SurfacePoint(0, Fraction(1, 3), Fraction(1, 5))
+        tiny = Fraction(1, 10**200)
+        ref = flow(st, p0, base, 6.0)
+        traj = flow(st, p0, (base[0] * tiny, base[1] * tiny), 6.0)
+        assert (traj.terminal, traj.terminal_detail) == (ref.terminal, ref.terminal_detail)
+        assert [s.edge for s in traj.segments] == [s.edge for s in ref.segments]
+        assert traj.final_point.edge == ref.final_point.edge
+        assert traj.final_point.as_floats() == pytest.approx(ref.final_point.as_floats(),
+                                                            rel=1e-12)
+        assert [s.length for s in traj.segments] == pytest.approx(
+            [float(s.length) for s in ref.segments], rel=1e-12)
+        assert traj.total_length == pytest.approx(float(ref.total_length), rel=1e-12)
+        assert traj.total_length == pytest.approx({(1, 3): 6.0, (1, 1): 3.7712}[base],
+                                                  abs=1e-4)
+
+    @pytest.mark.parametrize("near", ["top", "bottom"])
+    def test_near_miss_of_a_corner_is_exact(self, near):
+        # 10^-30 from a corner's side rounds to 0 as a float; the exact
+        # distance decides, so the flow runs past the corner
+        st = staircase_complex(-4, 5, 3)
+        w, h = st.width[0], st.height[0]
+        gap = Fraction(1, 10**30)
+        p0 = SurfacePoint(0, w / 3, h - gap if near == "top" else gap)
+        traj = flow(st, p0, (1, 0), 10)
+        assert traj.terminal == "budget"
+        assert len(traj.segments) == 7
+        assert traj.min_corner_distance == 1e-30

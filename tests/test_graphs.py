@@ -265,3 +265,11 @@ def test_lambda_zero_on_ladder_is_two():
     boundary = {v: 1.0 for v in fam.boundary()}
     lz = lambda_zero(g, boundary)
     assert lz == 2.0  # rho(A_int) = 2 cos(pi/12) < 2
+
+
+@pytest.mark.parametrize("solve", [lambda g, b: harmonic_truncated(g, 3, b), lambda_zero],
+                         ids=["harmonic_truncated", "lambda_zero"])
+def test_empty_boundary_is_refused(solve):
+    with pytest.raises(ValueError) as info:
+        solve(path3(), {})
+    assert str(info.value) == "truncated solve needs at least one boundary vertex"
