@@ -26,6 +26,7 @@ affine Dehn twist fixing both boundary circles.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,10 +140,12 @@ def _side_rank(m, p) -> int:
 
 
 _MAX_STEPS = 2_000_000  # crossings before a flow gives up
+_CORNER_TOL = 1e-9  # float flows stop this close to a corner, unless flow is told otherwise
+_CLOSURE_TOL = 1e-9  # closure_length: same position and direction within this
 
 
 def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
-         corner_tol: float = 1e-9, _allow_corner_start: bool = False) -> Trajectory:
+         corner_tol: float = _CORNER_TOL, _allow_corner_start: bool = False) -> Trajectory:
     """Trace the straight-line flow from p0 with oriented direction (dx, dy).
 
     Exact coordinates flow exactly (corner incidence is then exact); float
@@ -159,9 +162,14 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     at time budget / s, where s is a rational found with integer square
     roots, within about 2**-64 of the speed when the speed is at least 1
     and with about 64 significant bits below 1; segment lengths are then
-    floats, from the float speed, or from float(s) when the speed
-    underflows as a float.  Either way the segment holding the cut is
-    decided exactly, by comparing squared lengths.
+    floats, from the float speed.  Either way the segment holding the cut
+    is decided exactly, by comparing squared lengths.
+
+    An exact direction whose squared speed is not a normal float (a
+    direction of size 1e-200 or 1e200) is flowed scaled by a power of two
+    to a speed near 1.  Scaling changes the time the flow takes, not its
+    crossings, points or lengths, and the segments and final direction
+    report the direction as given.
     """
     dx, dy = direction
     if dx == 0 and dy == 0:
@@ -173,19 +181,28 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     e, x, y = p0.edge, p0.x, p0.y
     charts = m.charts
+    scale = 1  # the direction is flowed multiplied by scale
     exact = not charts.float_widths and not any(isinstance(v, float) for v in (x, y, dx, dy))
     if exact:
         rows = charts.rows
         budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
         budget2 = budget * budget
         speed2 = dx * dx + dy * dy
+        try:
+            float2 = float(speed2)
+        except OverflowError:
+            float2 = math.inf
+        if not sys.float_info.min <= float2 < math.inf:  # keep times within float range
+            s = _sqrt_approx(speed2)
+            scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
+            dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
+            float2 = float(speed2)
         speed = _speed_in_field(speed2, charts.radicands.union(
             v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
-        float_speed = math.sqrt(float(speed2)) or float(_sqrt_approx(speed2))
+        float_speed = math.sqrt(float2)
         # below t_screen the exact cut test cannot succeed; the margin covers
-        # the rounding of the float conversions (a speed below the float
-        # range even from _sqrt_approx leaves every step to the exact test)
-        t_screen = float(budget) / float_speed * (1 - 1e-12) if float_speed else 0.0
+        # the rounding of the float conversions
+        t_screen = float(budget) / float_speed * (1 - 1e-12)
         elapsed = 0  # exact time run so far
     else:  # keep mixed inputs from dragging exact types through float math
         x, y, dx, dy = float(x), float(y), float(dx), float(dy)
@@ -296,6 +313,10 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
     if terminal == "budget" and not segments:
         e_fin, x_fin, y_fin = e, x, y
+    if scale != 1:  # report the direction as given
+        segments = [seg._replace(dir_in=(seg.dir_in[0] / scale, seg.dir_in[1] / scale))
+                    for seg in segments]
+        dx, dy = dx / scale, dy / scale
     return Trajectory(start=p0, direction=direction, segments=tuple(segments),
                       terminal=terminal, terminal_detail=detail,
                       final_point=SurfacePoint(e_fin, x_fin, y_fin),
@@ -345,18 +366,17 @@ def _sqrt_approx(q) -> Fraction:
     return Fraction(math.isqrt(n * scale * scale // d), scale)
 
 
-def closure_length(m: RectangleComplex, p0: SurfacePoint, direction,
-                   max_length, corner_tol: float = 1e-9, tol: float = 1e-9):
+def closure_length(m: RectangleComplex, p0: SurfacePoint, direction, max_length):
     """Length at which the orbit first returns to its start, or None."""
-    traj = flow(m, p0, direction, max_length, corner_tol)
+    traj = flow(m, p0, direction, max_length)
     acc = 0.0
     x0, y0 = float(p0.x), float(p0.y)
     d0 = direction
     for k, seg in enumerate(traj.segments):
         if k > 0 and seg.edge == p0.edge:
-            same_pos = math.hypot(float(seg.x_in) - x0, float(seg.y_in) - y0) <= tol
+            same_pos = math.hypot(float(seg.x_in) - x0, float(seg.y_in) - y0) <= _CLOSURE_TOL
             cross = float(seg.dir_in[0]) * float(d0[1]) - float(seg.dir_in[1]) * float(d0[0])
-            same_dir = abs(cross) <= tol and float(seg.dir_in[0]) * float(d0[0]) + float(seg.dir_in[1]) * float(d0[1]) > 0
+            same_dir = abs(cross) <= _CLOSURE_TOL and float(seg.dir_in[0]) * float(d0[0]) + float(seg.dir_in[1]) * float(d0[1]) > 0
             if same_pos and same_dir:
                 return acc
         acc += seg.length
@@ -446,8 +466,7 @@ class SaddleSearchReport:
     min_corner_distance: float
 
 
-def detect_saddle_connection(m: RectangleComplex, direction, length_bound,
-                             corner_tol: float = 1e-9) -> SaddleSearchReport:
+def detect_saddle_connection(m: RectangleComplex, direction, length_bound) -> SaddleSearchReport:
     """Launch every separatrix in the window; report the first one that ends
     on a corner within the length bound."""
     rays_launched = 0
@@ -458,8 +477,7 @@ def detect_saddle_connection(m: RectangleComplex, direction, length_bound,
             continue
         for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle, direction)):
             rays_launched += 1
-            traj = flow(m, pos, chart_dir, length_bound, corner_tol,
-                        _allow_corner_start=True)
+            traj = flow(m, pos, chart_dir, length_bound, _allow_corner_start=True)
             if traj.min_corner_distance < min_corner:
                 min_corner = traj.min_corner_distance
             if traj.terminal == "singular":

@@ -334,21 +334,42 @@ def parse_trajectory(text: str) -> TrajectoryDump:
 
 # -- trees ------------------------------------------------------------------
 
+# A str vertex id is written in double quotes, so "" and "0" keep their
+# type; a bare token reads as an int when it is -?\d+ and as a str
+# otherwise, as files written before ids were quoted expect.  A quoted id
+# cannot hold a quote, a # or whitespace, which the line reader would cut.
+_QUOTED_ID = re.compile(r'"([^"#\s]*)"')
+
+
+def _id_token(v) -> str:
+    if isinstance(v, str):
+        tok = f'"{v}"'
+        if not _QUOTED_ID.fullmatch(tok):
+            raise ValueError(f"vertex id {v!r} holds a quote, a # or whitespace")
+        return tok
+    if isinstance(v, int):
+        return str(v)
+    raise ValueError(f"vertex id {v!r} is neither an int nor a str")
+
+
+def _vertex_id(tok: str, line: int):
+    quoted = _QUOTED_ID.fullmatch(tok)
+    if quoted:
+        return quoted.group(1)
+    if '"' in tok:
+        raise FormatError(f"malformed quoted vertex id {tok!r}", line)
+    return int(tok) if re.fullmatch(r"-?\d+", tok) else tok
+
+
 def write_tree(spec) -> str:
-    lines = []
     if spec.family in ("loch-ness", "ladder"):
-        depth = len(spec.genus_marks)
-        lines.append(f"family {spec.family} {depth}")
-        return "\n".join(lines) + "\n"
-    lines.append(f"vertex {spec.root} root")
+        return f"family {spec.family} {len(spec.genus_marks)}\n"
+    lines = [f"vertex {_id_token(spec.root)} root"]
     for c, p in spec.parents:
-        lines.append(f"vertex {c} {p}")
-    for v in sorted(spec.punctures, key=repr):
-        lines.append(f"puncture {v}")
-    for v in sorted(spec.genus_marks, key=repr):
-        lines.append(f"genus-mark {v}")
-    for v in sorted(spec.frontier, key=repr):
-        lines.append(f"frontier {v}")
+        lines.append(f"vertex {_id_token(c)} {_id_token(p)}")
+    for tag, ids in (("puncture", spec.punctures), ("genus-mark", spec.genus_marks),
+                     ("frontier", spec.frontier)):
+        lines += [f"{tag} {_id_token(v)}" for v in sorted(ids, key=repr)]
     return "\n".join(lines) + "\n"
 
 
@@ -371,16 +392,16 @@ def parse_tree(text: str):
         elif toks[0] == "vertex":
             if len(toks) != 3:
                 raise FormatError("vertex needs <id> <parent|root>", lineno)
-            v = _vertex_id(toks[1])
+            v = _vertex_id(toks[1], lineno)
             if toks[2] == "root":
                 root = v
             else:
-                parents[v] = _vertex_id(toks[2])
+                parents[v] = _vertex_id(toks[2], lineno)
         elif toks[0] in ("puncture", "genus-mark", "frontier"):
             if len(toks) != 2:
                 raise FormatError(f"{toks[0]} needs <vertex>", lineno)
             target = {"puncture": punctures, "genus-mark": marks, "frontier": frontier}[toks[0]]
-            target.add(_vertex_id(toks[1]))
+            target.add(_vertex_id(toks[1], lineno))
         else:
             raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if root is None:
@@ -391,6 +412,3 @@ def parse_tree(text: str):
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
-
-def _vertex_id(tok: str):
-    return int(tok) if re.fullmatch(r"-?\d+", tok) else tok

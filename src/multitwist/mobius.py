@@ -49,6 +49,7 @@ _SHEARS = {1: (1, 0), -1: (-1, 0), 2: (0, -1), -2: (0, 1)}
 ALL_DIRECTIONS = object()  # sentinel: every direction is an eigendirection of +-Id
 
 _MATRIX_TOL = 1e-12  # float determinant and identity test
+_RENORM_TOL = 1e-9  # float coding: excluded slopes and interval-boundary ties
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,7 @@ def _excluded_slopes(lam):
     return targets
 
 
-def renormalizable(d: ProjectiveDirection, lam, depth: int = 60,
-                   tol: float = 1e-9) -> RenormVerdict:
+def renormalizable(d: ProjectiveDirection, lam, depth: int = 60) -> RenormVerdict:
     """Depth-bounded limit-set coding of a direction.
 
     "no" when the coding exits the generator intervals (lam > 2) or hits an
@@ -370,14 +370,14 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60,
     ]
 
     def hits_excluded(v):
-        return any(v is t if v is None or t is None else _equal(v, t, tol)
+        return any(v is t if v is None or t is None else _equal(v, t, _RENORM_TOL)
                    for t in excluded)
 
     def near_boundary(v):
         if v is None:
             return False
         vf = float(v)
-        return min(abs(abs(vf) - float(half)), abs(abs(vf) - float(small))) <= tol
+        return min(abs(abs(vf) - float(half)), abs(abs(vf) - float(small))) <= _RENORM_TOL
 
     prev = 0
     ambiguous = False

@@ -21,11 +21,11 @@ in four-square blocks whose faces are all 4-gons; a splice re-targets two
 parallel gluing arrows and merges the flanking faces pairwise, so spliced
 bigons are absorbed into 4- and 6-gons.  The assembly is held as its
 side-gluing table alone: every block is a template glued in by one path,
-a splice swaps four entries of the table, and the successor maps are read
-off the table only when the complex is built.  Nothing adds faces for extra
-punctures: each face holds at most one, so a surface with more punctures
-than faces raises RecipeError (build_multicurves((0, 5), 1): only 4 faces
-for 5 punctures).
+a splice swaps four entries of the table, and the faces are read off the
+table after each splice, so one complex is built per output.  Nothing
+adds faces for extra punctures: each face holds at most one, so a
+surface with more punctures than faces raises RecipeError
+(build_multicurves((0, 5), 1): only 4 faces for 5 punctures).
 
 One such genus arm absorbs at most two bigons.  When arms alone leave more
 bigons than punctures, the general chain is assembled again with a second
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _config_graph, _glue_axis,
-                       build_surface, euler_characteristic, mark_faces, ribbon_from_gluings)
+from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _aligned_walks, _config_graph,
+                       _corner_chains, _glue_axis, build_surface, mark_faces, ribbon_from_gluings)
 
 FACE_BOUND = 8
 _MAX_FLANK = 4  # largest face beside a splice port
@@ -399,44 +399,45 @@ class _Assembly:
             gl[y] = (x[0], x[1], rev)
         return old
 
+    def faces(self) -> "_Faces":
+        """The face census read off the table: the corner chains, numbered
+        as build() numbers its corner cycles (ascending by first quarter)."""
+        quarters = [chain for chain, _ in _corner_chains(range(self.squares), self.gluings)]
+        face_of = {q: idx for idx, chain in enumerate(quarters) for q in chain}
+        return _Faces([len(chain) for chain in quarters], face_of, quarters)
+
     def build(self) -> RectangleComplex:
         squares = range(self.squares)
         ribbon = ribbon_from_gluings(squares, self.gluings)
         return build_surface(_config_graph(ribbon.sigma_h, ribbon.sigma_v, squares), ribbon)
 
 
-def _flanking(m: RectangleComplex) -> dict:
-    """One key (edge, side) per gluing -> (face at lo end, face at hi end)."""
-    out = {}
-    seen = set()
-    for (e, side), (e2, side2, _) in m.gluings.items():
-        pair = frozenset(((e, side), (e2, side2)))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        lo = m.corner_index[(e, _END_CORNER[(side, "lo")])]
-        hi = m.corner_index[(e, _END_CORNER[(side, "hi")])]
-        out[(e, side)] = (lo, hi)
-    return out
+# An assembly's faces: sizes[i] and quarters[i] of face i, and the face
+# index of every quarter (square, corner).
+_Faces = namedtuple("_Faces", "sizes face_of quarters")
 
 
-def _face_sizes(m: RectangleComplex) -> dict:
-    return {c.index: c.k for c in m.corner_cycles}
+def _flanking(asm: _Assembly, face_of: dict) -> dict:
+    """One key per gluing, the side an aligned curve walk leaves it by (the
+    side build() keys it by first) -> (face at lo end, face at hi end)."""
+    return {(e, side): (face_of[(e, _END_CORNER[(side, "lo")])],
+                        face_of[(e, _END_CORNER[(side, "hi")])])
+            for walk in _aligned_walks(range(asm.squares), asm.gluings) for e, side in walk}
 
 
-def _bigons(sizes: dict, marked: int) -> int:
+def _bigons(sizes, marked: int) -> int:
     """Two-sided faces other than the marked chamber."""
-    return sum(1 for idx, k in sizes.items() if k == 2 and idx != marked)
+    return sum(1 for idx, k in enumerate(sizes) if k == 2 and idx != marked)
 
 
-def _find_port(m: RectangleComplex, marked_token) -> tuple:
-    """Best arrow for a splice in the built assembly m: flanked by two
-    distinct faces of size at most _MAX_FLANK, neither the marked chamber;
-    ports eating more bigon faces are preferred, then smaller flanks.
-    Returns (arrow, bigons eaten) or None."""
-    fl = _flanking(m)
-    sizes = _face_sizes(m)
-    marked = _cycle_index_of(m, marked_token)
+def _find_port(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
+    """Best arrow for a splice in the assembly, whose faces are given:
+    flanked by two distinct faces of size at most _MAX_FLANK, neither the
+    marked chamber; ports eating more bigon faces are preferred, then
+    smaller flanks.  Returns (arrow, bigons eaten) or None."""
+    sizes = faces.sizes
+    fl = _flanking(asm, faces.face_of)
+    marked = faces.face_of[marked_token]
     best = None
     for arrow in sorted(fl):
         lo, hi = fl[arrow]
@@ -451,18 +452,21 @@ def _find_port(m: RectangleComplex, marked_token) -> tuple:
     return (best[2], -best[0]) if best else None
 
 
-def _find_handle(asm: _Assembly, m: RectangleComplex, marked_token) -> tuple:
+def _find_handle(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
     """Best self-splice: two gluings of the assembly swapped against each
     other, adding one handle and no squares.  Legal when it raises the genus
     by exactly one, leaves the marked chamber alone, keeps every other face
     within FACE_BOUND and every pair of opposite curves meeting at most
     twice.  Prefers the move eating the most bigon faces, then the one whose
-    largest face is smallest.  m is the assembly as built.  Returns (port
-    pair, bigons eaten) or None."""
-    fl = _flanking(m)
-    sizes = _face_sizes(m)
-    marked = _cycle_index_of(m, marked_token)
-    chi = euler_characteristic(m)
+    largest face is smallest.  faces are the assembly's own.  Each swap's
+    face conditions and key are read off the swapped table; only a swap
+    that would become the new best is built, for what needs the complex:
+    a connected surface, cylinders with even flips, curves meeting at most
+    twice.  Keys end in the two arrows, so the winner does not depend on
+    the order of the search.  Returns (port pair, bigons eaten) or None."""
+    sizes = faces.sizes
+    fl = _flanking(asm, faces.face_of)
+    marked = faces.face_of[marked_token]
     bigons = _bigons(sizes, marked)
     arrows = [a for a in sorted(fl) if marked not in fl[a]]
     best = None
@@ -472,24 +476,26 @@ def _find_handle(asm: _Assembly, m: RectangleComplex, marked_token) -> tuple:
                 continue
             old = asm.splice(a, b)
             try:
-                mm = asm.build()
-            except ValueError:  # the swap cut the surface in two
-                continue
+                szs, face_of, _ = asm.faces()
+                # chi = faces - squares drops by two exactly when the genus rises by one
+                if len(szs) != len(sizes) - 2:
+                    continue
+                new_marked = face_of[marked_token]
+                rest = [k2 for idx, k2 in enumerate(szs) if idx != new_marked]
+                if szs[new_marked] != sizes[marked] or max(rest) > FACE_BOUND:
+                    continue
+                key = (-(bigons - rest.count(2)), max(rest), a, b)
+                if best is not None and key > best:
+                    continue
+                try:
+                    mm = asm.build()
+                except ValueError:  # the swap cut the surface in two or made an odd cylinder
+                    continue
+                if max(_pair_meetings(mm.graph).values()) > 2:
+                    continue
+                best = key
             finally:
                 asm.gluings.update(old)
-            szs = _face_sizes(mm)
-            if euler_characteristic(mm) != chi - 2:
-                continue
-            new_marked = _cycle_index_of(mm, marked_token)
-            rest = [k2 for idx, k2 in szs.items() if idx != new_marked]
-            if szs[new_marked] != sizes[marked] or max(rest) > FACE_BOUND:
-                continue
-            if max(_pair_meetings(mm.graph).values()) > 2:
-                continue
-            eaten = bigons - rest.count(2)
-            key = (-eaten, max(rest), a, b)
-            if best is None or key < best:
-                best = key
     return ((best[2], best[3]), -best[0]) if best else None
 
 
@@ -501,19 +507,13 @@ def _pair_meetings(graph: BipartiteConfigGraph) -> dict:
     return counts
 
 
-def _cycle_index_of(m: RectangleComplex, token) -> int:
-    if token not in m.corner_index:
-        raise RecipeError(f"corner {token} lost during assembly")
-    return m.corner_index[token]
-
-
-def _marked_face_index(m: RectangleComplex, p_squares) -> int:
+def _marked_face_index(quarters, p_squares) -> int:
     """The p-chamber: the largest face whose corners live on the p-block."""
-    cands = [c for c in m.corner_cycles
-             if all(e in p_squares for e, _ in c.corners)]
+    cands = [idx for idx, chain in enumerate(quarters)
+             if all(e in p_squares for e, _ in chain)]
     if not cands:
-        cands = list(m.corner_cycles)
-    return max(cands, key=lambda c: (c.k, -c.index)).index
+        cands = range(len(quarters))
+    return max(cands, key=lambda idx: (len(quarters[idx]), -idx))
 
 
 @dataclass(frozen=True)
@@ -575,7 +575,7 @@ def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipe
     # every unmarked bigon must hold a puncture (minimal position); leftover
     # punctures go to the largest faces; if slots run out, p doubles as a
     # marked puncture
-    order = sorted((idx for idx in sizes if idx != marked_idx),
+    order = sorted((idx for idx in range(len(sizes)) if idx != marked_idx),
                    key=lambda idx: (sizes[idx] != 2, -sizes[idx], idx))
     bigons = [idx for idx in order if sizes[idx] == 2]
     flagged = bigons + [idx for idx in order if sizes[idx] != 2][: n - len(bigons)]
@@ -634,20 +634,20 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     if standalone and genus > g0:
         raise RecipeError(f"{name} block has no splice ports to grow genus")
 
-    complex_ = asm.build()  # rebuilt after every arm and handle splice
-    marked_token = complex_.corner_cycles[_marked_face_index(complex_, p_squares)].corners[0]
+    faces = asm.faces()  # re-read after every arm and handle splice
+    marked_token = faces.quarters[_marked_face_index(faces.quarters, p_squares)][0]
 
     genus_needed = genus - g0
     while genus_needed > 0:
-        found = _find_port(complex_, marked_token)
-        excess = _bigons(_face_sizes(complex_), _cycle_index_of(complex_, marked_token)) - n
+        found = _find_port(asm, faces, marked_token)
+        excess = _bigons(faces.sizes, faces.face_of[marked_token]) - n
         # a handle splice takes the place of the next arm when it eats more
         # bigons than the best arm port can (an arm eats at most two)
         if absorb and excess > 0:
-            handle = _find_handle(asm, complex_, marked_token)
+            handle = _find_handle(asm, faces, marked_token)
             if handle is not None and handle[1] > (found[1] if found else 0):
                 asm.splice(*handle[0])
-                complex_ = asm.build()
+                faces = asm.faces()
                 genus_needed -= 1
                 continue
         if found is None:
@@ -667,13 +667,13 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
             port = (q + 5, "N" if horizontal else "E")
             genus_needed -= 1
         asm.splice(port, (asm.add(_GENUS), "E" if port[1] in ("E", "W") else "N"))
-        complex_ = asm.build()
+        faces = asm.faces()
         genus_needed -= 1
 
-    sizes = _face_sizes(complex_)
-    if any(k > max(FACE_BOUND, 2 * m) for k in sizes.values()):
-        raise RecipeError(f"{name}: face bound exceeded: {sorted(sizes.values())}")
-    marked_idx = _cycle_index_of(complex_, marked_token)
+    sizes = faces.sizes
+    if any(k > max(FACE_BOUND, 2 * m) for k in sizes):
+        raise RecipeError(f"{name}: face bound exceeded: {sorted(sizes)}")
+    marked_idx = faces.face_of[marked_token]
     if sizes[marked_idx] != 2 * m:
         raise RecipeError(f"{name}: marked chamber has {sizes[marked_idx]} "
                           f"sides, wanted {2 * m}")
@@ -682,10 +682,10 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
         raise RecipeError(f"{name}: {bigons} bigon faces exceed {n} punctures")
     if n > len(sizes):  # every face can hold one puncture, p's included
         raise RecipeError(f"{name}: only {len(sizes)} faces for {n} punctures")
-    chi = euler_characteristic(complex_)
+    chi = len(sizes) - asm.squares  # V - E + F = faces - 2 squares + squares
     if chi != 2 - 2 * genus:
         raise RecipeError(f"{name}: assembled genus {(2 - chi) // 2} != {genus}")
-    return sizes, marked_idx, complex_
+    return sizes, marked_idx, asm.build()
 
 
 # ---------------------------------------------------------------------------

@@ -355,16 +355,14 @@ def _corner_chains(edges, gluings):
                   key=lambda item: item[0][0])
 
 
-def ribbon_from_gluings(edges, gluings) -> RibbonData:
-    """Reconstruct successor maps and flip flags from a side-gluing table.
+def _aligned_walks(edges, gluings) -> list:
+    """Each curve's chart-aligned walk over a complete side-gluing table.
 
-    Inverse of the cycle walk in build_surface, for complete complexes.  A
-    walk state (edge, side it leaves by) crosses that gluing and leaves the
-    next rectangle by the far side.  Each curve gives two state cycles, one
-    per direction; the one anchored at (its minimal edge, E or N) is the
-    chart-aligned walk, and a same-letter gluing (E-E, W-W, ...) on it
-    records a flip on the outgoing arrow.  Side letters are kept, so gluing
-    the returned ribbon again (as _glue_axis does) gives back the same table.
+    A walk state (edge, side it leaves by) crosses that gluing and leaves
+    the next rectangle by the far side.  Each curve gives two state cycles,
+    one per direction; the one anchored at (its minimal edge, E or N) is
+    the chart-aligned walk, and its states are the sides that build_surface
+    keys each gluing by first.  Returns those cycles, ascending by anchor.
     """
     sides = sorted(SIDES)
     states = [(e, side) for e in sorted(edges) for side in sides]
@@ -374,12 +372,22 @@ def ribbon_from_gluings(edges, gluings) -> RibbonData:
             raise ValueError("ribbon reconstruction needs every side glued")
         e2, side2, _ = gluings[state]
         succ[state] = (e2, OPPOSITE[side2])
+    return [seq for seq, _ in _components(succ, states) if seq[0][1] in ("E", "N")]
+
+
+def ribbon_from_gluings(edges, gluings) -> RibbonData:
+    """Reconstruct successor maps and flip flags from a side-gluing table.
+
+    Inverse of the cycle walk in build_surface, for complete complexes: the
+    arrows are the steps of the chart-aligned walks (_aligned_walks), and a
+    same-letter gluing (E-E, W-W, ...) on one records a flip on the
+    outgoing arrow.  Side letters are kept, so gluing the returned ribbon
+    again (as _glue_axis does) gives back the same table.
+    """
     sigma = {"E": {}, "N": {}}  # keyed by the side an aligned walk leaves by
     flips = set()
-    for seq, _ in _components(succ, states):
+    for seq in _aligned_walks(edges, gluings):
         axis = seq[0][1]
-        if axis not in sigma:  # a curve walked backwards
-            continue
         for e, side in seq:
             if e in sigma[axis]:  # turned back at a side glued to itself
                 raise RibbonError(f"one curve crosses edge {e} twice")

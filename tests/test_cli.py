@@ -12,7 +12,7 @@ from multitwist import formats
 from multitwist.cli import main
 from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
-from multitwist.recipe import build_multicurves, loch_ness_tree
+from multitwist.recipe import build_multicurves, induced_subtree, loch_ness_tree
 from multitwist.surfaces import staircase_complex
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
@@ -334,6 +334,20 @@ class TestMulticurve:
                                    "--punctures", "1", "--m", "1"])
         assert res.exit_code == 2
         assert "angle excess" in res.output
+
+    def test_induced_tree_file(self, runner, tmp_path):
+        # an induced tree's root is the str id "", written quoted
+        tree = tmp_path / "t.tree"
+        tree.write_text(formats.write_tree(induced_subtree(["ray:01", "cone:1"], 3)))
+        res = runner.invoke(main, ["multicurve", str(tree), "--m", "2"])
+        assert res.exit_code == 0, res.output
+
+    def test_malformed_quote_exits_2(self, runner, tmp_path):
+        tree = tmp_path / "bad.tree"
+        tree.write_text('vertex "" root\nvertex "0 ""\nfrontier "0"\n')
+        res = runner.invoke(main, ["multicurve", str(tree), "--m", "2"])
+        assert res.exit_code == 2
+        assert "line 2: malformed quoted vertex id" in res.output
 
 
 class TestHarmonicModes:

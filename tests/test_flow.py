@@ -479,6 +479,28 @@ class TestExactQuadraticFlow:
         assert traj.total_length == pytest.approx({(1, 3): 6.0, (1, 1): 3.7712}[base],
                                                   abs=1e-4)
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**330), Fraction(10**330)])
+    @pytest.mark.parametrize("base", [(3, 4), (1, 3)])
+    def test_times_past_the_float_range(self, base, scale):
+        # scaled by 10^-330 (or 10^330) the flow's times, not only its
+        # speed, leave the float range: the flow still takes the same
+        # crossings to the same terminal, with the same lengths
+        st = staircase_complex(-4, 5, 2)
+        p0 = SurfacePoint(0, Fraction(1, 3), Fraction(1, 5))
+        d = (base[0] * scale, base[1] * scale)
+        ref = flow(st, p0, base, 6)
+        traj = flow(st, p0, d, 6)
+        assert (traj.terminal, traj.terminal_detail) == (ref.terminal, ref.terminal_detail)
+        assert [s.edge for s in traj.segments] == [s.edge for s in ref.segments]
+        assert traj.final_point.edge == ref.final_point.edge
+        assert traj.final_point.as_floats() == pytest.approx(ref.final_point.as_floats(),
+                                                            rel=1e-12)
+        assert [float(s.length) for s in traj.segments] == pytest.approx(
+            [float(s.length) for s in ref.segments], rel=1e-12)
+        # the direction is reported as given, up to the reversing gluings
+        assert all(s.dir_in in (d, (-d[0], -d[1])) for s in traj.segments)
+        assert traj.final_direction in (d, (-d[0], -d[1]))
+
     @pytest.mark.parametrize("near", ["top", "bottom"])
     def test_near_miss_of_a_corner_is_exact(self, near):
         # 10^-30 from a corner's side rounds to 0 as a float; the exact

@@ -8,7 +8,7 @@ from multitwist import formats
 from multitwist.flow import SurfacePoint, flow
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
 from multitwist.quadfield import QuadExt
-from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
+from multitwist.recipe import EndTreeSpec, build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import RibbonData, build_surface, mark_faces, square_torus, staircase_complex
 
 
@@ -223,3 +223,26 @@ class TestTreeFormat:
     def test_unknown_record(self):
         with pytest.raises(formats.FormatError, match="line 1"):
             formats.parse_tree("vortex 0 root\n")
+
+    def test_str_ids_keep_their_type(self):
+        # "", "0" and "-3" are str ids, written quoted; 0 and -3 stay ints
+        spec = EndTreeSpec.make("", {"0": "", 0: "", "-3": "0", -3: "0"},
+                                punctures={"-3", 0}, genus_marks={"", "0"}, frontier={-3})
+        lines = formats.write_tree(spec).splitlines()
+        assert 'vertex "" root' in lines and 'vertex -3 "0"' in lines
+        assert formats.parse_tree("\n".join(lines)) == spec
+
+    def test_bare_ids_keep_their_meaning(self):
+        spec = formats.parse_tree("vertex r root\nvertex 7 r\nvertex -2 r\n"
+                                  "frontier 7\npuncture -2\n")
+        assert spec.root == "r" and spec.parent_map() == {7: "r", -2: "r"}
+
+    @pytest.mark.parametrize("token", ['"a', 'a"', '"a"b"', '""""', '"'])
+    def test_malformed_quote_names_its_line(self, token):
+        with pytest.raises(formats.FormatError, match="^line 2: malformed quoted vertex id"):
+            formats.parse_tree(f'vertex "" root\nvertex {token} ""\n')
+
+    @pytest.mark.parametrize("vertex", ["a b", 'say"hi"', "#1", 1.5])
+    def test_unwritable_id_is_refused(self, vertex):
+        with pytest.raises(ValueError, match="vertex id"):
+            formats.write_tree(EndTreeSpec.make(vertex, {}, frontier={vertex}))

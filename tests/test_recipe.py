@@ -6,7 +6,7 @@ import time
 import pytest
 
 from multitwist import recipe
-from multitwist.formats import write_surface
+from multitwist.formats import parse_tree, write_surface, write_tree
 from multitwist.recipe import (
     EndTreeSpec,
     RecipeError,
@@ -157,6 +157,13 @@ def test_tree_walks_match_brute_force(t):
     assert s.is_simple() == _reference_is_simple(s)
 
 
+@pytest.mark.parametrize("t", _TREE_GRID)
+def test_tree_file_round_trips(t):
+    back = parse_tree(write_tree(t))
+    assert ((back.root, back.parents, back.punctures, back.genus_marks, back.frontier)
+            == (t.root, t.parents, t.punctures, t.genus_marks, t.frontier))
+
+
 class TestSurgery:
     def test_empty_marks_change_nothing(self):
         t = induced_subtree(["000"], depth=3)
@@ -280,6 +287,18 @@ GOLDEN = {
 }
 
 
+# sha256(write_surface(out.complex))[:16] of requests that make 2-4 handle
+# splices each, pinned before the assembly read its faces off the table
+HANDLE_SPLICES = {
+    "(3, 2) m=6": ((3, 2), 6, "69708eeddc7228e5"),
+    "(3, 4) m=8": ((3, 4), 8, "e759fca012808844"),
+    "loch-ness d=3 m=6": (loch_ness_tree(3), 6, "6b2d915ba8b9dc8b"),
+    "loch-ness d=4 m=7": (loch_ness_tree(4), 7, "1f2a935dd8dc276f"),
+    "ladder d=3 m=6": (ladder_tree(3), 6, "69708eeddc7228e5"),
+    "ladder d=4 m=7": (ladder_tree(4), 7, "97fbb0e7e10bc0c8"),
+}
+
+
 def _golden_output(case):
     name, _, args = case.partition(" (")
     if name.startswith(("loch-ness", "ladder")):
@@ -297,7 +316,8 @@ class TestAssembly:
 
     def test_ribbon_read_per_arm_not_per_splice(self, monkeypatch):
         # a long arm of through blocks splices once per handle, but the
-        # successor maps are read off the gluing table only per build
+        # successor maps are read off the gluing table only by the one
+        # build of the output
         calls = []
 
         def counted(edges, gluings):
@@ -310,7 +330,28 @@ class TestAssembly:
             calls.clear()
             build_multicurves(loch_ness_tree(d), 2)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("case", sorted(HANDLE_SPLICES))
+    def test_handle_splice_outputs_are_pinned(self, case, monkeypatch):
+        # faces() numbers the faces as every built complex numbers its
+        # corner cycles, so the assembly can read its faces off the table
+        source, m, pinned = HANDLE_SPLICES[case]
+        build = recipe._Assembly.build
+        checked = []
+
+        def compared(asm):
+            built = build(asm)
+            faces = asm.faces()
+            checked.append(([tuple(q) for q in faces.quarters], faces.sizes)
+                           == ([c.corners for c in built.corner_cycles],
+                               [c.k for c in built.corner_cycles]))
+            return built
+
+        monkeypatch.setattr(recipe._Assembly, "build", compared)
+        out = build_multicurves(source, m)
+        assert hashlib.sha256(write_surface(out.complex).encode()).hexdigest()[:16] == pinned
+        assert checked and all(checked)
 
 
 class TestVerifyRecipe:
