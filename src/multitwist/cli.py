@@ -165,7 +165,7 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
     except (ValueError, formats.FormatError) as exc:
         _fail(str(exc))
     _write_out(out, formats.write_surface(m))
-    _verify_and_report(m, tol, exit_on_fail=False)
+    _verify_and_report(m, tol)
 
 
 def _marks_of(m):
@@ -174,7 +174,7 @@ def _marks_of(m):
     return {"punctures": punct, "marked": marked}
 
 
-def _verify_and_report(m, tol, exit_on_fail=True):
+def _verify_and_report(m, tol):
     """Modulus law (exact on exact surfaces, within tol on float ones),
     corner partition, Euler count; exit 1 on failure."""
     failures = []
@@ -200,8 +200,6 @@ def _verify_and_report(m, tol, exit_on_fail=True):
     if failures:
         sys.exit(1)
     click.echo("verification pass", err=True)
-    if exit_on_fail:
-        sys.exit(0)
 
 
 @main.command()
@@ -232,8 +230,7 @@ def verify(surface_file, tol, weight):
 @click.option("--lambda", "lam", required=True)
 @click.option("--exact/--float", "exact", default=True)
 @click.option("--depth", default=40, show_default=True)
-@click.option("--tol", type=_TOL, default=1e-9, show_default=True)
-def classify(word, lam, exact, depth, tol):
+def classify(word, lam, exact, depth):
     """Matrix, trace, class, and integer form of a multitwist word."""
     try:
         w = mobius.TwistWord.make(word)
@@ -244,14 +241,14 @@ def classify(word, lam, exact, depth, tol):
     except ValueError as exc:
         _fail(str(exc))
     a, b, c, d = m.entries()
-    cls = mobius.classify(m, tol)
+    cls = mobius.classify(m)
     click.echo(f"word {word or '(empty)'}  lambda {lam}")
     click.echo(f"matrix [[{formats.format_number(a)}, {formats.format_number(b)}], "
                f"[{formats.format_number(c)}, {formats.format_number(d)}]]")
     click.echo(f"trace {formats.format_number(m.trace())}  class {cls}")
     if float(lam_v) >= 2 and not isinstance(lam_v, float):
         try:
-            rep = mobius.brenner_check(m, lam_v, tol)
+            rep = mobius.brenner_check(m, lam_v)
         except ValueError as exc:  # an irrational lambda
             click.echo(f"integer form: not checked ({exc})")
         else:
@@ -260,7 +257,7 @@ def classify(word, lam, exact, depth, tol):
                 click.echo(f"integer form ks={rep.ks} interval {extra}")
             else:
                 click.echo("integer form: not matched")
-    eig = mobius.eigendirections(m, tol)
+    eig = mobius.eigendirections(m)
     if eig is mobius.ALL_DIRECTIONS:
         click.echo("eigendirections: all (identity)")
     else:

@@ -569,16 +569,15 @@ def compact_open_convergence_check(m: RectangleComplex, supports, limit_support,
     for all n >= N; equality of point actions is exact once the support
     difference misses every window rectangle.
 
-    supports: callable n -> set of beta-vertices, or an indexable sequence.
+    supports: callable n -> set of beta-vertices.
     """
     window = tuple(sorted(set(window)))
     limit_support = frozenset(limit_support)
     emap = m.graph.edge_map()
     window_vertices = {emap[e][1] for e in window}
-    get = supports if callable(supports) else supports.__getitem__
     touching = []
     for n in range(n_max + 1):
-        diff = frozenset(get(n)) ^ limit_support
+        diff = frozenset(supports(n)) ^ limit_support
         touching.append(bool(diff & window_vertices))
     n_stable = n_max + 1
     for n in range(n_max, -1, -1):
@@ -599,7 +598,7 @@ def compact_open_convergence_check(m: RectangleComplex, supports, limit_support,
         return twist_action(m, "alpha", q, 1)
 
     for n in range(n_stable, n_max + 1):
-        sup = frozenset(get(n))
+        sup = frozenset(supports(n))
         for p in probes:
             if act(p, sup) != act(p, limit_support):
                 verified = False

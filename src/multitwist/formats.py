@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment, _trusted
 from .quadfield import QuadExt
+from .recipe import EndTreeSpec, ladder_tree, loch_ness_tree
 from .surfaces import RectangleComplex, RibbonData, RibbonError, build_surface, mark_faces
 
 
@@ -374,8 +375,6 @@ def write_tree(spec) -> str:
 
 
 def parse_tree(text: str):
-    from .recipe import EndTreeSpec, loch_ness_tree, ladder_tree
-
     root = None
     parents = {}
     punctures, marks, frontier = set(), set(), set()

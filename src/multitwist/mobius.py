@@ -26,8 +26,9 @@ Every computation here is exact exactly when its inputs are: rational or
 quadratic-field lam and entries give exact matrices, directions and
 verdicts, and a float anywhere makes the result float.  Exact values are
 compared with ==, and once a float is involved with a tolerance
-(`quadfield._equal`).  The one exception is an exact hyperbolic matrix
-whose trace is irrational: its eigendirections are floats.
+(`quadfield._equal`; every float verdict uses the one tolerance 1e-9).
+The one exception is an exact hyperbolic matrix whose trace is
+irrational: its eigendirections are floats.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _SHEARS = {1: (1, 0), -1: (-1, 0), 2: (0, -1), -2: (0, 1)}
 ALL_DIRECTIONS = object()  # sentinel: every direction is an eigendirection of +-Id
 
 _MATRIX_TOL = 1e-12  # float determinant and identity test
-_RENORM_TOL = 1e-9  # float coding: excluded slopes and interval-boundary ties
+_FLOAT_TOL = 1e-9  # float verdicts: |trace| vs 2, integer form, close_to, coding ties
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,12 @@ def rho(word: TwistWord, lam) -> MobiusClass:
     return out
 
 
-def classify(m: MobiusClass, tol: float = 1e-9) -> str:
+def classify(m: MobiusClass) -> str:
     """identity / elliptic / parabolic / hyperbolic by |trace| against 2."""
     if m.is_identity():
         return "identity"
     at = abs(m.trace())
-    if _equal(at, 2, tol):
+    if _equal(at, 2, _FLOAT_TOL):
         return "parabolic"
     return "elliptic" if at < 2 else "hyperbolic"
 
@@ -204,7 +205,7 @@ class BrennerReport:
     ratio: object
 
 
-def brenner_check(m: MobiusClass, lam, tol: float = 1e-9) -> BrennerReport:
+def brenner_check(m: MobiusClass, lam) -> BrennerReport:
     """Recover the integer parameters (k11, k12, k21, k22) and test the
     trace-field interval exclusion with t = (lam + sqrt(lam^2 - 4))/2.
     lam must be a rational >= 2 (a QuadExt with no sqrt part counts)."""
@@ -222,7 +223,7 @@ def brenner_check(m: MobiusClass, lam, tol: float = 1e-9) -> BrennerReport:
             if isinstance(r, QuadExt):
                 r = r.as_fraction()
             n = round(r)
-            if not _equal(r, n, tol):
+            if not _equal(r, n, _FLOAT_TOL):
                 return None
             ks.append(n)
         return tuple(ks)
@@ -276,8 +277,8 @@ class ProjectiveDirection:
     def is_exact(self) -> bool:
         return not (isinstance(self.x, float) or isinstance(self.y, float))
 
-    def close_to(self, other: "ProjectiveDirection", tol: float = 1e-9) -> bool:
-        return _equal(self.x * other.y - self.y * other.x, 0, tol)
+    def close_to(self, other: "ProjectiveDirection") -> bool:
+        return _equal(self.x * other.y - self.y * other.x, 0, _FLOAT_TOL)
 
     def vector(self) -> tuple:
         return (self.x, self.y)
@@ -293,10 +294,10 @@ def _fixed_direction(a, b, c, d, mu, diagonal) -> ProjectiveDirection:
     return ProjectiveDirection.make(*diagonal)
 
 
-def eigendirections(m: MobiusClass, tol: float = 1e-9):
+def eigendirections(m: MobiusClass):
     """Fixed directions on the projective line: 2 / 1 / 0 for hyperbolic /
     parabolic / elliptic, expanding first; identity gives ALL_DIRECTIONS."""
-    cls = classify(m, tol)
+    cls = classify(m)
     if cls == "identity":
         return ALL_DIRECTIONS
     if cls == "elliptic":
@@ -370,14 +371,14 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60) -> RenormVerdic
     ]
 
     def hits_excluded(v):
-        return any(v is t if v is None or t is None else _equal(v, t, _RENORM_TOL)
+        return any(v is t if v is None or t is None else _equal(v, t, _FLOAT_TOL)
                    for t in excluded)
 
     def near_boundary(v):
         if v is None:
             return False
         vf = float(v)
-        return min(abs(abs(vf) - float(half)), abs(abs(vf) - float(small))) <= _RENORM_TOL
+        return min(abs(abs(vf) - float(half)), abs(abs(vf) - float(small))) <= _FLOAT_TOL
 
     prev = 0
     ambiguous = False

@@ -35,8 +35,9 @@ up to four bigons at once.  While bigons outnumber punctures, a handle
 splice takes the place of the next arm whenever it eats more bigons than
 the best arm port.  Each one is chosen under the contract: genus up by
 exactly one, marked chamber untouched, other faces within FACE_BOUND sides,
-opposite curves meeting at most twice.  Outputs that arms alone realize are
-unchanged.  For genus <= 5, at most 8 punctures and m <= 10, handle splices
+opposite curves meeting at most twice; the search reads the configuration
+graph, not a complex, of a swap that would win.  Outputs that arms alone
+realize are unchanged.  For genus <= 5, at most 8 punctures and m <= 10, handle splices
 add 51 finite (g, n, m), among them (3, 2, 6) and (3, 4, 8), plus loch-ness
 and ladder truncations at m = 6 and 7.  The reachable set has no closed
 form; a combination outside it raises RecipeError.
@@ -195,7 +196,7 @@ def induced_subtree(addresses, depth: int) -> EndTreeSpec:
                 frontier_layer.append(w + b)
     parents = {v: v[:-1] for v in verts if v}
     leaves = verts - {v[:-1] for v in verts} - {""}
-    return EndTreeSpec.make("", parents, frontier=leaves, family="induced")
+    return EndTreeSpec.make("", parents, frontier=leaves)
 
 
 def simplify_tree(t: EndTreeSpec) -> EndTreeSpec:
@@ -355,7 +356,7 @@ class _Assembly:
     (square, side) -> (square, side, reversed) over squares 0..squares-1.
 
     Blocks are glued in from their templates and a splice swaps four table
-    entries; the successor maps are read off the table once, by build.
+    entries; the successor maps are read off the table by configuration.
     """
 
     def __init__(self):
@@ -406,10 +407,17 @@ class _Assembly:
         face_of = {q: idx for idx, chain in enumerate(quarters) for q in chain}
         return _Faces([len(chain) for chain in quarters], face_of, quarters)
 
-    def build(self) -> RectangleComplex:
+    def configuration(self) -> tuple:
+        """(ribbon, configuration graph) read off the table.  ValueError
+        when the surface is not connected or a curve crosses a square
+        twice (the walk of a cylinder with an odd number of flips)."""
         squares = range(self.squares)
         ribbon = ribbon_from_gluings(squares, self.gluings)
-        return build_surface(_config_graph(ribbon.sigma_h, ribbon.sigma_v, squares), ribbon)
+        return ribbon, _config_graph(ribbon.sigma_h, ribbon.sigma_v, squares)
+
+    def build(self) -> RectangleComplex:
+        ribbon, graph = self.configuration()
+        return build_surface(graph, ribbon)
 
 
 # An assembly's faces: sizes[i] and quarters[i] of face i, and the face
@@ -430,14 +438,11 @@ def _bigons(sizes, marked: int) -> int:
     return sum(1 for idx, k in enumerate(sizes) if k == 2 and idx != marked)
 
 
-def _find_port(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
-    """Best arrow for a splice in the assembly, whose faces are given:
-    flanked by two distinct faces of size at most _MAX_FLANK, neither the
-    marked chamber; ports eating more bigon faces are preferred, then
-    smaller flanks.  Returns (arrow, bigons eaten) or None."""
-    sizes = faces.sizes
-    fl = _flanking(asm, faces.face_of)
-    marked = faces.face_of[marked_token]
+def _find_port(sizes, fl: dict, marked: int) -> tuple:
+    """Best arrow for a splice, given the assembly's face sizes, flanks
+    (_flanking) and marked face: flanked by two distinct faces of size at
+    most _MAX_FLANK, neither the marked chamber; ports eating more bigon
+    faces are preferred, then smaller flanks.  Returns (arrow, eaten) or None."""
     best = None
     for arrow in sorted(fl):
         lo, hi = fl[arrow]
@@ -452,21 +457,19 @@ def _find_port(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
     return (best[2], -best[0]) if best else None
 
 
-def _find_handle(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
+def _find_handle(asm: _Assembly, sizes, fl: dict, marked: int, marked_token) -> tuple:
     """Best self-splice: two gluings of the assembly swapped against each
     other, adding one handle and no squares.  Legal when it raises the genus
     by exactly one, leaves the marked chamber alone, keeps every other face
     within FACE_BOUND and every pair of opposite curves meeting at most
     twice.  Prefers the move eating the most bigon faces, then the one whose
-    largest face is smallest.  faces are the assembly's own.  Each swap's
-    face conditions and key are read off the swapped table; only a swap
-    that would become the new best is built, for what needs the complex:
-    a connected surface, cylinders with even flips, curves meeting at most
-    twice.  Keys end in the two arrows, so the winner does not depend on
-    the order of the search.  Returns (port pair, bigons eaten) or None."""
-    sizes = faces.sizes
-    fl = _flanking(asm, faces.face_of)
-    marked = faces.face_of[marked_token]
+    largest face is smallest.  sizes, fl and marked describe the assembly
+    as it stands; marked_token lies in the marked face.  Each swap's face
+    conditions and key are read off the swapped table, and only a swap
+    that would become the new best has its configuration graph read, for
+    connectivity, even-flip cylinders and pair meetings.  Keys end in the
+    two arrows, so the winner does not depend on the order of the search.
+    Returns (port pair, bigons eaten) or None."""
     bigons = _bigons(sizes, marked)
     arrows = [a for a in sorted(fl) if marked not in fl[a]]
     best = None
@@ -488,10 +491,10 @@ def _find_handle(asm: _Assembly, faces: _Faces, marked_token) -> tuple:
                 if best is not None and key > best:
                     continue
                 try:
-                    mm = asm.build()
+                    _, graph = asm.configuration()
                 except ValueError:  # the swap cut the surface in two or made an odd cylinder
                     continue
-                if max(_pair_meetings(mm.graph).values()) > 2:
+                if max(_pair_meetings(graph).values()) > 2:
                     continue
                 best = key
             finally:
@@ -623,10 +626,8 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     asm = _Assembly()
     if name == "chainlink":
         block, g0, standalone = _chainlink(m + 1), 0, False
-    elif name in _P_BLOCKS:
-        block, g0, standalone = _P_BLOCKS[name]
     else:
-        raise RecipeError(f"unknown block {name}")
+        block, g0, standalone = _P_BLOCKS[name]
     asm.add(block)
     p_squares = range(asm.squares)
     if genus < g0:
@@ -639,12 +640,14 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
 
     genus_needed = genus - g0
     while genus_needed > 0:
-        found = _find_port(asm, faces, marked_token)
-        excess = _bigons(faces.sizes, faces.face_of[marked_token]) - n
+        fl = _flanking(asm, faces.face_of)
+        marked = faces.face_of[marked_token]
+        found = _find_port(faces.sizes, fl, marked)
+        excess = _bigons(faces.sizes, marked) - n
         # a handle splice takes the place of the next arm when it eats more
         # bigons than the best arm port can (an arm eats at most two)
         if absorb and excess > 0:
-            handle = _find_handle(asm, faces, marked_token)
+            handle = _find_handle(asm, faces.sizes, fl, marked, marked_token)
             if handle is not None and handle[1] > (found[1] if found else 0):
                 asm.splice(*handle[0])
                 faces = asm.faces()

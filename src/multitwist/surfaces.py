@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import BipartiteConfigGraph, HarmonicAssignment
+from .graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
 from .quadfield import QuadExt, _equal
 
 SIDES = ("E", "W", "N", "S")
@@ -151,8 +151,6 @@ class RectangleComplex:
     h_layouts: dict
     v_layouts: dict
     harmonic: HarmonicAssignment = None
-    # (edge, corner) -> index of the corner cycle holding that quarter
-    corner_index: dict = field(default=None, compare=False, repr=False)
 
     @property
     def edges(self) -> tuple:
@@ -168,6 +166,11 @@ class RectangleComplex:
         """The (edge, side) pairs with no gluing, left open by a window truncation."""
         gluings = self.gluings
         return frozenset((e, s) for e in self.width for s in SIDES if (e, s) not in gluings)
+
+    @cached_property
+    def corner_index(self) -> dict:
+        """(edge, corner) -> index of the corner cycle holding that quarter."""
+        return {q: c.index for c in self.corner_cycles for q in c.corners}
 
     @cached_property
     def charts(self) -> "ChartTable":
@@ -435,16 +438,13 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
 
     chains = _corner_chains(edges, gluings)
     cycles = []
-    corner_index = {}
     for idx, (chain, closed) in enumerate(chains):
         cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed))
-        corner_index.update(dict.fromkeys(chain, idx))
 
     return RectangleComplex(graph=graph, ribbon=ribbon,
                             width=width, height=height, gluings=gluings,
                             corner_cycles=tuple(cycles),
-                            h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic,
-                            corner_index=corner_index)
+                            h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic)
 
 
 def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleComplex:
@@ -586,11 +586,11 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
 
 # -- stock complexes -------------------------------------------------------
 
-def square_torus(side=1) -> RectangleComplex:
+def square_torus() -> RectangleComplex:
     """One unit square with opposite sides identified."""
     g = BipartiteConfigGraph.make([0], [1], {0: (0, 1)}, 2)
     ribbon = RibbonData.make({0: 0}, {0: 0})
-    h = HarmonicAssignment(lam=1, values={0: side, 1: side})
+    h = HarmonicAssignment(lam=1, values={0: 1, 1: 1})
     return build_surface(g, ribbon, h)
 
 
@@ -602,8 +602,6 @@ def staircase_complex(lo: int, hi: int, lam, exact: bool = True) -> RectangleCom
     window-truncated.  Heights follow the ladder's harmonic function for
     the given lam (exact quadratic arithmetic when lam is rational).
     """
-    from .graphs import LadderFamily, harmonic_closed_form
-
     fam = LadderFamily(lo, hi)
     g = fam.graph()
     h = harmonic_closed_form(fam, lam)

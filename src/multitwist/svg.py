@@ -12,6 +12,7 @@ from __future__ import annotations
 from .surfaces import RectangleComplex
 
 _ROW_GAP = 0.6
+_SCALE = 60.0  # pixels per unit length
 _FMT = "{:.6f}"
 
 
@@ -44,8 +45,7 @@ class _Layout:
         return (x0 + w - float(x), y0 + h - float(y))
 
 
-def surface_svg(m: RectangleComplex, trajectories=(), shade=None,
-                scale: float = 60.0) -> str:
+def surface_svg(m: RectangleComplex, trajectories=(), shade=None) -> str:
     """Render the complex; shade is an optional set of edges to fill
     (coverage pictures).
 
@@ -56,15 +56,15 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None,
     lay = _Layout(m)
     shade = set(shade or ())
     pad = 0.5
-    width = (lay.total_w + 2 * pad) * scale
-    height = (lay.total_h + 2 * pad) * scale
+    width = (lay.total_w + 2 * pad) * _SCALE
+    height = (lay.total_h + 2 * pad) * _SCALE
 
     def sx(x):
-        return _f((x + pad) * scale)
+        return _f((x + pad) * _SCALE)
 
     def sy(y):
         # flip: mathematical y grows upward
-        return _f((lay.total_h - y + pad) * scale)
+        return _f((lay.total_h - y + pad) * _SCALE)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -75,8 +75,8 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None,
     for e in sorted(lay.pos):
         x0, y0, w, h, o = lay.pos[e]
         fill = "#cfe8ff" if e in shade else "#ffffff"
-        out.append(f'<rect x="{sx(x0)}" y="{sy(y0 + h)}" width="{_f(w * scale)}" '
-                   f'height="{_f(h * scale)}" fill="{fill}" stroke="#333333" '
+        out.append(f'<rect x="{sx(x0)}" y="{sy(y0 + h)}" width="{_f(w * _SCALE)}" '
+                   f'height="{_f(h * _SCALE)}" fill="{fill}" stroke="#333333" '
                    'stroke-width="1"/>')
         cx, cy = x0 + w / 2, y0 + h / 2
         rot = "" if o == 1 else " (rot)"

@@ -34,12 +34,10 @@ It is not collected by pytest and takes under a minute.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import itertools
-import sys
 from fractions import Fraction
 
+from differential import record, run_sections
 from multitwist.flow import SurfacePoint, compact_open_convergence_check, twist_action
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
 from multitwist.mobius import (ALL_DIRECTIONS, MobiusClass, ProjectiveDirection, TwistWord,
@@ -59,10 +57,7 @@ FLIP_SETS = (((0, "N"), (1, "N")), ((0, "E"), (1, "E")),
 
 
 def _record(fn, *args, **kwargs) -> str:
-    try:
-        return repr(fn(*args, **kwargs))
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+    return record(lambda: repr(fn(*args, **kwargs)))
 
 
 def _words():
@@ -161,25 +156,5 @@ SECTIONS = (("mobius", _mobius), ("mobius-edges", _mobius_edges), ("twist", _twi
             ("flipped-twist", _flipped_twist), ("convergence", _convergence))
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--records", action="store_true", help="print every record")
-    args = ap.parse_args()
-    whole = hashlib.sha256()
-    for name, section in SECTIONS:
-        digest = hashlib.sha256()
-        count = 0
-        for rec in section():
-            digest.update(rec.encode() + b"\n")
-            count += 1
-            if args.records:
-                print(rec)
-        line = f"{name}: {count} records {digest.hexdigest()[:16]}"
-        whole.update(line.encode() + b"\n")
-        print(line)
-    print(f"dump sha256 {whole.hexdigest()}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    run_sections(__doc__, SECTIONS)

@@ -31,11 +31,9 @@ by pytest and takes a few seconds.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
-import time
 
+from differential import record, run_sections
 from multitwist import recipe
 from multitwist.formats import parse_tree, write_surface, write_tree
 from multitwist.recipe import (RecipeError, build_multicurves, induced_subtree, ladder_tree,
@@ -54,13 +52,6 @@ def _sorted(values) -> list:
     return sorted(values, key=repr)
 
 
-def _record(fn, *args) -> str:
-    try:
-        return fn(*args)
-    except Exception as exc:  # any error is a record, so a crash shows as a difference
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _build(source, m) -> str:
     try:
         out = build_multicurves(source, m)
@@ -74,11 +65,11 @@ def _builds():
     for g in range(MAX_GENUS + 1):
         for n in range(MAX_PUNCTURES + 1):
             for m in range(1, MAX_WEIGHT + 1):
-                yield f"finite ({g}, {n}) m={m}\n{_record(_build, (g, n), m)}"
+                yield f"finite ({g}, {n}) m={m}\n{record(_build, (g, n), m)}"
     for tree in (loch_ness_tree, ladder_tree):
         for depth in range(1, MAX_DEPTH + 1):
             for m in range(1, MAX_TREE_WEIGHT + 1):
-                yield f"{tree.__name__}({depth}) m={m}\n{_record(_build, tree(depth), m)}"
+                yield f"{tree.__name__}({depth}) m={m}\n{record(_build, tree(depth), m)}"
 
 
 def _tree(t) -> str:
@@ -104,22 +95,18 @@ def _trees():
         leaf = _sorted(t.leaves())[0]
         yield "\n".join((
             label, _tree(t),
-            f"simplified {_record(lambda: _tree(simplify_tree(t)))}",
-            f"surgery {_record(_surgery, t)}",
-            f"surgery inner {_record(_surgery, t, inner)}",
-            f"surgery leaf {_record(_surgery, t, [leaf])}",
-            f"surgery stranger {_record(_surgery, t, ['stranger'])}",
-            f"round trip {_record(lambda: _tree(parse_tree(write_tree(t))))}"))
+            f"simplified {record(lambda: _tree(simplify_tree(t)))}",
+            f"surgery {record(_surgery, t)}",
+            f"surgery inner {record(_surgery, t, inner)}",
+            f"surgery leaf {record(_surgery, t, [leaf])}",
+            f"surgery stranger {record(_surgery, t, ['stranger'])}",
+            f"round trip {record(lambda: _tree(parse_tree(write_tree(t))))}"))
 
 
 SECTIONS = (("builds", _builds), ("trees", _trees))
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--records", action="store_true", help="print every record")
-    args = ap.parse_args()
-    whole = hashlib.sha256()
+def main():
     builds = [0]
     build_surface = recipe.build_surface
 
@@ -128,25 +115,10 @@ def main() -> int:
         return build_surface(*args, **kwargs)
 
     recipe.build_surface = counted
-    work = {}
-    for name, section in SECTIONS:
-        start, built = time.perf_counter(), builds[0]
-        digest = hashlib.sha256()
-        count = 0
-        for rec in section():
-            digest.update(rec.encode() + b"\n")
-            count += 1
-            if args.records:
-                print(rec)
-        work[name] = (time.perf_counter() - start, builds[0] - built)
-        line = f"{name}: {count} records {digest.hexdigest()[:16]}"
-        whole.update(line.encode() + b"\n")
-        print(line)
-    print(f"dump sha256 {whole.hexdigest()}")
-    seconds, built = work["builds"]
-    print(f"builds section: {seconds:.2f} s, {built} complexes built", file=sys.stderr)
-    return 0
+    seconds = run_sections(__doc__, SECTIONS)["builds"]
+    # only the builds section builds complexes; trees reads trees alone
+    print(f"builds section: {seconds:.2f} s, {builds[0]} complexes built", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -28,12 +28,10 @@ It is not collected by pytest and takes a few seconds.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import sys
 from fractions import Fraction
 
-from multitwist.formats import FormatError, parse_number, parse_surface, write_surface
+from differential import record, run_sections
+from multitwist.formats import parse_number, parse_surface, write_surface
 from multitwist.graphs import perron_pair
 from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import build_surface, orientation_double_cover, staircase_complex
@@ -60,18 +58,6 @@ def _surface(m) -> str:
                       repr(list(m.gluings.items())), repr(sorted(m.frontier)),
                       repr(m.corner_cycles), repr(list(m.h_layouts.items())),
                       repr(list(m.v_layouts.items()))))
-
-
-def _error(exc) -> str:
-    line = f" @{exc.line}" if isinstance(exc, FormatError) else ""
-    return f"{type(exc).__name__}{line}: {exc}"
-
-
-def _record(fn, *args) -> str:
-    try:
-        return fn(*args)
-    except Exception as exc:  # any error is a record, so a crash shows as a difference
-        return _error(exc)
 
 
 def _staircases():
@@ -121,10 +107,10 @@ def _parses():
              ("staircase 5/2 [2,6] exact", staircase_complex(2, 6, Fraction(5, 2))),
              ("multicurves (1, 2) m=3", build_multicurves((1, 2), 3).complex)]
     for label, m in [*_staircases(), *_multicurves()]:
-        yield f"{label}: {_record(lambda: _surface(parse_surface(write_surface(m))))}"
+        yield f"{label}: {record(lambda: _surface(parse_surface(write_surface(m))))}"
     for label, m in small:
         for edit, text in _malformed(write_surface(m)):
-            yield f"{label} {edit}: {_record(lambda: _surface(parse_surface(text)))}"
+            yield f"{label} {edit}: {record(lambda: _surface(parse_surface(text)))}"
 
 
 def _numbers():
@@ -133,7 +119,7 @@ def _numbers():
             def read(tok=tok, line=line):
                 x = parse_number(tok, line)
                 return f"{type(x).__name__} {x!r}"
-            yield f"{tok!r} line {line}: {_record(read)}"
+            yield f"{tok!r} line {line}: {record(read)}"
 
 
 SECTIONS = (("staircase", lambda: _surfaces(_staircases)),
@@ -141,25 +127,5 @@ SECTIONS = (("staircase", lambda: _surfaces(_staircases)),
             ("parse", _parses), ("numbers", _numbers))
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--records", action="store_true", help="print every record")
-    args = ap.parse_args()
-    whole = hashlib.sha256()
-    for name, section in SECTIONS:
-        digest = hashlib.sha256()
-        count = 0
-        for rec in section():
-            digest.update(rec.encode() + b"\n")
-            count += 1
-            if args.records:
-                print(rec)
-        line = f"{name}: {count} records {digest.hexdigest()[:16]}"
-        whole.update(line.encode() + b"\n")
-        print(line)
-    print(f"dump sha256 {whole.hexdigest()}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    run_sections(__doc__, SECTIONS)

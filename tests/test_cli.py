@@ -1,8 +1,10 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +16,7 @@ from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, induced_subtree, loch_ness_tree
 from multitwist.surfaces import staircase_complex
+from multitwist.svg import surface_svg
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
 LADDER = "\n".join(["bipartite 3 4 6 2"] + [
@@ -291,6 +294,22 @@ class TestFlowSvg:
         assert res.exit_code == 2, res.output
         assert "--start and --dir" in res.output
 
+    def test_svg_of_rotated_chart_and_singular_end_is_pinned(self):
+        # rectangle 1 of this output sits in a chart rotated by pi (its
+        # cylinder has flipped arrows); the dump crosses into it and ends
+        # on its SW corner, so a point is drawn rotated and the end marked
+        m = build_multicurves((1, 2), 3).complex
+        assert m.h_layouts[0].orients == (1, -1)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        dump = formats.TrajectoryDump(
+            segments=((0, half, quarter, Fraction(1), half, 0.5590169943749475),
+                      (1, Fraction(1), half, Fraction(0), Fraction(0), 1.118033988749895)),
+            terminal="singular", detail=("1", "SW"))
+        text = surface_svg(m, trajectories=[dump])
+        assert '<circle cx="150.000000" cy="126.000000" r="3"' in text
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "0c411a103120c0a3e56799fccc5f8ba0fc89bfd7a4463e4841d56e9dfa9f8520")
+
     def test_svg_start_takes_fractions(self, runner, tmp_path):
         surf = tmp_path / "st.surf"
         runner.invoke(main, ["build", "--family", "staircase", "--window",
@@ -429,7 +448,7 @@ class TestBuildModes:
         assert rebuilt.read_text() == surf.read_text()
 
 
-@pytest.mark.parametrize("command", ["harmonic", "flow", "build", "verify", "classify"])
+@pytest.mark.parametrize("command", ["harmonic", "flow", "build", "verify"])
 def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
     gf = tmp_path / "k2.graph"  # also a surface file: one rectangle, no gluings
     gf.write_text(K2_GRAPH)
@@ -440,8 +459,7 @@ def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
     args = {"harmonic": ["harmonic", str(gf)],
             "flow": ["flow", str(gf), "--start", "0:1/3:1/5", "--dir", "1:1"],
             "build": ["build", "--family", "staircase", "--lambda", "3"],
-            "verify": ["verify", str(surf)],
-            "classify": ["classify", "--word", "aB", "--lambda", "3"]}[command]
+            "verify": ["verify", str(surf)]}[command]
     for tol in ("0", "-1"):
         res = runner.invoke(main, args + ["--tol", tol])
         assert res.exit_code == 2, res.output

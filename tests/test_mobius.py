@@ -254,7 +254,6 @@ class TestExactOrFloat:
         far = ProjectiveDirection.make(1.0, 2.001)
         assert exact.is_exact() and not near.is_exact()
         assert exact.close_to(near) and near.close_to(exact)
-        assert not exact.close_to(near, tol=1e-15)
         assert not exact.close_to(far) and not far.close_to(exact)
 
     def test_float_determinant_within_tolerance(self):
