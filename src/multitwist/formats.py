@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import BipartiteConfigGraph, HarmonicAssignment, _trusted
+from .graphs import BipartiteConfigGraph, GraphError, HarmonicAssignment, _trusted
 from .quadfield import QuadExt
 from .recipe import EndTreeSpec, ladder_tree, loch_ness_tree
 from .surfaces import RectangleComplex, RibbonData, RibbonError, build_surface, mark_faces
@@ -88,6 +88,11 @@ def _tokens(text: str) -> list:
     return out
 
 
+def _end(lines) -> int:
+    """The line after the last record: where a missing record is reported."""
+    return lines[-1][0] + 1 if lines else 1
+
+
 def _int(tok: str, line: int) -> int:
     try:
         return int(tok)
@@ -109,13 +114,17 @@ def parse_graph(text: str) -> BipartiteConfigGraph:
 
 
 def _read_graph(lines) -> BipartiteConfigGraph:
+    """The graph of the bipartite and edge records.  Each error names a
+    line: that of the edge a GraphError names, else the header's, or the
+    line after the last record for a missing header."""
     header = None
     edges = {}
+    where = {}  # edge id -> line
     for lineno, toks in lines:
         if toks[0] == "bipartite":
             if len(toks) != 5:
                 raise FormatError("bipartite header needs 4 integers", lineno)
-            header = tuple(_int(t, lineno) for t in toks[1:])
+            header = tuple(_int(t, lineno) for t in toks[1:]) + (lineno,)
         elif toks[0] == "edge":
             if len(toks) != 4:
                 raise FormatError("edge needs <id> <i> <j>", lineno)
@@ -123,23 +132,24 @@ def _read_graph(lines) -> BipartiteConfigGraph:
             if e in edges:
                 raise FormatError(f"duplicate edge id {e}", lineno)
             edges[e] = (i, j)
+            where[e] = lineno
         elif toks[0] in ("lambda", "h", "sigma_h", "sigma_v", "sigma_h*",
                          "sigma_v*", "flip", "puncture", "marked"):
             continue  # surface/harmonic records share the file
         else:
             raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if header is None:
-        raise FormatError("missing bipartite header")
-    ni, nj, ne, bound = header
+        raise FormatError("missing bipartite header", _end(lines))
+    ni, nj, ne, bound, head = header
     part_i = {i for i, _ in edges.values()}
     part_j = {j for _, j in edges.values()}
     if (len(part_i), len(part_j), len(edges)) != (ni, nj, ne):
         raise FormatError(f"header {header[:3]} does not match edge records "
-                          f"({len(part_i)}, {len(part_j)}, {len(edges)})")
+                          f"({len(part_i)}, {len(part_j)}, {len(edges)})", head)
     try:
         return BipartiteConfigGraph.make(part_i, part_j, edges, bound)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    except GraphError as exc:
+        raise FormatError(str(exc), where.get(exc.edge, head)) from exc
 
 
 # -- harmonic assignments ---------------------------------------------------
@@ -179,9 +189,9 @@ def _read_harmonic(lines) -> HarmonicAssignment:
         else:
             raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if lam is None:
-        raise FormatError("missing lambda record")
+        raise FormatError("missing lambda record", _end(lines))
     if not values:
-        raise FormatError("no h records")
+        raise FormatError("no h records", _end(lines))
     return _trusted(lam, values)
 
 

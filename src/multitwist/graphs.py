@@ -14,13 +14,14 @@ for the flat-surface builder: the cylinder over each curve then has modulus
 Vertex ids follow the even/odd convention used by the file format: curves
 in part I get even ids, curves in part J get odd ids.
 
-numpy is imported inside the float solvers that use it (Perron pair,
-truncated solves, lambda_0): importing it takes about 12 MB
-of memory, which closed-form harmonic data, surfaces and flow never need.
+Every linear solve (truncated solves, Perron pairs, lambda_0) runs on one
+sparse LDL^T factor of lam I - A_int (`_Elimination`), in plain field
+arithmetic, so a bounded-valence graph costs memory linear in its size.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -28,6 +29,19 @@ from fractions import Fraction
 from typing import Mapping
 
 from .quadfield import _ZERO, QuadExt, _field, _squarefree_split
+
+
+class GraphError(ValueError):
+    """A configuration graph that breaks a rule of BipartiteConfigGraph.
+
+    edge, when set, is an edge at fault (the least edge id at a vertex at
+    fault, or the edge that takes a vertex past the bound), so a parser
+    can point at the record that named it.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -55,32 +69,35 @@ class BipartiteConfigGraph:
         return g
 
     def _validate(self):
-        if self.part_i & self.part_j:
-            raise ValueError("parts I and J overlap")
+        overlap = self.part_i & self.part_j
+        if overlap:
+            raise GraphError("parts I and J overlap", self._first_edge(min(overlap)))
         for v in self.part_i:
             if v % 2:
-                raise ValueError(f"part-I vertex {v} must have an even id")
+                raise GraphError(f"part-I vertex {v} must have an even id", self._first_edge(v))
         for v in self.part_j:
             if v % 2 == 0:
-                raise ValueError(f"part-J vertex {v} must have an odd id")
+                raise GraphError(f"part-J vertex {v} must have an odd id", self._first_edge(v))
         if self.valence_bound < 1:
-            raise ValueError("valence bound must be positive")
+            raise GraphError("valence bound must be positive")
         seen = set()
         inc: dict = {v: [] for v in self.vertices()}
         for e, i, j in self.edges:
             if e in seen:
-                raise ValueError(f"duplicate edge id {e}")
+                raise GraphError(f"duplicate edge id {e}", e)
             seen.add(e)
             if i not in self.part_i or j not in self.part_j:
-                raise ValueError(f"edge {e}=({i},{j}) does not join I to J")
+                raise GraphError(f"edge {e}=({i},{j}) does not join I to J", e)
             inc[i].append((e, j))
             inc[j].append((e, i))
         for v, lst in inc.items():
+            lst.sort()
             if len(lst) > self.valence_bound:
-                raise ValueError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}")
-            self._incident[v] = tuple(sorted(lst))
+                raise GraphError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}",
+                                 lst[self.valence_bound][0])
+            self._incident[v] = tuple(lst)
         if self.vertices() and not self._connected():
-            raise ValueError("graph is not connected")
+            raise GraphError("graph is not connected")
 
     def _connected(self) -> bool:
         verts = self.vertices()
@@ -94,6 +111,10 @@ class BipartiteConfigGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(verts)
+
+    def _first_edge(self, v):
+        """The least edge id at v, or None if v has no edge."""
+        return next((e for e, i, j in self.edges if v in (i, j)), None)
 
     def vertices(self) -> frozenset:
         return self.part_i | self.part_j
@@ -168,21 +189,105 @@ def apply_adjacency(g: BipartiteConfigGraph, f: Mapping) -> dict:
 def perron_pair(g: BipartiteConfigGraph) -> HarmonicAssignment:
     """Dominant eigenpair (lam, h) with h > 0, normalized to max value 1.
 
-    lam and the vertex v0 with the largest Perron entry come from a
-    symmetric eigensolver; h is then the truncated solve with h(v0) = 1 as
-    its only boundary value.  Strict interlacing gives lam > rho(A - v0) on
-    a connected graph, so the Perron-Frobenius verdict of that solve holds
-    and every value is relative-accurate.  A Perron entry below the float
-    range (about 2.2e-308 of the largest) raises ValueError.
+    No eigensolver: h is the truncated solve with h(v0) = 1 as its only
+    boundary value, and lam the root of r(lam) = (A h)(v0) - lam, found by
+    safeguarded Newton steps inside a Collatz-Wielandt bracket (see
+    `_perron_root`).  Strict interlacing gives rho(A) > rho(A - v0) on a
+    connected graph, so near the root every pivot of that solve is
+    positive and every value is relative-accurate.  A Perron entry below
+    the float range (about 2.2e-308 of the largest) raises ValueError.
     """
     if not g.edges:
         raise ValueError("graph needs at least one edge")
-    import numpy as np
+    lam, values = _perron_root(_adjacency(g))
+    _refuse_underflow(values.values())
+    return _trusted(lam, values)
 
-    order, a, _ = _interior_system(g, {})  # no boundary: the whole of A
-    eigvals, eigvecs = np.linalg.eigh(a)
-    v0 = order[int(np.argmax(np.abs(eigvecs[:, -1])))]
-    return harmonic_truncated(g, float(eigvals[-1]), {v0: 1.0}).assignment()
+
+# power sweeps on A + I before the Newton steps of `_perron_root`
+_SWEEPS = 8
+
+
+def _perron_root(nbrs: Mapping) -> tuple:
+    """(rho(A), h) on the connected graph with adjacency nbrs: h > 0 with
+    A h = rho h up to rounding and max value exactly 1.
+
+    A few sweeps of A + I from the constant function (A alone flips sign
+    between the parts of a bipartite graph) give x > 0, the
+    Collatz-Wielandt bracket min (A x)/x <= rho <= max (A x)/x, and the
+    pin v0, x's largest entry.  For lam > rho(A - v0) the pinned solve
+    h_lam is positive and r(lam) = (A h_lam)(v0) - lam is convex and
+    decreasing with root rho, so Newton steps from the bracket's top
+    converge.  Should the solve's largest entry lie elsewhere, h is solved
+    again pinned there: the pin carries the residual of lam, which is then
+    relative to the largest value.
+    """
+    verts = list(nbrs)
+    at = {v: k for k, v in enumerate(verts)}
+    rows = [[at[w] for w in nbrs[v]] for v in verts]
+    x = [1.0] * len(verts)
+    for _ in range(_SWEEPS):
+        x = [t + sum(map(x.__getitem__, row)) for t, row in zip(x, rows)]
+        top = max(x)
+        x = [t / top for t in x]
+    ratios = [sum(map(x.__getitem__, row)) / t for t, row in zip(x, rows)]
+    v0 = verts[x.index(max(x))]
+    lo, hi = min(ratios), max(ratios)
+    lam, lo, hi, h = _pinned_newton(nbrs, v0, hi, lo, hi)
+    top = max(h, key=h.get)
+    if h[top] > h[v0]:
+        lam, lo, hi, h = _pinned_newton(nbrs, top, lam, lo, hi)
+    scale = max(h.values())  # 1 but for a tie broken by rounding
+    return lam, h if scale == 1 else {v: t / scale for v, t in h.items()}
+
+
+def _pinned_newton(nbrs: Mapping, v0, lam, lo, hi) -> tuple:
+    """(lam, lo, hi, h): Newton steps on r(lam) = (A h_lam)(v0) - lam from
+    lam in the bracket [lo, hi] of rho, h_lam the solve pinned at
+    h(v0) = 1; lam and h are those of the last positive factor.
+
+    r'(lam) = -|h_lam|^2 (as d h_lam / d lam = -(lam I - A_int)^-1 h_lam
+    and A is symmetric), so a step costs one factor.  A solve tightens the
+    bracket by the sign of r; a factor with a pivot <= 0 puts lam below
+    rho(A - v0) < rho, so lam becomes the bracket's bottom.  A step that
+    leaves the bracket, or follows such a factor, bisects instead.  The
+    steps stop where lam no longer moves in floats.
+    """
+    elim = _Elimination(nbrs, {v0: 1})
+    best = None
+    while True:
+        entries = elim.factor(lam)
+        step = None
+        if elim.positive(entries):
+            sol = elim.solve(entries, elim.coupling)
+            best = lam, sol
+            r = sum(sol[elim.pos[w]] for w in nbrs[v0]) - lam
+            if r == 0:
+                break
+            if r > 0:
+                lo = lam
+            else:
+                hi = lam
+            step = lam + r / (1 + sum(t * t for t in sol))
+            if step == lam:
+                break
+        else:
+            lo = lam
+        if step is None or not lo < step < hi:
+            step = (lo + hi) / 2
+            if not lo < step < hi:
+                break
+        lam = step
+    lam, sol = best
+    return lam, lo, hi, {v0: 1.0, **elim.values(sol)}
+
+
+def _refuse_underflow(values):
+    """Raise if a float value lies below the float range."""
+    tiny = min(values)
+    if isinstance(tiny, float) and tiny < sys.float_info.min:
+        raise ValueError(f"positive solution underflows: smallest value {tiny:.3g} "
+                         f"is below the float range ({sys.float_info.min:.3g})")
 
 
 def _trusted(lam, values) -> HarmonicAssignment:
@@ -278,7 +383,7 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
 class TruncatedHarmonicResult:
     """Solution of the interior harmonic system on a finite truncation."""
 
-    lam: float
+    lam: object
     values: dict
     positive: bool
     nonpositive_vertices: tuple
@@ -289,27 +394,144 @@ class TruncatedHarmonicResult:
         return HarmonicAssignment(lam=self.lam, values=self.values)
 
 
-def _interior_system(g: BipartiteConfigGraph, boundary: Mapping) -> tuple:
-    """(interior vertices, A restricted to them, boundary sum at each), the
-    interior sorted; the only place a dense adjacency matrix is built."""
+def _adjacency(g: BipartiteConfigGraph) -> dict:
+    """v -> neighbours of v, one entry per edge (so with multiplicity),
+    vertices sorted."""
+    return {v: [w for _, w in g.incident(v)] for v in sorted(g.vertices())}
+
+
+def _components(nbrs: Mapping) -> list:
+    """The vertex lists of the connected components of the graph with
+    adjacency nbrs."""
+    seen, parts = set(), []
+    for v in nbrs:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, part = [v], [v]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    part.append(w)
+        parts.append(part)
+    return parts
+
+
+def _checked_adjacency(g: BipartiteConfigGraph, boundary: Mapping) -> dict:
+    """g's adjacency, once the boundary of a truncated solve is checked:
+    at least one vertex, each in g with a positive value."""
+    if not boundary:
+        raise ValueError("truncated solve needs at least one boundary vertex")
+    nbrs = _adjacency(g)
     for v, x in boundary.items():
-        if v not in g.vertices():
+        if v not in nbrs:
             raise ValueError(f"boundary vertex {v} not in graph")
         if not x > 0:
             raise ValueError(f"boundary value at {v} must be positive")
-    import numpy as np
+    return nbrs
 
-    interior = sorted(v for v in g.vertices() if v not in boundary)
-    idx = {v: k for k, v in enumerate(interior)}
-    a_int = np.zeros((len(interior), len(interior)))
-    coupling = np.zeros(len(interior))
-    for v in interior:
-        for _, w in g.incident(v):
-            if w in idx:
-                a_int[idx[v], idx[w]] += 1.0
-            else:
-                coupling[idx[v]] += float(boundary[w])
-    return interior, a_int, coupling
+
+class _Elimination:
+    """Sparse LDL^T factor of lam I - A_int for any lam, where A_int is the
+    adjacency among the vertices of nbrs outside `boundary`.
+
+    The interior is ordered once, from the structure alone, by minimum
+    degree: the elimination game eliminates a vertex of least degree in
+    the current graph (ties by id) and joins its remaining neighbours into
+    a clique, and that clique is the vertex's column of L.  Entries sit in
+    one flat list: pivot k at index k, column k of L at start[k] ..
+    start[k + 1] - 1 (each entry's row in `rows`).  `updates[k]` lists
+    column k's Schur-complement update as (target, L entry, offset in the
+    column) triples.  The arithmetic is plain + - * /, so floats and
+    Fractions run through it alike.
+    """
+
+    def __init__(self, nbrs: Mapping, boundary: Mapping):
+        sets = {v: {w for w in ws if w not in boundary}
+                for v, ws in nbrs.items() if v not in boundary}
+        heap = [(len(s), v) for v, s in sets.items()]
+        heapq.heapify(heap)
+        order, cliques = [], []
+        while heap:
+            d, v = heapq.heappop(heap)
+            s = sets.get(v)
+            if s is None or len(s) != d:
+                continue  # eliminated already, or a stale degree
+            del sets[v]
+            order.append(v)
+            cliques.append(s)
+            for u in s:
+                su = sets[u]
+                su.discard(v)
+                if len(s) > 1:
+                    su |= s
+                    su.discard(u)
+                heapq.heappush(heap, (len(su), u))
+        n = len(order)
+        self.order, self.pos = order, {v: k for k, v in enumerate(order)}
+        self.coupling = [0] * n
+        for w, x in boundary.items():
+            for v in nbrs[w]:
+                if v in self.pos:
+                    self.coupling[self.pos[v]] += x
+        self.rows, self.start, self.init, where = list(range(n)), [n], [], {}
+        for k, s in enumerate(cliques):
+            ws = nbrs[order[k]]
+            for i in sorted(map(self.pos.__getitem__, s)):
+                where[k, i] = len(self.rows)
+                self.rows.append(i)
+                self.init.append(-ws.count(order[i]))  # 0 where the factor fills in
+            self.start.append(len(self.rows))
+        self.updates = []
+        for k in range(n):
+            lo, hi = self.start[k], self.start[k + 1]
+            self.updates.append([(where[self.rows[p], self.rows[q]] if q > p else self.rows[p],
+                                  p, q - lo)
+                                 for p in range(lo, hi) for q in range(p, hi)])
+
+    def factor(self, lam) -> list:
+        """The entries for lam: pivots first, then L.  A zero pivot raises;
+        negative ones do not, so an indefinite system still solves."""
+        entries = [lam] * len(self.order) + self.init
+        start = self.start
+        for k, update in enumerate(self.updates):
+            d = entries[k]
+            if d == 0:
+                raise ValueError(f"degenerate truncation: zero pivot at vertex {self.order[k]}")
+            lo, hi = start[k], start[k + 1]
+            column = entries[lo:hi]
+            for p in range(lo, hi):
+                entries[p] /= d
+            for t, p, q in update:
+                entries[t] -= entries[p] * column[q]
+        return entries
+
+    def positive(self, entries) -> bool:
+        """Every pivot > 0: lam I - A_int is positive definite."""
+        return all(d > 0 for d in entries[:len(self.order)])
+
+    def solve(self, entries, rhs) -> list:
+        """x with (lam I - A_int) x = rhs, both in elimination order."""
+        x = list(rhs)
+        rows, start = self.rows, self.start
+        n = len(x)
+        for k in range(n):
+            xk = x[k]
+            if xk:
+                for p in range(start[k], start[k + 1]):
+                    x[rows[p]] -= entries[p] * xk
+        for k in range(n - 1, -1, -1):
+            t = x[k] / entries[k]
+            for p in range(start[k], start[k + 1]):
+                t -= entries[p] * x[rows[p]]
+            x[k] = t
+        return x
+
+    def values(self, sol) -> dict:
+        """vertex -> value of a solution, vertices sorted."""
+        return {v: sol[self.pos[v]] for v in sorted(self.order)}
 
 
 def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> TruncatedHarmonicResult:
@@ -317,39 +539,25 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
 
     boundary maps the designated boundary vertices (at least one) to their
     positive values; every other vertex is interior.  The interior system
-    is (lam I - A_int) h = (boundary sums).  By Perron-Frobenius theory for
-    M-matrices, on a connected graph its solution is positive exactly when
-    lam I - A_int is positive definite, so `positive` comes from a Cholesky
-    factorization and does not depend on how small the solution is.  A
-    singular system raises; loss of positivity is reported, not raised.  A
-    positive solution with a value below the float range
-    (sys.float_info.min, about 2.2e-308) raises ValueError rather than
-    return underflowed values.
+    is (lam I - A_int) h = (boundary sums), solved through a sparse LDL^T
+    factor in the arithmetic of lam and the boundary values, so Fractions
+    give the exact solution.  By Perron-Frobenius theory for M-matrices,
+    on a connected graph the solution is positive exactly when lam I -
+    A_int is positive definite, that is when every pivot is positive, so
+    `positive` does not depend on how small the solution is.  A zero pivot
+    raises; loss of positivity is reported, not raised.  A positive float
+    solution with a value below the float range (sys.float_info.min, about
+    2.2e-308) raises ValueError rather than return underflowed values.
     """
-    import numpy as np
-
-    lam = float(lam)
-    if not boundary:
-        raise ValueError("truncated solve needs at least one boundary vertex")
-    interior, mat, coupling = _interior_system(g, boundary)
-    mat *= -1.0  # lam I - A_int, formed in place
-    mat[np.diag_indices_from(mat)] += lam
-    try:
-        np.linalg.cholesky(mat)
-        positive = True
-    except np.linalg.LinAlgError:
-        positive = False
-    try:
-        sol = np.linalg.solve(mat, coupling)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate truncation: interior system singular ({exc})") from exc
-    if positive and np.any(sol < sys.float_info.min):
-        raise ValueError(f"positive solution underflows: smallest value {sol.min():.3g} "
-                         f"is below the float range ({sys.float_info.min:.3g})")
-    values = {v: float(x) for v, x in boundary.items()}
-    values.update(zip(interior, sol.tolist()))
-    bad = tuple(v for v in interior if not values[v] > 0)
-    return TruncatedHarmonicResult(lam, values, positive, bad)
+    elim = _Elimination(_checked_adjacency(g, boundary), boundary)
+    entries = elim.factor(lam)
+    positive = elim.positive(entries)
+    sol = elim.solve(entries, elim.coupling)
+    if positive and sol:
+        _refuse_underflow(sol)
+    interior = elim.values(sol)
+    bad = tuple(v for v, x in interior.items() if not x > 0)
+    return TruncatedHarmonicResult(lam, {**boundary, **interior}, positive, bad)
 
 
 @dataclass(frozen=True)
@@ -380,14 +588,12 @@ def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
 
     By the Perron-Frobenius verdict of harmonic_truncated, a solve is
     positive exactly when lam > rho(A_int), so this is max(2, rho(A_int)),
-    read off a symmetric eigensolver.  At lam = rho(A_int) > 2 itself the
-    system is singular; every larger lam is positive, though a solve can
-    still raise when its values fall below the float range.
+    the largest rho over the connected components of A_int, each found as
+    `perron_pair` finds it.  At lam = rho(A_int) > 2 itself the system is
+    singular; every larger lam is positive, though a solve can still raise
+    when its values fall below the float range.
     """
-    import numpy as np
-
-    if not boundary:
-        raise ValueError("truncated solve needs at least one boundary vertex")
-    interior, a_int, _ = _interior_system(g, boundary)
-    rho = np.linalg.eigvalsh(a_int)[-1] if interior else 0.0
-    return max(2.0, float(rho))
+    interior = {v: [w for w in ws if w not in boundary]
+                for v, ws in _checked_adjacency(g, boundary).items() if v not in boundary}
+    return max([2.0] + [_perron_root({v: interior[v] for v in part})[0]
+                        for part in _components(interior)])

@@ -348,6 +348,30 @@ class TestMulticurve:
             res = runner.invoke(main, args)
             assert res.exit_code == 0, (args[0], res.output)
 
+    def test_perron_pipeline_imports_no_numpy(self, tmp_path):
+        # a fresh interpreter, so nothing another test imported counts
+        mc, surf = tmp_path / "mc.surf", tmp_path / "perron.surf"
+        steps = [["multicurve", "--family", "loch-ness", "--depth", "10", "--m", "2",
+                  "-o", str(mc)],
+                 ["build", str(mc), "--mode", "perron", "-o", str(surf)],
+                 ["verify", str(surf), "--m", "2"]]
+        script = (
+            "import sys\n"
+            "from multitwist.cli import main\n"
+            f"for args in {steps!r}:\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code in (0, None), (args[0], exc.code)\n"
+            "print('numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(multitwist.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False"
+
     def test_infeasible_reports_usage_error(self, runner):
         res = runner.invoke(main, ["multicurve", "--genus", "0",
                                    "--punctures", "1", "--m", "1"])

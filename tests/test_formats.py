@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 from multitwist import formats
+from multitwist.cli import main
 from multitwist.flow import SurfacePoint, flow
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
 from multitwist.quadfield import QuadExt
@@ -185,6 +188,147 @@ SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
 def test_malformed_record_names_line(parser, text, line):
     with pytest.raises(formats.FormatError, match=f"^line {line}: "):
         getattr(formats, parser)(text)
+
+
+@st.composite
+def config_graphs(draw):
+    """A connected bipartite multigraph: a random spanning tree, then extra
+    parallel or new edges, ids of any sign, a bound at or above the
+    largest degree."""
+    part_i = draw(st.lists(st.integers(-20, 20).map(lambda k: 2 * k), min_size=1,
+                           max_size=5, unique=True))
+    part_j = draw(st.lists(st.integers(-20, 20).map(lambda k: 2 * k + 1), min_size=1,
+                           max_size=5, unique=True))
+    pairs = [(part_i[0], part_j[0])]
+    joined = {0: part_i[:1], 1: part_j[:1]}  # by parity
+    for v in draw(st.permutations(part_i[1:] + part_j[1:])):
+        w = draw(st.sampled_from(joined[1 - v % 2]))
+        pairs.append((v, w) if v % 2 == 0 else (w, v))
+        joined[v % 2].append(v)
+    pairs += draw(st.lists(st.tuples(st.sampled_from(part_i), st.sampled_from(part_j)),
+                           max_size=6))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=len(pairs), max_size=len(pairs),
+                        unique=True))
+    degree = max(sum(v in ij for ij in pairs) for v in part_i + part_j)
+    bound = degree + draw(st.integers(0, 2))
+    return BipartiteConfigGraph.make(part_i, part_j, dict(zip(ids, pairs)), bound)
+
+
+RATIOS = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9))
+
+
+def _positive_quads():
+    return st.builds(QuadExt, RATIOS, RATIOS.filter(bool),
+                     st.sampled_from([2, 3, 5, 7])).filter(lambda x: x > 0)
+
+
+NUMBERS = st.one_of(RATIOS, st.floats(allow_nan=False), _positive_quads())
+POSITIVE = st.one_of(RATIOS.filter(lambda x: x > 0),
+                     st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                     _positive_quads())
+HARMONIC = st.builds(HarmonicAssignment, NUMBERS,
+                     st.dictionaries(st.integers(-99, 99), POSITIVE, min_size=1, max_size=8))
+BAD_TOKENS = st.one_of(st.sampled_from(["x", "", "-", "1/0", "1+1r", "nan", "-1", "0", "3",
+                                        "1_0", "1e400", "bipartite", "edge", "h", "#"]),
+                       st.integers(-30, 30).map(str), st.text(max_size=4))
+
+
+@st.composite
+def edited(draw, text):
+    """text with a few of its lines dropped, repeated, edited token by
+    token or joined by random lines."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["drop", "repeat", "token", "insert"]))
+        if action == "insert" or k == len(lines):
+            lines.insert(k, draw(st.text(max_size=20)))
+        elif action == "drop":
+            del lines[k]
+        elif action == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            toks = lines[k].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(BAD_TOKENS)
+            lines[k] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def _parses_or_names_a_line(parse, text):
+    """True if text parses; False if it raises a FormatError naming a line
+    of the text or the one after it; anything else fails."""
+    try:
+        parse(text)
+        return True
+    except formats.FormatError as err:
+        assert 1 <= err.line <= len(text.splitlines()) + 1, str(err)
+        assert str(err).startswith(f"line {err.line}: ")
+        return False
+
+
+class TestParserFuzz:
+    @given(config_graphs())
+    def test_graph_round_trip(self, g):
+        assert formats.parse_graph(formats.write_graph(g)) == g
+
+    @given(HARMONIC)
+    def test_harmonic_round_trip(self, h):
+        back = formats.parse_harmonic(formats.write_harmonic(h))
+        assert back.lam == h.lam and back.values == h.values
+
+    @given(st.data())
+    def test_edited_graph_parses_or_names_a_line(self, data):
+        text = data.draw(edited(formats.write_graph(data.draw(config_graphs()))))
+        _parses_or_names_a_line(formats.parse_graph, text)
+
+    @given(st.data())
+    def test_edited_harmonic_parses_or_names_a_line(self, data):
+        text = data.draw(edited(formats.write_harmonic(data.draw(HARMONIC))))
+        _parses_or_names_a_line(formats.parse_harmonic, text)
+
+    @given(st.text())
+    def test_any_text_parses_or_names_a_line(self, text):
+        _parses_or_names_a_line(formats.parse_graph, text)
+        _parses_or_names_a_line(formats.parse_harmonic, text)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_cli_harmonic_exits_2_on_a_malformed_graph(self, data):
+        text = data.draw(edited(formats.write_graph(data.draw(config_graphs()))))
+        assume(not _parses_or_names_a_line(formats.parse_graph, text))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("g.graph", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            res = runner.invoke(main, ["harmonic", "g.graph"])
+        assert res.exit_code == 2, res.output
+        assert "error: line " in res.output
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "missing bipartite header"),
+        ("edge 0 0 1\n# end\n", 2, "missing bipartite header"),
+        ("bipartite 1 1 1 0\nedge 0 0 1\n", 1, "valence bound must be positive"),
+        ("bipartite 1 1 1 2\nedge 0 1 1\n", 2, "parts I and J overlap"),
+        ("bipartite 2 1 2 2\nedge 4 0 1\nedge 3 1 1\n", 3, "parts I and J overlap"),
+        ("bipartite 1 1 1 2\nedge 0 3 1\n", 2, "part-I vertex 3 must have an even id"),
+        ("bipartite 1 1 1 2\nedge 0 0 2\n", 2, "part-J vertex 2 must have an odd id"),
+        ("bipartite 1 1 3 2\nedge 0 0 1\nedge 1 0 1\nedge 2 0 1\n", 4,
+         "vertex 0 has degree 3 > bound 2"),
+        ("edge 0 0 1\nedge 1 2 3\nbipartite 2 2 2 1\n", 3, "graph is not connected"),
+    ])
+    def test_whole_graph_errors_name_a_line(self, text, line, message):
+        with pytest.raises(formats.FormatError) as err:
+            formats.parse_graph(text)
+        assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("h 0 1\n", 2, "missing lambda record"),
+        ("lambda 2\n\n# no values\n", 2, "no h records"),
+    ])
+    def test_missing_harmonic_records_name_the_end(self, text, line, message):
+        with pytest.raises(formats.FormatError) as err:
+            formats.parse_harmonic(text)
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestTrajectoryFormat:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from multitwist import graphs
 from multitwist.graphs import (
     BipartiteConfigGraph,
     HarmonicAssignment,
@@ -18,7 +19,8 @@ from multitwist.graphs import (
     verify_harmonic,
 )
 from multitwist.quadfield import QuadExt, root_plus
-from multitwist.recipe import build_multicurves, loch_ness_tree
+from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
+from test_formats import config_graphs
 
 
 def k2():
@@ -112,6 +114,34 @@ class TestPerron:
         # the smallest Perron entries here are far below 1e-12 of the largest
         g = build_multicurves(loch_ness_tree(80), 2).complex.graph
         assert verify_harmonic(g, perron_pair(g), 1e-12).passes
+
+    @pytest.mark.parametrize("tree", [loch_ness_tree, ladder_tree])
+    @pytest.mark.parametrize("depth", [10, 40, 160])
+    def test_recipe_graphs_meet_the_residual_with_max_exactly_one(self, tree, depth):
+        g = build_multicurves(tree(depth), 2).complex.graph
+        h = perron_pair(g)
+        assert verify_harmonic(g, h, 1e-12).passes
+        assert max(h.values.values()) == 1.0
+
+    def test_repins_at_the_largest_entry(self, monkeypatch):
+        # on the 25-vertex path the sweeps leave a plateau whose first
+        # vertex is 8, while the Perron vector sin(pi (n + 1) / 26) peaks at 12
+        pins = []
+        newton = graphs._pinned_newton
+
+        def spy(nbrs, v0, *args):
+            pins.append(v0)
+            return newton(nbrs, v0, *args)
+
+        monkeypatch.setattr(graphs, "_pinned_newton", spy)
+        g = LadderFamily(0, 24).graph()
+        h = perron_pair(g)
+        assert pins == [8, 12]
+        assert h[12] == 1.0 and max(h.values.values()) == 1.0
+        assert h.lam == pytest.approx(2 * math.cos(math.pi / 26), rel=1e-15)
+        for n in range(25):
+            assert h[n] == pytest.approx(math.sin(math.pi * (n + 1) / 26), rel=1e-13)
+        assert verify_harmonic(g, h, 1e-12).passes
 
 
 class TestClosedForm:
@@ -240,6 +270,34 @@ class TestTruncated:
         with pytest.raises(ValueError, match="boundary"):
             harmonic_truncated(path3(), 3, {})
 
+    def test_exact_solve_on_fractions(self):
+        # r = 2 at lam = 5/2, so the solution is 2^n exactly, and the float
+        # solve of the same system agrees to rounding
+        fam = LadderFamily(-5, 5)
+        res = harmonic_truncated(fam.graph(), Fraction(5, 2),
+                                 {-5: Fraction(1, 32), 5: Fraction(32)})
+        assert res.positive and res.nonpositive_vertices == ()
+        assert res.values == {n: Fraction(2) ** n for n in range(-5, 6)}
+        assert all(type(x) is Fraction for x in res.values.values())
+        flt = harmonic_truncated(fam.graph(), 2.5, {-5: 1 / 32, 5: 32.0})
+        assert flt.positive
+        for n in fam.interior():
+            assert type(flt.values[n]) is float
+            assert abs(flt.values[n] - 2.0 ** n) <= 1e-12 * 2.0 ** n
+
+    def test_exact_pivots_decide_positivity(self):
+        # rho(A_int) = 2 cos(pi/12) of the 11-vertex interior lies in (19/10, 2)
+        fam = LadderFamily(-6, 6)
+        below = harmonic_truncated(fam.graph(), Fraction(19, 10), {-6: 1, 6: 1})
+        assert not below.positive and below.nonpositive_vertices == tuple(range(-4, 5))
+        above = harmonic_truncated(fam.graph(), Fraction(2), {-6: 1, 6: 1})
+        assert above.positive and above.values == dict.fromkeys(range(-6, 7), 1)
+
+    def test_zero_pivot_is_degenerate(self):
+        # K2 with one boundary end: the interior pivot is lam itself
+        with pytest.raises(ValueError, match="^degenerate truncation: zero pivot at vertex 1$"):
+            harmonic_truncated(k2(), 0, {0: 1})
+
 
 class TestVerify:
     def test_perturbation_localizes(self):
@@ -265,6 +323,40 @@ def test_lambda_zero_on_ladder_is_two():
     boundary = {v: 1.0 for v in fam.boundary()}
     lz = lambda_zero(g, boundary)
     assert lz == 2.0  # rho(A_int) = 2 cos(pi/12) < 2
+
+
+@given(config_graphs())
+def test_perron_pair_on_random_multigraphs(g):
+    # a positive eigenvector certifies the Perron eigenvalue
+    h = perron_pair(g)
+    assert verify_harmonic(g, h, 1e-12).passes
+    assert max(h.values.values()) == 1.0
+
+
+@given(st.data())
+def test_lambda_zero_is_the_positivity_threshold(data):
+    g = data.draw(config_graphs())
+    verts = sorted(g.vertices())
+    boundary = dict.fromkeys(data.draw(st.lists(st.sampled_from(verts), min_size=1,
+                                                unique=True)), 1.0)
+    lz = lambda_zero(g, boundary)
+    assert harmonic_truncated(g, lz * (1 + 1e-9), boundary).positive
+    if lz > 2:
+        assert not harmonic_truncated(g, lz * (1 - 1e-9), boundary).positive
+
+
+@pytest.mark.parametrize("mult, rho", [(2, math.sqrt(5)), (3, 3.0)])
+def test_lambda_zero_takes_the_largest_component(mult, rho):
+    # the boundary vertex 11 splits A_int into the star K_{1,5} about 1
+    # (rho sqrt 5) and mult parallel edges 20 -- 21 (rho mult)
+    edges = {k: (v, 1) for k, v in enumerate((0, 2, 4, 6, 8))}
+    edges.update({5: (8, 11), 6: (20, 11)})
+    edges.update({7 + k: (20, 21) for k in range(mult)})
+    g = BipartiteConfigGraph.make([0, 2, 4, 6, 8, 20], [1, 11, 21], edges, 6)
+    lz = lambda_zero(g, {11: 1.0})
+    assert lz == pytest.approx(rho, rel=1e-14)
+    assert harmonic_truncated(g, lz * (1 + 1e-9), {11: 1.0}).positive
+    assert not harmonic_truncated(g, lz * (1 - 1e-9), {11: 1.0}).positive
 
 
 @pytest.mark.parametrize("solve", [lambda g, b: harmonic_truncated(g, 3, b), lambda_zero],
