@@ -75,22 +75,40 @@ def parse_number(tok: str, line: int = 0):
         raise FormatError(f"bad number {tok!r}", line) from exc
 
 
-def _tokens(text: str) -> list:
-    """(line number, tokens) of every line with a token, comments dropped.
-    The tokens are a tuple of strings, which the garbage collector stops
-    tracking at its next pass, so a long file does not add to the
-    collections the rest of the program pays for."""
-    out = []
+# Each file kind's records, tag -> (the reader that takes them, fields):
+# fields is the usage text, one <field> per token, and a last token `...`
+# when more fields may follow.  A tag in _ONCE may appear once in a file.
+_ONCE = {"marked"}
+
+
+def _records(text: str, table: dict) -> tuple:
+    """One walk over a file: (reader -> its records in file order, the
+    line after the last record, where a missing record is reported).  A
+    record is (line number, tokens), comments dropped; its tag and field
+    count are checked against table.  The tokens are a tuple of strings,
+    which the garbage collector stops tracking at its next pass, so a long
+    file does not add to the collections the rest of the program pays for."""
+    out = {reader: [] for reader, _ in table.values()}
+    seen = set()  # once tags read so far
+    end = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = tuple(raw.partition("#")[0].split())
-        if toks:
-            out.append((lineno, toks))
-    return out
-
-
-def _end(lines) -> int:
-    """The line after the last record: where a missing record is reported."""
-    return lines[-1][0] + 1 if lines else 1
+        if not toks:
+            continue
+        tag = toks[0]
+        if tag not in table:
+            raise FormatError(f"unknown record {tag!r}", lineno)
+        reader, fields = table[tag]
+        count = fields.count("<")
+        if len(toks) - 1 != count and not (len(toks) > count and fields.endswith("...")):
+            raise FormatError(f"{tag} needs {fields}", lineno)
+        if tag in _ONCE:
+            if tag in seen:
+                raise FormatError(f"more than one {tag} record", lineno)
+            seen.add(tag)
+        out[reader].append((lineno, toks))
+        end = lineno + 1
+    return out, end
 
 
 def _int(tok: str, line: int) -> int:
@@ -98,6 +116,17 @@ def _int(tok: str, line: int) -> int:
         return int(tok)
     except ValueError as exc:
         raise FormatError(f"bad integer {tok!r}", line) from exc
+
+
+# Graph, harmonic and surface files share one table, so a graph or
+# harmonic reader takes a surface file's text and skips the other records.
+_SURFACE = {
+    "bipartite": ("graph", "<I> <J> <edges> <bound>"), "edge": ("graph", "<id> <i> <j>"),
+    "lambda": ("harmonic", "<value>"), "h": ("harmonic", "<vertex> <value>"),
+    **dict.fromkeys(("sigma_h", "sigma_v", "sigma_h*", "sigma_v*"), ("ribbon", "<edge> ...")),
+    "flip": ("ribbon", "<edge> <E|N>"), "puncture": ("ribbon", "<cycle>"),
+    "marked": ("ribbon", "<cycle>"),
+}
 
 
 # -- graphs -----------------------------------------------------------------
@@ -110,36 +139,28 @@ def write_graph(g: BipartiteConfigGraph) -> str:
 
 
 def parse_graph(text: str) -> BipartiteConfigGraph:
-    return _read_graph(_tokens(text))
+    records, end = _records(text, _SURFACE)
+    return _read_graph(records["graph"], end)
 
 
-def _read_graph(lines) -> BipartiteConfigGraph:
+def _read_graph(records, end: int) -> BipartiteConfigGraph:
     """The graph of the bipartite and edge records.  Each error names a
-    line: that of the edge a GraphError names, else the header's, or the
-    line after the last record for a missing header."""
+    line: that of the edge a GraphError names, else the header's, or end
+    for a missing header."""
     header = None
     edges = {}
     where = {}  # edge id -> line
-    for lineno, toks in lines:
+    for lineno, toks in records:
         if toks[0] == "bipartite":
-            if len(toks) != 5:
-                raise FormatError("bipartite header needs 4 integers", lineno)
             header = tuple(_int(t, lineno) for t in toks[1:]) + (lineno,)
-        elif toks[0] == "edge":
-            if len(toks) != 4:
-                raise FormatError("edge needs <id> <i> <j>", lineno)
+        else:
             e, i, j = (_int(t, lineno) for t in toks[1:])
             if e in edges:
                 raise FormatError(f"duplicate edge id {e}", lineno)
             edges[e] = (i, j)
             where[e] = lineno
-        elif toks[0] in ("lambda", "h", "sigma_h", "sigma_v", "sigma_h*",
-                         "sigma_v*", "flip", "puncture", "marked"):
-            continue  # surface/harmonic records share the file
-        else:
-            raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if header is None:
-        raise FormatError("missing bipartite header", _end(lines))
+        raise FormatError("missing bipartite header", end)
     ni, nj, ne, bound, head = header
     part_i = {i for i, _ in edges.values()}
     part_j = {j for _, j in edges.values()}
@@ -162,20 +183,17 @@ def write_harmonic(h: HarmonicAssignment) -> str:
 
 
 def parse_harmonic(text: str) -> HarmonicAssignment:
-    return _read_harmonic(_tokens(text))
+    records, end = _records(text, _SURFACE)
+    return _read_harmonic(records["harmonic"], end)
 
 
-def _read_harmonic(lines) -> HarmonicAssignment:
+def _read_harmonic(records, end: int) -> HarmonicAssignment:
     lam = None
     values = {}
-    for lineno, toks in lines:
+    for lineno, toks in records:
         if toks[0] == "lambda":
-            if len(toks) != 2:
-                raise FormatError("lambda needs <value>", lineno)
             lam = parse_number(toks[1], lineno)
-        elif toks[0] == "h":
-            if len(toks) != 3:
-                raise FormatError("h needs <vertex> <value>", lineno)
+        else:
             v = _int(toks[1], lineno)
             if v in values:
                 raise FormatError(f"duplicate h record for vertex {v}", lineno)
@@ -183,15 +201,10 @@ def _read_harmonic(lines) -> HarmonicAssignment:
             if not value > 0:  # NaN included
                 raise FormatError(f"h value {toks[2]} at vertex {v} must be positive", lineno)
             values[v] = value
-        elif toks[0] in ("bipartite", "edge", "sigma_h", "sigma_v", "sigma_h*",
-                         "sigma_v*", "flip", "puncture", "marked"):
-            continue
-        else:
-            raise FormatError(f"unknown record {toks[0]!r}", lineno)
     if lam is None:
-        raise FormatError("missing lambda record", _end(lines))
+        raise FormatError("missing lambda record", end)
     if not values:
-        raise FormatError("no h records", _end(lines))
+        raise FormatError("no h records", end)
     return _trusted(lam, values)
 
 
@@ -218,7 +231,7 @@ def write_surface(m: RectangleComplex) -> str:
 
 def parse_surface(text: str) -> RectangleComplex:
     # the text is split once; its tokens are dropped before the build
-    graph, harmonic, sigma, flips, named, faces = _read_surface(_tokens(text))
+    graph, harmonic, sigma, flips, named, faces = _read_surface(*_records(text, _SURFACE))
     try:
         m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
                           harmonic=harmonic)
@@ -234,16 +247,16 @@ def parse_surface(text: str) -> RectangleComplex:
     return mark_faces(m, tokens["puncture"], *tokens["marked"])
 
 
-def _read_surface(lines) -> tuple:
+def _read_surface(records, end: int) -> tuple:
     """A surface file's records, read by the graph, harmonic and ribbon
     readers in turn: (graph, harmonic data or None, the sigma_h and sigma_v
     successor maps, flips, the line naming each edge in each map, face
     marks as (tag, cycle index, line))."""
-    graph = _read_graph(lines)
+    graph = _read_graph(records["graph"], end)
     edges = graph.edge_map()
     harmonic = None
-    if any(toks[0] == "lambda" for _, toks in lines):
-        harmonic = _read_harmonic(lines)
+    if any(toks[0] == "lambda" for _, toks in records["harmonic"]):
+        harmonic = _read_harmonic(records["harmonic"], end)
 
     def edge(tok, tag, line):
         e = _int(tok, line)
@@ -255,13 +268,11 @@ def _read_surface(lines) -> tuple:
     named = {"sigma_h": {}, "sigma_v": {}}  # edge -> line of the record naming it
     flips = set()
     faces = []  # (tag, cycle index, line)
-    for lineno, toks in lines:
+    for lineno, toks in records["ribbon"]:
         tag = toks[0]
-        if tag in ("sigma_h", "sigma_v", "sigma_h*", "sigma_v*"):
+        if tag.startswith("sigma"):
             name = tag.rstrip("*")
             seq = [edge(t, name, lineno) for t in toks[1:]]
-            if not seq:
-                raise FormatError("empty cycle", lineno)
             for e in seq:
                 if e in named[name]:
                     raise FormatError(f"{name} names edge {e} twice", lineno)
@@ -272,17 +283,13 @@ def _read_surface(lines) -> tuple:
             if not tag.endswith("*"):
                 target[seq[-1]] = seq[0]
         elif tag == "flip":
-            if len(toks) != 3 or toks[2] not in ("E", "N"):
+            if toks[2] not in ("E", "N"):
                 raise FormatError("flip needs <edge> <E|N>", lineno)
             flip = (edge(toks[1], tag, lineno), toks[2])
             if flip in flips:
                 raise FormatError(f"flip {flip[0]} {flip[1]} named twice", lineno)
             flips.add(flip)
-        elif tag in ("puncture", "marked"):
-            if len(toks) != 2:
-                raise FormatError(f"{tag} needs <cycle>", lineno)
-            if tag == "marked" and any(t == tag for t, _, _ in faces):
-                raise FormatError("more than one marked record", lineno)
+        else:
             faces.append((tag, _int(toks[1], lineno), lineno))
     return graph, harmonic, sigma, flips, named, faces
 
@@ -321,26 +328,18 @@ def write_trajectory(traj_or_dump) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TRAJECTORY = {"seg": ("seg", "<edge> <x_in> <y_in> <x_out> <y_out> <length>"),
+               "end": ("end", "<terminal> ...")}
+
+
 def parse_trajectory(text: str) -> TrajectoryDump:
-    segs = []
-    terminal = None
-    detail = ()
-    for lineno, toks in _tokens(text):
-        if toks[0] == "seg":
-            if len(toks) != 7:
-                raise FormatError("seg needs 6 fields", lineno)
-            values = tuple(parse_number(t, lineno) for t in toks[2:])
-            segs.append((_int(toks[1], lineno),) + values)
-        elif toks[0] == "end":
-            if len(toks) < 2:
-                raise FormatError("end needs <terminal>", lineno)
-            terminal = toks[1]
-            detail = tuple(toks[2:])
-        else:
-            raise FormatError(f"unknown record {toks[0]!r}", lineno)
-    if terminal is None:
+    records, _ = _records(text, _TRAJECTORY)
+    segs = tuple((_int(toks[1], lineno),) + tuple(parse_number(t, lineno) for t in toks[2:])
+                 for lineno, toks in records["seg"])
+    if not records["end"]:
         raise FormatError("missing end record")
-    return TrajectoryDump(segments=tuple(segs), terminal=terminal, detail=detail)
+    _, toks = records["end"][-1]
+    return TrajectoryDump(segments=segs, terminal=toks[1], detail=toks[2:])
 
 
 # -- trees ------------------------------------------------------------------
@@ -384,40 +383,36 @@ def write_tree(spec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TREE = {"family": ("family", "<tag> <depth>"), "vertex": ("vertex", "<id> <parent|root>"),
+         **dict.fromkeys(("puncture", "genus-mark", "frontier"), ("mark", "<vertex>"))}
+
+
 def parse_tree(text: str):
+    records, _ = _records(text, _TREE)
+    if records["family"]:
+        lineno, (_, tag, depth) = records["family"][0]
+        depth = _int(depth, lineno)
+        if tag == "loch-ness":
+            return loch_ness_tree(depth)
+        if tag == "ladder":
+            return ladder_tree(depth)
+        raise FormatError(f"unknown family {tag!r}", lineno)
     root = None
     parents = {}
-    punctures, marks, frontier = set(), set(), set()
-    for lineno, toks in _tokens(text):
-        if toks[0] == "family":
-            if len(toks) != 3:
-                raise FormatError("family needs <tag> <depth>", lineno)
-            tag, depth = toks[1], _int(toks[2], lineno)
-            if tag == "loch-ness":
-                return loch_ness_tree(depth)
-            if tag == "ladder":
-                return ladder_tree(depth)
-            raise FormatError(f"unknown family {tag!r}", lineno)
-        elif toks[0] == "vertex":
-            if len(toks) != 3:
-                raise FormatError("vertex needs <id> <parent|root>", lineno)
-            v = _vertex_id(toks[1], lineno)
-            if toks[2] == "root":
-                root = v
-            else:
-                parents[v] = _vertex_id(toks[2], lineno)
-        elif toks[0] in ("puncture", "genus-mark", "frontier"):
-            if len(toks) != 2:
-                raise FormatError(f"{toks[0]} needs <vertex>", lineno)
-            target = {"puncture": punctures, "genus-mark": marks, "frontier": frontier}[toks[0]]
-            target.add(_vertex_id(toks[1], lineno))
+    for lineno, (_, v, parent) in records["vertex"]:
+        v = _vertex_id(v, lineno)
+        if parent == "root":
+            root = v
         else:
-            raise FormatError(f"unknown record {toks[0]!r}", lineno)
+            parents[v] = _vertex_id(parent, lineno)
+    marks = {"puncture": set(), "genus-mark": set(), "frontier": set()}
+    for lineno, (tag, v) in records["mark"]:
+        marks[tag].add(_vertex_id(v, lineno))
     if root is None:
         raise FormatError("missing root vertex")
     try:
-        return EndTreeSpec.make(root, parents, punctures=punctures,
-                                genus_marks=marks, frontier=frontier)
+        return EndTreeSpec.make(root, parents, punctures=marks["puncture"],
+                                genus_marks=marks["genus-mark"], frontier=marks["frontier"])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
