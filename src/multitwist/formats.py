@@ -1,7 +1,8 @@
 """Line-oriented text formats for graphs, harmonic data, surfaces, flows.
 
 Every emitter is deterministic (sorted iteration, canonical number
-formatting) and every parser reports the offending line number.  Numbers
+formatting).  Each file kind declares its records once, in a table read
+by one walk (_records), and every parser error names a line.  Numbers
 round-trip exactly: rationals as p/q, quadratic values as a+brd (so
 3/2+1/2r5 is (3 + sqrt(5))/2), floats via repr.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .graphs import BipartiteConfigGraph, GraphError, HarmonicAssignment, _trusted
 from .quadfield import QuadExt
-from .recipe import EndTreeSpec, ladder_tree, loch_ness_tree
+from .recipe import EndTreeSpec, TreeError, ladder_tree, loch_ness_tree
 from .surfaces import RectangleComplex, RibbonData, RibbonError, build_surface, mark_faces
 
 
@@ -78,7 +79,7 @@ def parse_number(tok: str, line: int = 0):
 # Each file kind's records, tag -> (the reader that takes them, fields):
 # fields is the usage text, one <field> per token, and a last token `...`
 # when more fields may follow.  A tag in _ONCE may appear once in a file.
-_ONCE = {"marked"}
+_ONCE = {"bipartite", "lambda", "marked", "end", "family"}
 
 
 def _records(text: str, table: dict) -> tuple:
@@ -140,13 +141,13 @@ def write_graph(g: BipartiteConfigGraph) -> str:
 
 def parse_graph(text: str) -> BipartiteConfigGraph:
     records, end = _records(text, _SURFACE)
-    return _read_graph(records["graph"], end)
+    return _read_graph(records["graph"], end)[0]
 
 
-def _read_graph(records, end: int) -> BipartiteConfigGraph:
-    """The graph of the bipartite and edge records.  Each error names a
-    line: that of the edge a GraphError names, else the header's, or end
-    for a missing header."""
+def _read_graph(records, end: int) -> tuple:
+    """The graph of the bipartite and edge records, and the line of each
+    edge record.  Each error names a line: that of the edge a GraphError
+    names, else the header's, or end for a missing header."""
     header = None
     edges = {}
     where = {}  # edge id -> line
@@ -168,7 +169,7 @@ def _read_graph(records, end: int) -> BipartiteConfigGraph:
         raise FormatError(f"header {header[:3]} does not match edge records "
                           f"({len(part_i)}, {len(part_j)}, {len(edges)})", head)
     try:
-        return BipartiteConfigGraph.make(part_i, part_j, edges, bound)
+        return BipartiteConfigGraph.make(part_i, part_j, edges, bound), where
     except GraphError as exc:
         raise FormatError(str(exc), where.get(exc.edge, head)) from exc
 
@@ -230,15 +231,19 @@ def write_surface(m: RectangleComplex) -> str:
 
 
 def parse_surface(text: str) -> RectangleComplex:
-    # the text is split once; its tokens are dropped before the build
-    graph, harmonic, sigma, flips, named, faces = _read_surface(*_records(text, _SURFACE))
+    # the text is walked once; its records are dropped before the build
+    records, end = _records(text, _SURFACE)
+    graph, harmonic, sigma, flips, named, faces = _read_surface(records, end)
+    del records
     try:
         m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
                           harmonic=harmonic)
     except RibbonError as exc:
-        raise FormatError(str(exc), named.get(exc.record, {}).get(exc.edge, 0)) from exc
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        # the sigma record that names the edge at fault, else its edge record
+        line = named.get(exc.record, {}).get(exc.edge) or named["edge"].get(exc.edge, end)
+        raise FormatError(str(exc), line) from exc
+    except ValueError as exc:  # a vertex without an h record
+        raise FormatError(str(exc), end) from exc
     tokens = {"puncture": [], "marked": []}
     for tag, idx, line in faces:
         if not 0 <= idx < len(m.corner_cycles):
@@ -249,14 +254,13 @@ def parse_surface(text: str) -> RectangleComplex:
 
 def _read_surface(records, end: int) -> tuple:
     """A surface file's records, read by the graph, harmonic and ribbon
-    readers in turn: (graph, harmonic data or None, the sigma_h and sigma_v
-    successor maps, flips, the line naming each edge in each map, face
-    marks as (tag, cycle index, line))."""
-    graph = _read_graph(records["graph"], end)
+    readers in turn: (graph, harmonic data or None without lambda and h
+    records, the sigma_h and sigma_v successor maps, flips, the line of
+    the record naming each edge in each map and in the graph, face marks
+    as (tag, cycle index, line))."""
+    graph, where = _read_graph(records["graph"], end)
     edges = graph.edge_map()
-    harmonic = None
-    if any(toks[0] == "lambda" for _, toks in records["harmonic"]):
-        harmonic = _read_harmonic(records["harmonic"], end)
+    harmonic = _read_harmonic(records["harmonic"], end) if records["harmonic"] else None
 
     def edge(tok, tag, line):
         e = _int(tok, line)
@@ -265,7 +269,7 @@ def _read_surface(records, end: int) -> tuple:
         return e
 
     sigma = {"sigma_h": {}, "sigma_v": {}}
-    named = {"sigma_h": {}, "sigma_v": {}}  # edge -> line of the record naming it
+    named = {"sigma_h": {}, "sigma_v": {}, "edge": where}  # edge -> line of the record naming it
     flips = set()
     faces = []  # (tag, cycle index, line)
     for lineno, toks in records["ribbon"]:
@@ -333,13 +337,13 @@ _TRAJECTORY = {"seg": ("seg", "<edge> <x_in> <y_in> <x_out> <y_out> <length>"),
 
 
 def parse_trajectory(text: str) -> TrajectoryDump:
-    records, _ = _records(text, _TRAJECTORY)
+    records, end = _records(text, _TRAJECTORY)
     segs = tuple((_int(toks[1], lineno),) + tuple(parse_number(t, lineno) for t in toks[2:])
                  for lineno, toks in records["seg"])
     if not records["end"]:
-        raise FormatError("missing end record")
-    _, toks = records["end"][-1]
-    return TrajectoryDump(segments=segs, terminal=toks[1], detail=toks[2:])
+        raise FormatError("missing end record", end)
+    (_, (_, terminal, *detail)), = records["end"]
+    return TrajectoryDump(segments=segs, terminal=terminal, detail=tuple(detail))
 
 
 # -- trees ------------------------------------------------------------------
@@ -388,9 +392,17 @@ _TREE = {"family": ("family", "<tag> <depth>"), "vertex": ("vertex", "<id> <pare
 
 
 def parse_tree(text: str):
-    records, _ = _records(text, _TREE)
+    """A tree file: one family record, or an explicit tree of vertex and
+    mark records.  Each error names a line: that of the record of the
+    vertex or mark at fault, or the line after the last record for a
+    missing root."""
+    records, end = _records(text, _TREE)
     if records["family"]:
-        lineno, (_, tag, depth) = records["family"][0]
+        (lineno, (_, tag, depth)), = records["family"]
+        others = records["vertex"] + records["mark"]
+        if others:  # the family record or the first other, whichever comes later
+            raise FormatError("a family record must be the only record",
+                              max(lineno, min(line for line, _ in others)))
         depth = _int(depth, lineno)
         if tag == "loch-ness":
             return loch_ness_tree(depth)
@@ -399,20 +411,25 @@ def parse_tree(text: str):
         raise FormatError(f"unknown family {tag!r}", lineno)
     root = None
     parents = {}
-    for lineno, (_, v, parent) in records["vertex"]:
-        v = _vertex_id(v, lineno)
-        if parent == "root":
+    where = {"vertex": {}, "puncture": {}, "genus-mark": {}, "frontier": {}}  # tag -> vertex -> line
+    for lineno, (_, tok, parent) in records["vertex"]:
+        v = _vertex_id(tok, lineno)
+        if v in where["vertex"]:
+            raise FormatError(f"vertex {tok} named twice", lineno)
+        where["vertex"][v] = lineno
+        if parent != "root":
+            parents[v] = _vertex_id(parent, lineno)
+        elif root is None:
             root = v
         else:
-            parents[v] = _vertex_id(parent, lineno)
-    marks = {"puncture": set(), "genus-mark": set(), "frontier": set()}
-    for lineno, (tag, v) in records["mark"]:
-        marks[tag].add(_vertex_id(v, lineno))
+            raise FormatError("more than one root vertex", lineno)
+    for lineno, (tag, tok) in records["mark"]:
+        where[tag].setdefault(_vertex_id(tok, lineno), lineno)
     if root is None:
-        raise FormatError("missing root vertex")
+        raise FormatError("missing root vertex", end)
     try:
-        return EndTreeSpec.make(root, parents, punctures=marks["puncture"],
-                                genus_marks=marks["genus-mark"], frontier=marks["frontier"])
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        return EndTreeSpec.make(root, parents, punctures=where["puncture"],
+                                genus_marks=where["genus-mark"], frontier=where["frontier"])
+    except TreeError as exc:
+        raise FormatError(str(exc), where[exc.record].get(exc.vertex, end)) from exc
 

@@ -61,6 +61,20 @@ class RecipeError(ValueError):
     """Requested surface/weight combination is not realizable here."""
 
 
+class TreeError(ValueError):
+    """An EndTreeSpec that breaks a rule of trees.
+
+    record and vertex name what is at fault: "vertex" or a mark
+    ("puncture", "genus-mark", "frontier") and its vertex, so a parser can
+    point at the record that named it.
+    """
+
+    def __init__(self, message: str, record: str, vertex):
+        super().__init__(message)
+        self.record = record
+        self.vertex = vertex
+
+
 # ---------------------------------------------------------------------------
 # tree normal forms
 
@@ -115,33 +129,33 @@ class EndTreeSpec:
     def _validate(self):
         pm = self.parent_map()
         if self.root in pm:
-            raise ValueError("root cannot have a parent")
+            raise TreeError("root cannot have a parent", "vertex", self.root)
         rooted = {self.root}  # vertices known to reach the root
         for c, p in pm.items():
             cur, seen = p, {c}
             while cur not in rooted:  # each walk stops where an earlier one ended
                 if cur in seen or cur not in pm:
-                    raise ValueError(f"vertex {c} is not connected to the root")
+                    raise TreeError(f"vertex {c} is not connected to the root", "vertex", c)
                 seen.add(cur)
                 cur = pm[cur]
             rooted |= seen
         if self.degree(self.root) > 2:
-            raise ValueError("root degree must be at most 2")
+            raise TreeError("root degree must be at most 2", "vertex", self.root)
         leaves = self.leaves()
         for v in self.punctures:
             if v not in leaves:
-                raise ValueError(f"puncture mark {v} is not a leaf")
+                raise TreeError(f"puncture mark {v} is not a leaf", "puncture", v)
         for v in self.genus_marks:
             if v in leaves:
-                raise ValueError(f"genus mark {v} sits on a leaf")
+                raise TreeError(f"genus mark {v} sits on a leaf", "genus-mark", v)
         vertices = self.vertices()
         for v in self.frontier:
             if v not in vertices:
-                raise ValueError(f"frontier vertex {v} not in the tree")
+                raise TreeError(f"frontier vertex {v} not in the tree", "frontier", v)
         bare = leaves - self.punctures - self.frontier
         if bare:
-            raise ValueError(f"leaves {sorted(bare, key=repr)} are neither "
-                             "punctures nor frontier")
+            bare = sorted(bare, key=repr)
+            raise TreeError(f"leaves {bare} are neither punctures nor frontier", "vertex", bare[0])
 
     def _shadowing(self) -> set:
         """Non-root degree-2 vertices (one child) with a descendant that has

@@ -24,6 +24,7 @@ from multitwist.flow import (
 )
 from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
+from multitwist.quadfield import QuadExt
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
 
@@ -441,6 +442,26 @@ class TestExactQuadraticFlow:
         elapsed = sum(abs(s.x_out - s.x_in) for s in traj.segments)  # dx = 1
         assert abs(float(elapsed * elapsed * 10) - 36) < 1e-12
         assert traj.total_length == pytest.approx(6.0, rel=1e-12)
+
+    def test_irrational_speed_inside_the_field(self):
+        # direction (1, (1 + sqrt 5)/2) over lam = 3: the squared speed
+        # (5 + sqrt 5)/2 lies in Q(sqrt 5) but its square root does not, so
+        # the budget is cut at a rational approximation of the speed; every
+        # crossing stays exact and matches the float mirror's
+        phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+        traj = flow(staircase_complex(-8, 9, 3), SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)),
+                    (Fraction(1), phi), 20)
+        mirror = flow(staircase_complex(-8, 9, 3, exact=False), SurfacePoint(0, 1 / 3, 1 / 5),
+                      (1.0, float(phi)), 20.0)
+        assert traj.terminal == mirror.terminal == "budget"
+        assert [s.edge for s in traj.segments] == [s.edge for s in mirror.segments] == [0, 1, 2, 3]
+        assert all(isinstance(v, QuadExt) for s in traj.segments for v in (s.x_out, s.y_out))
+        last = traj.segments[-1]
+        dx, dy = last.dir_in
+        assert (last.x_out - last.x_in) * dy == (last.y_out - last.y_in) * dx
+        assert traj.final_point.as_floats() == pytest.approx(mirror.final_point.as_floats(),
+                                                            rel=1e-12)
+        assert traj.total_length == pytest.approx(20.0, rel=1e-12)
 
     def test_large_direction_is_not_factored(self):
         # the speed's radicand (10^9 + 7)^2 + 1 is too large to factor by

@@ -13,6 +13,7 @@ from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFa
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import EndTreeSpec, build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import RibbonData, build_surface, mark_faces, square_torus, staircase_complex
+from test_recipe import _TREE_GRID
 
 
 class TestNumbers:
@@ -168,6 +169,8 @@ class TestSurfaceFormat:
 
 
 SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
+STAIRCASE = formats.write_surface(staircase_complex(-3, 4, 3))
+NO_LAMBDA = "".join(ln for ln in STAIRCASE.splitlines(True) if not ln.startswith("lambda"))
 
 
 @pytest.mark.parametrize("parser, text, line", [
@@ -182,12 +185,56 @@ SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
     ("parse_graph", "bipartite a 1 1 2\nedge 0 0 1\n", 1),
     ("parse_trajectory", "seg 0 0 0 0 0 0\nend\n", 2),
     ("parse_tree", "family loch-ness x\n", 1),
+    ("parse_graph", "bipartite 9 9 9 9\nbipartite 1 1 1 2\nedge 0 0 1\n", 2),
+    ("parse_harmonic", "lambda 2\nlambda 3\nh 0 1\n", 2),
+    ("parse_trajectory", "seg 0 0 0 1 1 1\nend budget\nend singular 0 NE\n", 3),
+    ("parse_tree", "family loch-ness 3\nfamily ladder 2\n", 2),
+    ("parse_tree", "vertex 0 root\nvertex 1 root\n", 2),
+    ("parse_tree", "vertex 0 root\nvertex 2 0\nvertex 2 1\nvertex 1 0\nfrontier 2\n", 3),
+    ("parse_tree", "family loch-ness 3\nvertex 0 root\nbogus\n", 3),
+    ("parse_tree", "family ladder 2\nvertex 0 root\n", 2),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfamily loch-ness 3\n", 4),
+    ("parse_surface", NO_LAMBDA, len(NO_LAMBDA.splitlines()) + 1),
 ], ids=["flip-edge", "puncture-index", "bare-puncture", "h-vertex", "bare-lambda",
         "repeated-h", "puncture-range", "second-marked",
-        "bipartite-header", "bare-end", "family-depth"])
+        "bipartite-header", "bare-end", "family-depth",
+        "second-bipartite", "second-lambda", "second-end", "second-family", "second-root",
+        "vertex-twice", "record-after-family", "tree-after-family", "family-after-tree",
+        "h-without-lambda"])
 def test_malformed_record_names_line(parser, text, line):
     with pytest.raises(formats.FormatError, match=f"^line {line}: "):
         getattr(formats, parser)(text)
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("parser, text, line, message", [
+    ("parse_surface", _edit(STAIRCASE, "h -2 ", "# h -2 "), 26, "no value for vertex -2"),
+    ("parse_surface", _edit(STAIRCASE, "sigma_h -3 -2\n", ""), 3,
+     "vertex -2 split across several sigma_h components"),
+    ("parse_trajectory", "seg 0 0 0 1 1 1\n# cut\n", 2, "missing end record"),
+    ("parse_tree", "vertex 1 0\n\n", 2, "missing root vertex"),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nvertex 2 0\nvertex 3 0\nfrontier 1\n", 1,
+     "root degree must be at most 2"),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nvertex 2 3\nfrontier 1\n", 3,
+     "vertex 2 is not connected to the root"),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nvertex 2 1\npuncture 1\nfrontier 2\n", 4,
+     "puncture mark 1 is not a leaf"),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\ngenus-mark 1\nfrontier 1\n", 3,
+     "genus mark 1 sits on a leaf"),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfrontier 9\n", 4,
+     "frontier vertex 9 not in the tree"),
+    ("parse_tree", "vertex 0 root\nvertex 2 1\nvertex 1 0\nfrontier 1\n", 2,
+     "leaves [2] are neither punctures nor frontier"),
+], ids=["surface-h-missing", "surface-sigma-missing", "trajectory-end", "tree-root",
+        "root-degree", "disconnected", "puncture", "genus-mark", "frontier", "bare-leaf"])
+def test_whole_file_errors_name_the_record_at_fault(parser, text, line, message):
+    with pytest.raises(formats.FormatError) as err:
+        getattr(formats, parser)(text)
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @st.composite
@@ -254,6 +301,17 @@ def edited(draw, text):
     return "\n".join(lines)
 
 
+# sources for the edited-file fuzzing: exact and float staircases, a
+# multicurve output, flows ending at a window edge, at the budget and at a corner
+SURFACES = [STAIRCASE, formats.write_surface(staircase_complex(-3, 4, 2, exact=False)),
+            formats.write_surface(build_multicurves((1, 2), 3).complex)]
+_W = staircase_complex(-3, 4, 3).width[0]
+TRAJECTORIES = [formats.write_trajectory(flow(staircase_complex(-3, 4, 3), SurfacePoint(*p), d, 30))
+                for p, d in (((0, Fraction(1, 3), Fraction(1, 5)), (2, 1)),
+                             ((1, 0.25, 0.5), (1.0, -3.0)),
+                             ((0, _W / 2, Fraction(1, 2)), (_W, 1)))]
+
+
 def _parses_or_names_a_line(parse, text):
     """True if text parses; False if it raises a FormatError naming a line
     of the text or the one after it; anything else fails."""
@@ -286,21 +344,61 @@ class TestParserFuzz:
         text = data.draw(edited(formats.write_harmonic(data.draw(HARMONIC))))
         _parses_or_names_a_line(formats.parse_harmonic, text)
 
+    @given(st.data())
+    def test_edited_surface_parses_or_names_a_line(self, data):
+        text = data.draw(edited(data.draw(st.sampled_from(SURFACES))))
+        _parses_or_names_a_line(formats.parse_surface, text)
+
+    @given(st.data())
+    def test_edited_trajectory_parses_or_names_a_line(self, data):
+        text = data.draw(edited(data.draw(st.sampled_from(TRAJECTORIES))))
+        _parses_or_names_a_line(formats.parse_trajectory, text)
+
+    @given(st.data())
+    def test_edited_tree_parses_or_names_a_line(self, data):
+        text = data.draw(edited(formats.write_tree(data.draw(st.sampled_from(_TREE_GRID)))))
+        _parses_or_names_a_line(formats.parse_tree, text)
+
     @given(st.text())
     def test_any_text_parses_or_names_a_line(self, text):
-        _parses_or_names_a_line(formats.parse_graph, text)
-        _parses_or_names_a_line(formats.parse_harmonic, text)
+        for parse in (formats.parse_graph, formats.parse_harmonic, formats.parse_surface,
+                      formats.parse_trajectory, formats.parse_tree):
+            _parses_or_names_a_line(parse, text)
+
+    @staticmethod
+    def _cli(args, files):
+        """The CLI's result on args, run where files (name -> text) exist."""
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            return runner.invoke(main, args)
 
     @settings(max_examples=40)
     @given(st.data())
     def test_cli_harmonic_exits_2_on_a_malformed_graph(self, data):
         text = data.draw(edited(formats.write_graph(data.draw(config_graphs()))))
         assume(not _parses_or_names_a_line(formats.parse_graph, text))
-        runner = CliRunner()
-        with runner.isolated_filesystem():
-            with open("g.graph", "w", encoding="utf-8") as fh:
-                fh.write(text)
-            res = runner.invoke(main, ["harmonic", "g.graph"])
+        res = self._cli(["harmonic", "g.graph"], {"g.graph": text})
+        assert res.exit_code == 2, res.output
+        assert "error: line " in res.output
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_cli_multicurve_exits_2_on_a_malformed_tree(self, data):
+        text = data.draw(edited(formats.write_tree(data.draw(st.sampled_from(_TREE_GRID)))))
+        assume(not _parses_or_names_a_line(formats.parse_tree, text))
+        res = self._cli(["multicurve", "t.tree", "--m", "2"], {"t.tree": text})
+        assert res.exit_code == 2, res.output
+        assert "error: line " in res.output
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_cli_svg_exits_2_on_a_malformed_trajectory(self, data):
+        text = data.draw(edited(data.draw(st.sampled_from(TRAJECTORIES))))
+        assume(not _parses_or_names_a_line(formats.parse_trajectory, text))
+        res = self._cli(["svg", "s.surf", "--traj", "t.traj"], {"s.surf": STAIRCASE, "t.traj": text})
         assert res.exit_code == 2, res.output
         assert "error: line " in res.output
 
