@@ -90,6 +90,9 @@ def _records(text: str, table: dict) -> tuple:
     which the garbage collector stops tracking at its next pass, so a long
     file does not add to the collections the rest of the program pays for."""
     out = {reader: [] for reader, _ in table.values()}
+    # tag -> (its reader's append, token count with the tag, more, once)
+    rows = {tag: (out[reader].append, fields.count("<") + 1, fields.endswith("..."),
+                  tag in _ONCE) for tag, (reader, fields) in table.items()}
     seen = set()  # once tags read so far
     end = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,17 +100,17 @@ def _records(text: str, table: dict) -> tuple:
         if not toks:
             continue
         tag = toks[0]
-        if tag not in table:
+        row = rows.get(tag)
+        if row is None:
             raise FormatError(f"unknown record {tag!r}", lineno)
-        reader, fields = table[tag]
-        count = fields.count("<")
-        if len(toks) - 1 != count and not (len(toks) > count and fields.endswith("...")):
-            raise FormatError(f"{tag} needs {fields}", lineno)
-        if tag in _ONCE:
+        add, count, more, once = row
+        if len(toks) != count and not (more and len(toks) > count):
+            raise FormatError(f"{tag} needs {table[tag][1]}", lineno)
+        if once:
             if tag in seen:
                 raise FormatError(f"more than one {tag} record", lineno)
             seen.add(tag)
-        out[reader].append((lineno, toks))
+        add((lineno, toks))
         end = lineno + 1
     return out, end
 

@@ -142,14 +142,15 @@ class EndTreeSpec:
         if self.degree(self.root) > 2:
             raise TreeError("root degree must be at most 2", "vertex", self.root)
         leaves = self.leaves()
-        for v in self.punctures:
+        # marks in repr order, so the mark reported does not depend on str hashing
+        for v in sorted(self.punctures, key=repr):
             if v not in leaves:
                 raise TreeError(f"puncture mark {v} is not a leaf", "puncture", v)
-        for v in self.genus_marks:
+        for v in sorted(self.genus_marks, key=repr):
             if v in leaves:
                 raise TreeError(f"genus mark {v} sits on a leaf", "genus-mark", v)
         vertices = self.vertices()
-        for v in self.frontier:
+        for v in sorted(self.frontier, key=repr):
             if v not in vertices:
                 raise TreeError(f"frontier vertex {v} not in the tree", "frontier", v)
         bare = leaves - self.punctures - self.frontier

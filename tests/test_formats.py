@@ -169,7 +169,8 @@ class TestSurfaceFormat:
 
 
 SURFACE = "bipartite 1 1 1 2\nedge 0 0 1\nsigma_h 0\nsigma_v 0\n"
-STAIRCASE = formats.write_surface(staircase_complex(-3, 4, 3))
+STAIR = staircase_complex(-3, 4, 3)
+STAIRCASE = formats.write_surface(STAIR)
 NO_LAMBDA = "".join(ln for ln in STAIRCASE.splitlines(True) if not ln.startswith("lambda"))
 
 
@@ -225,12 +226,15 @@ def _edit(text, old, new):
      "puncture mark 1 is not a leaf"),
     ("parse_tree", "vertex 0 root\nvertex 1 0\ngenus-mark 1\nfrontier 1\n", 3,
      "genus mark 1 sits on a leaf"),
+    ("parse_tree", 'vertex "" root\nvertex "a" ""\nvertex "b" ""\ngenus-mark "b"\n'
+     'genus-mark "a"\nfrontier "a"\nfrontier "b"\n', 5, "genus mark a sits on a leaf"),
     ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfrontier 9\n", 4,
      "frontier vertex 9 not in the tree"),
     ("parse_tree", "vertex 0 root\nvertex 2 1\nvertex 1 0\nfrontier 1\n", 2,
      "leaves [2] are neither punctures nor frontier"),
 ], ids=["surface-h-missing", "surface-sigma-missing", "trajectory-end", "tree-root",
-        "root-degree", "disconnected", "puncture", "genus-mark", "frontier", "bare-leaf"])
+        "root-degree", "disconnected", "puncture", "genus-mark", "first-genus-mark", "frontier",
+        "bare-leaf"])
 def test_whole_file_errors_name_the_record_at_fault(parser, text, line, message):
     with pytest.raises(formats.FormatError) as err:
         getattr(formats, parser)(text)
@@ -305,11 +309,10 @@ def edited(draw, text):
 # multicurve output, flows ending at a window edge, at the budget and at a corner
 SURFACES = [STAIRCASE, formats.write_surface(staircase_complex(-3, 4, 2, exact=False)),
             formats.write_surface(build_multicurves((1, 2), 3).complex)]
-_W = staircase_complex(-3, 4, 3).width[0]
-TRAJECTORIES = [formats.write_trajectory(flow(staircase_complex(-3, 4, 3), SurfacePoint(*p), d, 30))
+TRAJECTORIES = [formats.write_trajectory(flow(STAIR, SurfacePoint(*p), d, 30))
                 for p, d in (((0, Fraction(1, 3), Fraction(1, 5)), (2, 1)),
                              ((1, 0.25, 0.5), (1.0, -3.0)),
-                             ((0, _W / 2, Fraction(1, 2)), (_W, 1)))]
+                             ((0, STAIR.width[0] / 2, Fraction(1, 2)), (STAIR.width[0], 1)))]
 
 
 def _parses_or_names_a_line(parse, text):
