@@ -407,27 +407,27 @@ def parse_tree(text: str):
             raise FormatError("a family record must be the only record",
                               max(lineno, min(line for line, _ in others)))
         depth = _int(depth, lineno)
-        if tag == "loch-ness":
-            return loch_ness_tree(depth)
-        if tag == "ladder":
-            return ladder_tree(depth)
-        raise FormatError(f"unknown family {tag!r}", lineno)
+        make = {"loch-ness": loch_ness_tree, "ladder": ladder_tree}.get(tag)
+        if make is None:
+            raise FormatError(f"unknown family {tag!r}", lineno)
+        try:
+            return make(depth)
+        except ValueError as exc:  # a depth the family does not have
+            raise FormatError(str(exc), lineno) from exc
     root = None
     parents = {}
     where = {"vertex": {}, "puncture": {}, "genus-mark": {}, "frontier": {}}  # tag -> vertex -> line
-    for lineno, (_, tok, parent) in records["vertex"]:
+    for lineno, (tag, tok, *parent) in records["vertex"] + records["mark"]:
         v = _vertex_id(tok, lineno)
-        if v in where["vertex"]:
-            raise FormatError(f"vertex {tok} named twice", lineno)
-        where["vertex"][v] = lineno
-        if parent != "root":
-            parents[v] = _vertex_id(parent, lineno)
-        elif root is None:
+        if v in where[tag]:
+            raise FormatError(f"{tag} {tok} named twice", lineno)
+        where[tag][v] = lineno
+        if parent == ["root"]:
+            if root is not None:
+                raise FormatError("more than one root vertex", lineno)
             root = v
-        else:
-            raise FormatError("more than one root vertex", lineno)
-    for lineno, (tag, tok) in records["mark"]:
-        where[tag].setdefault(_vertex_id(tok, lineno), lineno)
+        elif parent:
+            parents[v] = _vertex_id(parent[0], lineno)
     if root is None:
         raise FormatError("missing root vertex", end)
     try:

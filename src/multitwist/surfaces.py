@@ -52,9 +52,15 @@ _END_CORNER = {
 # counterclockwise walk around a vertex: a quarter is left along one side,
 # at one end of it
 _CCW_EXIT = {"SW": ("W", "lo"), "SE": ("S", "hi"), "NE": ("E", "hi"), "NW": ("N", "lo")}
-# (corner, side landed on, reversed) -> corner of the quarter the walk lands in
-_CCW_LAND = {(c, side2, rev): _END_CORNER[(side2, {"lo": "hi", "hi": "lo"}[end] if rev else end)]
-             for c, (_, end) in _CCW_EXIT.items() for side2 in SIDES for rev in (False, True)}
+# a rectangle's quarters in slot order; per quarter, the side the walk leaves
+# it by and its landing row: side landed on -> (slot of the quarter landed
+# in, the same across a reversed gluing)
+_QUARTERS = sorted(CORNERS)
+_CCW_ROWS = tuple(
+    (side, {side2: (_QUARTERS.index(_END_CORNER[(side2, end)]),
+                    _QUARTERS.index(_END_CORNER[(side2, {"lo": "hi", "hi": "lo"}[end])]))
+            for side2 in SIDES})
+    for side, end in map(_CCW_EXIT.get, _QUARTERS))
 
 
 class RibbonError(ValueError):
@@ -207,46 +213,58 @@ class ChartTable(NamedTuple):
     radicands: frozenset  # squarefree radicands of the QuadExt side lengths
 
 
-def _components(mapping: dict, universe) -> list:
-    """Cycle/path decomposition of a partial injective map.
+def _components(succ: list) -> list:
+    """Cycle/path decomposition of a partial injective map on the slots
+    0..n-1, given as its successor list: succ[k] is the slot after k, or
+    -1 where the map is undefined.
 
-    Returns (sequence, closed) pairs covering all of universe, paths first;
-    paths start at elements without a preimage, cycles at their first
-    element.  universe is walked in the order given, and every caller
-    passes it ascending, so each cycle is anchored at its minimum.
+    Returns (slots, closed) pairs covering every slot, paths first; paths
+    start at slots without a preimage, cycles at their smallest slot, and
+    each kind comes in ascending order of its first slot.  Slots are
+    marked in bytearrays, so the walk leaves nothing for the collector.
     """
-    targets = set(mapping.values())
-    seen = set()
+    n = len(succ)
+    entered = bytearray(n + 1)  # a -1 successor marks the spare last byte
+    for t in succ:
+        entered[t] = 1
+    seen = bytearray(n)
     comps = []
-    for start in universe:  # path starts
-        if start in targets:
+    for start in range(n):  # path starts
+        if entered[start]:
             continue
         seq = [start]
-        seen.add(start)
-        cur = start
-        while cur in mapping:
-            cur = mapping[cur]
-            if cur in seen:
+        seen[start] = 1
+        cur = succ[start]
+        while cur >= 0:
+            if seen[cur]:
                 raise RibbonError(f"successor map re-enters {cur} from a path")
             seq.append(cur)
-            seen.add(cur)
+            seen[cur] = 1
+            cur = succ[cur]
         comps.append((seq, False))
-    for start in universe:  # remaining: cycles
-        if start in seen:
+    # every slot left has a preimage, and none among the path slots, whose
+    # successors are path slots: the map permutes what is left, so each walk
+    # from here closes without re-entering anything
+    for start in range(n):
+        if seen[start]:
             continue
         seq = [start]
-        seen.add(start)
-        cur = mapping.get(start)
-        while cur is not None and cur != start:
-            if cur in seen:
-                raise RibbonError(f"successor map re-enters {cur} from a cycle")
+        seen[start] = 1
+        cur = succ[start]
+        while cur != start:
             seq.append(cur)
-            seen.add(cur)
-            cur = mapping.get(cur)
-        if cur != start:
-            raise RibbonError(f"component starting at {start} neither closes nor ends")
+            seen[cur] = 1
+            cur = succ[cur]
         comps.append((seq, True))
     return comps
+
+
+def _curves(mapping: dict, edges) -> list:
+    """_components of a successor map on edges, each edge numbered by its
+    position in edges (ascending); the components come back as edge lists."""
+    pos = {e: k for k, e in enumerate(edges)}
+    comps = _components([pos[mapping[e]] if e in mapping else -1 for e in edges])
+    return [([edges[k] for k in seq], closed) for seq, closed in comps]
 
 
 def _config_graph(sigma_h: dict, sigma_v: dict, edges,
@@ -257,7 +275,7 @@ def _config_graph(sigma_h: dict, sigma_v: dict, edges,
     largest degree."""
     ends = {e: [None, None] for e in edges}
     for side, mapping in enumerate((sigma_h, sigma_v)):
-        for k, (seq, _) in enumerate(_components(mapping, edges)):
+        for k, (seq, _) in enumerate(_curves(mapping, edges)):
             for e in seq:
                 ends[e][side] = 2 * k + side
     if valence_bound is None:
@@ -280,7 +298,7 @@ def _glue_axis(mapping, flips, axis, comps=None) -> tuple:
     src_side, tgt_side = ("E", "W") if axis == "h" else ("N", "S")
     gluings = {}
     walks = []
-    for seq, _ in _components(mapping, sorted(mapping)) if comps is None else comps:
+    for seq, _ in _curves(mapping, sorted(mapping)) if comps is None else comps:
         o = 1
         orients = []
         for e in seq:
@@ -313,7 +331,7 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
     # the components partition edges; with one fiber per component and one
     # component per fiber, each component covers its fiber exactly
     by_vertex = {}
-    for seq, closed in _components(mapping, edges):
+    for seq, closed in _curves(mapping, edges):
         verts = {fiber_of(e) for e in seq}
         if len(verts) != 1:
             raise RibbonError(f"{record} component {seq} mixes fibers {sorted(verts)}",
@@ -345,17 +363,19 @@ def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
 def _corner_chains(edges, gluings):
     """Counterclockwise corner chains as (quarters, closed), in ascending
     order of their first quarter; a chain that reaches an unglued (frontier)
-    side is open.  edges must be ascending."""
-    succ = {}
+    side is open.  edges must be ascending.
+
+    Quarter (edges[k], _QUARTERS[s]) is walked as slot 4k + s, so slot
+    order is quarter order."""
+    first = {e: 4 * k for k, e in enumerate(edges)}  # an edge's first slot
+    get = gluings.get
+    succ = []
     for e in edges:
-        for c, (side, _) in _CCW_EXIT.items():
-            glue = gluings.get((e, side))
-            if glue is not None:
-                e2, side2, rev = glue
-                succ[(e, c)] = (e2, _CCW_LAND[(c, side2, rev)])
-    corners = sorted(CORNERS)
-    return sorted(_components(succ, [(e, c) for e in edges for c in corners]),
-                  key=lambda item: item[0][0])
+        for side, land in _CCW_ROWS:
+            glue = get((e, side))
+            succ.append(-1 if glue is None else first[glue[0]] + land[glue[1]][glue[2]])
+    chains = sorted(_components(succ), key=lambda item: item[0][0])
+    return [([(edges[q >> 2], _QUARTERS[q & 3]) for q in seq], closed) for seq, closed in chains]
 
 
 def _aligned_walks(edges, gluings) -> list:
@@ -366,16 +386,23 @@ def _aligned_walks(edges, gluings) -> list:
     one per direction; the one anchored at (its minimal edge, E or N) is
     the chart-aligned walk, and its states are the sides that build_surface
     keys each gluing by first.  Returns those cycles, ascending by anchor.
+
+    State (edges[k], sides[s]) is walked as slot 4k + s, with edges and
+    sides ascending; E and N are sides 0 and 1.
     """
+    edges = sorted(edges)
     sides = sorted(SIDES)
-    states = [(e, side) for e in sorted(edges) for side in sides]
-    succ = {}
-    for state in states:
-        if state not in gluings:
-            raise ValueError("ribbon reconstruction needs every side glued")
-        e2, side2, _ = gluings[state]
-        succ[state] = (e2, OPPOSITE[side2])
-    return [seq for seq, _ in _components(succ, states) if seq[0][1] in ("E", "N")]
+    far = {side: sides.index(OPPOSITE[side]) for side in sides}
+    first = {e: 4 * k for k, e in enumerate(edges)}  # an edge's first slot
+    succ = []
+    for e in edges:
+        for side in sides:
+            glue = gluings.get((e, side))
+            if glue is None:
+                raise ValueError("ribbon reconstruction needs every side glued")
+            succ.append(first[glue[0]] + far[glue[1]])
+    return [[(edges[q >> 2], sides[q & 3]) for q in seq]
+            for seq, _ in _components(succ) if seq[0] & 3 < 2]
 
 
 def ribbon_from_gluings(edges, gluings) -> RibbonData:

@@ -196,12 +196,18 @@ NO_LAMBDA = "".join(ln for ln in STAIRCASE.splitlines(True) if not ln.startswith
     ("parse_tree", "family ladder 2\nvertex 0 root\n", 2),
     ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfamily loch-ness 3\n", 4),
     ("parse_surface", NO_LAMBDA, len(NO_LAMBDA.splitlines()) + 1),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\npuncture 1\npuncture 1\n", 4),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\ngenus-mark 1\nfrontier 1\ngenus-mark 1\n", 5),
+    ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfrontier 1\n", 4),
+    ("parse_tree", "family loch-ness -1\n", 1),
+    ("parse_tree", "family ladder 0\n", 1),
 ], ids=["flip-edge", "puncture-index", "bare-puncture", "h-vertex", "bare-lambda",
         "repeated-h", "puncture-range", "second-marked",
         "bipartite-header", "bare-end", "family-depth",
         "second-bipartite", "second-lambda", "second-end", "second-family", "second-root",
         "vertex-twice", "record-after-family", "tree-after-family", "family-after-tree",
-        "h-without-lambda"])
+        "h-without-lambda", "puncture-twice", "genus-mark-twice", "frontier-twice",
+        "loch-ness-depth", "ladder-depth"])
 def test_malformed_record_names_line(parser, text, line):
     with pytest.raises(formats.FormatError, match=f"^line {line}: "):
         getattr(formats, parser)(text)

@@ -4,7 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
 from multitwist.recipe import build_multicurves, loch_ness_tree
@@ -449,12 +449,54 @@ def test_ribbon_from_gluings_inverts_the_build(case):
     assert ribbon_from_gluings(m.edges, m.gluings) == m.ribbon
 
 
+def _dict_components(mapping: dict, universe) -> list:
+    """The successor-map walk as it was before slots: a partial map held
+    as a dict, its elements marked in sets, over universe in the order
+    given.  Kept as the reference for the slot walk."""
+    targets = set(mapping.values())
+    seen = set()
+    comps = []
+    for start in universe:  # path starts
+        if start in targets:
+            continue
+        seq = [start]
+        seen.add(start)
+        cur = start
+        while cur in mapping:
+            cur = mapping[cur]
+            if cur in seen:
+                raise RibbonError(f"successor map re-enters {cur} from a path")
+            seq.append(cur)
+            seen.add(cur)
+        comps.append((seq, False))
+    for start in universe:  # remaining: cycles
+        if start in seen:
+            continue
+        seq = [start]
+        seen.add(start)
+        cur = mapping.get(start)
+        while cur is not None and cur != start:
+            if cur in seen:
+                raise RibbonError(f"successor map re-enters {cur} from a cycle")
+            seq.append(cur)
+            seen.add(cur)
+            cur = mapping.get(cur)
+        if cur != start:
+            raise RibbonError(f"component starting at {start} neither closes nor ends")
+        comps.append((seq, True))
+    return comps
+
+
+def _slots(mapping: dict, n: int) -> list:
+    return [mapping.get(k, -1) for k in range(n)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=st.booleans().flatmap(square_tiled))
 def test_components_partition_their_universe(case):
     n, sigma_h, sigma_v, _ = case
     for mapping in (sigma_h, sigma_v):
-        comps = _components(mapping, range(n))
+        comps = _components(_slots(mapping, n))
         assert sorted(x for seq, _ in comps for x in seq) == list(range(n))
         targets = set(mapping.values())
         opened = [seq for seq, closed in comps if not closed]
@@ -466,3 +508,38 @@ def test_components_partition_their_universe(case):
             assert seq[0] == min(seq) and mapping[seq[-1]] == seq[0]
         for seq, _ in comps:
             assert all(mapping[a] == b for a, b in zip(seq, seq[1:]))
+
+
+@st.composite
+def partial_maps(draw):
+    """A partial map on the slots 0..n-1, as a dict: either injective (a
+    permutation with arrows dropped) or arbitrary, so that several slots
+    may share a successor."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        targets = draw(st.permutations(range(n)))
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return {k: t for k, (t, kept) in enumerate(zip(targets, keep)) if kept}, n
+    succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    return {k: t for k, t in enumerate(succ) if t >= 0}, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=partial_maps())
+@example(case=({0: 1, 1: 2, 2: 1}, 3))  # a path runs into a cycle
+@example(case=({1: 0, 2: 0}, 3))  # two paths end in one slot
+@example(case=({0: 1, 1: 0, 2: 3, 3: 2}, 4))
+def test_slot_walk_matches_the_dict_walk(case):
+    """Same components, or the same RibbonError text.  On slots only the
+    path re-entry can be raised: whatever no path reaches is permuted by
+    the map, so the reference walk's two cycle raises never fire."""
+    mapping, n = case
+    try:
+        expected = _dict_components(mapping, range(n))
+    except RibbonError as exc:
+        assert "from a path" in str(exc)
+        with pytest.raises(RibbonError) as got:
+            _components(_slots(mapping, n))
+        assert str(got.value) == str(exc)
+    else:
+        assert _components(_slots(mapping, n)) == expected
