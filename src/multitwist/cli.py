@@ -191,10 +191,11 @@ def _verify_and_report(m, tol):
                err=True)
     if not m.frontier:
         chi = euler_characteristic(m)
-        gb = sum(Fraction(c.k, 2) - 2 for c in m.corner_cycles)
+        # Gauss-Bonnet: the excess sum(k/2 - 2) is -2 chi, doubled to stay in integers
+        excess2 = quarters - 4 * len(m.corner_cycles)
         click.echo(f"chi {chi}; translation {is_translation(m)}", err=True)
-        if gb != -2 * chi:
-            failures.append(f"angle excess {gb} != -2*chi {-2 * chi}")
+        if excess2 != -4 * chi:
+            failures.append(f"angle excess {Fraction(excess2, 2)} != -2*chi {-2 * chi}")
     for f in failures:
         click.echo(f"FAIL {f}", err=True)
     if failures:

@@ -245,8 +245,11 @@ def parse_surface(text: str) -> RectangleComplex:
         # the sigma record that names the edge at fault, else its edge record
         line = named.get(exc.record, {}).get(exc.edge) or named["edge"].get(exc.edge, end)
         raise FormatError(str(exc), line) from exc
-    except ValueError as exc:  # a vertex without an h record
-        raise FormatError(str(exc), end) from exc
+    except ValueError as exc:  # a vertex without an h record: the first edge record naming it
+        v = next(v for v in graph.vertices() if v not in harmonic.values)
+        emap = graph.edge_map()
+        raise FormatError(str(exc), min(line for e, line in named["edge"].items()
+                                        if v in emap[e])) from exc
     tokens = {"puncture": [], "marked": []}
     for tag, idx, line in faces:
         if not 0 <= idx < len(m.corner_cycles):

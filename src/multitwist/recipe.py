@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import BipartiteConfigGraph
-from .surfaces import (_END_CORNER, OPPOSITE, RectangleComplex, _aligned_walks, _config_graph,
+from .surfaces import (_END_CORNER, RectangleComplex, _aligned_walks, _config_graph,
                        _corner_chains, _glue_axis, build_surface, mark_faces, ribbon_from_gluings)
 
 FACE_BOUND = 8
@@ -761,43 +761,67 @@ def _inessential_curves(m: RectangleComplex) -> set:
     corner's slab since no cone point lies on a core.  A core separates iff
     it is a bridge of the graph of halves, gluings and cores; a side's chi is
     then its slabs' sum, as gluing along a circle adds nothing to chi (along
-    a window's open core it subtracts one)."""
+    a window's open core it subtracts one).
+
+    The halves on one side of a core are glued to each other along its
+    cylinder into a strip, of chi 0 around a closed core and 1 along an
+    open one, so the bridge search runs on strips: the sides of core i are
+    slots 2i and 2i + 1, and slot 2i holds the N (for vertical cores E)
+    half of each chart-aligned rectangle of the cylinder.  Link i joins
+    slots ends[2i] and ends[2i + 1]: links 0..len(cores)-1 are the cores,
+    so core i joins its two sides, and the rest are the other family's
+    gluings, read off its layouts.  Dart h runs along link h >> 1 to
+    ends[h], so adj[x] lists the darts leaving x."""
     out = set()
-    for k, cut, layouts in ((0, ("N", "S"), m.h_layouts), (1, ("E", "W"), m.v_layouts)):
-        adj = {(e, c): [] for e in m.edges for c in cut}  # halves, named by a side
-        chi, holes = dict.fromkeys(adj, 1), dict.fromkeys(adj, 0)
-        links = [((lay.edges[0], cut[0]), (lay.edges[0], cut[1]), v)  # cores
-                 for v, lay in layouts.items()]
-        for (e, s), (e2, s2, rev) in m.gluings.items():  # like or crossed halves
-            if (e, s) < (e2, s2):
-                links += [((e, s), (e2, s2), None)] if s in cut else [
-                    ((e, c), (e2, OPPOSITE[c] if rev else c), None) for c in cut]
-        for i, (a, b, v) in enumerate(links):
-            chi[a] -= v is None or not layouts[v].closed  # a gluing, or an open core
-            adj[a].append((b, i))
-            adj[b].append((a, i))
+    for k, layouts, other in ((0, m.h_layouts, m.v_layouts), (1, m.v_layouts, m.h_layouts)):
+        cores = list(layouts.values())
+        n = 2 * len(cores)
+        strip = {}  # edge -> the slot of its N (E) half; its other half's is strip ^ 1
+        ends, chi, holes = list(range(n)), [], [0] * n
+        for c, lay in enumerate(cores):
+            for e, o in zip(lay.edges, lay.orients):
+                strip[e] = 2 * c + (o < 0)
+            chi += (0, 0) if lay.closed else (0, 1)  # open: 1 each, less 1 for the arc joining them
+        for lay in other.values():  # a step leaves e by half o < 0, lands on f's half p > 0
+            seq, orients = lay.edges, lay.orients
+            after = seq[1:] + seq[:1] if lay.closed else seq[1:]
+            for e, o, f, p in zip(seq, orients, after, orients[1:] + orients[:1]):
+                x = strip[e] ^ (o < 0)
+                ends += (x, strip[f] ^ (p > 0))
+                chi[x] -= 1
         for c in m.corner_cycles:
-            x = (c.corners[0][0], c.corners[0][1][k])
+            e, corner = c.corners[0]
+            x = strip[e] ^ (corner[k] in "SW")
             chi[x] += 1
             holes[x] += c.puncture or c.marked
-        total = (sum(chi.values()), sum(holes.values()))
-        rank, tree, stack = {}, {}, [(next(iter(adj)), None, None)]
+        adj = [[] for _ in range(n)]
+        for h, x in enumerate(ends):
+            adj[x].append(h ^ 1)
+        total = (sum(chi), sum(holes))
+        rank, via, order, stack = [-1] * n, [-1] * n, [], [-1]
         while stack:  # depth first: every link off the tree joins x to an ancestor
-            x, p, i = stack.pop()
-            if x not in rank:
-                rank[x], tree[x] = len(rank), (p, i)
-                stack += [(y, x, j) for y, j in adj[x]]
-        low = dict(rank)
-        for x in list(rank)[:0:-1]:  # descendants first; the root has no tree link
-            p, i = tree[x]
-            low[x] = min([low[x]] + [rank[y] for y, j in adj[x] if j != i])
-            a, _, v = links[i]
-            if low[x] == rank[x] and v is not None:  # core v is a bridge
+            h = stack.pop()
+            x = ends[h] if h >= 0 else 0  # dart -1 enters the root, slot 0
+            if rank[x] < 0:
+                rank[x], via[x] = len(order), h
+                order.append(x)
+                stack += adj[x]
+        low = rank[:]
+        for x in reversed(order[1:]):  # descendants first; the root has no tree link
+            i = via[x] >> 1
+            lo = low[x]
+            for d in adj[x]:
+                if d >> 1 != i and rank[ends[d]] < lo:
+                    lo = rank[ends[d]]
+            p = ends[via[x] ^ 1]
+            if lo == rank[x] and i < len(cores):  # core i is a bridge
+                lay = cores[i]
                 sides = [[chi[x], holes[x]], [total[0] - chi[x], total[1] - holes[x]]]
-                sides[a != x][0] += not layouts[v].closed  # v is cut, not glued
+                sides[x != 2 * i][0] += not lay.closed  # the core is cut, not glued
                 if any(c == 1 and h <= 1 for c, h in sides):
-                    out.add(v)
-            low[p] = min(low[p], low[x])
+                    out.add(lay.vertex)
+            if lo < low[p]:
+                low[p] = lo
             chi[p] += chi[x]
             holes[p] += holes[x]
     return out

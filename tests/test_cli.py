@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from multitwist.cli import main
 from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, induced_subtree, loch_ness_tree
-from multitwist.surfaces import staircase_complex
+from multitwist.surfaces import RibbonData, build_surface, staircase_complex
 from multitwist.svg import surface_svg
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
@@ -63,6 +64,23 @@ class TestBuildVerify:
         assert "verification pass" in res.output
         res = runner.invoke(main, ["verify", str(surf)])
         assert res.exit_code == 0, res.output
+
+    def test_broken_corner_cycle_fails_both_counts(self, runner, tmp_path, monkeypatch):
+        """A one-square torus whose one 4-quarter cycle is cut down to a
+        single quarter (k = 1, odd): the partition check and Gauss-Bonnet
+        both fail, and the excess prints as a fraction."""
+        m = build_surface(formats.parse_graph(K2_GRAPH), RibbonData.make({0: 0}, {0: 0}))
+        (cycle,) = m.corner_cycles
+        broken = replace(m, corner_cycles=(replace(cycle, corners=cycle.corners[:1]),))
+        monkeypatch.setattr(formats, "parse_surface", lambda text: broken)
+        surf = tmp_path / "torus.surf"
+        surf.write_text(formats.write_surface(m))
+        res = runner.invoke(main, ["verify", str(surf)])
+        assert res.exit_code == 1
+        assert res.output == ("rectangles 1; cone census (quarter turns) [1]\n"
+                              "chi 0; translation True\n"
+                              "FAIL corner partition broken: 1 != 4\n"
+                              "FAIL angle excess -3/2 != -2*chi 0\n")
 
     def test_tampered_height_fails_modulus(self, runner, tmp_path):
         surf = tmp_path / "st.surf"

@@ -174,6 +174,11 @@ STAIRCASE = formats.write_surface(STAIR)
 NO_LAMBDA = "".join(ln for ln in STAIRCASE.splitlines(True) if not ln.startswith("lambda"))
 
 
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
 @pytest.mark.parametrize("parser, text, line", [
     ("parse_surface", SURFACE + "flip x E\n", 5),
     ("parse_surface", SURFACE + "puncture x\n", 5),
@@ -201,25 +206,22 @@ NO_LAMBDA = "".join(ln for ln in STAIRCASE.splitlines(True) if not ln.startswith
     ("parse_tree", "vertex 0 root\nvertex 1 0\nfrontier 1\nfrontier 1\n", 4),
     ("parse_tree", "family loch-ness -1\n", 1),
     ("parse_tree", "family ladder 0\n", 1),
+    ("parse_surface", _edit(formats.write_surface(staircase_complex(-4, 5, 3)),
+                            "edge 4 4 5\n", "edge 4 4 99\n"), 10),
 ], ids=["flip-edge", "puncture-index", "bare-puncture", "h-vertex", "bare-lambda",
         "repeated-h", "puncture-range", "second-marked",
         "bipartite-header", "bare-end", "family-depth",
         "second-bipartite", "second-lambda", "second-end", "second-family", "second-root",
         "vertex-twice", "record-after-family", "tree-after-family", "family-after-tree",
         "h-without-lambda", "puncture-twice", "genus-mark-twice", "frontier-twice",
-        "loch-ness-depth", "ladder-depth"])
+        "loch-ness-depth", "ladder-depth", "edge-vertex-without-value"])
 def test_malformed_record_names_line(parser, text, line):
     with pytest.raises(formats.FormatError, match=f"^line {line}: "):
         getattr(formats, parser)(text)
 
 
-def _edit(text, old, new):
-    assert old in text
-    return text.replace(old, new)
-
-
 @pytest.mark.parametrize("parser, text, line, message", [
-    ("parse_surface", _edit(STAIRCASE, "h -2 ", "# h -2 "), 26, "no value for vertex -2"),
+    ("parse_surface", _edit(STAIRCASE, "h -2 ", "# h -2 "), 2, "no value for vertex -2"),
     ("parse_surface", _edit(STAIRCASE, "sigma_h -3 -2\n", ""), 3,
      "vertex -2 split across several sigma_h components"),
     ("parse_trajectory", "seg 0 0 0 1 1 1\n# cut\n", 2, "missing end record"),

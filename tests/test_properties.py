@@ -9,7 +9,8 @@ machinery, and double covers far beyond the hand-built examples:
   - half-translation complexes satisfy Riemann-Hurwitz under the
     orientation double cover, with branch points exactly the odd cones,
   - cylinders biject with curves in both directions,
-  - one cut per curve family decides essentiality as one cut per curve does.
+  - one cut per curve family decides essentiality as one cut per curve does,
+    and its walk on integer slots agrees with a walk on named halves.
 """
 
 import math
@@ -20,7 +21,8 @@ import pytest
 
 from multitwist.flow import SurfacePoint, flow
 from multitwist.graphs import BipartiteConfigGraph
-from multitwist.recipe import curve_is_essential
+from multitwist.recipe import (_inessential_curves, build_multicurves, curve_is_essential,
+                               ladder_tree, loch_ness_tree)
 from multitwist.surfaces import (
     OPPOSITE,
     RibbonData,
@@ -30,6 +32,7 @@ from multitwist.surfaces import (
     is_translation,
     mark_faces,
     orientation_double_cover,
+    staircase_complex,
 )
 
 
@@ -263,3 +266,103 @@ def test_essentiality_matches_single_cut_oracle():
         assert inessential == {v for v in m.graph.vertices() if not curve_is_essential(m, v)}
         with_inessential += bool(inessential)
     assert with_inessential >= 50
+
+
+def _dict_inessential_curves(m):
+    """The reference for recipe._inessential_curves: the same cut, with the
+    bridge search run on every half, named (edge, side), its links read off
+    the gluing table, and everything kept in dicts."""
+    out = set()
+    for k, cut, layouts in ((0, ("N", "S"), m.h_layouts), (1, ("E", "W"), m.v_layouts)):
+        adj = {(e, c): [] for e in m.edges for c in cut}  # halves, named by a side
+        chi, holes = dict.fromkeys(adj, 1), dict.fromkeys(adj, 0)
+        links = [((lay.edges[0], cut[0]), (lay.edges[0], cut[1]), v)  # cores
+                 for v, lay in layouts.items()]
+        for (e, s), (e2, s2, rev) in m.gluings.items():  # like or crossed halves
+            if (e, s) < (e2, s2):
+                links += [((e, s), (e2, s2), None)] if s in cut else [
+                    ((e, c), (e2, OPPOSITE[c] if rev else c), None) for c in cut]
+        for i, (a, b, v) in enumerate(links):
+            chi[a] -= v is None or not layouts[v].closed  # a gluing, or an open core
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+        for c in m.corner_cycles:
+            x = (c.corners[0][0], c.corners[0][1][k])
+            chi[x] += 1
+            holes[x] += c.puncture or c.marked
+        total = (sum(chi.values()), sum(holes.values()))
+        rank, tree, stack = {}, {}, [(next(iter(adj)), None, None)]
+        while stack:  # depth first: every link off the tree joins x to an ancestor
+            x, p, i = stack.pop()
+            if x not in rank:
+                rank[x], tree[x] = len(rank), (p, i)
+                stack += [(y, x, j) for y, j in adj[x]]
+        low = dict(rank)
+        for x in list(rank)[:0:-1]:  # descendants first; the root has no tree link
+            p, i = tree[x]
+            low[x] = min([low[x]] + [rank[y] for y, j in adj[x] if j != i])
+            a, _, v = links[i]
+            if low[x] == rank[x] and v is not None:  # core v is a bridge
+                sides = [[chi[x], holes[x]], [total[0] - chi[x], total[1] - holes[x]]]
+                sides[a != x][0] += not layouts[v].closed  # v is cut, not glued
+                if any(c == 1 and h <= 1 for c, h in sides):
+                    out.add(v)
+            low[p] = min(low[p], low[x])
+            chi[p] += chi[x]
+            holes[p] += holes[x]
+    return out
+
+
+def _random_flags(rng, m):
+    """m with each corner cycle punctured at a random rate and, half the
+    time, one marked at random."""
+    tokens = [c.corners[0] for c in m.corner_cycles]
+    rate = rng.random()
+    return mark_faces(m, [t for t in tokens if rng.random() < rate],
+                      rng.choice(tokens) if rng.random() < 0.5 else None)
+
+
+def _assert_slot_walk_matches(m, rng, flaggings):
+    """The slot walk and the reference agree on m as given and on
+    flaggings random re-flaggings of it; returns how many of those
+    complexes had an inessential curve."""
+    found = 0
+    for x in [m] + [_random_flags(rng, m) for _ in range(flaggings)]:
+        expected = _dict_inessential_curves(x)
+        assert _inessential_curves(x) == expected
+        found += bool(expected)
+    return found
+
+
+def test_slot_walk_matches_reference_on_random_complexes():
+    rng = random.Random(161803)
+    found = checked = 0
+    while checked < 400:
+        m = random_complex(rng, rng.randint(1, 12))
+        if m is not None:
+            found += _assert_slot_walk_matches(m, rng, 1)
+            checked += 1
+    assert found >= 50
+
+
+@pytest.mark.parametrize("tree", [loch_ness_tree, ladder_tree])
+@pytest.mark.parametrize("depth", [10, 20])
+def test_slot_walk_matches_reference_on_recipe_outputs(tree, depth):
+    """Recipe outputs keep every curve essential as built; at weight 1
+    random re-flaggings leave some bigon empty, so some curve inessential."""
+    rng = random.Random(depth)
+    for weight in (1, 2, 3):
+        m = build_multicurves(tree(depth), weight).complex
+        assert not _inessential_curves(m)
+        found = _assert_slot_walk_matches(m, rng, 6)
+        assert found >= 1 or weight > 1
+
+
+@pytest.mark.parametrize("lo, hi", [(-4, 5), (0, 1), (-1, 0), (3, 12), (-12, -3), (-20, 21)])
+def test_slot_walk_matches_reference_on_staircase_windows(lo, hi):
+    """Windows have open cores at both ends, which the single-cut oracle
+    does not cover."""
+    rng = random.Random(hi - lo)
+    m = staircase_complex(lo, hi, 3)
+    assert any(not lay.closed for lay in m.h_layouts.values())
+    _assert_slot_walk_matches(m, rng, 8)
