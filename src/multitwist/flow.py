@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,8 +40,7 @@ _CORNER_COORDS = {
 _ENTRY_TURNS = {"SW": 0, "SE": 1, "NE": 2, "NW": 3}
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     edge: int
     x: object
     y: object
@@ -61,8 +59,7 @@ class Segment(NamedTuple):
     dir_in: tuple
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     start: SurfacePoint
     direction: tuple
     segments: tuple
@@ -383,8 +380,7 @@ def closure_length(m: RectangleComplex, p0: SurfacePoint, direction, max_length)
     return None
 
 
-@dataclass(frozen=True)
-class FlowStats:
+class FlowStats(NamedTuple):
     visits_to_start: int
     min_corner_distance: float
     coverage_fraction: float
@@ -458,8 +454,7 @@ def separatrices(m: RectangleComplex, cycle, direction):
     return rays
 
 
-@dataclass(frozen=True)
-class SaddleSearchReport:
+class SaddleSearchReport(NamedTuple):
     found: object  # None or (cycle index, ray index, hit corner, length)
     rays_launched: int
     window_exits: int
@@ -549,8 +544,7 @@ def _mod_length(x, length):
     return x
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Window stabilization of a shrinking-support twist family."""
 
     window: tuple

@@ -10,8 +10,8 @@ round-trip exactly: rationals as p/q, quadratic values as a+brd (so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph, GraphError, HarmonicAssignment, _trusted
 from .quadfield import QuadExt
@@ -58,10 +58,12 @@ def _quad_parts(tok: str):
 
 
 def parse_number(tok: str, line: int = 0):
-    """An integer or p/q token as a Fraction, a+brd or a-brd as a QuadExt
-    (a, b integers or ratios, d digits), anything else as a float; a
-    token none of these read, or one with a zero denominator, is a
-    FormatError."""
+    """An integer or p/q token (an optional sign, then digits) as a
+    Fraction, a+brd or a-brd as a QuadExt (a, b integers or ratios, d
+    digits), anything else as a float; a token none of these read, or one
+    with a zero denominator, is a FormatError.  Both exact forms are
+    checked here before Fraction reads them, so what they accept does not
+    change with the Python version."""
     try:
         if "r" in tok:
             parts = _quad_parts(tok)
@@ -69,7 +71,7 @@ def parse_number(tok: str, line: int = 0):
                 a, sign, b, d = parts
                 b = Fraction(b)
                 return QuadExt(Fraction(a), -b if sign == "-" else b, int(d))
-        if "/" in tok or (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
+        if _is_ratio(tok[1:] if tok[:1] in ("+", "-") else tok):
             return Fraction(tok)
         return float(tok)
     except (ValueError, ZeroDivisionError) as exc:
@@ -306,8 +308,7 @@ def _read_surface(records, end: int) -> tuple:
 
 # -- trajectories -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrajectoryDump:
+class TrajectoryDump(NamedTuple):
     """File-level view of a trajectory: segments plus the terminal event."""
 
     segments: tuple  # (edge, x_in, y_in, x_out, y_out, length)

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .quadfield import _ZERO, QuadExt, _field, _squarefree_split
 
@@ -44,7 +44,7 @@ class GraphError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: it has the hidden _incident field
 class BipartiteConfigGraph:
     """Finite bipartite multigraph with bounded valence.
 
@@ -130,7 +130,7 @@ class BipartiteConfigGraph:
         return {e: (i, j) for e, i, j in self.edges}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: __post_init__ checks it, _trusted sets its fields
 class HarmonicAssignment:
     """A candidate lam-harmonic function: strictly positive vertex values."""
 
@@ -146,7 +146,7 @@ class HarmonicAssignment:
         return self.values[v]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: __post_init__ checks the window
 class LadderFamily:
     """Materialized window of the bi-infinite path (the staircase graph).
 
@@ -379,8 +379,7 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     return HarmonicAssignment(lam=lam_f, values=values)
 
 
-@dataclass(frozen=True)
-class TruncatedHarmonicResult:
+class TruncatedHarmonicResult(NamedTuple):
     """Solution of the interior harmonic system on a finite truncation."""
 
     lam: object
@@ -560,8 +559,7 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
     return TruncatedHarmonicResult(lam, {**boundary, **interior}, positive, bad)
 
 
-@dataclass(frozen=True)
-class HarmonicReport:
+class HarmonicReport(NamedTuple):
     """Relative residuals |A h - lam h| / h, vertex by vertex."""
 
     passes: bool

@@ -33,8 +33,8 @@ irrational: its eigendirections are floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .quadfield import QuadExt, _equal, _number, quad_sqrt
 
@@ -53,8 +53,7 @@ _MATRIX_TOL = 1e-12  # float determinant and identity test
 _FLOAT_TOL = 1e-9  # float verdicts: |trace| vs 2, integer form, close_to, coding ties
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(NamedTuple):
     """A freely reduced word in the two multitwists."""
 
     letters: tuple
@@ -95,8 +94,7 @@ def reduce_letters(letters) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MobiusClass:
+class MobiusClass(NamedTuple):
     """2x2 determinant-1 matrix modulo sign.
 
     Entries are stored sign-normalized: the first nonzero of (a, b, c, d)
@@ -193,8 +191,7 @@ def classify(m: MobiusClass) -> str:
     return "elliptic" if at < 2 else "hyperbolic"
 
 
-@dataclass(frozen=True)
-class BrennerReport:
+class BrennerReport(NamedTuple):
     """Integer-shape recovery for elements of the lam-multitwist group."""
 
     in_form: bool
@@ -245,8 +242,7 @@ def brenner_check(m: MobiusClass, lam) -> BrennerReport:
     return BrennerReport(True, ks, sign, not inside, False, ratio)
 
 
-@dataclass(frozen=True)
-class ProjectiveDirection:
+class ProjectiveDirection(NamedTuple):
     """A slope (x : y) up to scale; canonical form (1, y/x) or (0, 1)."""
 
     x: object
@@ -323,8 +319,7 @@ def eigendirections(m: MobiusClass):
     return [_fixed_direction(a, b, c, d, mu, axis) for mu, axis in zip(mus, axes)]
 
 
-@dataclass(frozen=True)
-class RenormVerdict:
+class RenormVerdict(NamedTuple):
     verdict: str  # yes | no | undetermined
     reason: str
     steps: int

@@ -48,6 +48,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph
 from .surfaces import (_END_CORNER, RectangleComplex, _aligned_walks, _config_graph,
@@ -79,7 +80,7 @@ class TreeError(ValueError):
 # tree normal forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: its cached_property needs a __dict__
 class EndTreeSpec:
     """Rooted tree encoding of a surface: parent links, puncture leaves,
     genus-surgery marks, and frontier vertices where a truncation stopped."""
@@ -235,8 +236,7 @@ def simplify_tree(t: EndTreeSpec) -> EndTreeSpec:
                             frontier=t.frontier, family=t.family)
 
 
-@dataclass(frozen=True)
-class SurgeredGraph:
+class SurgeredGraph(NamedTuple):
     """A tree after genus surgery, kept as what the recipe reads of it: the
     puncture and frontier marks (as reprs) and the number of triangles."""
 
@@ -534,8 +534,7 @@ def _marked_face_index(quarters, p_squares) -> int:
     return max(cands, key=lambda idx: (len(quarters[idx]), -idx))
 
 
-@dataclass(frozen=True)
-class CurveRecipeOutput:
+class CurveRecipeOutput(NamedTuple):
     """A filling pair as its assembled complex, whose corner cycles carry
     the puncture and marked flags; end_faces holds the indices of the
     punctured faces that stand for truncated ends, and report the passing
@@ -710,8 +709,7 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
 # verification
 
 
-@dataclass(frozen=True)
-class RecipeReport:
+class RecipeReport(NamedTuple):
     passes: bool
     failures: tuple
     face_census: tuple

@@ -77,8 +77,7 @@ class RibbonError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class RibbonData:
+class RibbonData(NamedTuple):
     """Successor maps for the horizontal and vertical cylinder traversals.
 
     sigma_h maps an edge to the next rectangle eastward inside its
@@ -106,7 +105,7 @@ class RibbonData:
         return RibbonData(sh, sv, fl)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: mark_faces and test_cli use dataclasses.replace
 class CornerCycle:
     """A cone point: the cyclic chain of rectangle quarters around it."""
 
@@ -144,7 +143,7 @@ class CylinderLayout(NamedTuple):
         return self.transverse / self.length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: its cached_property attributes need a __dict__
 class RectangleComplex:
     """Immutable flat surface assembled from rectangles."""
 

@@ -14,6 +14,7 @@ from multitwist.quadfield import QuadExt
 from multitwist.recipe import EndTreeSpec, build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import RibbonData, build_surface, mark_faces, square_torus, staircase_complex
 from test_recipe import _TREE_GRID
+from test_surfaces import _build, square_tiled
 
 
 class TestNumbers:
@@ -46,7 +47,9 @@ class TestNumbers:
 
     @pytest.mark.parametrize("tok", ["", "+", "++1", "1/", "/2", "1 /2", "0x10", "1+r5", "1r5",
                                      "+1r5", "1+1r", "1+1r5r", "1+1R5", "1.5+1r5", "1+1r-5",
-                                     "1+-1r5", "1+1/2/3r5", "3/0", "1+1/0r5"])
+                                     "1+-1r5", "1+1/2/3r5", "3/0", "1+1/0r5",
+                                     # Fraction reads these on some Pythons only
+                                     "1_000/3", "1/ 2", "1 / 2"])
     def test_rejected_tokens_name_their_line(self, tok):
         with pytest.raises(formats.FormatError) as err:
             formats.parse_number(tok, line=7)
@@ -113,6 +116,20 @@ class TestSurfaceFormat:
         back = formats.parse_surface(formats.write_surface(m))
         assert [c.puncture for c in back.corner_cycles] == [c.puncture for c in m.corner_cycles]
         assert [c.marked for c in back.corner_cycles] == [c.marked for c in m.corner_cycles]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), partial=st.booleans())
+    def test_square_tiled_round_trip(self, data, partial):
+        """parse_surface inverts write_surface on square-tiled complexes,
+        closed or window-truncated, with a drawn set of faces punctured and
+        at most one marked."""
+        m = _build(data.draw(square_tiled(partial)))
+        faces = range(len(m.corner_cycles))
+        punctured = data.draw(st.sets(st.sampled_from(faces)))
+        marked = data.draw(st.sampled_from([None, *faces]))
+        m = mark_faces(m, [m.corner_cycles[i].corners[0] for i in sorted(punctured)],
+                       None if marked is None else m.corner_cycles[marked].corners[0])
+        assert formats.parse_surface(formats.write_surface(m)) == m
 
     @pytest.mark.parametrize("source, m", [
         ((1, 2), 3),
