@@ -15,7 +15,9 @@ or float_charts for flows run in floats), one row per rectangle holding its
 width, height and the gluing of each side.  The table is built once per
 complex, on first use, and cached on it.  The exit wall is the nearer of
 the E/W and the N/S wall ahead (E/W on a tie), and segments are Segment
-NamedTuples, cheap to make and still read by field name.
+NamedTuples, cheap to make and still read by field name.  Saddle searches
+run their rays through the same loop (_walk) without recording segments:
+they read only the terminal, the smallest corner distance and the length.
 
 Twists act cylinder by cylinder: inside a horizontal cylinder of
 circumference c and height h with h/c = 1/lam, the point (x, y) in
@@ -71,7 +73,12 @@ class Trajectory(NamedTuple):
 
     @property
     def total_length(self):
-        return sum(s.length for s in self.segments)
+        """Segment lengths added in segment order, the running sum the flow
+        keeps (built-in sum() of floats is compensated on Python 3.12+)."""
+        total = 0
+        for s in self.segments:
+            total += s.length
+        return total
 
     def visited_edges(self) -> set:
         return {s.edge for s in self.segments}
@@ -168,13 +175,27 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     crossings, points or lengths, and the segments and final direction
     report the direction as given.
     """
+    terminal, detail, final_point, final_direction, min_corner, _, segments = _walk(
+        m, p0, direction, max_length, corner_tol, _allow_corner_start, True)
+    return Trajectory(start=p0, direction=direction, segments=segments,
+                      terminal=terminal, terminal_detail=detail,
+                      final_point=final_point, final_direction=final_direction,
+                      min_corner_distance=min_corner)
+
+
+def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
+    """flow()'s crossing loop.  Returns (terminal, terminal detail, final
+    point, final direction, smallest corner distance, length, segments):
+    length is the running sum of the segment lengths, added in segment
+    order, so it equals Trajectory.total_length of the same run; segments
+    is a tuple when keep is true, else None, and then none is built."""
     dx, dy = direction
     if dx == 0 and dy == 0:
         raise FlowError("direction must be nonzero")
     if max_length < 0:
         raise FlowError("length budget must be nonnegative")
     _validate_point(m, p0)
-    if _is_corner(m, p0) and not _allow_corner_start:
+    if _is_corner(m, p0) and not allow_corner_start:
         raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     e, x, y = p0.edge, p0.x, p0.y
     charts = m.charts
@@ -206,8 +227,9 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
         rows = m.float_charts.rows
         budget = float(max_length)
         speed = math.hypot(dx, dy)
-    float_lengths = speed is None or not exact
-    acc = 0.0  # running length while lengths are floats
+    # running sum of the segment lengths in segment order; exact lengths
+    # start from int 0, as total_length does, so their sum stays exact
+    acc = 0.0 if speed is None or not exact else 0
     segments = []
     add = segments.append
     new_tuple = tuple.__new__  # a Segment without the Python-level __new__
@@ -244,12 +266,14 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
             if exact:
                 s = _sqrt_approx(speed2) if speed is None else speed
                 t_cut = min(max(budget / s - elapsed, 0), t)
-                if speed is not None:
-                    acc = elapsed * speed
+                cut_len = budget - (acc if speed is None else elapsed * speed)
             else:
                 t_cut = (budget - acc) / speed
+                cut_len = budget - acc
             fx, fy = x + t_cut * dx, y + t_cut * dy
-            add(Segment(e, x, y, fx, fy, budget - acc, d_in))
+            acc += cut_len
+            if keep:
+                add(Segment(e, x, y, fx, fy, cut_len, d_in))
             e_fin, x_fin, y_fin = e, fx, fy
             break
         if exact:
@@ -276,9 +300,9 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
                 if not exact:
                     x2, y2 = x + t * dx, 0.0
             coord, side_len = x2, w
-        add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
-        if float_lengths:
-            acc += seg_len
+        if keep:
+            add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
+        acc += seg_len
         if exact:  # a float 0 may be a rounded near miss: the exact distance decides
             f_coord, f_side = float(coord), float(side_len)
             dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
@@ -308,16 +332,12 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
             d_in = (dx, dy)
     else:
         raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
-    if terminal == "budget" and not segments:
-        e_fin, x_fin, y_fin = e, x, y
     if scale != 1:  # report the direction as given
         segments = [seg._replace(dir_in=(seg.dir_in[0] / scale, seg.dir_in[1] / scale))
                     for seg in segments]
         dx, dy = dx / scale, dy / scale
-    return Trajectory(start=p0, direction=direction, segments=tuple(segments),
-                      terminal=terminal, terminal_detail=detail,
-                      final_point=SurfacePoint(e_fin, x_fin, y_fin),
-                      final_direction=(dx, dy), min_corner_distance=min_corner)
+    return (terminal, detail, SurfacePoint(e_fin, x_fin, y_fin), (dx, dy), min_corner,
+            acc, tuple(segments) if keep else None)
 
 
 _FACTOR_LIMIT = 1 << 40  # trial division up to 2**20 stays fast
@@ -463,7 +483,13 @@ class SaddleSearchReport(NamedTuple):
 
 def detect_saddle_connection(m: RectangleComplex, direction, length_bound) -> SaddleSearchReport:
     """Launch every separatrix in the window; report the first one that ends
-    on a corner within the length bound."""
+    on a corner within the length bound.
+
+    Rays go out cycle by cycle in the order of m.corner_cycles (punctured
+    cycles skipped), and within a cycle in the order separatrices() returns
+    them; "first" is the first singular ray in that order, and the search
+    stops there.  Each ray runs flow()'s crossing loop without recording
+    segments; the found length is the ray's total_length."""
     rays_launched = 0
     window_exits = 0
     min_corner = math.inf
@@ -472,15 +498,16 @@ def detect_saddle_connection(m: RectangleComplex, direction, length_bound) -> Sa
             continue
         for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle, direction)):
             rays_launched += 1
-            traj = flow(m, pos, chart_dir, length_bound, _allow_corner_start=True)
-            if traj.min_corner_distance < min_corner:
-                min_corner = traj.min_corner_distance
-            if traj.terminal == "singular":
+            terminal, detail, _, _, dist, length, _ = _walk(
+                m, pos, chart_dir, length_bound, _CORNER_TOL, True, False)
+            if dist < min_corner:
+                min_corner = dist
+            if terminal == "singular":
                 return SaddleSearchReport(
-                    found=(cycle.index, ridx, traj.terminal_detail, traj.total_length),
+                    found=(cycle.index, ridx, detail, length),
                     rays_launched=rays_launched, window_exits=window_exits,
-                    min_corner_distance=traj.min_corner_distance)
-            if traj.terminal == "window-exit":
+                    min_corner_distance=dist)
+            if terminal == "window-exit":
                 window_exits += 1
     return SaddleSearchReport(found=None, rays_launched=rays_launched,
                               window_exits=window_exits,

@@ -79,9 +79,6 @@ class TwistWord(NamedTuple):
     def __str__(self):
         return "".join(_LETTER_TO_CHAR[x] for x in self.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
 
 def reduce_letters(letters) -> tuple:
     """Free reduction of a letter sequence."""

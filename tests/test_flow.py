@@ -9,8 +9,10 @@ import pytest
 
 from multitwist.flow import (
     FlowError,
+    SaddleSearchReport,
     Segment,
     SurfacePoint,
+    Trajectory,
     canonical_point,
     closure_length,
     compact_open_convergence_check,
@@ -21,9 +23,11 @@ from multitwist.flow import (
     twist_action,
     visit_lengths,
     _land,
+    _walk,
 )
 from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
+from multitwist.mobius import TwistWord, eigendirections, rho
 from multitwist.quadfield import QuadExt
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
@@ -347,8 +351,6 @@ class TestSaddleConnections:
         assert rep.found[3] == pytest.approx(math.sqrt(2), abs=1e-9)
 
     def test_renormalizable_direction_has_none(self):
-        from multitwist.mobius import TwistWord, eigendirections, rho
-
         # the window keeps every rectangle big enough (r^-8 ~ 4.5e-4) that
         # corner distances stay well clear of the hit tolerance
         st = staircase_complex(-8, 9, 3, exact=False)
@@ -356,6 +358,92 @@ class TestSaddleConnections:
         rep = detect_saddle_connection(st, (float(exp.x), float(exp.y)), 120.0)
         assert rep.found is None
         assert rep.min_corner_distance > 1e-6
+
+
+def _reference_search(m, direction, length_bound) -> SaddleSearchReport:
+    """detect_saddle_connection recomputed with separatrices() and flow():
+    cycles in order, rays in order, stopping at the first singular ray."""
+    rays = exits = 0
+    min_corner = math.inf
+    for cycle in m.corner_cycles:
+        if cycle.puncture:
+            continue
+        for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle, direction)):
+            rays += 1
+            traj = flow(m, pos, chart_dir, length_bound, _allow_corner_start=True)
+            min_corner = min(min_corner, traj.min_corner_distance)
+            if traj.terminal == "singular":
+                found = (cycle.index, ridx, traj.terminal_detail, traj.total_length)
+                return SaddleSearchReport(found, rays, exits, traj.min_corner_distance)
+            exits += traj.terminal == "window-exit"
+    return SaddleSearchReport(None, rays, exits, min_corner)
+
+
+def _assert_same_search(m, direction, length_bound) -> SaddleSearchReport:
+    rep = detect_saddle_connection(m, direction, length_bound)
+    ref = _reference_search(m, direction, length_bound)
+    assert rep == ref
+    if rep.found is not None:  # the length is the flow's own sum, of the same type
+        assert type(rep.found[3]) is type(ref.found[3])
+    return rep
+
+
+class TestSaddleSearchWalk:
+    """The search runs flow's crossing loop without recording segments and
+    must report exactly what flowing each ray would."""
+
+    def test_walk_without_segments_reports_what_flow_does(self):
+        st2 = staircase_complex(-8, 9, 2)
+        st3 = staircase_complex(-8, 9, 3)
+        tiny = Fraction(1, 10 ** 200)
+        runs = [
+            (square_torus(), SurfacePoint(0, Fraction(1, 4), Fraction(1, 7)), (Fraction(1), Fraction(2)), 3),
+            (square_torus(), SurfacePoint(0, Fraction(1, 3), Fraction(1, 2)), (1, 2), 3),
+            (square_torus(), SurfacePoint(0, Fraction(1, 3), Fraction(1, 2)), (tiny, 2 * tiny), 3),
+            (st3, SurfacePoint(0, st3.width[0] / 3, st3.height[0] / 5), (1, 3), 6),
+            (staircase_complex(-8, 9, 3, exact=False), SurfacePoint(0, 0.3, 0.2), (0.6, 0.8), 30.0),
+        ]
+        runs += [(st2, pos, d, 20) for c in st2.corner_cycles if not c.puncture
+                 for pos, d in separatrices(st2, c, (2, 3))]
+        terminals = set()
+        for m, p, d, length in runs:
+            traj = flow(m, p, d, length, _allow_corner_start=True)
+            got = _walk(m, p, d, length, 1e-9, True, False)
+            assert got[:5] == (traj.terminal, traj.terminal_detail, traj.final_point,
+                               traj.final_direction, traj.min_corner_distance)
+            assert got[5] == traj.total_length and type(got[5]) is type(traj.total_length)
+            assert got[6] is None
+            terminals.add(traj.terminal)
+        assert terminals == {"budget", "singular", "window-exit"}
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_float_windows(self, n):
+        m = staircase_complex(-(n // 2), n - n // 2, 3, exact=False)
+        reports = []
+        for word in ("aaaBB", "aaBaB", "aBaBa"):
+            eig = eigendirections(rho(TwistWord.make(word), 3.0))[0]
+            reports.append(_assert_same_search(m, (eig.x, eig.y), 40.0))
+        if n == 33:  # connections found, and one only after window exits
+            assert any(r.found is not None and r.window_exits for r in reports)
+            assert any(r.found is None for r in reports)
+
+    @pytest.mark.parametrize("direction", [(1, 2), (2, 3)])
+    def test_exact_staircase_finds_after_window_exits(self, direction):
+        rep = _assert_same_search(staircase_complex(-8, 9, 2), direction, 20)
+        assert rep.found is not None and rep.window_exits >= 1
+        assert isinstance(rep.found[3], QuadExt)
+
+    def test_exact_torus(self):
+        rep = _assert_same_search(square_torus(), (1, 0), 2)
+        assert rep.found is not None and rep.found[3] == 1
+
+    def test_total_length_adds_in_segment_order(self):
+        # a compensated sum (built-in sum() on Python 3.12+) gives 1e16 + 2
+        p = SurfacePoint(0, 0.5, 0.5)
+        segs = tuple(Segment(0, 0.5, 0.5, 0.5, 0.5, length, (1.0, 0.0))
+                     for length in (1e16, 1.0, 1.0))
+        traj = Trajectory(p, (1.0, 0.0), segs, "budget", None, p, (1.0, 0.0), math.inf)
+        assert traj.total_length == 1e16
 
 
 class TestCoverage:

@@ -35,6 +35,15 @@ DATACLASSES = {
 }
 
 
+def _package_classes() -> set:
+    found = set()
+    for info in pkgutil.iter_modules(multitwist.__path__):
+        mod = importlib.import_module(f"multitwist.{info.name}")
+        found |= {obj for obj in vars(mod).values()
+                  if inspect.isclass(obj) and obj.__module__ == mod.__name__}
+    return found
+
+
 def test_records_are_named_tuples_and_each_dataclass_says_why():
     for cls in RECORDS:
         values = [f"v{k}" for k in range(len(cls._fields))]
@@ -46,12 +55,20 @@ def test_records_are_named_tuples_and_each_dataclass_says_why():
             setattr(r, cls._fields[0], None)
         with pytest.raises(AttributeError):
             r.extra = None
-    found = set()
-    for info in pkgutil.iter_modules(multitwist.__path__):
-        mod = importlib.import_module(f"multitwist.{info.name}")
-        found |= {obj for obj in vars(mod).values()
-                  if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
-                  and obj.__module__ == mod.__name__}
+    found = {cls for cls in _package_classes() if dataclasses.is_dataclass(cls)}
     assert found == DATACLASSES
     for cls in DATACLASSES:  # the decorator line carries the reason
         assert "# not a NamedTuple: " in inspect.getsourcelines(cls)[0][0], cls
+
+
+def test_replace_rebuilds_every_named_tuple():
+    # _replace goes through _make, which checks len() of the new tuple, so a
+    # record that defines __len__ breaks it
+    named = {cls for cls in _package_classes() if issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert set(RECORDS) <= named
+    for cls in named:
+        r = cls(*[(k, k, k) for k in range(len(cls._fields))])
+        assert r._replace() == r, cls
+    word = TwistWord.make("aBa")
+    assert word._replace() == word
+    assert word._replace(positive_semigroup=False) == (word.letters, False)
