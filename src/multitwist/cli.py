@@ -7,6 +7,7 @@ Exit codes: 0 success / verification pass, 1 verification failure,
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import click
@@ -16,7 +17,7 @@ from .flow import SurfacePoint, coverage_stats, flow
 
 from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
 from .surfaces import (_off_modulus, build_surface, euler_characteristic, is_translation,
-                       mark_faces, staircase_complex)
+                       staircase_complex)
 
 DEFAULT_TOL = 1e-10
 _TOL = click.FloatRange(min=0, min_open=True)
@@ -159,19 +160,16 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
                 elif mode == "closed-form":
                     fam = _ladder_family_of(m.graph)
                     h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
-                m = mark_faces(build_surface(m.graph, m.ribbon, harmonic=h), **_marks_of(m))
+                # gluings do not depend on side lengths: the corner cycles,
+                # flags included, are the parsed complex's
+                m = replace(build_surface(m.graph, m.ribbon, harmonic=h),
+                            corner_cycles=m.corner_cycles)
         else:
             raise click.UsageError("need a surface file or --family")
     except (ValueError, formats.FormatError) as exc:
         _fail(str(exc))
     _write_out(out, formats.write_surface(m))
     _verify_and_report(m, tol)
-
-
-def _marks_of(m):
-    punct = [c.corners[0] for c in m.corner_cycles if c.puncture]
-    marked = next((c.corners[0] for c in m.corner_cycles if c.marked), None)
-    return {"punctures": punct, "marked": marked}
 
 
 def _verify_and_report(m, tol):

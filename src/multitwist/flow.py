@@ -8,6 +8,9 @@ within corner_tol of a corner stops the trajectory: corners are the points
 of the completion where cone angle concentrates, and distinguishing true
 saddle connections from near misses is exactly the corner_tol contract.
 With exact coordinates the tolerance degenerates to exact incidence.
+Exact flows compute on field values (an int direction or side length is
+read as the rational it is).  Segments and the final direction report the
+direction as given, negated across each reversing gluing.
 
 A crossing does a constant amount of work, whatever the size of the
 window: the flow reads the complex's chart table (RectangleComplex.charts,
@@ -33,7 +36,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quadfield import QuadExt, quad_sqrt
+from .quadfield import QuadExt, _number, quad_sqrt
 from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, _off_modulus
 
 _CORNER_COORDS = {
@@ -198,10 +201,11 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     if _is_corner(m, p0) and not allow_corner_start:
         raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     e, x, y = p0.edge, p0.x, p0.y
+    d_in = (dx, dy)  # the direction as given, negated at each reversing gluing
     charts = m.charts
-    scale = 1  # the direction is flowed multiplied by scale
     exact = not charts.float_widths and not any(isinstance(v, float) for v in (x, y, dx, dy))
     if exact:
+        dx, dy = _number(dx), _number(dy)
         rows = charts.rows
         budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
         budget2 = budget * budget
@@ -236,7 +240,6 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     min_corner = math.inf
     terminal = "budget"
     detail = None
-    d_in = (dx, dy)
     sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
     sy = (dy > 0) - (dy < 0)
     if not sx and not sy:  # a NaN direction has no wall ahead
@@ -266,10 +269,9 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
             if exact:
                 s = _sqrt_approx(speed2) if speed is None else speed
                 t_cut = min(max(budget / s - elapsed, 0), t)
-                cut_len = budget - (acc if speed is None else elapsed * speed)
             else:
                 t_cut = (budget - acc) / speed
-                cut_len = budget - acc
+            cut_len = budget - acc  # acc is elapsed * speed when speed is exact
             fx, fy = x + t_cut * dx, y + t_cut * dy
             acc += cut_len
             if keep:
@@ -329,14 +331,10 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         x, y = _land(row[0], row[1], s2, rev, coord)
         if rev:
             dx, dy, sx, sy = -dx, -dy, -sx, -sy
-            d_in = (dx, dy)
+            d_in = (-d_in[0], -d_in[1])
     else:
         raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
-    if scale != 1:  # report the direction as given
-        segments = [seg._replace(dir_in=(seg.dir_in[0] / scale, seg.dir_in[1] / scale))
-                    for seg in segments]
-        dx, dy = dx / scale, dy / scale
-    return (terminal, detail, SurfacePoint(e_fin, x_fin, y_fin), (dx, dy), min_corner,
+    return (terminal, detail, SurfacePoint(e_fin, x_fin, y_fin), d_in, min_corner,
             acc, tuple(segments) if keep else None)
 
 

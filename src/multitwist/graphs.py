@@ -96,21 +96,8 @@ class BipartiteConfigGraph:
                 raise GraphError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}",
                                  lst[self.valence_bound][0])
             self._incident[v] = tuple(lst)
-        if self.vertices() and not self._connected():
+        if len(_components(_adjacency(self))) > 1:
             raise GraphError("graph is not connected")
-
-    def _connected(self) -> bool:
-        verts = self.vertices()
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for _, w in self._incident[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
 
     def _first_edge(self, v):
         """The least edge id at v, or None if v has no edge."""

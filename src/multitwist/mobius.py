@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quadfield import QuadExt, _equal, _number, quad_sqrt
+from .quadfield import QuadExt, _equal, _number, quad_sqrt, root_plus
 
 # word letters: +1 = A, -1 = A^-1, +2 = B, -2 = B^-1
 LETTER_NAMES = {1: "A", -1: "A'", 2: "B", -2: "B'"}
@@ -106,24 +106,20 @@ class MobiusClass(NamedTuple):
 
     @staticmethod
     def make(a, b, c, d) -> "MobiusClass":
+        """The class of entries from outside, checked for determinant 1."""
         det = a * d - b * c
         if not _equal(det, 1, _MATRIX_TOL):
             raise ValueError(f"determinant must be 1, got {det}")
-        for x in (a, b, c, d):
-            if x != 0:
-                if x < 0:
-                    return MobiusClass(-a, -b, -c, -d)
-                break
-        return MobiusClass(a, b, c, d)
+        return _normalized(a, b, c, d)
 
     @staticmethod
     def identity(exact: bool = True) -> "MobiusClass":
         one = Fraction(1) if exact else 1.0
         zero = Fraction(0) if exact else 0.0
-        return MobiusClass.make(one, zero, zero, one)
+        return _normalized(one, zero, zero, one)
 
     def __mul__(self, other: "MobiusClass") -> "MobiusClass":
-        return MobiusClass.make(
+        return _normalized(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -131,7 +127,7 @@ class MobiusClass(NamedTuple):
         )
 
     def inverse(self) -> "MobiusClass":
-        return MobiusClass.make(self.d, -self.b, -self.c, self.a)
+        return _normalized(self.d, -self.b, -self.c, self.a)
 
     def trace(self):
         return self.a + self.d
@@ -145,15 +141,18 @@ class MobiusClass(NamedTuple):
     def is_identity(self) -> bool:
         return all(_equal(x, y, _MATRIX_TOL) for x, y in zip(self.entries(), (1, 0, 0, 1)))
 
-    def apply_slope(self, u):
-        """Action on the slope coordinate u = x/y; None encodes infinity."""
-        a, b, c, d = self.entries()
-        if u is None:
-            return None if c == 0 else a / c
-        den = c * u + d
-        if den == 0:
-            return None
-        return (a * u + b) / den
+
+def _normalized(a, b, c, d) -> MobiusClass:
+    """The class of a determinant-1 matrix, first nonzero entry positive.
+    Products, inverses and generators are unimodular by construction, so
+    only make() checks the determinant (in floats, a product can fail that
+    check only through cancellation)."""
+    for x in (a, b, c, d):
+        if x != 0:
+            if x < 0:
+                return MobiusClass(-a, -b, -c, -d)
+            break
+    return MobiusClass(a, b, c, d)
 
 
 def generator(letter: int, lam) -> MobiusClass:
@@ -164,7 +163,7 @@ def generator(letter: int, lam) -> MobiusClass:
     one = lam / lam if lam != 0 else 1  # matches the numeric type of lam
     units = (lam - lam, lam, -lam)
     b, c = _SHEARS[letter]
-    return MobiusClass.make(one, units[b], units[c], one)
+    return _normalized(one, units[b], units[c], one)
 
 
 def rho(word: TwistWord, lam) -> MobiusClass:
@@ -232,7 +231,7 @@ def brenner_check(m: MobiusClass, lam) -> BrennerReport:
     k11, k12, _, _ = ks
     if k12 == 0:
         return BrennerReport(True, ks, sign, True, True, None)
-    t = (QuadExt(lam) + quad_sqrt(lam2 - 4)) / 2
+    t = root_plus(lam)
     num = 1 + k11 * lam2
     ratio = abs(Fraction(num, 1) / (Fraction(k12) * lam))
     inside = (1 / t) < ratio < t
@@ -353,7 +352,9 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60) -> RenormVerdic
     half = lam / 2
     small = 2 / lam
     excluded = _excluded_slopes(lam)
-    inv_letter = {1: -1, -1: 1, 2: -2, -2: 2}
+    # each letter's shear entries (b, c); its inverse moves the slope u to
+    # (u - b) / (1 - c*u), which is infinity where the denominator is 0
+    shears = {letter: (b * lam, c * lam) for letter, (b, c) in _SHEARS.items()}
     # interval owners, each as (letter, membership test)
     zones = [
         (1, lambda v: v is None or v >= half),
@@ -385,7 +386,9 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60) -> RenormVerdic
                 return RenormVerdict("undetermined", "boundary-ambiguous exit", step)
             return RenormVerdict("no", "coding exits the limit-set intervals", step)
         letter = owners[0]
-        u = generator(inv_letter[letter], lam).apply_slope(u)
+        b, c = shears[letter]
+        den = 1 - c * u
+        u = None if den == 0 else (u - b) / den
         prev = letter
     if ambiguous and not exact:
         return RenormVerdict("undetermined", "depth exhausted near interval boundary", depth)

@@ -77,8 +77,6 @@ class QuadExt:
             d = 0
         elif d == 0:
             b = Fraction(0)
-        elif d == 1:
-            a, b, d = a + b, Fraction(0), 0
         else:
             s, m = _squarefree_split(d)
             if m in (0, 1):

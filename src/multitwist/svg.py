@@ -87,10 +87,8 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None) -> str:
             if (e, side) in m.gluings:
                 e2, s2, rev = m.gluings[(e, side)]
                 label = f"{e2}{s2}{'~' if rev else ''}"
-            elif (e, side) in m.frontier:
+            else:  # a frontier side
                 label = "…"
-            else:
-                continue
             out.append(f'<text x="{sx(ax)}" y="{sy(ay)}" text-anchor="middle" '
                        f'fill="#888888" font-size="7">{label}</text>')
     palette = ("#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")

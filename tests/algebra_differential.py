@@ -27,7 +27,10 @@ The sections:
 - flipped twist: the same on the double-edge complex at lambda = 2 with
   flips on N, on E and on both, exact and float (rotated charts);
 - convergence: `compact_open_convergence_check` reports for shrinking beta
-  supports on exact and float staircases.
+  supports on exact and float staircases;
+- long words: `rho`, `classify` and `eigendirections` of (aB)^k and
+  (aaB)^k for k = 4..15 at lambda in {3, 3.0, 5.0}, whose float entries
+  grow past 1e25.
 
 It is not collected by pytest and takes under a minute.
 """
@@ -52,6 +55,8 @@ RENORM_DEPTH = 20
 RENORM_DEPTH_POSITIVE = 60
 POWERS = (-2, -1, 1, 2, 3)
 GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(1))
+LONG_LAMS = (3, 3.0, 5.0)
+LONG_POWERS = range(4, 16)
 FLIP_SETS = (((0, "N"), (1, "N")), ((0, "E"), (1, "E")),
              ((0, "N"), (1, "N"), (0, "E"), (1, "E")))
 
@@ -152,8 +157,19 @@ def _convergence():
                 yield f"l{lam} {exact} [{lo},{hi}) +{offset} w{w} {rep}"
 
 
+def _long_words():
+    for lam in LONG_LAMS:
+        for period, k in itertools.product(("aB", "aaB"), LONG_POWERS):
+            tag = f"{lam!r} ({period})^{k}"
+            word = TwistWord.make(period * k)
+            yield f"{tag} rho {_record(rho, word, lam)}"
+            yield f"{tag} classify {_record(lambda: classify(rho(word, lam)))}"
+            yield f"{tag} eig {_record(lambda: eigendirections(rho(word, lam)))}"
+
+
 SECTIONS = (("mobius", _mobius), ("mobius-edges", _mobius_edges), ("twist", _twist),
-            ("flipped-twist", _flipped_twist), ("convergence", _convergence))
+            ("flipped-twist", _flipped_twist), ("convergence", _convergence),
+            ("long-words", _long_words))
 
 
 if __name__ == "__main__":

@@ -200,6 +200,13 @@ class TestClassify:
         assert "trace 11" in res.output and "hyperbolic" in res.output
         assert "ks=(1, 1, 1, 0)" in res.output
 
+    def test_long_float_word_is_classified(self, runner):
+        # the float entries grow to 2e9; the product of unimodular factors
+        # is unimodular, so no determinant check cancels to 0
+        res = runner.invoke(main, ["classify", "--word", "aB" * 9, "--lambda", "3", "--float"])
+        assert res.exit_code == 0, res.output
+        assert "class hyperbolic" in res.output
+
     def test_irrational_lambda_skips_the_integer_form(self, runner):
         res = runner.invoke(main, ["classify", "--word", "aB", "--lambda", "1+1r5"])
         assert res.exit_code == 0, res.output

@@ -551,6 +551,18 @@ class TestExactQuadraticFlow:
                                                             rel=1e-12)
         assert traj.total_length == pytest.approx(20.0, rel=1e-12)
 
+    def test_int_direction_on_int_sides_stays_exact(self):
+        # the unit torus has int sides and the direction is int: the flow
+        # computes on rationals and quadratic values, and reports (1, 2)
+        traj = flow(square_torus(), SurfacePoint(0, Fraction(1, 3), Fraction(1, 2)), (1, 2), 3)
+        r5 = QuadExt(0, 1, 5)
+        assert traj.final_point == SurfacePoint(0, Fraction(-2, 3) + Fraction(3, 5) * r5,
+                                                Fraction(-5, 2) + Fraction(6, 5) * r5)
+        assert traj.total_length == 3
+        assert not any(isinstance(v, float) for s in traj.segments for v in s[1:6])
+        assert traj.final_direction == (1, 2)
+        assert all(type(v) is int for v in traj.final_direction)
+
     def test_large_direction_is_not_factored(self):
         # the speed's radicand (10^9 + 7)^2 + 1 is too large to factor by
         # trial division; the flow takes the outside-the-field rule instead

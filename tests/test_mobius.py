@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multitwist.mobius import (
+    _FLOAT_TOL,
     ALL_DIRECTIONS,
     MobiusClass,
     ProjectiveDirection,
+    RenormVerdict,
     TwistWord,
+    _excluded_slopes,
     brenner_check,
     classify,
     eigendirections,
@@ -20,7 +23,7 @@ from multitwist.mobius import (
     renormalizable,
     rho,
 )
-from multitwist.quadfield import QuadExt
+from multitwist.quadfield import QuadExt, _equal, _number
 
 
 def random_reduced_word(rng, alphabet, max_len):
@@ -87,6 +90,22 @@ class TestRho:
         w = random_reduced_word(rng, (1, -1, 2, -2), 8)
         a, b, c, d = rho(w, Fraction(5, 2)).entries()
         assert a * d - b * c == 1
+
+
+class TestLongFloatWords:
+    """Float products of unimodular factors stay unimodular: no determinant
+    check runs on them, so long words with large entries evaluate."""
+
+    @pytest.mark.parametrize("lam, exact_lam", [(2.0, 2), (2.5, Fraction(5, 2)),
+                                                (3.0, 3), (5.0, 5)])
+    @pytest.mark.parametrize("period", ["aB", "aaB"])
+    def test_powers_are_hyperbolic_with_the_exact_trace(self, period, lam, exact_lam):
+        for k in range(1, 16):
+            word = TwistWord.make(period * k)
+            m = rho(word, lam)
+            assert classify(m) == "hyperbolic", str(word)
+            exact = abs(rho(word, exact_lam).trace())
+            assert abs(abs(m.trace()) - exact) <= 1e-12 * exact, str(word)
 
 
 class TestClassify:
@@ -243,6 +262,93 @@ class TestRenormalizable:
         exp = eigendirections(rho(TwistWord.make("aB"), 2))[0]
         v = renormalizable(exp, 2, 40)
         assert v.verdict == "yes"
+
+
+def _matrix_step_coding(d, lam, depth):
+    """The reference coding: each step builds the inverse of the owning
+    generator as a matrix and applies it to the slope u = x/y (None is
+    infinity).  renormalizable moves the slope by the shear alone."""
+    lam = _number(lam)
+    exact = d.is_exact() and not isinstance(lam, float)
+    u = d.slope_u()
+    if not exact:
+        lam = float(lam)
+        u = u if u is None else float(u)
+    half, small = lam / 2, 2 / lam
+    excluded = _excluded_slopes(lam)
+    zones = [
+        (1, lambda v: v is None or v >= half),
+        (-1, lambda v: v is None or v <= -half),
+        (2, lambda v: v is not None and -small <= v <= 0),
+        (-2, lambda v: v is not None and 0 <= v <= small),
+    ]
+
+    def apply_slope(m, v):
+        if v is None:
+            return None if m.c == 0 else m.a / m.c
+        den = m.c * v + m.d
+        return None if den == 0 else (m.a * v + m.b) / den
+
+    def near_boundary(v):
+        return v is not None and min(abs(abs(float(v)) - float(half)),
+                                     abs(abs(float(v)) - float(small))) <= _FLOAT_TOL
+
+    prev, ambiguous = 0, False
+    for step in range(depth):
+        if any(u is t if u is None or t is None else _equal(u, t, _FLOAT_TOL)
+               for t in excluded):
+            return RenormVerdict("no", "excluded eigendirection reached", step)
+        if not exact and near_boundary(u):
+            ambiguous = True
+        owners = [letter for letter, test in zones if test(u) and letter != -prev]
+        if not owners:
+            if not exact and ambiguous:
+                return RenormVerdict("undetermined", "boundary-ambiguous exit", step)
+            return RenormVerdict("no", "coding exits the limit-set intervals", step)
+        prev = owners[0]
+        u = apply_slope(generator(-prev, lam), u)
+    if ambiguous and not exact:
+        return RenormVerdict("undetermined", "depth exhausted near interval boundary", depth)
+    return RenormVerdict("yes", "coding survives the probed depth", depth)
+
+
+_CODING_LAMS = (2, 3, Fraction(5, 2), QuadExt(1, 1, 5), 2.0, 2.5, 3.0, 5.0)
+
+
+@st.composite
+def _coding_cases(draw):
+    """(direction, lam): exact and float slopes, slopes within 1e-9 of the
+    interval ends +-lam/2 and +-2/lam, and eigendirections of words."""
+    lam = draw(st.sampled_from(_CODING_LAMS))
+    kind = draw(st.sampled_from(("rational", "float", "boundary", "eigen")))
+    if kind == "rational":
+        u = draw(st.fractions(min_value=-8, max_value=8, max_denominator=10**6))
+        return ProjectiveDirection.make(u, 1), lam
+    if kind == "float":
+        return ProjectiveDirection.make(draw(st.floats(-8, 8)), 1.0), lam
+    if kind == "boundary":
+        end = draw(st.sampled_from((lam / 2, -lam / 2, 2 / lam, -2 / lam)))
+        eps = draw(st.floats(-1e-9, 1e-9))
+        return ProjectiveDirection.make(float(end) + eps, 1.0), lam
+    letters = draw(st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=6))
+    eig = eigendirections(rho(TwistWord.make(reduce_letters(letters)), lam))
+    assume(eig is not ALL_DIRECTIONS and eig)
+    return draw(st.sampled_from(eig)), lam
+
+
+class TestCodingMovesSlopes:
+    @given(_coding_cases(), st.integers(1, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_the_matrix_steps(self, case, depth):
+        d, lam = case
+        assert renormalizable(d, lam, depth) == _matrix_step_coding(d, lam, depth)
+
+    @pytest.mark.parametrize("u", [1.5 + 1e-10, -1.5 - 5e-10, 2 / 3 - 1e-10, -2 / 3 + 1e-10])
+    def test_slopes_at_an_interval_end_are_undetermined(self, u):
+        d = ProjectiveDirection.make(u, 1.0)
+        v = renormalizable(d, 3.0, 30)
+        assert v.verdict == "undetermined"
+        assert v == _matrix_step_coding(d, 3.0, 30)
 
 
 class TestExactOrFloat:
