@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 usage or parse errors.
+2 bad input.  Bad input is refused in one place: the group's `invoke`
+turns any ValueError (every library refusal derives from it) or OSError
+(a file that cannot be read or written) into one `error:` line and exit
+2.  Other exceptions are bugs and keep their tracebacks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import click
 from . import formats, graphs, mobius, svg as svgmod
 from .flow import SurfacePoint, coverage_stats, flow
 
-from .recipe import RecipeError, build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
+from .recipe import build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
 from .surfaces import (_off_modulus, build_surface, euler_characteristic, is_translation,
                        staircase_complex)
 
@@ -23,21 +26,18 @@ DEFAULT_TOL = 1e-10
 _TOL = click.FloatRange(min=0, min_open=True)
 
 
-def _fail(message: str, code: int = 2):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        _fail(str(exc))
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _write_out(path, text: str):
-    if path in (None, "-"):
+def _write_out(path: str, text: str):
+    if path == "-":
         click.echo(text, nl=False)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -47,8 +47,6 @@ def _write_out(path, text: str):
 def _parse_lambda(text, exact: bool):
     """lambda as written: a rational stays exact under --float too, so
     closed-form heights are computed exactly (staircase windows round them)."""
-    if text is None:
-        return None
     value = formats.parse_number(text)
     if exact and isinstance(value, float):
         raise click.UsageError(f"--exact needs a rational lambda, got {text}")
@@ -61,7 +59,7 @@ def _parse_direction(text, exact: bool):
         if exact:
             return (formats.parse_number(xs), formats.parse_number(ys))
         return (float(formats.parse_number(xs)), float(formats.parse_number(ys)))
-    except (ValueError, formats.FormatError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad direction {text!r}: {exc}") from exc
 
 
@@ -74,11 +72,19 @@ def _parse_start(text, exact: bool) -> SurfacePoint:
         if not exact:
             x, y = float(x), float(y)
         return SurfacePoint(int(edge), x, y)
-    except (ValueError, formats.FormatError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"--start needs EDGE:X:Y, got {text!r}: {exc}") from exc
 
 
-@click.group()
+class _Commands(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Flat surfaces from filling multicurve pairs: harmonic functions,
     multitwist matrices, straight-line flow."""
@@ -96,31 +102,19 @@ def main():
 @click.option("-o", "--out", default="-")
 def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
     """Compute a harmonic vertex function on a configuration graph."""
-    try:
-        g = formats.parse_graph(_read(graph_file))
-    except formats.FormatError as exc:
-        _fail(str(exc))
-    fixed = ()  # the vertices the solve fixed, which the verdict skips
-    try:
-        if mode == "perron":
-            h = graphs.perron_pair(g)
-        elif mode == "closed-form":
-            fam = _ladder_family_of(g)
-            h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
-            fixed = fam.boundary()
-        else:
-            if lam is None or boundary is None:
-                raise click.UsageError("truncated mode needs --lambda and --boundary")
-            bh = formats.parse_harmonic(_read(boundary))
-            res = graphs.harmonic_truncated(g, float(formats.parse_number(lam)),
-                                            {v: float(x) for v, x in bh.values.items()})
-            if not res.positive:
-                click.echo(f"positivity failed at {res.nonpositive_vertices}")
-                sys.exit(1)
-            h = res.assignment()
-            fixed = bh.values.keys()
-    except ValueError as exc:
-        _fail(str(exc))
+    g = formats.parse_graph(_read(graph_file))
+    if mode != "truncated":
+        h, fixed = _harmonic_of(g, mode, lam, exact)
+    else:
+        if lam is None or boundary is None:
+            raise click.UsageError("truncated mode needs --lambda and --boundary")
+        bh = formats.parse_harmonic(_read(boundary))
+        res = graphs.harmonic_truncated(g, float(formats.parse_number(lam)),
+                                        {v: float(x) for v, x in bh.values.items()})
+        if not res.positive:
+            click.echo(f"positivity failed at {res.nonpositive_vertices}", err=True)
+            sys.exit(1)
+        h, fixed = res.assignment(), bh.values.keys()
     report = graphs.verify_harmonic(g, h, tol, boundary=fixed)
     _write_out(out, formats.write_harmonic(h))
     click.echo(f"max residual {report.max_residual:.3e} "
@@ -128,12 +122,19 @@ def harmonic(graph_file, mode, lam, tol, exact, boundary, out):
     sys.exit(0 if report.passes else 1)
 
 
-def _ladder_family_of(g):
+def _harmonic_of(g, mode: str, lam, exact: bool):
+    """Perron or closed-form harmonic data on g, and the vertices the solve
+    fixed, which the residual verdict skips."""
+    if mode == "perron":
+        return graphs.perron_pair(g), ()
     verts = sorted(g.vertices())
-    if verts == list(range(verts[0], verts[-1] + 1)) and all(
-            g.degree(v) <= 2 for v in verts):
-        return graphs.LadderFamily(verts[0], verts[-1])
-    raise click.UsageError("graph is not a ladder window")
+    if not verts or verts != list(range(verts[0], verts[-1] + 1)) or any(
+            g.degree(v) > 2 for v in verts):
+        raise click.UsageError("graph is not a ladder window")
+    if lam is None:
+        raise click.UsageError("closed-form mode needs --lambda")
+    fam = graphs.LadderFamily(verts[0], verts[-1])
+    return graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact)), fam.boundary()
 
 
 @main.command()
@@ -148,26 +149,21 @@ def _ladder_family_of(g):
 @click.option("-o", "--out", default="-")
 def build(surface_file, family, window, lam, mode, exact, tol, out):
     """Assemble a flat surface and write its surface file."""
-    try:
-        if family == "staircase":
-            lo, hi = (int(t) for t in window.split(":"))
-            m = staircase_complex(lo, hi, _parse_lambda(lam, exact) or 2, exact=exact)
-        elif surface_file:
-            m = formats.parse_surface(_read(surface_file))
-            if m.harmonic is None or mode != "given":
-                if mode == "perron" or (mode == "given" and m.harmonic is None):
-                    h = graphs.perron_pair(m.graph)
-                elif mode == "closed-form":
-                    fam = _ladder_family_of(m.graph)
-                    h = graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact))
-                # gluings do not depend on side lengths: the corner cycles,
-                # flags included, are the parsed complex's
-                m = replace(build_surface(m.graph, m.ribbon, harmonic=h),
-                            corner_cycles=m.corner_cycles)
-        else:
-            raise click.UsageError("need a surface file or --family")
-    except (ValueError, formats.FormatError) as exc:
-        _fail(str(exc))
+    if family == "staircase":
+        lo, hi = (int(t) for t in window.split(":"))
+        m = staircase_complex(lo, hi, 2 if lam is None else _parse_lambda(lam, exact),
+                              exact=exact)
+    elif surface_file:
+        m = formats.parse_surface(_read(surface_file))
+        # a given file keeps its harmonic data; one without takes the Perron pair
+        if mode != "given" or m.harmonic is None:
+            h, _ = _harmonic_of(m.graph, "perron" if mode == "given" else mode, lam, exact)
+            # gluings do not depend on side lengths: the corner cycles,
+            # flags included, are the parsed complex's
+            m = replace(build_surface(m.graph, m.ribbon, harmonic=h),
+                        corner_cycles=m.corner_cycles)
+    else:
+        raise click.UsageError("need a surface file or --family")
     _write_out(out, formats.write_surface(m))
     _verify_and_report(m, tol)
 
@@ -208,10 +204,7 @@ def _verify_and_report(m, tol):
               help="also check the curve-recipe contract at this weight")
 def verify(surface_file, tol, weight):
     """Check the invariants of a surface file."""
-    try:
-        m = formats.parse_surface(_read(surface_file))
-    except formats.FormatError as exc:
-        _fail(str(exc))
+    m = formats.parse_surface(_read(surface_file))
     if weight is not None:
         if not any(c.marked for c in m.corner_cycles):
             _fail("no marked face for the weight check")
@@ -228,17 +221,14 @@ def verify(surface_file, tol, weight):
 @click.option("--word", required=True, help="string over a A b B")
 @click.option("--lambda", "lam", required=True)
 @click.option("--exact/--float", "exact", default=True)
-@click.option("--depth", default=40, show_default=True)
+@click.option("--depth", type=click.IntRange(min=1), default=40, show_default=True)
 def classify(word, lam, exact, depth):
     """Matrix, trace, class, and integer form of a multitwist word."""
-    try:
-        w = mobius.TwistWord.make(word)
-        lam_v = _parse_lambda(lam, exact)
-        if not exact:
-            lam_v = float(lam_v)
-        m = mobius.rho(w, lam_v)
-    except ValueError as exc:
-        _fail(str(exc))
+    w = mobius.TwistWord.make(word)
+    lam_v = _parse_lambda(lam, exact)
+    if not exact:
+        lam_v = float(lam_v)
+    m = mobius.rho(w, lam_v)
     a, b, c, d = m.entries()
     cls = mobius.classify(m)
     click.echo(f"word {word or '(empty)'}  lambda {lam}")
@@ -277,17 +267,15 @@ def classify(word, lam, exact, depth):
 @click.option("--tol", type=_TOL, default=1e-9,
               show_default=True, help="corner hit tolerance")
 @click.option("--exact/--float", "exact", default=False)
-@click.option("--window", default=0, help="coverage window: the K central rectangles")
+@click.option("--window", type=click.IntRange(min=0), default=0,
+              help="coverage window: the K central rectangles")
 @click.option("-o", "--out", default="-")
 def flow_cmd(surface_file, start, direction, length, tol, exact, window, out):
     """Trace the straight-line flow and dump the trajectory."""
-    try:
-        m = formats.parse_surface(_read(surface_file))
-        p0 = _parse_start(start, exact)
-        d = _parse_direction(direction, exact)
-        traj = flow(m, p0, d, length, corner_tol=tol)
-    except (ValueError, formats.FormatError) as exc:
-        _fail(str(exc))
+    m = formats.parse_surface(_read(surface_file))
+    p0 = _parse_start(start, exact)
+    d = _parse_direction(direction, exact)
+    traj = flow(m, p0, d, length, corner_tol=tol)
     _write_out(out, formats.write_trajectory(traj))
     edges = sorted(m.edges, key=lambda x: (abs(x), x))
     win = set(edges[:window]) if window else set(m.edges)
@@ -309,20 +297,17 @@ def flow_cmd(surface_file, start, direction, length, tol, exact, window, out):
 @click.option("-o", "--out", default="-")
 def multicurve(tree_file, family, depth, genus, punctures, weight, out):
     """Generate a filling multicurve pair from a tree normal form."""
-    try:
-        if tree_file:
-            source = formats.parse_tree(_read(tree_file))
-        elif family == "loch-ness":
-            source = loch_ness_tree(depth)
-        elif family == "ladder":
-            source = ladder_tree(depth)
-        elif genus is not None and punctures is not None:
-            source = (genus, punctures)
-        else:
-            raise click.UsageError("need a tree file, --family, or --genus/--punctures")
-        result = build_multicurves(source, weight)
-    except (RecipeError, formats.FormatError, ValueError) as exc:
-        _fail(str(exc))
+    if tree_file:
+        source = formats.parse_tree(_read(tree_file))
+    elif family == "loch-ness":
+        source = loch_ness_tree(depth)
+    elif family == "ladder":
+        source = ladder_tree(depth)
+    elif genus is not None and punctures is not None:
+        source = (genus, punctures)
+    else:
+        raise click.UsageError("need a tree file, --family, or --genus/--punctures")
+    result = build_multicurves(source, weight)
     _write_out(out, formats.write_surface(result.complex))
     marked = next(c.index for c in result.complex.corner_cycles if c.marked)
     click.echo(f"faces {result.report.face_census}; valence {result.report.valence}; "
@@ -342,14 +327,11 @@ def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, 
     """Draw the surface (rows of horizontal cylinders) with flow overlays."""
     if (start is None) != (direction is None):
         raise click.UsageError("--start and --dir go together")
-    try:
-        m = formats.parse_surface(_read(surface_file))
-        trajs = [formats.parse_trajectory(_read(tf)) for tf in traj_files]
-        if start is not None:
-            p0 = _parse_start(start, False)
-            trajs.append(flow(m, p0, _parse_direction(direction, False), length))
-    except (ValueError, formats.FormatError) as exc:
-        _fail(str(exc))
+    m = formats.parse_surface(_read(surface_file))
+    trajs = [formats.parse_trajectory(_read(tf)) for tf in traj_files]
+    if start is not None:
+        p0 = _parse_start(start, False)
+        trajs.append(flow(m, p0, _parse_direction(direction, False), length))
     shade = set()
     if shade_coverage:
         for t in trajs:

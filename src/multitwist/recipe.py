@@ -596,11 +596,9 @@ def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipe
                    key=lambda idx: (sizes[idx] != 2, -sizes[idx], idx))
     bigons = [idx for idx in order if sizes[idx] == 2]
     flagged = bigons + [idx for idx in order if sizes[idx] != 2][: n - len(bigons)]
+    # _assemble_variant refused n > len(sizes), so at most one slot is short
     if len(flagged) < n:
-        if len(flagged) == n - 1:
-            flagged.append(marked_idx)
-        else:
-            raise RecipeError(f"{variant}: not enough faces for {n} punctures")
+        flagged.append(marked_idx)
     # truncated ends sit on the largest flagged faces away from p
     end_pool = sorted((idx for idx in flagged if idx != marked_idx),
                       key=lambda idx: (-sizes[idx], idx))

@@ -105,8 +105,7 @@ class RibbonData(NamedTuple):
         return RibbonData(sh, sv, fl)
 
 
-@dataclass(frozen=True)  # not a NamedTuple: mark_faces and test_cli use dataclasses.replace
-class CornerCycle:
+class CornerCycle(NamedTuple):
     """A cone point: the cyclic chain of rectangle quarters around it."""
 
     index: int
@@ -491,7 +490,7 @@ def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleCompl
     for c in m.corner_cycles:
         flags = (c.index in punctured, c.index == marked)
         cycles.append(c if flags == (c.puncture, c.marked)
-                      else replace(c, puncture=flags[0], marked=flags[1]))
+                      else c._replace(puncture=flags[0], marked=flags[1]))
     return replace(m, corner_cycles=tuple(cycles))
 
 

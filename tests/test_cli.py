@@ -71,7 +71,7 @@ class TestBuildVerify:
         both fail, and the excess prints as a fraction."""
         m = build_surface(formats.parse_graph(K2_GRAPH), RibbonData.make({0: 0}, {0: 0}))
         (cycle,) = m.corner_cycles
-        broken = replace(m, corner_cycles=(replace(cycle, corners=cycle.corners[:1]),))
+        broken = replace(m, corner_cycles=(cycle._replace(corners=cycle.corners[:1]),))
         monkeypatch.setattr(formats, "parse_surface", lambda text: broken)
         surf = tmp_path / "torus.surf"
         surf.write_text(formats.write_surface(m))
@@ -513,3 +513,92 @@ def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
         res = runner.invoke(main, args + ["--tol", tol])
         assert res.exit_code == 2, res.output
         assert "--tol" in res.output and "modulus" not in res.output
+
+
+# one row per refusal path: (argv with {file} slots, exit code, fragment of
+# stderr); none prints to stdout, and none ends in a traceback
+_START = ["--start", "0:1/4:1/10"]
+REFUSALS = {
+    "harmonic-o-missing-dir": (["harmonic", "{ladder}", "-o", "{missing}"], 2,
+                               "No such file or directory"),
+    "build-o-missing-dir": (["build", "--family", "staircase", "-o", "{missing}"], 2,
+                            "No such file or directory"),
+    "flow-o-missing-dir": (["flow", "{surf}", *_START, "--dir", "1:1", "-o", "{missing}"], 2,
+                           "No such file or directory"),
+    "multicurve-o-missing-dir": (["multicurve", "--family", "loch-ness", "--depth", "2",
+                                  "--m", "2", "-o", "{missing}"], 2,
+                                 "No such file or directory"),
+    "svg-o-missing-dir": (["svg", "{surf}", "-o", "{missing}"], 2, "No such file or directory"),
+    # the staircase default lambda 2 stands in only for a missing --lambda
+    "staircase-lambda-0": (["build", "--family", "staircase", "--lambda", "0"], 2,
+                           "need lam >= 2"),
+    "classify-depth-0": (["classify", "--word", "aB", "--lambda", "3", "--depth", "0"], 2,
+                         "Invalid value for '--depth'"),
+    "harmonic-closed-form-no-lambda": (["harmonic", "{ladder}", "--mode", "closed-form"], 2,
+                                       "closed-form mode needs --lambda"),
+    "build-closed-form-no-lambda": (["build", "{surf}", "--mode", "closed-form"], 2,
+                                    "closed-form mode needs --lambda"),
+    "flow-negative-window": (["flow", "{surf}", *_START, "--dir", "1:1", "--window", "-2"], 2,
+                             "Invalid value for '--window'"),
+    # lam = 3/2 is below the spectral radius sqrt 3 of the interior path
+    "truncated-positivity": (["harmonic", "{ladder}", "--mode", "truncated", "--lambda", "3/2",
+                              "--boundary", "{boundary}"], 1,
+                             "positivity failed at (-2, -1, 0, 1, 2)"),
+    "read-a-directory": (["verify", "{tmp}"], 2, "Is a directory"),
+    "exact-float-lambda": (["classify", "--word", "aB", "--lambda", "2.5"], 2,
+                           "--exact needs a rational lambda, got 2.5"),
+    "bad-direction": (["flow", "{surf}", *_START, "--dir", "1"], 2, "bad direction '1'"),
+    "closed-form-off-ladder": (["harmonic", "{loch}", "--mode", "closed-form", "--lambda", "3"],
+                               2, "graph is not a ladder window"),
+    "closed-form-edgeless-graph": (["harmonic", "{empty}", "--mode", "closed-form",
+                                    "--lambda", "3"], 2, "graph is not a ladder window"),
+    "build-no-source": (["build"], 2, "need a surface file or --family"),
+    "verify-wrong-weight": (["verify", "{loch}", "--m", "3"], 1,
+                            "FAIL marked face 0 has 4 sides, expected 6"),
+    "multicurve-ladder-depth-0": (["multicurve", "--family", "ladder", "--depth", "0"], 2,
+                                  "error: need genus >= 1"),
+    "multicurve-no-source": (["multicurve"], 2,
+                             "need a tree file, --family, or --genus/--punctures"),
+}
+
+
+@pytest.mark.parametrize("argv, code, fragment", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment):
+    files = {"ladder": tmp_path / "ladder.graph", "surf": tmp_path / "st.surf",
+             "loch": tmp_path / "ln.surf", "boundary": tmp_path / "b.harm",
+             "empty": tmp_path / "empty.graph", "tmp": tmp_path,
+             "missing": tmp_path / "missing" / "out"}
+    files["ladder"].write_text(LADDER)
+    files["empty"].write_text("bipartite 0 0 0 2\n")
+    files["surf"].write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
+    files["loch"].write_text(formats.write_surface(build_multicurves(loch_ness_tree(2), 2).complex))
+    files["boundary"].write_text("lambda 2\nh -3 1\nh 3 1\n")
+    res = runner.invoke(main, [a.format(**files) for a in argv])
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert fragment in res.stderr
+    assert res.stdout == ""
+    if code == 2:
+        assert sum(l.lower().startswith("error:") for l in res.stderr.splitlines()) == 1
+
+
+def test_unwritable_output_exits_2_in_a_fresh_interpreter(tmp_path):
+    src = os.path.dirname(os.path.dirname(multitwist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "multitwist.cli", "build", "--family", "staircase",
+                          "-o", str(tmp_path / "missing" / "x.surf")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_a_bug_is_not_reported_as_bad_input(runner, tmp_path, monkeypatch):
+    def broken(text):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(formats, "parse_surface", broken)
+    surf = tmp_path / "st.surf"
+    surf.write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
+    res = runner.invoke(main, ["verify", str(surf)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, TypeError) and "error:" not in res.output

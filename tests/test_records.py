@@ -24,14 +24,14 @@ RECORDS = (
     TwistWord, MobiusClass, BrennerReport, ProjectiveDirection, RenormVerdict,
     SurgeredGraph, CurveRecipeOutput, RecipeReport,
     TruncatedHarmonicResult, HarmonicReport,
-    RibbonData,
+    RibbonData, CornerCycle,
 )
 
-# each needs what a NamedTuple cannot give: a hidden field, a __post_init__,
-# a cached_property's __dict__, or dataclasses.replace
+# each needs what a NamedTuple cannot give: a hidden field, a __post_init__
+# or a cached_property's __dict__
 DATACLASSES = {
     BipartiteConfigGraph, HarmonicAssignment, LadderFamily,
-    EndTreeSpec, CornerCycle, RectangleComplex,
+    EndTreeSpec, RectangleComplex,
 }
 
 
