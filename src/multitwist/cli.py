@@ -10,17 +10,16 @@ turns any ValueError (every library refusal derives from it) or OSError
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import click
 
 from . import formats, graphs, mobius, svg as svgmod
-from .flow import SurfacePoint, coverage_stats, flow
+from .flow import _CORNER_TOL, SurfacePoint, coverage_stats, flow
 
 from .recipe import build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
 from .surfaces import (_off_modulus, build_surface, euler_characteristic, is_translation,
-                       staircase_complex)
+                       mark_faces, staircase_complex)
 
 DEFAULT_TOL = 1e-10
 _TOL = click.FloatRange(min=0, min_open=True)
@@ -158,10 +157,11 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
         # a given file keeps its harmonic data; one without takes the Perron pair
         if mode != "given" or m.harmonic is None:
             h, _ = _harmonic_of(m.graph, "perron" if mode == "given" else mode, lam, exact)
-            # gluings do not depend on side lengths: the corner cycles,
-            # flags included, are the parsed complex's
-            m = replace(build_surface(m.graph, m.ribbon, harmonic=h),
-                        corner_cycles=m.corner_cycles)
+            # gluings do not depend on side lengths: the corner cycles
+            # are the parsed complex's, and keep its flags
+            m = mark_faces(build_surface(m.graph, m.ribbon, harmonic=h),
+                           [c.index for c in m.corner_cycles if c.puncture],
+                           next((c.index for c in m.corner_cycles if c.marked), None))
     else:
         raise click.UsageError("need a surface file or --family")
     _write_out(out, formats.write_surface(m))
@@ -264,7 +264,7 @@ def classify(word, lam, exact, depth):
 @click.option("--start", required=True, help="EDGE:X:Y chart coordinates")
 @click.option("--dir", "direction", required=True, help="DX:DY")
 @click.option("--length", default=100.0, show_default=True)
-@click.option("--tol", type=_TOL, default=1e-9,
+@click.option("--tol", type=_TOL, default=_CORNER_TOL,
               show_default=True, help="corner hit tolerance")
 @click.option("--exact/--float", "exact", default=False)
 @click.option("--window", type=click.IntRange(min=0), default=0,

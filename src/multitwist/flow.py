@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .quadfield import QuadExt, _number, quad_sqrt
-from .surfaces import RectangleComplex, CornerCycle, _END_CORNER, _off_modulus
+from .surfaces import RectangleComplex, _END_CORNER, _off_modulus
 
 _CORNER_COORDS = {
     "SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1),
@@ -157,6 +157,8 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
 
     Exact coordinates flow exactly (corner incidence is then exact); float
     coordinates use corner_tol.  The budget max_length is metric length.
+    A NaN or infinite float budget or direction component is refused
+    before the first crossing.
 
     With exact coordinates a float budget is read as the exact rational it
     stands for (6.0 is 6).  When the speed |(dx, dy)| lies in the quadratic
@@ -193,8 +195,8 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     order, so it equals Trajectory.total_length of the same run; segments
     is a tuple when keep is true, else None, and then none is built."""
     dx, dy = direction
-    if dx == 0 and dy == 0:
-        raise FlowError("direction must be nonzero")
+    if isinstance(max_length, float) and not math.isfinite(max_length):
+        raise FlowError(f"length budget {max_length} is not finite")
     if max_length < 0:
         raise FlowError("length budget must be nonnegative")
     _validate_point(m, p0)
@@ -206,6 +208,15 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     exact = not charts.float_widths and not any(isinstance(v, float) for v in (x, y, dx, dy))
     if exact:
         dx, dy = _number(dx), _number(dy)
+    else:  # keep mixed inputs from dragging exact types through float math
+        x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+        if not (math.isfinite(dx) and math.isfinite(dy)):  # an exact direction holds no float
+            raise FlowError(f"direction ({dx}, {dy}) is not finite")
+    sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
+    sy = (dy > 0) - (dy < 0)
+    if not sx and not sy:  # zero, or exact values that round to 0 beside floats
+        raise FlowError("direction must be nonzero")
+    if exact:
         rows = charts.rows
         budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
         budget2 = budget * budget
@@ -226,8 +237,7 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         # the rounding of the float conversions
         t_screen = float(budget) / float_speed * (1 - 1e-12)
         elapsed = 0  # exact time run so far
-    else:  # keep mixed inputs from dragging exact types through float math
-        x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+    else:
         rows = m.float_charts.rows
         budget = float(max_length)
         speed = math.hypot(dx, dy)
@@ -240,10 +250,6 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     min_corner = math.inf
     terminal = "budget"
     detail = None
-    sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
-    sy = (dy > 0) - (dy < 0)
-    if not sx and not sy:  # a NaN direction has no wall ahead
-        raise FlowError("flow stalled: no exit wall")
     row = rows[e]
     for _ in range(_MAX_STEPS):
         w, h, glue_e, glue_w, glue_n, glue_s = row
@@ -432,15 +438,15 @@ def _rotate_quarters(vec, turns: int) -> tuple:
     return (dx, dy)
 
 
-def separatrices(m: RectangleComplex, cycle, direction):
-    """Ray starts of the foliation leaves based at one cone point.
+def separatrices(m: RectangleComplex, index: int, direction):
+    """Ray starts of the foliation leaves based at the cone point of corner
+    cycle index.
 
     Returns [(SurfacePoint, chart_direction), ...], one ray per pi-sector
     of the cone angle: a closed corner cycle of k quarters yields k/2 rays
     (its angle is k*pi/2).  Punctured cycles carry no separatrices.
     """
-    if not isinstance(cycle, CornerCycle):
-        cycle = m.corner_cycles[int(cycle)]
+    cycle = m.corner_cycles[index]
     if cycle.puncture:
         raise FlowError(f"corner cycle {cycle.index} is a puncture; no separatrices there")
     if not cycle.truncated and cycle.k % 2:
@@ -494,7 +500,7 @@ def detect_saddle_connection(m: RectangleComplex, direction, length_bound) -> Sa
     for cycle in m.corner_cycles:
         if cycle.puncture:
             continue
-        for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle, direction)):
+        for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle.index, direction)):
             rays_launched += 1
             terminal, detail, _, _, dist, length, _ = _walk(
                 m, pos, chart_dir, length_bound, _CORNER_TOL, True, False)

@@ -252,12 +252,12 @@ def parse_surface(text: str) -> RectangleComplex:
         emap = graph.edge_map()
         raise FormatError(str(exc), min(line for e, line in named["edge"].items()
                                         if v in emap[e])) from exc
-    tokens = {"puncture": [], "marked": []}
+    flagged = {"puncture": [], "marked": []}
     for tag, idx, line in faces:
         if not 0 <= idx < len(m.corner_cycles):
             raise FormatError(f"{tag} cycle {idx} out of range", line)
-        tokens[tag].append(m.corner_cycles[idx].corners[0])
-    return mark_faces(m, tokens["puncture"], *tokens["marked"])
+        flagged[tag].append(idx)
+    return mark_faces(m, flagged["puncture"], *flagged["marked"])
 
 
 def _read_surface(records, end: int) -> tuple:

@@ -604,9 +604,7 @@ def _attempt(variant: str, genus: int, n: int, ends: int, m: int) -> CurveRecipe
                       key=lambda idx: (-sizes[idx], idx))
     if len(end_pool) < ends:
         raise RecipeError(f"{variant}: not enough faces for {ends} ends")
-    cycles = complex_.corner_cycles
-    complex_ = mark_faces(complex_, [cycles[i].corners[0] for i in flagged],
-                          cycles[marked_idx].corners[0])
+    complex_ = mark_faces(complex_, flagged, marked_idx)
     report = verify_recipe(complex_, m)
     if not report.passes:
         raise RecipeError(f"{variant}: verification failed: {report.failures}")
@@ -686,12 +684,7 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
         genus_needed -= 1
 
     sizes = faces.sizes
-    if any(k > max(FACE_BOUND, 2 * m) for k in sizes):
-        raise RecipeError(f"{name}: face bound exceeded: {sorted(sizes)}")
     marked_idx = faces.face_of[marked_token]
-    if sizes[marked_idx] != 2 * m:
-        raise RecipeError(f"{name}: marked chamber has {sizes[marked_idx]} "
-                          f"sides, wanted {2 * m}")
     bigons = _bigons(sizes, marked_idx)
     if bigons > n:
         raise RecipeError(f"{name}: {bigons} bigon faces exceed {n} punctures")

@@ -172,11 +172,6 @@ class RectangleComplex:
         return frozenset((e, s) for e in self.width for s in SIDES if (e, s) not in gluings)
 
     @cached_property
-    def corner_index(self) -> dict:
-        """(edge, corner) -> index of the corner cycle holding that quarter."""
-        return {q: c.index for c in self.corner_cycles for q in c.corners}
-
-    @cached_property
     def charts(self) -> "ChartTable":
         """The flow's per-rectangle table, in the complex's own side lengths.
         Built on first use and kept on the complex (not a field, so outside
@@ -473,19 +468,15 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
 
 
 def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleComplex:
-    """m with exactly these corner cycles punctured and marked.
-
-    punctures and marked select cycles by any (edge, corner) token they
-    contain; every other cycle loses both flags.
-    """
-    def resolve(token):
-        token = tuple(token)
-        if token not in m.corner_index:
-            raise ValueError(f"no corner cycle contains {token}")
-        return m.corner_index[token]
-
-    punctured = {resolve(token) for token in punctures}
-    marked = None if marked is None else resolve(marked)
+    """m with the corner cycles whose indices are in punctures punctured,
+    the one whose index is marked (None for none) marked, and every other
+    cycle without either flag.  An index is an int in
+    range(len(m.corner_cycles)); any other value raises ValueError."""
+    punctures = list(punctures)
+    for idx in punctures + ([] if marked is None else [marked]):
+        if type(idx) is not int or not 0 <= idx < len(m.corner_cycles):
+            raise ValueError(f"no corner cycle has index {idx!r}")
+    punctured = set(punctures)
     cycles = []
     for c in m.corner_cycles:
         flags = (c.index in punctured, c.index == marked)
@@ -590,23 +581,24 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
     if m.harmonic is not None:
         harmonic = HarmonicAssignment(lam=m.lam, values=values)
 
-    # project corner marks: sheet-1 corners sit at the rotated position
+    cover = build_surface(graph, ribbon, harmonic=harmonic,
+                          values=None if harmonic is not None else values)
+    # project corner marks: a flagged cycle's first quarter lifts to one
+    # quarter per sheet, the sheet-1 one at the rotated position
+    cycle_of = {q: c.index for c in cover.corner_cycles for q in c.corners}
     punctures = []
     marked = None
     for cyc in m.corner_cycles:
         if not (cyc.puncture or cyc.marked):
             continue
         e0, c0 = cyc.corners[0]
-        for s in (0, 1):
-            c_lift = c0 if s == 0 else OPPOSITE_CORNER[c0]
-            token = (cover_id[(e0, s)], c_lift)
-            if cyc.puncture:
-                punctures.append(token)
-            if cyc.marked:
-                marked = token if marked is None else marked
-    return mark_faces(build_surface(graph, ribbon, harmonic=harmonic,
-                                    values=None if harmonic is not None else values),
-                      punctures, marked)
+        lifts = [cycle_of[(cover_id[(e0, 0)], c0)],
+                 cycle_of[(cover_id[(e0, 1)], OPPOSITE_CORNER[c0])]]
+        if cyc.puncture:
+            punctures += lifts
+        if cyc.marked:
+            marked = lifts[0]
+    return mark_faces(cover, punctures, marked)
 
 
 # -- stock complexes -------------------------------------------------------

@@ -76,7 +76,7 @@ def _trajectories():
             rep = detect_saddle_connection(m, d, SADDLE_LENGTH)
             yield f"saddle w{n} {word}", rep
             rays = ((c, r, ray) for c in m.corner_cycles if not c.puncture
-                    for r, ray in enumerate(separatrices(m, c, d)))
+                    for r, ray in enumerate(separatrices(m, c.index, d)))
             for c, r, (pos, chart_dir) in itertools.islice(rays, rep.rays_launched):
                 yield (f"ray w{n} {word} c{c.index} r{r}",
                        flow(m, pos, chart_dir, SADDLE_LENGTH, _allow_corner_start=True))

@@ -224,8 +224,7 @@ def test_criterion_09_renormalizable_direction_dynamics():
     st_big = staircase_complex(-24, 25, 3, exact=False)
     window40 = set(range(-20, 20))
     best = 0.0
-    cyc = st_big.corner_cycles[0]
-    for pos, cd in separatrices(st_big, cyc, d):
+    for pos, cd in separatrices(st_big, 0, d):
         if not -8 <= pos.edge <= -5:
             continue
         traj = flow(st_big, pos, cd, 1000.0, corner_tol=1e-12,

@@ -548,6 +548,17 @@ REFUSALS = {
     "exact-float-lambda": (["classify", "--word", "aB", "--lambda", "2.5"], 2,
                            "--exact needs a rational lambda, got 2.5"),
     "bad-direction": (["flow", "{surf}", *_START, "--dir", "1"], 2, "bad direction '1'"),
+    # non-finite numbers are refused before the first crossing
+    "flow-length-inf-exact": (["flow", "{surf}", *_START, "--dir", "1:2", "--length", "inf",
+                               "--exact"], 2, "length budget inf is not finite"),
+    "flow-length-inf": (["flow", "{surf}", *_START, "--dir", "1:2", "--length", "inf"], 2,
+                        "length budget inf is not finite"),
+    "flow-length-nan": (["flow", "{surf}", *_START, "--dir", "1:2", "--length", "nan"], 2,
+                        "length budget nan is not finite"),
+    "flow-direction-nan": (["flow", "{surf}", *_START, "--dir", "nan:1"], 2,
+                           "direction (nan, 1.0) is not finite"),
+    "svg-length-nan": (["svg", "{surf}", "--start", "0:0.5:0.25", "--dir", "1:1", "--length", "nan"],
+                       2, "length budget nan is not finite"),
     "closed-form-off-ladder": (["harmonic", "{loch}", "--mode", "closed-form", "--lambda", "3"],
                                2, "graph is not a ladder window"),
     "closed-form-edgeless-graph": (["harmonic", "{empty}", "--mode", "closed-form",

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multitwist.flow import (
     FlowError,
@@ -29,6 +30,7 @@ from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
 from multitwist.mobius import TwistWord, eigendirections, rho
 from multitwist.quadfield import QuadExt
+from multitwist.recipe import build_multicurves
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
 
@@ -73,6 +75,10 @@ class TestTorusFlow:
     def test_corner_start_is_refused(self):
         with pytest.raises(FlowError, match="separatrices"):
             flow(square_torus(), SurfacePoint(0, 0, 0), (1, 1), 1.0)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_EXACT_WINDOW = staircase_complex(-3, 4, 2)
 
 
 class TestFlowMechanics:
@@ -128,6 +134,34 @@ class TestFlowMechanics:
         traj = flow(st, SurfacePoint(0, Fraction(1, 4), Fraction(1, 8)),
                     (Fraction(1), Fraction(1)), 100.0)
         assert traj.terminal == "window-exit"
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget=st.floats(max_value=40.0) | _NON_FINITE, dx=st.just(1) | _NON_FINITE,
+           exact=st.booleans())
+    def test_non_finite_floats_are_refused_before_the_first_crossing(self, budget, dx, exact):
+        """A float budget or direction component that is NaN or infinite
+        raises FlowError before any crossing, in exact and float flows and
+        in the saddle search alike (a negative budget beside a non-finite
+        direction may be refused as negative instead); a finite budget runs
+        or is refused as negative."""
+        p = SurfacePoint(0, Fraction(1, 4), Fraction(1, 10)) if exact else SurfacePoint(0, 0.25, 0.1)
+        d = (dx, 2)
+        if not (math.isfinite(budget) and math.isfinite(dx)):
+            refusal = "is not finite|must be nonnegative"
+            with pytest.raises(FlowError, match=refusal):
+                flow(_EXACT_WINDOW, p, d, budget)
+            with pytest.raises(FlowError, match=refusal):
+                detect_saddle_connection(_EXACT_WINDOW, d, budget)
+        elif budget < 0:
+            with pytest.raises(FlowError, match="nonnegative"):
+                flow(_EXACT_WINDOW, p, d, budget)
+        else:
+            assert float(flow(_EXACT_WINDOW, p, d, budget).total_length) <= budget + 1e-9
+
+    def test_direction_that_rounds_to_zero_is_refused(self):
+        # an exact component beside a float one is flowed in floats
+        with pytest.raises(FlowError, match="nonzero"):
+            flow(square_torus(), SurfacePoint(0, 0.25, 0.5), (Fraction(1, 10 ** 400), 0.0), 1.0)
 
     def test_canonical_point_prefers_south_west(self):
         t = square_torus()
@@ -302,35 +336,42 @@ class TestSeparatrices:
     def test_pi_cone_single_ray(self):
         m = pillowcase()
         cyc = next(c for c in m.corner_cycles if c.k == 2)
-        rays = separatrices(m, cyc, (1, 2))
+        rays = separatrices(m, cyc.index, (1, 2))
         assert len(rays) == 1
 
     def test_3pi_cone_three_rays(self):
         m = fs3_complex()
         cyc = next(c for c in m.corner_cycles if c.k == 6)
-        assert len(separatrices(m, cyc, (1, 2))) == 3
+        assert len(separatrices(m, cyc.index, (1, 2))) == 3
 
     def test_4pi_cone_four_rays(self):
         m = double_handle()
         cyc = next(c for c in m.corner_cycles if c.k == 8)
-        assert len(separatrices(m, cyc, (2, 1))) == 4
+        assert len(separatrices(m, cyc.index, (2, 1))) == 4
 
     def test_count_matches_angle_for_several_directions(self):
         m = fs3_complex()
         for cyc in m.corner_cycles:
             for d in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 2)):
-                assert len(separatrices(m, cyc, d)) == cyc.k // 2
+                assert len(separatrices(m, cyc.index, d)) == cyc.k // 2
+
+    def test_opposite_directions_give_the_same_rays(self):
+        for m in (fs3_complex(), staircase_complex(-3, 4, 2)):
+            for cyc in m.corner_cycles:
+                for dx, dy in ((1, 0), (0, 1), (1, 1), (2, 3), (-1, 2)):
+                    assert (separatrices(m, cyc.index, (-dx, -dy))
+                            == separatrices(m, cyc.index, (dx, dy)))
 
     def test_puncture_refused(self):
         m = pillowcase()
-        m2 = mark_faces(m, [m.corner_cycles[0].corners[0]])
+        m2 = mark_faces(m, [0])
         with pytest.raises(FlowError, match="puncture"):
             separatrices(m2, 0, (1, 1))
 
     def test_rays_flow_inward(self):
         m = double_handle()
         for cyc in m.corner_cycles:
-            for pos, d in separatrices(m, cyc, (1, 3)):
+            for pos, d in separatrices(m, cyc.index, (1, 3)):
                 traj = flow(m, pos, d, 0.5, _allow_corner_start=True)
                 assert traj.segments  # launched without an immediate hit
 
@@ -350,6 +391,14 @@ class TestSaddleConnections:
         assert rep.found is not None
         assert rep.found[3] == pytest.approx(math.sqrt(2), abs=1e-9)
 
+    def test_punctured_cycles_launch_no_rays(self):
+        # an irrational slope on a square-tiled surface meets no corner
+        m = build_multicurves((2, 4), 5).complex
+        assert any(c.puncture for c in m.corner_cycles)
+        rep = detect_saddle_connection(m, (1.0, math.sqrt(2)), 3.0)
+        assert rep.found is None
+        assert rep.rays_launched == sum(c.k // 2 for c in m.corner_cycles if not c.puncture)
+
     def test_renormalizable_direction_has_none(self):
         # the window keeps every rectangle big enough (r^-8 ~ 4.5e-4) that
         # corner distances stay well clear of the hit tolerance
@@ -368,7 +417,7 @@ def _reference_search(m, direction, length_bound) -> SaddleSearchReport:
     for cycle in m.corner_cycles:
         if cycle.puncture:
             continue
-        for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle, direction)):
+        for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle.index, direction)):
             rays += 1
             traj = flow(m, pos, chart_dir, length_bound, _allow_corner_start=True)
             min_corner = min(min_corner, traj.min_corner_distance)
@@ -404,7 +453,7 @@ class TestSaddleSearchWalk:
             (staircase_complex(-8, 9, 3, exact=False), SurfacePoint(0, 0.3, 0.2), (0.6, 0.8), 30.0),
         ]
         runs += [(st2, pos, d, 20) for c in st2.corner_cycles if not c.puncture
-                 for pos, d in separatrices(st2, c, (2, 3))]
+                 for pos, d in separatrices(st2, c.index, (2, 3))]
         terminals = set()
         for m, p, d, length in runs:
             traj = flow(m, p, d, length, _allow_corner_start=True)

@@ -111,8 +111,9 @@ class TestSurfaceFormat:
     def test_marks_round_trip(self):
         g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
+        # cycle 3 holds quarter (0, SW), cycle 0 quarter (0, NE)
         m = mark_faces(build_surface(g, rib, HarmonicAssignment(lam=2, values={0: 1, 1: 1})),
-                       [(0, "SW")], (0, "NE"))
+                       [3], 0)
         back = formats.parse_surface(formats.write_surface(m))
         assert [c.puncture for c in back.corner_cycles] == [c.puncture for c in m.corner_cycles]
         assert [c.marked for c in back.corner_cycles] == [c.marked for c in m.corner_cycles]
@@ -127,8 +128,7 @@ class TestSurfaceFormat:
         faces = range(len(m.corner_cycles))
         punctured = data.draw(st.sets(st.sampled_from(faces)))
         marked = data.draw(st.sampled_from([None, *faces]))
-        m = mark_faces(m, [m.corner_cycles[i].corners[0] for i in sorted(punctured)],
-                       None if marked is None else m.corner_cycles[marked].corners[0])
+        m = mark_faces(m, sorted(punctured), marked)
         assert formats.parse_surface(formats.write_surface(m)) == m
 
     @pytest.mark.parametrize("source, m", [

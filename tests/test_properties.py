@@ -259,9 +259,9 @@ def test_essentiality_matches_single_cut_oracle():
         m = random_complex(rng, rng.randint(1, 9))
         if m is None:
             continue
-        tokens = [c.corners[0] for c in m.corner_cycles]
-        m = mark_faces(m, [t for t in tokens if rng.random() < 0.4],
-                       rng.choice(tokens) if rng.random() < 0.5 else None)
+        faces = range(len(m.corner_cycles))
+        m = mark_faces(m, [i for i in faces if rng.random() < 0.4],
+                       rng.choice(faces) if rng.random() < 0.5 else None)
         inessential = {v for v in m.graph.vertices() if _cut_along_one_core(m, v)}
         assert inessential == {v for v in m.graph.vertices() if not curve_is_essential(m, v)}
         with_inessential += bool(inessential)
@@ -316,10 +316,10 @@ def _dict_inessential_curves(m):
 def _random_flags(rng, m):
     """m with each corner cycle punctured at a random rate and, half the
     time, one marked at random."""
-    tokens = [c.corners[0] for c in m.corner_cycles]
+    faces = range(len(m.corner_cycles))
     rate = rng.random()
-    return mark_faces(m, [t for t in tokens if rng.random() < rate],
-                      rng.choice(tokens) if rng.random() < 0.5 else None)
+    return mark_faces(m, [i for i in faces if rng.random() < rate],
+                      rng.choice(faces) if rng.random() < 0.5 else None)
 
 
 def _assert_slot_walk_matches(m, rng, flaggings):

@@ -373,7 +373,7 @@ class TestVerifyRecipe:
         # unmarked face above the bound, the 4-gon a marked face of the
         # wrong size
         square = next(c for c in cycles if c.k == 4 and not c.puncture)
-        bad = mark_faces(m, [c.corners[0] for c in cycles if c.puncture], square.corners[0])
+        bad = mark_faces(m, [c.index for c in cycles if c.puncture], square.index)
         rep = verify_recipe(bad, 5)
         assert not rep.passes
         assert "face 0 has 10 > 8 sides" in rep.failures
@@ -406,10 +406,9 @@ class TestEssential:
         # pillowcase: every curve bounds twice-punctured discs when all four
         # bigons are punctured -> essential; with only one puncture per side
         # the cut pieces are once-punctured discs -> not essential
-        tokens = [c.corners[0] for c in m.corner_cycles]
-        m_two = mark_faces(m, tokens[:2])
+        m_two = mark_faces(m, [0, 1])
         assert not curve_is_essential(m_two, 0) or not curve_is_essential(m_two, 1)
-        m_all = mark_faces(m, tokens)
+        m_all = mark_faces(m, range(len(m.corner_cycles)))
         assert curve_is_essential(m_all, 0) and curve_is_essential(m_all, 1)
 
     @staticmethod
@@ -424,9 +423,7 @@ class TestEssential:
         g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
         m = build_surface(g, rib, values={0: 1, 1: 1})
-        tokens = [c.corners[0] for c in m.corner_cycles]
-        return mark_faces(m, [tokens[i] for i in punctures],
-                          None if marked is None else tokens[marked])
+        return mark_faces(m, punctures, marked)
 
     def test_two_punctured_pillowcase_inessential_set(self):
         # two holes among four cone points: each core has a side with at most

@@ -105,8 +105,8 @@ class TestBuild:
     def test_mark_faces_replaces_only_the_cycles_it_changes(self):
         m = build_multicurves((1, 2), 3).complex
         flagged = [c.index for c in m.corner_cycles if c.puncture or c.marked]
-        punctures = [c.corners[0] for c in m.corner_cycles if c.puncture]
-        marked = next(c.corners[0] for c in m.corner_cycles if c.marked)
+        punctures = [c.index for c in m.corner_cycles if c.puncture]
+        marked = next(c.index for c in m.corner_cycles if c.marked)
         same = mark_faces(m, punctures, marked)
         assert same == m
         assert all(a is b for a, b in zip(same.corner_cycles, m.corner_cycles))
@@ -114,6 +114,16 @@ class TestBuild:
         assert not any(c.puncture or c.marked for c in cleared.corner_cycles)
         assert [c.index for c in m.corner_cycles
                 if c is not cleared.corner_cycles[c.index]] == flagged
+
+    def test_mark_faces_takes_cycle_indices_only(self):
+        m = square_torus()  # one corner cycle, index 0
+        (cycle,) = m.corner_cycles
+        for bad in ((0, "SW"), cycle, 1, -1, True, 0.0, "0"):
+            with pytest.raises(ValueError, match="no corner cycle has index"):
+                mark_faces(m, [bad])
+            with pytest.raises(ValueError, match="no corner cycle has index"):
+                mark_faces(m, marked=bad)
+        assert mark_faces(m, [0], 0).corner_cycles == (cycle._replace(puncture=True, marked=True),)
 
 
 class TestCylinders:
@@ -283,7 +293,7 @@ class TestCoverFlagLifting:
         g = double_edge_graph()
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, flips=[(0, "N"), (1, "N")])
         base = build_surface(g, rib, unit_h(g, 2))
-        m = mark_faces(base, [base.corner_cycles[0].corners[0]])
+        m = mark_faces(base, [0])
         cov = orientation_double_cover(m)
         # an angle-pi cone is a branch point: one punctured preimage
         assert sum(1 for c in cov.corner_cycles if c.puncture) == 1
@@ -295,14 +305,15 @@ class TestCoverFlagLifting:
                               flips=[(0, "E"), (1, "E"), (2, "E"), (3, "E")])
         base = build_surface(g, rib)
         even = next(c for c in base.corner_cycles if c.k == 4)
-        m = mark_faces(base, [even.corners[0]])
+        m = mark_faces(base, [even.index])
         cov = orientation_double_cover(m)
         assert sum(1 for c in cov.corner_cycles if c.puncture) == 2
 
 
 # SHA-1 of everything build_surface lays out, pinned before sizes came from
 # the curve values and corners straight off the gluing table: table order,
-# frontier, corner cycles with their flags, cylinder layouts, corner index
+# frontier, corner cycles with their flags, cylinder layouts, each quarter
+# with the index of its cycle
 SURFACE_GOLDEN = {
     "float staircase -6:7 lambda 3": "b34eb35782ebbe41da2eb9a2095a880ac6da56d6",
     "exact staircase -4:5 lambda 3": "6d98154436e67e86a9d3cce48acbbc164105c0dc",
@@ -328,7 +339,7 @@ def test_surface_layout_is_pinned(case):
     m = _golden_surface(case)
     text = repr((list(m.gluings.items()), sorted(m.frontier), m.corner_cycles,
                  list(m.h_layouts.items()), list(m.v_layouts.items()),
-                 list(m.corner_index.items())))
+                 [(q, c.index) for c in m.corner_cycles for q in c.corners]))
     assert hashlib.sha1(text.encode()).hexdigest() == SURFACE_GOLDEN[case]
 
 
