@@ -58,7 +58,7 @@ def _parse_direction(text, exact: bool):
         if exact:
             return (formats.parse_number(xs), formats.parse_number(ys))
         return (float(formats.parse_number(xs)), float(formats.parse_number(ys)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a ratio beyond float range
         raise click.UsageError(f"bad direction {text!r}: {exc}") from exc
 
 
@@ -71,7 +71,7 @@ def _parse_start(text, exact: bool) -> SurfacePoint:
         if not exact:
             x, y = float(x), float(y)
         return SurfacePoint(int(edge), x, y)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise click.UsageError(f"--start needs EDGE:X:Y, got {text!r}: {exc}") from exc
 
 

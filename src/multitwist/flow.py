@@ -188,6 +188,14 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
                       min_corner_distance=min_corner)
 
 
+def _float_or_refuse(value, name: str) -> float:
+    """float(value), or FlowError naming the input when value lies beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FlowError(f"{name} is too large for a float") from None
+
+
 def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     """flow()'s crossing loop.  Returns (terminal, terminal detail, final
     point, final direction, smallest corner distance, length, segments):
@@ -209,7 +217,8 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     if exact:
         dx, dy = _number(dx), _number(dy)
     else:  # keep mixed inputs from dragging exact types through float math
-        x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+        x, y, dx, dy = (_float_or_refuse(v, name) for v, name in (
+            (x, "start x"), (y, "start y"), (dx, "direction dx"), (dy, "direction dy")))
         if not (math.isfinite(dx) and math.isfinite(dy)):  # an exact direction holds no float
             raise FlowError(f"direction ({dx}, {dy}) is not finite")
     sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
@@ -239,7 +248,7 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         elapsed = 0  # exact time run so far
     else:
         rows = m.float_charts.rows
-        budget = float(max_length)
+        budget = _float_or_refuse(max_length, "length budget")
         speed = math.hypot(dx, dy)
     # running sum of the segment lengths in segment order; exact lengths
     # start from int 0, as total_length does, so their sum stays exact

@@ -96,7 +96,15 @@ class BipartiteConfigGraph:
                 raise GraphError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}",
                                  lst[self.valence_bound][0])
             self._incident[v] = tuple(lst)
-        if len(_components(_adjacency(self))) > 1:
+        # connected: a walk over the incidence table from one vertex reaches all
+        stack = [next(iter(inc))] if inc else []
+        reached = set(stack)
+        while stack:
+            for _, w in inc[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) < len(inc):
             raise GraphError("graph is not connected")
 
     def _first_edge(self, v):

@@ -389,7 +389,7 @@ class _Assembly:
         if transposed:
             h, v = v, h
         for mapping, axis in ((h, "h"), (v, "v")):
-            self.gluings.update(_glue_axis(mapping, flips, axis)[0])
+            self.gluings.update(_glue_axis(mapping, flips, axis))
         return first
 
     def splice(self, port1, port2) -> dict:

@@ -11,13 +11,15 @@ has the value at v as its transverse side, so the cylinder has one
 transverse size all along it, and two sides glued along it have the same
 length.  Nothing is compared with a tolerance.
 
-Internally the ribbon permutations are unrolled into an explicit side-gluing
-table.  Walking a sigma_h cycle keeps a chart orientation: a flipped arrow
-lands in a rectangle whose chart is rotated by pi relative to the cylinder,
-so the gluing pairs same-letter sides (E-E, W-W) and reflects the transverse
-coordinate, while unflipped arrows pair opposite sides (E-W) by translation.
-A cycle with an odd number of flips would force a fixed point of z -> -z + c
-in the cylinder interior and is rejected.
+The complex is stored as its cylinders: each ribbon component is unrolled
+once into a cylinder layout, and the side-gluing table is read off the
+layouts when it is first asked for.  Walking a sigma_h cycle keeps a chart
+orientation: a flipped arrow lands in a rectangle whose chart is rotated by
+pi relative to the cylinder, so the gluing pairs same-letter sides (E-E,
+W-W) and reflects the transverse coordinate, while unflipped arrows pair
+opposite sides (E-W) by translation.  A cycle with an odd number of flips
+would force a fixed point of z -> -z + c in the cylinder interior and is
+rejected.
 
 Cone points are corner cycles: the quarter-neighbourhoods of rectangle
 corners, chained counterclockwise through the gluings.  A cycle of k
@@ -32,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
@@ -52,15 +55,23 @@ _END_CORNER = {
 # counterclockwise walk around a vertex: a quarter is left along one side,
 # at one end of it
 _CCW_EXIT = {"SW": ("W", "lo"), "SE": ("S", "hi"), "NE": ("E", "hi"), "NW": ("N", "lo")}
-# a rectangle's quarters in slot order; per quarter, the side the walk leaves
-# it by and its landing row: side landed on -> (slot of the quarter landed
-# in, the same across a reversed gluing)
+# a rectangle's quarters in slot order; per side, the slot of the quarter
+# the walk leaves by it and that quarter's landing row: side landed on ->
+# (slot of the quarter landed in, the same across a reversed gluing)
 _QUARTERS = sorted(CORNERS)
-_CCW_ROWS = tuple(
-    (side, {side2: (_QUARTERS.index(_END_CORNER[(side2, end)]),
-                    _QUARTERS.index(_END_CORNER[(side2, {"lo": "hi", "hi": "lo"}[end])]))
-            for side2 in SIDES})
-    for side, end in map(_CCW_EXIT.get, _QUARTERS))
+_CCW_ROWS = {side: (_QUARTERS.index(corner),
+                    {side2: (_QUARTERS.index(_END_CORNER[(side2, end)]),
+                             _QUARTERS.index(_END_CORNER[(side2, {"lo": "hi", "hi": "lo"}[end])]))
+                     for side2 in SIDES})
+             for corner, (side, end) in _CCW_EXIT.items()}
+# per axis and chart orientation (+1 chart-aligned, -1 rotated by pi): the
+# side an arrow leaves a rectangle by, and the side it lands on
+_PORTS = {"h": {1: ("E", "W"), -1: ("W", "E")}, "v": {1: ("N", "S"), -1: ("S", "N")}}
+# the arrow rule, per axis: (orientation at the source, at the target) ->
+# (side left by, side landed on, reversed); an arrow that turns the
+# orientation over pairs same-letter sides and is reversed
+_ARROWS = {axis: {(o, o2): (ports[o][0], ports[o2][1], o != o2) for o in (1, -1) for o2 in (1, -1)}
+           for axis, ports in _PORTS.items()}
 
 
 class RibbonError(ValueError):
@@ -150,9 +161,8 @@ class RectangleComplex:
     ribbon: RibbonData
     width: dict
     height: dict
-    gluings: dict  # (edge, side) -> (edge, side, reversed); symmetric
     corner_cycles: tuple
-    h_layouts: dict
+    h_layouts: dict  # curve -> CylinderLayout, in vertex order
     v_layouts: dict
     harmonic: HarmonicAssignment = None
 
@@ -166,10 +176,31 @@ class RectangleComplex:
         return self.harmonic.lam if self.harmonic is not None else None
 
     @cached_property
+    def gluings(self) -> dict:
+        """(edge, side) -> (edge, side, reversed), symmetric: the side
+        gluings of the layouts' arrows, horizontal curves first, each axis
+        in vertex order, each arrow as its source side, then its target
+        side.  Read off the layouts on first use and kept on the complex
+        (not a field, so outside ==, repr and build time)."""
+        gluings = {}
+        for axis, layouts in (("h", self.h_layouts), ("v", self.v_layouts)):
+            for lay in layouts.values():  # a closed walk ends chart-aligned
+                _glue(gluings, lay.edges, lay.orients, 1, lay.closed, axis)
+        return gluings
+
+    @cached_property
     def frontier(self) -> frozenset:
-        """The (edge, side) pairs with no gluing, left open by a window truncation."""
-        gluings = self.gluings
-        return frozenset((e, s) for e in self.width for s in SIDES if (e, s) not in gluings)
+        """The (edge, side) pairs with no gluing, left open by a window
+        truncation: the side each open layout is entered by at its first
+        rectangle and the one it would leave by at its last."""
+        ends = set()
+        for axis, layouts in (("h", self.h_layouts), ("v", self.v_layouts)):
+            ports = _PORTS[axis]
+            for lay in layouts.values():
+                if not lay.closed:
+                    ends.add((lay.edges[0], ports[lay.orients[0]][1]))
+                    ends.add((lay.edges[-1], ports[lay.orients[-1]][0]))
+        return frozenset(ends)
 
     @cached_property
     def charts(self) -> "ChartTable":
@@ -178,7 +209,8 @@ class RectangleComplex:
         ==, repr and build time); it shares the width, height and gluing
         objects."""
         get = self.gluings.get
-        rows = {e: (w, self.height[e], *(get((e, s)) for s in SIDES))
+        height = self.height
+        rows = {e: (w, height[e], get((e, "E")), get((e, "W")), get((e, "N")), get((e, "S")))
                 for e, w in self.width.items()}
         sides = (*self.width.values(), *self.height.values())
         return ChartTable(rows, any(isinstance(w, float) for w in self.width.values()),
@@ -222,9 +254,10 @@ def _components(succ: list) -> list:
         entered[t] = 1
     seen = bytearray(n)
     comps = []
-    for start in range(n):  # path starts
-        if entered[start]:
-            continue
+    # the next unmarked slot is found by bytearray.find, which skips the
+    # marked ones without a Python-level step each
+    start = entered.find(0, 0, n)
+    while start >= 0:  # path starts
         seq = [start]
         seen[start] = 1
         cur = succ[start]
@@ -235,12 +268,12 @@ def _components(succ: list) -> list:
             seen[cur] = 1
             cur = succ[cur]
         comps.append((seq, False))
+        start = entered.find(0, start + 1, n)
     # every slot left has a preimage, and none among the path slots, whose
     # successors are path slots: the map permutes what is left, so each walk
     # from here closes without re-entering anything
-    for start in range(n):
-        if seen[start]:
-            continue
+    start = seen.find(0)
+    while start >= 0:
         seq = [start]
         seen[start] = 1
         cur = succ[start]
@@ -249,6 +282,7 @@ def _components(succ: list) -> list:
             seen[cur] = 1
             cur = succ[cur]
         comps.append((seq, True))
+        start = seen.find(0, start + 1)
     return comps
 
 
@@ -277,98 +311,127 @@ def _config_graph(sigma_h: dict, sigma_v: dict, edges,
                                      ends, valence_bound)
 
 
-def _glue_axis(mapping, flips, axis, comps=None) -> tuple:
-    """Side gluings of one axis's arrows, walked component by component:
-    comps in the order given, or every component of mapping, ascending.
+def _orient(seq, flips, axis) -> tuple:
+    """The orientation walk along the edges seq of one cylinder: the chart
+    orientation at each rectangle, +1 chart-aligned or -1 rotated by pi,
+    and the one the walk ends with (+1 again after a cycle exactly when it
+    has an even number of flips).  The walk starts aligned, and an arrow
+    flagged in flips, keyed (edge, E) for axis "h" and (edge, N) for "v",
+    turns it over."""
+    side = _PORTS[axis][1][0]
+    o = 1
+    orients = []
+    for e in seq:
+        orients.append(o)
+        if (e, side) in flips:
+            o = -o
+    return orients, o
 
-    The walk keeps a chart orientation, +1 chart-aligned or -1 rotated by
-    pi: an arrow leaves through east (north for axis "v") and lands on west
-    (south) in the aligned chart, and a flipped arrow turns the orientation
-    over, pairing same-letter sides.  Returns the gluings and, per
-    component, its orientations and the one the walk ends with (+1 again
-    exactly when a cycle has an even number of flips).
-    """
-    src_side, tgt_side = ("E", "W") if axis == "h" else ("N", "S")
+
+def _arrows(seq, orients, end, closed):
+    """The arrows of one orientation walk (_orient) over seq, in walk order,
+    as (source, target, orientation at the source, at the target); a closed
+    walk's last arrow lands on seq[0] with the walk's end orientation."""
+    return zip(seq, seq[1:] + seq[:1] if closed else seq[1:], orients, (*orients[1:], end))
+
+
+def _glue(gluings, seq, orients, end, closed, axis):
+    """Enter the side gluings of one orientation walk over the edges seq
+    into gluings, each arrow as its source side, then its target side."""
+    rule = _ARROWS[axis]
+    for e, nxt, o, o2 in _arrows(seq, orients, end, closed):
+        side_a, side_b, rev = rule[o, o2]
+        gluings[(e, side_a)] = (nxt, side_b, rev)
+        gluings[(nxt, side_b)] = (e, side_a, rev)
+
+
+def _glue_axis(mapping, flips, axis) -> dict:
+    """Side gluings of one axis's arrows, walked component by component
+    over the edges mapping names, paths first, each kind ascending: the
+    orientation walk and arrow rule of build_surface, without its checks."""
     gluings = {}
-    walks = []
-    for seq, _ in _curves(mapping, sorted(mapping)) if comps is None else comps:
-        o = 1
-        orients = []
-        for e in seq:
-            orients.append(o)
-            if e in mapping:
-                nxt = mapping[e]
-                flip = (e, src_side) in flips
-                o2 = -o if flip else o
-                side_a = src_side if o == 1 else tgt_side
-                side_b = tgt_side if o2 == 1 else src_side
-                gluings[(e, side_a)] = (nxt, side_b, flip)
-                gluings[(nxt, side_b)] = (e, side_a, flip)
-                o = o2
-        walks.append((orients, o))
-    return gluings, walks
+    for seq, closed in _curves(mapping, sorted({*mapping, *mapping.values()})):
+        orients, end = _orient(seq, flips, axis)
+        _glue(gluings, seq, orients, end, closed, axis)
+    return gluings
 
 
-def _unroll_axis(edges, mapping, flips, fiber_of, size, values, axis):
-    """Walk one axis of the ribbon; returns (gluings, layouts).
+def _cylinders(edges, pos, fibre, mapping, flips, axis, size, values, succ) -> dict:
+    """Walk one axis of the ribbon once; returns its CylinderLayouts by
+    curve, in vertex order, and sets in succ the quarter successors across
+    each arrow (quarter s of rectangle edges[k] is slot 4k + s, as in
+    _corner_chains).
 
-    axis "h": arrows leave through intrinsic east, land on intrinsic west,
-    size holds the widths along the cylinder.  axis "v": north/south,
-    heights.  Every edge the ribbon names must be one of edges.
+    edges are ascending, pos numbers them, and fibre[k] is the curve of
+    this axis that rectangle edges[k] lies over.  axis "h": arrows leave
+    through intrinsic east, land on intrinsic west, size holds the widths
+    along the cylinder.  axis "v": north/south, heights.  Every edge the
+    ribbon names must be one of edges.
 
     Each component lies in the fibre over one curve v, so each of its
     rectangles has values[v] as its other side: that is the cylinder's
     transverse size, and the sides glued along it match.
     """
     record = f"sigma_{axis}"
-    # the components partition edges; with one fiber per component and one
-    # component per fiber, each component covers its fiber exactly
+    # the components partition the edges; with one fibre per component and
+    # one component per fibre, each component covers its fibre exactly
     by_vertex = {}
-    for seq, closed in _curves(mapping, edges):
-        verts = {fiber_of(e) for e in seq}
+    for slots, closed in _components([pos[mapping[e]] if e in mapping else -1 for e in edges]):
+        verts = set(map(fibre.__getitem__, slots))
         if len(verts) != 1:
-            raise RibbonError(f"{record} component {seq} mixes fibers {sorted(verts)}",
-                              record, seq[0])
+            raise RibbonError(f"{record} component {[edges[k] for k in slots]} mixes fibers "
+                              f"{sorted(verts)}", record, edges[slots[0]])
         v = verts.pop()
         if v in by_vertex:
             raise RibbonError(f"vertex {v} split across several {record} components",
-                              record, seq[0])
-        by_vertex[v] = (seq, closed)
+                              record, edges[slots[0]])
+        by_vertex[v] = (slots, closed)
 
-    vertices = sorted(by_vertex)
-    comps = [by_vertex[v] for v in vertices]
-    gluings, walks = _glue_axis(mapping, flips, axis, comps)
+    # the arrow rule joined with the landing rows: (o, o2) -> (quarter the
+    # corner walk leaves the source by, the target quarter it lands in, the
+    # same from the target)
+    links = {}
+    for key, (side_a, side_b, rev) in _ARROWS[axis].items():
+        (s_a, land_a), (s_b, land_b) = _CCW_ROWS[side_a], _CCW_ROWS[side_b]
+        links[key] = (s_a, land_a[side_b][rev], s_b, land_b[side_a][rev])
     layouts = {}
-    for v, (seq, closed), (orients, o) in zip(vertices, comps, walks):
-        offsets = [0]
-        pos = size[seq[0]]
-        for e in seq[1:]:
-            offsets.append(pos)
-            pos = pos + size[e]
-        if closed and o != 1:
+    for v in sorted(by_vertex):
+        slots, closed = by_vertex[v]
+        seq = tuple(map(edges.__getitem__, slots))
+        orients, end = _orient(seq, flips, axis)
+        if closed and end != 1:
             raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
                               record, seq[0])
-        layouts[v] = CylinderLayout(v, tuple(seq), tuple(orients), tuple(offsets), pos,
+        # running sums of the sizes along the cylinder, added in walk order
+        ends = list(accumulate(map(size.__getitem__, seq)))
+        for k, k2, o, o2 in _arrows(slots, orients, end, closed):
+            s_a, t_a, s_b, t_b = links[o, o2]
+            succ[4 * k + s_a] = 4 * k2 + t_a
+            succ[4 * k2 + s_b] = 4 * k + t_b
+        layouts[v] = CylinderLayout(v, seq, tuple(orients), (0, *ends[:-1]), ends[-1],
                                     values[v], closed)
-    return gluings, layouts
+    return layouts
+
+
+def _chains(edges, succ) -> list:
+    """The quarter successor list succ (slot 4k + s for quarter
+    (edges[k], _QUARTERS[s])) as corner chains (quarters, closed), in
+    ascending order of their first quarter; a chain cut by an unglued
+    (frontier) side is open."""
+    return [([(edges[q >> 2], _QUARTERS[q & 3]) for q in seq], closed)
+            for seq, closed in sorted(_components(succ), key=lambda item: item[0][0])]
 
 
 def _corner_chains(edges, gluings):
-    """Counterclockwise corner chains as (quarters, closed), in ascending
-    order of their first quarter; a chain that reaches an unglued (frontier)
-    side is open.  edges must be ascending.
-
-    Quarter (edges[k], _QUARTERS[s]) is walked as slot 4k + s, so slot
-    order is quarter order."""
+    """Counterclockwise corner chains of a side-gluing table, as _chains
+    gives them.  edges must be ascending, so that slot order is quarter
+    order."""
     first = {e: 4 * k for k, e in enumerate(edges)}  # an edge's first slot
-    get = gluings.get
-    succ = []
-    for e in edges:
-        for side, land in _CCW_ROWS:
-            glue = get((e, side))
-            succ.append(-1 if glue is None else first[glue[0]] + land[glue[1]][glue[2]])
-    chains = sorted(_components(succ), key=lambda item: item[0][0])
-    return [([(edges[q >> 2], _QUARTERS[q & 3]) for q in seq], closed) for seq, closed in chains]
+    succ = [-1] * (4 * len(first))
+    for (e, side), (e2, side2, rev) in gluings.items():
+        s, land = _CCW_ROWS[side]
+        succ[first[e] + s] = first[e2] + land[side2][rev]
+    return _chains(edges, succ)
 
 
 def _aligned_walks(edges, gluings) -> list:
@@ -440,31 +503,27 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
             raise ValueError(f"no value for vertex {v}")
         if not (checked or values[v] > 0):
             raise ValueError(f"value at vertex {v} must be positive")
-    emap = graph.edge_map()
-    edges = sorted(emap)
-    width = {e: values[emap[e][1]] for e in edges}
-    height = {e: values[emap[e][0]] for e in edges}
+    rows = graph.edges  # (edge, i, j), ascending by edge
+    edges = [e for e, _, _ in rows]
+    pos = {e: k for k, e in enumerate(edges)}
+    width = {e: values[j] for e, _, j in rows}
+    height = {e: values[i] for e, i, _ in rows}
     for name, named in (("sigma_h", {*ribbon.sigma_h, *ribbon.sigma_h.values()}),
                         ("sigma_v", {*ribbon.sigma_v, *ribbon.sigma_v.values()}),
                         ("flips", {e for e, _ in ribbon.flips})):
-        unknown = named - emap.keys()
+        unknown = named - pos.keys()
         if unknown:
             raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
-    gl_h, lay_h = _unroll_axis(
-        edges, ribbon.sigma_h, ribbon.flips, lambda e: emap[e][0], width, values, "h")
-    gl_v, lay_v = _unroll_axis(
-        edges, ribbon.sigma_v, ribbon.flips, lambda e: emap[e][1], height, values, "v")
-    gluings = {**gl_h, **gl_v}
-
-    chains = _corner_chains(edges, gluings)
-    cycles = []
-    for idx, (chain, closed) in enumerate(chains):
-        cycles.append(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed))
-
-    return RectangleComplex(graph=graph, ribbon=ribbon,
-                            width=width, height=height, gluings=gluings,
-                            corner_cycles=tuple(cycles),
-                            h_layouts=lay_h, v_layouts=lay_v, harmonic=harmonic)
+    succ = [-1] * (4 * len(edges))  # quarter successors, filled in by both walks
+    lay_h = _cylinders(edges, pos, [i for _, i, _ in rows], ribbon.sigma_h, ribbon.flips, "h",
+                       width, values, succ)
+    lay_v = _cylinders(edges, pos, [j for _, _, j in rows], ribbon.sigma_v, ribbon.flips, "v",
+                       height, values, succ)
+    cycles = tuple(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed)
+                   for idx, (chain, closed) in enumerate(_chains(edges, succ)))
+    return RectangleComplex(graph=graph, ribbon=ribbon, width=width, height=height,
+                            corner_cycles=cycles, h_layouts=lay_h, v_layouts=lay_v,
+                            harmonic=harmonic)
 
 
 def mark_faces(m: RectangleComplex, punctures=(), marked=None) -> RectangleComplex:
@@ -516,7 +575,7 @@ def cone_points(m: RectangleComplex) -> list:
 
 def euler_characteristic(m: RectangleComplex) -> int:
     """V - E + F of the cell structure; complete complexes only."""
-    if m.frontier:
+    if not all(lay.closed for lay in (*m.h_layouts.values(), *m.v_layouts.values())):
         raise ValueError("Euler characteristic of a window truncation is undefined")
     return len(m.corner_cycles) - len(m.edges)
 
@@ -622,15 +681,18 @@ def staircase_complex(lo: int, hi: int, lam, exact: bool = True) -> RectangleCom
     fam = LadderFamily(lo, hi)
     g = fam.graph()
     h = harmonic_closed_form(fam, lam)
-    if not exact and not isinstance(h.lam, float):  # round the exact heights
-        h = HarmonicAssignment(lam=float(h.lam), values={v: float(x) for v, x in h.values.items()})
+    if not exact and not isinstance(h.lam, float):  # round each exact height object once
+        rounded, values = {}, {}
+        for v, x in h.values.items():
+            f = rounded.get(id(x))
+            if f is None:
+                f = rounded[id(x)] = float(x)
+            values[v] = f
+        h = HarmonicAssignment(lam=float(h.lam), values=values)
     sigma_h = {}
     sigma_v = {}
-    for v in range(lo, hi + 1):
-        fiber = [e for e in (v - 1, v) if lo <= e < hi]
-        if len(fiber) == 2:
-            target = sigma_h if v % 2 == 0 else sigma_v
-            target[fiber[0]] = fiber[1]
-            target[fiber[1]] = fiber[0]
+    for v in range(lo + 1, hi):  # an interior curve crosses rectangles v - 1 and v
+        target = sigma_h if v % 2 == 0 else sigma_v
+        target[v - 1], target[v] = v, v - 1
     ribbon = RibbonData.make(sigma_h, sigma_v)
     return build_surface(g, ribbon, h)

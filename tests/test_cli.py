@@ -548,6 +548,11 @@ REFUSALS = {
     "exact-float-lambda": (["classify", "--word", "aB", "--lambda", "2.5"], 2,
                            "--exact needs a rational lambda, got 2.5"),
     "bad-direction": (["flow", "{surf}", *_START, "--dir", "1"], 2, "bad direction '1'"),
+    # a ratio beyond float range, read without --exact
+    "flow-direction-overflow": (["flow", "{surf}", "--start", "0:1/2:1/4", "--dir",
+                                 "1:1" + "0" * 400], 2, "bad direction '1:1000"),
+    "flow-start-overflow": (["flow", "{surf}", "--start", "0:1" + "0" * 400 + ":1/4",
+                             "--dir", "1:1"], 2, "--start needs EDGE:X:Y"),
     # non-finite numbers are refused before the first crossing
     "flow-length-inf-exact": (["flow", "{surf}", *_START, "--dir", "1:2", "--length", "inf",
                                "--exact"], 2, "length budget inf is not finite"),

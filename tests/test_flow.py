@@ -163,6 +163,16 @@ class TestFlowMechanics:
         with pytest.raises(FlowError, match="nonzero"):
             flow(square_torus(), SurfacePoint(0, 0.25, 0.5), (Fraction(1, 10 ** 400), 0.0), 1.0)
 
+    @pytest.mark.parametrize("direction, budget, name", [
+        ((Fraction(10 ** 400), 1.0), 1.0, "direction dx"),
+        ((1.0, -10 ** 400), 1.0, "direction dy"),
+        ((1.0, 2.0), Fraction(10 ** 400, 3), "length budget"),
+    ])
+    def test_input_beyond_float_range_is_refused(self, direction, budget, name):
+        # a float flow refuses, naming the input, instead of raising OverflowError
+        with pytest.raises(FlowError, match=f"{name} is too large for a float"):
+            flow(square_torus(), SurfacePoint(0, 0.25, 0.5), direction, budget)
+
     def test_canonical_point_prefers_south_west(self):
         t = square_torus()
         p = canonical_point(t, SurfacePoint(0, 1, Fraction(1, 3)))

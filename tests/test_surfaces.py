@@ -1,11 +1,14 @@
 """Rectangle complexes: building, cylinders, cone points, double covers."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multitwist.flow import SurfacePoint, flow
+from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
 from multitwist.recipe import build_multicurves, loch_ness_tree
 from multitwist.surfaces import (
@@ -21,10 +24,12 @@ from multitwist.surfaces import (
     _components,
     _config_graph,
     _corner_chains,
+    _glue_axis,
     ribbon_from_gluings,
     square_torus,
     staircase_complex,
 )
+from multitwist.svg import surface_svg
 
 
 def double_edge_graph():
@@ -458,6 +463,62 @@ def test_ribbon_from_gluings_inverts_the_build(case):
     m = _build(case)
     assert not m.frontier
     assert ribbon_from_gluings(m.edges, m.gluings) == m.ribbon
+
+
+def _assert_table_of_the_ribbon(m):
+    """m's gluing table, read off its layouts, is the table the ribbon glues
+    axis by axis, item for item in order, and its frontier is every side
+    that table leaves out."""
+    rib = m.ribbon
+    table = {**_glue_axis(rib.sigma_h, rib.flips, "h"), **_glue_axis(rib.sigma_v, rib.flips, "v")}
+    assert list(m.gluings.items()) == list(table.items())
+    assert m.frontier == {(e, side) for e in m.edges for side in "EWNS" if (e, side) not in table}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.booleans().flatmap(square_tiled))
+def test_gluings_read_off_the_layouts_are_the_ribbon_table(case):
+    _assert_table_of_the_ribbon(_build(case))
+
+
+_WINDOWS = [pytest.param(lo, hi, lam, exact, id=f"[{lo},{hi}] lam={lam} exact={exact}")
+            for lo, hi in ((-7, 6), (0, 1), (5, 30), (-30, -5))
+            for lam in (2, 3, Fraction(5, 2)) for exact in (True, False)]
+
+
+@pytest.mark.parametrize("lo, hi, lam, exact", _WINDOWS)
+def test_staircase_gluings_are_the_ribbon_table(lo, hi, lam, exact):
+    _assert_table_of_the_ribbon(staircase_complex(lo, hi, lam, exact))
+
+
+def test_gluing_table_is_built_on_first_read():
+    st_float = staircase_complex(-4, 5, 2, exact=False)
+    built = [st_float, staircase_complex(-4, 5, 3), _build((2, {0: 1, 1: 0}, {0: 0, 1: 1}, set())),
+             parse_surface(write_surface(st_float))]
+    for m in built:
+        # the invariants read the layouts, not the table
+        cylinders(m, "horizontal"), cone_points(m), m.frontier
+        if m.frontier:
+            with pytest.raises(ValueError, match="window truncation"):
+                euler_characteristic(m)
+        else:
+            euler_characteristic(m)
+        assert "gluings" not in vars(m)
+    flow(built[0], SurfacePoint(0, 0.5, 0.25), (1.0, 1.0), 3.0)
+    surface_svg(built[1])
+    for m in built[:2]:
+        assert "gluings" in vars(m)
+
+
+@pytest.mark.parametrize("make", [lambda: staircase_complex(-6, 7, 3),
+                                  lambda: staircase_complex(-6, 7, 3, exact=False),
+                                  lambda: build_multicurves((1, 2), 3).complex])
+def test_surface_file_round_trip_without_a_gluing_field(make):
+    m = make()
+    back = parse_surface(write_surface(m))
+    assert back == m
+    assert list(back.gluings.items()) == list(m.gluings.items())
+    assert "gluings" not in {f.name for f in dataclasses.fields(m)}
 
 
 def _dict_components(mapping: dict, universe) -> list:
