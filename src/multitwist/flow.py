@@ -18,8 +18,12 @@ or float_charts for flows run in floats), one row per rectangle holding its
 width, height and the gluing of each side.  The table is built once per
 complex, on first use, and cached on it.  The exit wall is the nearer of
 the E/W and the N/S wall ahead (E/W on a tie), and segments are Segment
-NamedTuples, cheap to make and still read by field name.  Saddle searches
-run their rays through the same loop (_walk) without recording segments:
+NamedTuples, cheap to make and still read by field name.  _walk checks the
+inputs, decides between exact and float, and runs the exact loop; a flow
+run in floats goes to _float_walk, a loop with the same IEEE operations in
+the same order (so the same results to the bit) but no test of the number
+kind per crossing and the landing on the next chart written out inline.
+Saddle searches run their rays through _walk without recording segments:
 they read only the terminal, the smallest corner distance and the length.
 
 Twists act cylinder by cylinder: inside a horizontal cylinder of
@@ -124,8 +128,8 @@ def canonical_point(m: RectangleComplex, p: SurfacePoint) -> SurfacePoint:
 def _land(w2, h2, s2, rev, coord) -> tuple:
     """Chart point (x, y) on side s2 of a w2-by-h2 rectangle where a crossing
     at coord along the side it left arrives; rev reverses the coordinate.
-    w2 and h2 come from the caller's chart table, so float flows stay
-    float, and a zero keeps the type of the side lengths."""
+    A zero keeps the type of the side lengths w2 and h2.  _float_walk
+    writes the same landing out inline."""
     if s2 == "E":
         return w2, (h2 - coord if rev else coord)
     if s2 == "W":
@@ -201,7 +205,8 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     point, final direction, smallest corner distance, length, segments):
     length is the running sum of the segment lengths, added in segment
     order, so it equals Trajectory.total_length of the same run; segments
-    is a tuple when keep is true, else None, and then none is built."""
+    is a tuple when keep is true, else None, and then none is built.
+    A flow that runs in floats is handed to _float_walk after the checks."""
     dx, dy = direction
     if isinstance(max_length, float) and not math.isfinite(max_length):
         raise FlowError(f"length budget {max_length} is not finite")
@@ -225,34 +230,32 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     sy = (dy > 0) - (dy < 0)
     if not sx and not sy:  # zero, or exact values that round to 0 beside floats
         raise FlowError("direction must be nonzero")
-    if exact:
-        rows = charts.rows
-        budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
-        budget2 = budget * budget
-        speed2 = dx * dx + dy * dy
-        try:
-            float2 = float(speed2)
-        except OverflowError:
-            float2 = math.inf
-        if not sys.float_info.min <= float2 < math.inf:  # keep times within float range
-            s = _sqrt_approx(speed2)
-            scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
-            dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
-            float2 = float(speed2)
-        speed = _speed_in_field(speed2, charts.radicands.union(
-            v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
-        float_speed = math.sqrt(float2)
-        # below t_screen the exact cut test cannot succeed; the margin covers
-        # the rounding of the float conversions
-        t_screen = float(budget) / float_speed * (1 - 1e-12)
-        elapsed = 0  # exact time run so far
-    else:
-        rows = m.float_charts.rows
-        budget = _float_or_refuse(max_length, "length budget")
-        speed = math.hypot(dx, dy)
+    if not exact:
+        return _float_walk(m.float_charts.rows, e, x, y, dx, dy, sx, sy, d_in,
+                           _float_or_refuse(max_length, "length budget"), corner_tol, keep)
+    rows = charts.rows
+    budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
+    budget2 = budget * budget
+    speed2 = dx * dx + dy * dy
+    try:
+        float2 = float(speed2)
+    except OverflowError:
+        float2 = math.inf
+    if not sys.float_info.min <= float2 < math.inf:  # keep times within float range
+        s = _sqrt_approx(speed2)
+        scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
+        dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
+        float2 = float(speed2)
+    speed = _speed_in_field(speed2, charts.radicands.union(
+        v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
+    float_speed = math.sqrt(float2)
+    # below t_screen the exact cut test cannot succeed; the margin covers
+    # the rounding of the float conversions
+    t_screen = float(budget) / float_speed * (1 - 1e-12)
+    elapsed = 0  # exact time run so far
     # running sum of the segment lengths in segment order; exact lengths
     # start from int 0, as total_length does, so their sum stays exact
-    acc = 0.0 if speed is None or not exact else 0
+    acc = 0.0 if speed is None else 0
     segments = []
     add = segments.append
     new_tuple = tuple.__new__  # a Segment without the Python-level __new__
@@ -273,73 +276,39 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
             ty = -y / dy
         across = not sy or (sx and not ty < tx)  # leaves through E or W
         t = tx if across else ty
-        if exact:
-            run = elapsed + t
-            reached = float(run) >= t_screen and run * run * speed2 >= budget2
-            seg_len = t * speed if speed is not None else float(t) * float_speed
-        else:
-            seg_len = t * speed
-            reached = acc + seg_len >= budget
-        if reached:
-            if exact:
-                s = _sqrt_approx(speed2) if speed is None else speed
-                t_cut = min(max(budget / s - elapsed, 0), t)
-            else:
-                t_cut = (budget - acc) / speed
+        run = elapsed + t
+        if float(run) >= t_screen and run * run * speed2 >= budget2:
+            s = _sqrt_approx(speed2) if speed is None else speed
+            t_cut = min(max(budget / s - elapsed, 0), t)
             cut_len = budget - acc  # acc is elapsed * speed when speed is exact
-            fx, fy = x + t_cut * dx, y + t_cut * dy
+            x2, y2 = x + t_cut * dx, y + t_cut * dy
             acc += cut_len
             if keep:
-                add(Segment(e, x, y, fx, fy, cut_len, d_in))
-            e_fin, x_fin, y_fin = e, fx, fy
+                add(Segment(e, x, y, x2, y2, cut_len, d_in))
             break
-        if exact:
-            elapsed = run
-            x2, y2 = x + t * dx, y + t * dy
-        # a float crossing is pinned onto its wall to kill drift
+        seg_len = t * speed if speed is not None else float(t) * float_speed
+        elapsed = run
+        x2, y2 = x + t * dx, y + t * dy
         if across:
-            if sx > 0:
-                side, glue = "E", glue_e
-                if not exact:
-                    x2, y2 = w, y + t * dy
-            else:
-                side, glue = "W", glue_w
-                if not exact:
-                    x2, y2 = 0.0, y + t * dy
+            side, glue = ("E", glue_e) if sx > 0 else ("W", glue_w)
             coord, side_len = y2, h
         else:
-            if sy > 0:
-                side, glue = "N", glue_n
-                if not exact:
-                    x2, y2 = x + t * dx, h
-            else:
-                side, glue = "S", glue_s
-                if not exact:
-                    x2, y2 = x + t * dx, 0.0
+            side, glue = ("N", glue_n) if sy > 0 else ("S", glue_s)
             coord, side_len = x2, w
         if keep:
             add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
         acc += seg_len
-        if exact:  # a float 0 may be a rounded near miss: the exact distance decides
-            f_coord, f_side = float(coord), float(side_len)
-            dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
-            hit = dist == 0
-        else:
-            f_coord, f_side = coord, side_len
-            dist = f_side - f_coord
-            if not dist < f_coord:  # dist = min(f_coord, f_side - f_coord)
-                dist = f_coord
-            hit = dist <= corner_tol
+        # a float 0 may be a rounded near miss: the exact distance decides
+        f_coord, f_side = float(coord), float(side_len)
+        dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
         if dist < min_corner:
             min_corner = dist
-        if hit:
+        if dist == 0:
             end = "lo" if f_coord <= f_side / 2 else "hi"
             terminal, detail = "singular", (e, _END_CORNER[(side, end)])
-            e_fin, x_fin, y_fin = e, x2, y2
             break
         if glue is None:
             terminal, detail = "window-exit", (e, side)
-            e_fin, x_fin, y_fin = e, x2, y2
             break
         e, s2, rev = glue
         row = rows[e]
@@ -349,7 +318,107 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
             d_in = (-d_in[0], -d_in[1])
     else:
         raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
-    return (terminal, detail, SurfacePoint(e_fin, x_fin, y_fin), d_in, min_corner,
+    return (terminal, detail, SurfacePoint(e, x2, y2), d_in, min_corner,
+            acc, tuple(segments) if keep else None)
+
+
+def _float_walk(rows, e, x, y, dx, dy, sx, sy, d_in, budget, corner_tol, keep):
+    """_walk's crossing loop for a flow run in floats, with the same result.
+    rows is the complex's float chart table, (x, y, dx, dy) the float start
+    and direction, (sx, sy) their signs, d_in the direction as given and
+    budget the float length budget.  No test of the number kind runs per
+    crossing, the landing on the next chart is written out inline, and the
+    exit side is named only when the flow stops on it."""
+    speed = math.hypot(dx, dy)
+    acc = 0.0
+    segments = []
+    add = segments.append
+    new_tuple = tuple.__new__  # a Segment without the Python-level __new__
+    min_corner = math.inf
+    terminal = "budget"
+    w, h, glue_e, glue_w, glue_n, glue_s = rows[e]
+    for _ in range(_MAX_STEPS):
+        # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
+        if sx > 0:
+            tx = (w - x) / dx
+        elif sx:
+            tx = -x / dx
+        if sy > 0:
+            ty = (h - y) / dy
+        elif sy:
+            ty = -y / dy
+        across = not sy or (sx and not ty < tx)  # leaves through E or W
+        t = tx if across else ty
+        seg_len = t * speed
+        if acc + seg_len >= budget:
+            cut_len = budget - acc
+            t_cut = cut_len / speed
+            x2, y2 = x + t_cut * dx, y + t_cut * dy
+            acc += cut_len
+            if keep:
+                add(Segment(e, x, y, x2, y2, cut_len, d_in))
+            break
+        # the crossing is pinned onto its wall to kill drift
+        if across:
+            if sx > 0:
+                glue = glue_e
+                x2 = w
+            else:
+                glue = glue_w
+                x2 = 0.0
+            y2 = coord = y + t * dy
+            side_len = h
+        else:
+            if sy > 0:
+                glue = glue_n
+                y2 = h
+            else:
+                glue = glue_s
+                y2 = 0.0
+            x2 = coord = x + t * dx
+            side_len = w
+        if keep:
+            add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
+        acc += seg_len
+        dist = side_len - coord
+        if not dist < coord:  # dist = min(coord, side_len - coord)
+            dist = coord
+        if dist < min_corner:  # every earlier dist exceeds corner_tol
+            min_corner = dist
+            if dist <= corner_tol:
+                terminal = "singular"
+                break
+        if glue is None:
+            terminal = "window-exit"
+            break
+        # land on side s2 of the next chart, as _land does
+        e, s2, rev = glue
+        w, h, glue_e, glue_w, glue_n, glue_s = rows[e]
+        if s2 == "W":
+            x = 0.0
+            y = h - coord if rev else coord
+        elif s2 == "S":
+            x = w - coord if rev else coord
+            y = 0.0
+        elif s2 == "E":
+            x = w
+            y = h - coord if rev else coord
+        else:
+            x = w - coord if rev else coord
+            y = h
+        if rev:
+            dx, dy, sx, sy = -dx, -dy, -sx, -sy
+            d_in = (-d_in[0], -d_in[1])
+    else:
+        raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
+    detail = None
+    if terminal != "budget":
+        side = ("E" if sx > 0 else "W") if across else ("N" if sy > 0 else "S")
+        if terminal == "singular":
+            detail = (e, _END_CORNER[(side, "lo" if coord <= side_len / 2 else "hi")])
+        else:
+            detail = (e, side)
+    return (terminal, detail, SurfacePoint(e, x2, y2), d_in, min_corner,
             acc, tuple(segments) if keep else None)
 
 

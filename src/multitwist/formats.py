@@ -277,7 +277,8 @@ def _read_surface(records, end: int) -> tuple:
         return e
 
     sigma = {"sigma_h": {}, "sigma_v": {}}
-    named = {"sigma_h": {}, "sigma_v": {}, "edge": where}  # edge -> line of the record naming it
+    # edge, or (edge, side) for a flip -> line of the record naming it
+    named = {"sigma_h": {}, "sigma_v": {}, "flip": {}, "edge": where}
     flips = set()
     faces = []  # (tag, cycle index, line)
     for lineno, toks in records["ribbon"]:
@@ -301,6 +302,7 @@ def _read_surface(records, end: int) -> tuple:
             if flip in flips:
                 raise FormatError(f"flip {flip[0]} {flip[1]} named twice", lineno)
             flips.add(flip)
+            named["flip"][flip] = lineno
         else:
             faces.append((tag, _int(toks[1], lineno), lineno))
     return graph, harmonic, sigma, flips, named, faces

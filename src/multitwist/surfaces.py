@@ -78,11 +78,12 @@ class RibbonError(ValueError):
     """Ribbon data inconsistent with the graph or with flat geometry.
 
     record and edge, when set, name the successor map ("sigma_h" or
-    "sigma_v") and the first edge of its component at fault, so a parser
-    can point at the record that named that edge.
+    "sigma_v") and the first edge of its component at fault, or "flip"
+    and the flip at fault as (edge, side), so a parser can point at the
+    record that named it.
     """
 
-    def __init__(self, message: str, record: str | None = None, edge: int | None = None):
+    def __init__(self, message: str, record: str | None = None, edge=None):
         super().__init__(message)
         self.record = record
         self.edge = edge
@@ -519,6 +520,13 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
                        width, values, succ)
     lay_v = _cylinders(edges, pos, [j for _, _, j in rows], ribbon.sigma_v, ribbon.flips, "v",
                        height, values, succ)
+    # a flip flags an arrow e -> sigma(e); checked after the walks, so that
+    # sigma maps at fault are reported first
+    for e, side in sorted(ribbon.flips):
+        if e not in (ribbon.sigma_h if side == "E" else ribbon.sigma_v):
+            name = "sigma_h" if side == "E" else "sigma_v"
+            raise RibbonError(f"flip {e} {side} names no arrow: {name} has no successor of {e}",
+                              "flip", (e, side))
     cycles = tuple(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed)
                    for idx, (chain, closed) in enumerate(_chains(edges, succ)))
     return RectangleComplex(graph=graph, ribbon=ribbon, width=width, height=height,

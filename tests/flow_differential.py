@@ -15,9 +15,11 @@ The set: 900 float flows on lambda = 2 staircase windows of 200, 400 and
 separatrix that the saddle searches for the 30 positive words of length 5
 launch on lambda = 3 windows of 17, 33 and 65 rectangles (and each
 search's report),
-and exact flows on lambda = 2 and lambda = 3 windows and on the unit
-torus, including rays that end exactly on a corner.  It is not collected
-by pytest and takes a few seconds.
+exact flows on lambda = 2 and lambda = 3 windows and on the unit
+torus, including rays that end exactly on a corner, and float flows on
+recipe outputs with flipped arrows (genus 1 with 2 punctures at weight 3,
+loch-ness depth 10 at weight 2), whose reversing gluings the staircase
+windows lack.  It is not collected by pytest and takes a few seconds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from multitwist.flow import (SurfacePoint, detect_saddle_connection, flow,
                              separatrices)
 from multitwist.mobius import TwistWord, eigendirections, rho
+from multitwist.recipe import build_multicurves, loch_ness_tree
 from multitwist.surfaces import square_torus, staircase_complex
 
 SEED = 20201
@@ -42,6 +45,8 @@ SWEEP_LENGTH = 60.0
 SADDLE_WINDOWS = (17, 33, 65)
 SADDLE_LENGTH = 40.0
 EXACT_DIRECTIONS = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+RECIPE_FLOWS = 30
+RECIPE_LENGTH = 40.0
 
 
 def _trajectories():
@@ -96,6 +101,15 @@ def _trajectories():
                      (Fraction(1, 4), Fraction(3, 4))):
             yield (f"torus ({dx},{dy}) from ({x},{y})",
                    flow(torus, SurfacePoint(0, x, y), (Fraction(dx), Fraction(dy)), 5))
+
+    for name, source, weight in (("g1n2m3", (1, 2), 3), ("loch-ness d10 m2", loch_ness_tree(10), 2)):
+        m = build_multicurves(source, weight).complex
+        edges = sorted(m.width)
+        for k in range(RECIPE_FLOWS):
+            angle = rng.uniform(0, 2 * math.pi)
+            e = rng.choice(edges)
+            p = SurfacePoint(e, m.width[e] * interior(), m.height[e] * interior())
+            yield f"recipe {name} #{k}", flow(m, p, (math.cos(angle), math.sin(angle)), RECIPE_LENGTH)
 
 
 def main() -> int:

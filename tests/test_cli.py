@@ -545,6 +545,9 @@ REFUSALS = {
                               "--boundary", "{boundary}"], 1,
                              "positivity failed at (-2, -1, 0, 1, 2)"),
     "read-a-directory": (["verify", "{tmp}"], 2, "Is a directory"),
+    # edge 3 ends the open path sigma_h* 3: there is no arrow to flip
+    "verify-flip-without-arrow": (["verify", "{badflip}"], 2,
+                                  "line 26: flip 3 E names no arrow"),
     "exact-float-lambda": (["classify", "--word", "aB", "--lambda", "2.5"], 2,
                            "--exact needs a rational lambda, got 2.5"),
     "bad-direction": (["flow", "{surf}", *_START, "--dir", "1"], 2, "bad direction '1'"),
@@ -583,10 +586,11 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
     files = {"ladder": tmp_path / "ladder.graph", "surf": tmp_path / "st.surf",
              "loch": tmp_path / "ln.surf", "boundary": tmp_path / "b.harm",
              "empty": tmp_path / "empty.graph", "tmp": tmp_path,
-             "missing": tmp_path / "missing" / "out"}
+             "missing": tmp_path / "missing" / "out", "badflip": tmp_path / "flip.surf"}
     files["ladder"].write_text(LADDER)
     files["empty"].write_text("bipartite 0 0 0 2\n")
     files["surf"].write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
+    files["badflip"].write_text(files["surf"].read_text() + "flip 3 E\n")
     files["loch"].write_text(formats.write_surface(build_multicurves(loch_ness_tree(2), 2).complex))
     files["boundary"].write_text("lambda 2\nh -3 1\nh 3 1\n")
     res = runner.invoke(main, [a.format(**files) for a in argv])

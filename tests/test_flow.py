@@ -30,7 +30,7 @@ from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment
 from multitwist.mobius import TwistWord, eigendirections, rho
 from multitwist.quadfield import QuadExt
-from multitwist.recipe import build_multicurves
+from multitwist.recipe import build_multicurves, loch_ness_tree
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
 
@@ -464,6 +464,9 @@ class TestSaddleSearchWalk:
         ]
         runs += [(st2, pos, d, 20) for c in st2.corner_cycles if not c.puncture
                  for pos, d in separatrices(st2, c.index, (2, 3))]
+        st2f = staircase_complex(-8, 9, 2, exact=False)
+        runs += [(st2f, pos, d, 20.0) for c in st2f.corner_cycles if not c.puncture
+                 for pos, d in separatrices(st2f, c.index, (2.0, 3.0))]
         terminals = set()
         for m, p, d, length in runs:
             traj = flow(m, p, d, length, _allow_corner_start=True)
@@ -503,6 +506,54 @@ class TestSaddleSearchWalk:
                      for length in (1e16, 1.0, 1.0))
         traj = Trajectory(p, (1.0, 0.0), segs, "budget", None, p, (1.0, 0.0), math.inf)
         assert traj.total_length == 1e16
+
+
+def _reversals(traj) -> int:
+    """Reversing gluings a trajectory crossed: each negates its direction."""
+    dirs = [s.dir_in for s in traj.segments] + [traj.final_direction]
+    return sum(a != b for a, b in zip(dirs, dirs[1:]))
+
+
+def _as_float(p: SurfacePoint) -> SurfacePoint:
+    return SurfacePoint(p.edge, float(p.x), float(p.y))
+
+
+class TestFloatKernel:
+    """Float flows run their own crossing loop; from the same rational start
+    and direction it must cross what the exact loop crosses, also through
+    reversing gluings, which no staircase window has."""
+
+    @pytest.mark.parametrize("source, weight", [((1, 2), 3), (loch_ness_tree(10), 2)],
+                             ids=["g1n2m3", "loch-ness-d10m2"])
+    def test_float_crossings_follow_the_exact_ones(self, source, weight):
+        m = build_multicurves(source, weight).complex
+        assert any(rev for _, _, rev in m.gluings.values())
+        assert all(type(v) is int for v in (*m.width.values(), *m.height.values()))
+        runs = [(SurfacePoint(e, Fraction(13, 97), Fraction(31, 89)), d, 30, False)
+                for e in sorted(m.width)[:4]
+                for d in ((2, 3), (3, -5), (-7, 4), (1, 0), (-1, -2))]
+        runs += [(pos, d, 30, True) for c in m.corner_cycles if not c.puncture
+                 for pos, d in separatrices(m, c.index, (2, 3))][:12]
+        terminals = set()
+        reversals = 0
+        for p, (dx, dy), length, from_corner in runs:
+            d = (Fraction(dx), Fraction(dy))
+            ex = flow(m, p, d, length, _allow_corner_start=from_corner)
+            fl = flow(m, _as_float(p), (float(dx), float(dy)), float(length),
+                      _allow_corner_start=from_corner)
+            assert [s.edge for s in fl.segments] == [s.edge for s in ex.segments]
+            assert (fl.terminal, fl.terminal_detail) == (ex.terminal, ex.terminal_detail)
+            assert _reversals(fl) == _reversals(ex)
+            for a, b in zip(ex.segments, fl.segments):
+                assert all(abs(float(u) - v) <= 1e-9
+                           for u, v in zip((a.x_in, a.y_in, a.x_out, a.y_out, a.length),
+                                           (b.x_in, b.y_in, b.x_out, b.y_out, b.length)))
+            assert fl.final_point.edge == ex.final_point.edge
+            assert abs(float(ex.final_point.x) - fl.final_point.x) <= 1e-9
+            assert abs(float(ex.final_point.y) - fl.final_point.y) <= 1e-9
+            terminals.add(ex.terminal)
+            reversals += _reversals(ex)
+        assert terminals == {"budget", "singular"} and reversals > len(runs)
 
 
 class TestCoverage:

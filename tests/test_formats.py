@@ -159,7 +159,12 @@ class TestSurfaceFormat:
         ("sigma_v 2 3\n", "sigma_v 2 3\nflip 99 N\n", "flip names edge 99 "),
         ("sigma_v -4 -3\n", "sigma_v 0 1 0\n", "sigma_v names edge 0 twice"),
         ("sigma_v 2 3\n", "sigma_v 2 3\nflip 2 N\nflip 2 N\n", "flip 2 N named twice"),
-    ], ids=["sigma_h", "sigma_v", "flip", "repeated-sigma_v", "repeated-flip"])
+        # edges -4 and 4 make up the open paths sigma_h* -4 and sigma_v* 4
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip -4 E\n", "flip -4 E names no arrow"),
+        ("sigma_v 2 3\n", "sigma_v 2 3\nflip 2 N\nflip 3 N\nflip 4 N\n",
+         "flip 4 N names no arrow"),
+    ], ids=["sigma_h", "sigma_v", "flip", "repeated-sigma_v", "repeated-flip",
+            "flip-without-arrow-E", "flip-without-arrow-N"])
     def test_unknown_edge_in_ribbon(self, old, new, message):
         text = formats.write_surface(staircase_complex(-4, 5, 2))
         assert old in text

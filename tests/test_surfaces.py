@@ -89,6 +89,15 @@ class TestBuild:
         with pytest.raises(RibbonError, match="odd number of flips"):
             build_surface(g, rib, unit_h(g))
 
+    @pytest.mark.parametrize("flip, name", [((3, "E"), "sigma_h"), ((-3, "N"), "sigma_v")])
+    def test_flip_without_an_arrow_is_rejected(self, flip, name):
+        # edges 3 and -3 end the open paths sigma_h* 3 and sigma_v* -3
+        m = staircase_complex(-3, 4, 2)
+        rib = RibbonData.make(m.ribbon.sigma_h, m.ribbon.sigma_v, [flip])
+        with pytest.raises(RibbonError, match=f"names no arrow: {name} has no successor") as err:
+            build_surface(m.graph, rib, m.harmonic)
+        assert (err.value.record, err.value.edge) == ("flip", flip)
+
     def test_nonpositive_values_rejected(self):
         g = double_edge_graph()
         rib = RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0})
