@@ -13,16 +13,18 @@ read as the rational it is).  Segments and the final direction report the
 direction as given, negated across each reversing gluing.
 
 A crossing does a constant amount of work, whatever the size of the
-window: the flow reads the complex's chart table (RectangleComplex.charts,
-or float_charts for flows run in floats), one row per rectangle holding its
-width, height and the gluing of each side.  The table is built once per
-complex, on first use, and cached on it.  The exit wall is the nearer of
-the E/W and the N/S wall ahead (E/W on a tie), and segments are Segment
-NamedTuples, cheap to make and still read by field name.  _walk checks the
-inputs, decides between exact and float, and runs the exact loop; a flow
-run in floats goes to _float_walk, a loop with the same IEEE operations in
-the same order (so the same results to the bit) but no test of the number
-kind per crossing and the landing on the next chart written out inline.
+window.  A flow run in floats reads the complex's float table
+(RectangleComplex.charts: one row per rectangle holding its width and
+height as floats and the gluing of each side, built once per complex on
+first use); an exact flow reads the complex's own sides and gluings
+(width, height, gluings) and lands on the next chart with _land, as
+canonical_point does.  The exit wall is the nearer of the E/W and the N/S
+wall ahead (E/W on a tie), and segments are Segment NamedTuples, cheap to
+make and still read by field name.  _walk checks the inputs, decides
+between exact and float, and runs the exact loop; a flow run in floats
+goes to _float_walk, a loop with the same IEEE operations in the same
+order (so the same results to the bit) but no test of the number kind per
+crossing and the landing on the next chart written out inline.
 Saddle searches run their rays through _walk without recording segments:
 they read only the terminal, the smallest corner distance and the length.
 
@@ -217,8 +219,8 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     e, x, y = p0.edge, p0.x, p0.y
     d_in = (dx, dy)  # the direction as given, negated at each reversing gluing
-    charts = m.charts
-    exact = not charts.float_widths and not any(isinstance(v, float) for v in (x, y, dx, dy))
+    radicands = m.radicands
+    exact = radicands is not None and not any(isinstance(v, float) for v in (x, y, dx, dy))
     if exact:
         dx, dy = _number(dx), _number(dy)
     else:  # keep mixed inputs from dragging exact types through float math
@@ -231,9 +233,9 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     if not sx and not sy:  # zero, or exact values that round to 0 beside floats
         raise FlowError("direction must be nonzero")
     if not exact:
-        return _float_walk(m.float_charts.rows, e, x, y, dx, dy, sx, sy, d_in,
+        return _float_walk(m.charts, e, x, y, dx, dy, sx, sy, d_in,
                            _float_or_refuse(max_length, "length budget"), corner_tol, keep)
-    rows = charts.rows
+    width, height, gluings = m.width, m.height, m.gluings
     budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
     budget2 = budget * budget
     speed2 = dx * dx + dy * dy
@@ -246,7 +248,7 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
         dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
         float2 = float(speed2)
-    speed = _speed_in_field(speed2, charts.radicands.union(
+    speed = _speed_in_field(speed2, radicands.union(
         v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
     float_speed = math.sqrt(float2)
     # below t_screen the exact cut test cannot succeed; the margin covers
@@ -262,9 +264,8 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
     min_corner = math.inf
     terminal = "budget"
     detail = None
-    row = rows[e]
+    w, h = width[e], height[e]
     for _ in range(_MAX_STEPS):
-        w, h, glue_e, glue_w, glue_n, glue_s = row
         # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
         if sx > 0:
             tx = (w - x) / dx
@@ -290,10 +291,10 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
         elapsed = run
         x2, y2 = x + t * dx, y + t * dy
         if across:
-            side, glue = ("E", glue_e) if sx > 0 else ("W", glue_w)
+            side = "E" if sx > 0 else "W"
             coord, side_len = y2, h
         else:
-            side, glue = ("N", glue_n) if sy > 0 else ("S", glue_s)
+            side = "N" if sy > 0 else "S"
             coord, side_len = x2, w
         if keep:
             add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
@@ -307,12 +308,13 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
             end = "lo" if f_coord <= f_side / 2 else "hi"
             terminal, detail = "singular", (e, _END_CORNER[(side, end)])
             break
+        glue = gluings.get((e, side))
         if glue is None:
             terminal, detail = "window-exit", (e, side)
             break
         e, s2, rev = glue
-        row = rows[e]
-        x, y = _land(row[0], row[1], s2, rev, coord)
+        w, h = width[e], height[e]
+        x, y = _land(w, h, s2, rev, coord)
         if rev:
             dx, dy, sx, sy = -dx, -dy, -sx, -sy
             d_in = (-d_in[0], -d_in[1])
@@ -324,11 +326,11 @@ def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
 
 def _float_walk(rows, e, x, y, dx, dy, sx, sy, d_in, budget, corner_tol, keep):
     """_walk's crossing loop for a flow run in floats, with the same result.
-    rows is the complex's float chart table, (x, y, dx, dy) the float start
-    and direction, (sx, sy) their signs, d_in the direction as given and
-    budget the float length budget.  No test of the number kind runs per
-    crossing, the landing on the next chart is written out inline, and the
-    exit side is named only when the flow stops on it."""
+    rows is the complex's float table (RectangleComplex.charts), (x, y, dx,
+    dy) the float start and direction, (sx, sy) their signs, d_in the
+    direction as given and budget the float length budget.  No test of the
+    number kind runs per crossing, the landing on the next chart is written
+    out inline, and the exit side is named only when the flow stops on it."""
     speed = math.hypot(dx, dy)
     acc = 0.0
     segments = []
@@ -672,8 +674,10 @@ def compact_open_convergence_check(m: RectangleComplex, supports, limit_support,
     for all n >= N; equality of point actions is exact once the support
     difference misses every window rectangle.
 
-    supports: callable n -> set of beta-vertices.
+    supports: callable n -> set of beta-vertices.  n_max must be nonnegative.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     window = tuple(sorted(set(window)))
     limit_support = frozenset(limit_support)
     emap = m.graph.edge_map()

@@ -9,6 +9,7 @@ round-trip exactly: rationals as p/q, quadratic values as a+brd (so
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -199,6 +200,8 @@ def _read_harmonic(records, end: int) -> HarmonicAssignment:
     for lineno, toks in records:
         if toks[0] == "lambda":
             lam = parse_number(toks[1], lineno)
+            if isinstance(lam, float) and not math.isfinite(lam):
+                raise FormatError(f"lambda {toks[1]} is not finite", lineno)
         else:
             v = _int(toks[1], lineno)
             if v in values:
@@ -206,6 +209,8 @@ def _read_harmonic(records, end: int) -> HarmonicAssignment:
             value = parse_number(toks[2], lineno)
             if not value > 0:  # NaN included
                 raise FormatError(f"h value {toks[2]} at vertex {v} must be positive", lineno)
+            if value == math.inf:
+                raise FormatError(f"h value {toks[2]} at vertex {v} is not finite", lineno)
             values[v] = value
     if lam is None:
         raise FormatError("missing lambda record", end)

@@ -541,8 +541,11 @@ def harmonic_truncated(g: BipartiteConfigGraph, lam, boundary: Mapping) -> Trunc
     `positive` does not depend on how small the solution is.  A zero pivot
     raises; loss of positivity is reported, not raised.  A positive float
     solution with a value below the float range (sys.float_info.min, about
-    2.2e-308) raises ValueError rather than return underflowed values.
+    2.2e-308) raises ValueError rather than return underflowed values, and
+    a NaN or infinite lam raises ValueError before the solve.
     """
+    if isinstance(lam, float) and not math.isfinite(lam):
+        raise ValueError(f"lam {lam} is not finite")
     elim = _Elimination(_checked_adjacency(g, boundary), boundary)
     entries = elim.factor(lam)
     positive = elim.positive(entries)

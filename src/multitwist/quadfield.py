@@ -22,7 +22,7 @@ rule and `_equal` compares two values under it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt as _isqrt
+from math import isfinite as _isfinite, isqrt as _isqrt
 from numbers import Rational
 
 
@@ -274,12 +274,16 @@ _set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
 
 
 def _number(x):
-    """x as a Fraction or QuadExt when it is exact, as a float otherwise."""
+    """x as a Fraction or QuadExt when it is exact, as a float otherwise;
+    a NaN or infinite float is refused."""
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, Rational):
         return Fraction(x)
-    return float(x)
+    x = float(x)
+    if not _isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
 
 
 def _equal(a, b, tol) -> bool:

@@ -191,6 +191,8 @@ def induced_subtree(addresses, depth: int) -> EndTreeSpec:
     rays, cones = set(), set()
     for a in addresses:
         kind, _, bits = a.partition(":") if ":" in a else ("ray", "", a)
+        if kind not in ("ray", "cone"):
+            raise ValueError(f"address {a!r} is neither a ray nor a cone")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"address {a!r} is not binary")
         (rays if kind == "ray" else cones).add(bits)
@@ -525,13 +527,10 @@ def _pair_meetings(graph: BipartiteConfigGraph) -> dict:
     return counts
 
 
-def _marked_face_index(quarters, p_squares) -> int:
-    """The p-chamber: the largest face whose corners live on the p-block."""
-    cands = [idx for idx, chain in enumerate(quarters)
-             if all(e in p_squares for e, _ in chain)]
-    if not cands:
-        cands = range(len(quarters))
-    return max(cands, key=lambda idx: (len(quarters[idx]), -idx))
+def _marked_face_index(quarters) -> int:
+    """The p-chamber of a lone p-block: its largest face, the lowest index
+    on ties."""
+    return max(range(len(quarters)), key=lambda idx: (len(quarters[idx]), -idx))
 
 
 class CurveRecipeOutput(NamedTuple):
@@ -639,14 +638,13 @@ def _assemble_variant(name: str, genus: int, n: int, m: int, absorb: bool = Fals
     else:
         block, g0, standalone = _P_BLOCKS[name]
     asm.add(block)
-    p_squares = range(asm.squares)
     if genus < g0:
         raise RecipeError(f"{name} block carries genus {g0} > requested {genus}")
     if standalone and genus > g0:
         raise RecipeError(f"{name} block has no splice ports to grow genus")
 
     faces = asm.faces()  # re-read after every arm and handle splice
-    marked_token = faces.quarters[_marked_face_index(faces.quarters, p_squares)][0]
+    marked_token = faces.quarters[_marked_face_index(faces.quarters)][0]
 
     genus_needed = genus - g0
     while genus_needed > 0:

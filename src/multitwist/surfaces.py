@@ -204,39 +204,27 @@ class RectangleComplex:
         return frozenset(ends)
 
     @cached_property
-    def charts(self) -> "ChartTable":
-        """The flow's per-rectangle table, in the complex's own side lengths.
-        Built on first use and kept on the complex (not a field, so outside
-        ==, repr and build time); it shares the width, height and gluing
-        objects."""
+    def charts(self) -> dict:
+        """The float crossing kernel's table: edge -> (width, height,
+        glue_E, glue_W, glue_N, glue_S), side lengths as floats, each glue
+        the gluings entry (edge, side, reversed) of that side, or None on a
+        frontier side.  Built on first use and kept on the complex (not a
+        field, so outside ==, repr and build time)."""
         get = self.gluings.get
         height = self.height
-        rows = {e: (w, height[e], get((e, "E")), get((e, "W")), get((e, "N")), get((e, "S")))
+        return {e: (float(w), float(height[e]), get((e, "E")), get((e, "W")), get((e, "N")),
+                    get((e, "S")))
                 for e, w in self.width.items()}
-        sides = (*self.width.values(), *self.height.values())
-        return ChartTable(rows, any(isinstance(w, float) for w in self.width.values()),
-                          frozenset(v.d for v in sides if isinstance(v, QuadExt)) - {0})
 
     @cached_property
-    def float_charts(self) -> "ChartTable":
-        """charts with float side lengths, for flows run in floats: charts
-        itself when every side length is a float already."""
-        rows = self.charts.rows
-        if all(isinstance(w, float) and isinstance(h, float) for w, h, *_ in rows.values()):
-            return self.charts
-        return ChartTable({e: (float(w), float(h), *glue) for e, (w, h, *glue) in rows.items()},
-                          True, frozenset())
-
-
-class ChartTable(NamedTuple):
-    """Per-rectangle data of the straight-line flow, built once per complex."""
-
-    # edge -> (width, height, glue_E, glue_W, glue_N, glue_S); a glue is the
-    # complex's gluings entry (edge, side, reversed) for that side, or None
-    # on a frontier side
-    rows: dict
-    float_widths: bool  # some width is a float: flows on the complex run in floats
-    radicands: frozenset  # squarefree radicands of the QuadExt side lengths
+    def radicands(self):
+        """The squarefree radicands of the QuadExt side lengths, or None
+        when a side length is a float (flows on the complex then run in
+        floats).  Read on first use and kept on the complex."""
+        sides = (*self.width.values(), *self.height.values())
+        if any(isinstance(v, float) for v in sides):
+            return None
+        return frozenset(v.d for v in sides if isinstance(v, QuadExt)) - {0}
 
 
 def _components(succ: list) -> list:

@@ -115,7 +115,7 @@ class TestBuildVerify:
         res = runner.invoke(main, ["verify", str(tmp_path / "near.surf"), "--tol", tol])
         assert res.exit_code == code, res.output
 
-    @pytest.mark.parametrize("value", ["1/0", "0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["1/0", "0", "-1", "nan", "inf"])
     def test_bad_height_value_exits_2(self, runner, tmp_path, value):
         lines = formats.write_surface(staircase_complex(-4, 5, 2)).splitlines()
         k = lines.index("h 0 1")
@@ -578,6 +578,23 @@ REFUSALS = {
                                   "error: need genus >= 1"),
     "multicurve-no-source": (["multicurve"], 2,
                              "need a tree file, --family, or --genus/--punctures"),
+    # a NaN or infinite lambda is refused where the algebra coerces its
+    # numbers and by the truncated solve
+    "classify-lambda-nan": (["classify", "--word", "aB", "--lambda", "nan", "--float"], 2,
+                            "nan is not a finite number"),
+    "classify-lambda-inf": (["classify", "--word", "aB", "--lambda", "inf", "--float"], 2,
+                            "inf is not a finite number"),
+    "truncated-lambda-nan": (["harmonic", "{ladder}", "--mode", "truncated", "--lambda", "nan",
+                              "--boundary", "{boundary}"], 2, "lam nan is not finite"),
+    "truncated-lambda-inf": (["harmonic", "{ladder}", "--mode", "truncated", "--lambda", "inf",
+                              "--boundary", "{boundary}"], 2, "lam inf is not finite"),
+    # non-finite lambda and h records are refused where they are read
+    "flow-h-inf": (["flow", "{infh}", *_START, "--dir", "1:1"], 2,
+                   "h value inf at vertex 0 is not finite"),
+    "verify-lambda-nan": (["verify", "{nanlam}"], 2, "line 9: lambda nan is not finite"),
+    "truncated-boundary-lambda-inf": (["harmonic", "{ladder}", "--mode", "truncated",
+                                       "--lambda", "3", "--boundary", "{infboundary}"], 2,
+                                      "line 1: lambda inf is not finite"),
 }
 
 
@@ -586,10 +603,15 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
     files = {"ladder": tmp_path / "ladder.graph", "surf": tmp_path / "st.surf",
              "loch": tmp_path / "ln.surf", "boundary": tmp_path / "b.harm",
              "empty": tmp_path / "empty.graph", "tmp": tmp_path,
-             "missing": tmp_path / "missing" / "out", "badflip": tmp_path / "flip.surf"}
+             "missing": tmp_path / "missing" / "out", "badflip": tmp_path / "flip.surf",
+             "infh": tmp_path / "infh.surf", "nanlam": tmp_path / "nanlam.surf",
+             "infboundary": tmp_path / "inf.harm"}
     files["ladder"].write_text(LADDER)
     files["empty"].write_text("bipartite 0 0 0 2\n")
     files["surf"].write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
+    files["infh"].write_text(files["surf"].read_text().replace("\nh 0 1\n", "\nh 0 inf\n"))
+    files["nanlam"].write_text(files["surf"].read_text().replace("\nlambda 2\n", "\nlambda nan\n"))
+    files["infboundary"].write_text("lambda inf\nh -3 1\nh 3 1\n")
     files["badflip"].write_text(files["surf"].read_text() + "flip 3 E\n")
     files["loch"].write_text(formats.write_surface(build_multicurves(loch_ness_tree(2), 2).complex))
     files["boundary"].write_text("lambda 2\nh -3 1\nh 3 1\n")

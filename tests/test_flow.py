@@ -189,6 +189,15 @@ class TestFlowKernel:
         assert repr(st) == shown
         assert write_surface(st) == text
 
+    def test_only_float_flows_build_the_flow_table(self):
+        st = staircase_complex(-8, 9, 3)
+        flow(st, SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)), (Fraction(2), Fraction(1)), 6)
+        assert "charts" not in vars(st)  # exact flows read width, height and gluings
+        assert st.radicands == {5}
+        flow(st, SurfacePoint(1, 0.4, 0.3), (0.8, -0.6), 20.0)
+        assert all(type(w) is float and type(h) is float for w, h, *_ in st.charts.values())
+        assert staircase_complex(-8, 9, 3, exact=False).radicands is None
+
     def test_float_flow_on_an_exact_window_matches_the_float_window(self):
         ex = staircase_complex(-20, 21, 3)
         fl = staircase_complex(-20, 21, 3, exact=False)
@@ -288,6 +297,34 @@ class TestTwist:
         assert twist_action(st, "alpha", p, 1, support={2}) == p  # 0 not in support
         moved = twist_action(st, "alpha", p, 1, support={0})
         assert moved != p
+
+    def test_unknown_family_refused(self):
+        st = staircase_complex(-4, 5, 2)
+        with pytest.raises(ValueError, match="family must be alpha or beta"):
+            twist_action(st, "gamma", SurfacePoint(0, Fraction(1, 4), Fraction(1, 2)), 1)
+
+    def test_complex_without_modulus_refused(self):
+        g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
+        m = build_surface(g, RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}))  # unit squares
+        assert m.lam is None
+        with pytest.raises(ValueError, match="complex carries no modulus parameter"):
+            twist_action(m, "alpha", SurfacePoint(0, Fraction(1, 4), Fraction(1, 2)), 1)
+
+    @pytest.mark.parametrize("family, vertex", [("alpha", 0), ("beta", 1)])
+    def test_cylinder_off_the_modulus_law_refused(self, family, vertex):
+        # two unit squares make cylinders of modulus 1/2, not 1/3
+        g = BipartiteConfigGraph.make([0], [1], {0: (0, 1), 1: (0, 1)}, 4)
+        m = build_surface(g, RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}),
+                          HarmonicAssignment(lam=3, values={0: 1, 1: 1}))
+        with pytest.raises(ValueError, match=f"cylinder at vertex {vertex} has modulus != 1/lam"):
+            twist_action(m, family, SurfacePoint(0, Fraction(1, 4), Fraction(1, 2)), 1)
+
+    @pytest.mark.parametrize("family, edge, vertex", [("alpha", -4, -4), ("beta", 4, 5)])
+    def test_window_truncated_cylinder_refused(self, family, edge, vertex):
+        st = staircase_complex(-4, 5, 2)  # curves -4 and 5 are cut open by the window
+        p = SurfacePoint(edge, st.width[edge] / 2, st.height[edge] / 2)
+        with pytest.raises(ValueError, match=f"cylinder at vertex {vertex} is window-truncated"):
+            twist_action(st, family, p, 1)
 
 
 def double_edge_complex(flips, exact):
@@ -607,6 +644,13 @@ class TestCompactOpenConvergence:
         rep = compact_open_convergence_check(st, beta_n, limit,
                                              window=range(-2, 3), n_max=5)
         assert rep.n_stable == 0
+
+    def test_negative_n_max_refused(self):
+        st = staircase_complex(-4, 5, 2)
+        limit = frozenset({-1, 1})
+        with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+            compact_open_convergence_check(st, lambda n: limit, limit,
+                                           window=range(-1, 2), n_max=-1)
 
 
 class TestExactQuadraticFlow:

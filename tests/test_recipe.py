@@ -44,6 +44,11 @@ class TestInducedSubtree:
         with pytest.raises(ValueError):
             induced_subtree([], depth=3)
 
+    @pytest.mark.parametrize("address", ["foo:01", "Ray:01", ":01"])
+    def test_unknown_address_kind_rejected(self, address):
+        with pytest.raises(ValueError, match=f"address {address!r} is neither a ray nor a cone"):
+            induced_subtree([address], depth=2)
+
 
 class TestTreeValidation:
     def test_unrooted_vertices_are_named(self):
