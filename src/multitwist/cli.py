@@ -2,9 +2,10 @@
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 bad input.  Bad input is refused in one place: the group's `invoke`
-turns any ValueError (every library refusal derives from it) or OSError
-(a file that cannot be read or written) into one `error:` line and exit
-2.  Other exceptions are bugs and keep their tracebacks.
+turns any ValueError (every library refusal derives from it), OSError
+(a file that cannot be read or written) or OverflowError (an input number
+beyond float range, met where a float is needed) into one `error:` line
+and exit 2.  Other exceptions are bugs and keep their tracebacks.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class _Commands(click.Group):
             return super().invoke(ctx)
         except (ValueError, OSError) as exc:
             _fail(str(exc))
+        except OverflowError as exc:
+            _fail(f"a number is beyond float range: {exc}")
 
 
 @click.group(cls=_Commands)
@@ -127,12 +130,14 @@ def _harmonic_of(g, mode: str, lam, exact: bool):
     if mode == "perron":
         return graphs.perron_pair(g), ()
     verts = sorted(g.vertices())
-    if not verts or verts != list(range(verts[0], verts[-1] + 1)) or any(
-            g.degree(v) > 2 for v in verts):
+    lo, hi = (verts[0], verts[-1]) if verts else (0, 0)
+    # the ladder's edges n -- n + 1, compared by their end points: edge ids may differ
+    if hi <= lo or sorted(ij for _, *ij in g.edges) != sorted(
+            ij for _, *ij in graphs.LadderFamily(lo, hi).graph().edges):
         raise click.UsageError("graph is not a ladder window")
     if lam is None:
         raise click.UsageError("closed-form mode needs --lambda")
-    fam = graphs.LadderFamily(verts[0], verts[-1])
+    fam = graphs.LadderFamily(lo, hi)
     return graphs.harmonic_closed_form(fam, _parse_lambda(lam, exact)), fam.boundary()
 
 
@@ -231,11 +236,12 @@ def classify(word, lam, exact, depth):
     m = mobius.rho(w, lam_v)
     a, b, c, d = m.entries()
     cls = mobius.classify(m)
+    eig = mobius.eigendirections(m)  # before any output: it may need floats
     click.echo(f"word {word or '(empty)'}  lambda {lam}")
     click.echo(f"matrix [[{formats.format_number(a)}, {formats.format_number(b)}], "
                f"[{formats.format_number(c)}, {formats.format_number(d)}]]")
     click.echo(f"trace {formats.format_number(m.trace())}  class {cls}")
-    if float(lam_v) >= 2 and not isinstance(lam_v, float):
+    if lam_v >= 2 and not isinstance(lam_v, float):
         try:
             rep = mobius.brenner_check(m, lam_v)
         except ValueError as exc:  # an irrational lambda
@@ -246,14 +252,13 @@ def classify(word, lam, exact, depth):
                 click.echo(f"integer form ks={rep.ks} interval {extra}")
             else:
                 click.echo("integer form: not matched")
-    eig = mobius.eigendirections(m)
     if eig is mobius.ALL_DIRECTIONS:
         click.echo("eigendirections: all (identity)")
     else:
         for e in eig:
             click.echo(f"eigendirection {formats.format_number(e.x)}:"
                        f"{formats.format_number(e.y)}")
-        if eig and float(lam_v) >= 2:
+        if eig and lam_v >= 2:
             verdict = mobius.renormalizable(eig[0], lam_v, depth)
             click.echo(f"leading eigendirection renormalizable: {verdict.verdict} "
                        f"({verdict.reason})")

@@ -96,15 +96,7 @@ class BipartiteConfigGraph:
                 raise GraphError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}",
                                  lst[self.valence_bound][0])
             self._incident[v] = tuple(lst)
-        # connected: a walk over the incidence table from one vertex reaches all
-        stack = [next(iter(inc))] if inc else []
-        reached = set(stack)
-        while stack:
-            for _, w in inc[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) < len(inc):
+        if len(_components(inc)) > 1:
             raise GraphError("graph is not connected")
 
     def _first_edge(self, v):
@@ -127,15 +119,22 @@ class BipartiteConfigGraph:
 
 @dataclass(frozen=True)  # not a NamedTuple: __post_init__ checks it, _trusted sets its fields
 class HarmonicAssignment:
-    """A candidate lam-harmonic function: strictly positive vertex values."""
+    """A candidate lam-harmonic function: strictly positive vertex values,
+    and a lam and values that are finite (a file record could not hold
+    them otherwise)."""
 
     lam: object
     values: Mapping
 
     def __post_init__(self):
+        if isinstance(self.lam, float) and not math.isfinite(self.lam):
+            raise ValueError(f"harmonic lam {self.lam} is not finite")
         if not all(v > 0 for v in self.values.values()):
             bad = sorted(v for v, x in self.values.items() if not x > 0)
             raise ValueError(f"harmonic values must be positive; offending vertices {bad}")
+        bad = sorted(v for v, x in self.values.items() if isinstance(x, float) and x == math.inf)
+        if bad:
+            raise ValueError(f"harmonic values must be finite; offending vertices {bad}")
 
     def __getitem__(self, v):
         return self.values[v]
@@ -394,17 +393,18 @@ def _adjacency(g: BipartiteConfigGraph) -> dict:
     return {v: [w for _, w in g.incident(v)] for v in sorted(g.vertices())}
 
 
-def _components(nbrs: Mapping) -> list:
-    """The vertex lists of the connected components of the graph with
-    adjacency nbrs."""
+def _components(incident: Mapping) -> list:
+    """The vertex lists of the connected components of a graph given by its
+    incidence table, vertex -> (edge, other end) pairs: one depth-first
+    walk per component, started at its first vertex in table order."""
     seen, parts = set(), []
-    for v in nbrs:
+    for v in incident:
         if v in seen:
             continue
         seen.add(v)
         stack, part = [v], [v]
         while stack:
-            for w in nbrs[stack.pop()]:
+            for _, w in incident[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -589,7 +589,7 @@ def lambda_zero(g: BipartiteConfigGraph, boundary: Mapping) -> float:
     singular; every larger lam is positive, though a solve can still raise
     when its values fall below the float range.
     """
-    interior = {v: [w for w in ws if w not in boundary]
-                for v, ws in _checked_adjacency(g, boundary).items() if v not in boundary}
-    return max([2.0] + [_perron_root({v: interior[v] for v in part})[0]
+    interior = {v: [(e, w) for e, w in g.incident(v) if w not in boundary]
+                for v in _checked_adjacency(g, boundary) if v not in boundary}
+    return max([2.0] + [_perron_root({v: [w for _, w in interior[v]] for v in part})[0]
                         for part in _components(interior)])

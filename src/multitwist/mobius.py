@@ -168,9 +168,9 @@ def generator(letter: int, lam) -> MobiusClass:
 
 def rho(word: TwistWord, lam) -> MobiusClass:
     """Evaluate the representation on a word, left to right."""
-    if float(lam) <= 0:
-        raise ValueError("lam must be positive")
     lam = _number(lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     out = MobiusClass.identity(exact=not isinstance(lam, float))
     for letter in word.letters:
         out = out * generator(letter, lam)

@@ -26,19 +26,24 @@ from math import isfinite as _isfinite, isqrt as _isqrt
 from numbers import Rational
 
 
+_TRIAL_LIMIT = 1 << 20  # largest trial divisor
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s*s*m with m squarefree; returns (s, m). n must be >= 0.
 
-    Trial division runs only while p**3 <= the cofactor r.  Every prime
-    factor of what is left is at least p, so r has at most two of them: it
-    is squarefree unless it is the square of a prime.
+    Trial division runs while p**3 <= the cofactor r, for p up to 2**20.
+    Every prime factor of what is left is at least p, so a cofactor below
+    p**3, or below 2**60 once every p up to 2**20 is tried, has at most two
+    of them: it is squarefree unless it is the square of a prime.  A larger
+    cofactor that is not a square could hide a squared prime: ValueError.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return 1, n
     s, r, p = 1, n, 2
-    while p * p * p <= r:
+    while p * p * p <= r and p <= _TRIAL_LIMIT:
         e = 0
         while r % p == 0:
             r //= p
@@ -48,6 +53,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     t = _isqrt(r)
     if t * t == r:
         s *= t
+    elif r >= _TRIAL_LIMIT ** 3:
+        raise ValueError(f"radicand {n} is too large to split off its square part")
     return s, n // (s * s)
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import BipartiteConfigGraph
+from .graphs import BipartiteConfigGraph, _components
 from .surfaces import (_END_CORNER, RectangleComplex, _aligned_walks, _config_graph,
                        _corner_chains, _glue_axis, build_surface, mark_faces, ribbon_from_gluings)
 
@@ -128,18 +128,16 @@ class EndTreeSpec:
         return {v for v, ch in self._children.items() if not ch and v != self.root}
 
     def _validate(self):
-        pm = self.parent_map()
-        if self.root in pm:
-            raise TreeError("root cannot have a parent", "vertex", self.root)
-        rooted = {self.root}  # vertices known to reach the root
-        for c, p in pm.items():
-            cur, seen = p, {c}
-            while cur not in rooted:  # each walk stops where an earlier one ended
-                if cur in seen or cur not in pm:
-                    raise TreeError(f"vertex {c} is not connected to the root", "vertex", c)
-                seen.add(cur)
-                cur = pm[cur]
-            rooted |= seen
+        links = {self.root: []}  # each parent link, entered from both ends
+        for k, (c, p) in enumerate(self.parents):
+            if c == self.root:
+                raise TreeError("root cannot have a parent", "vertex", self.root)
+            links.setdefault(c, []).append((k, p))
+            links.setdefault(p, []).append((k, c))
+        rooted = set(_components(links)[0])
+        for c, _ in self.parents:
+            if c not in rooted:
+                raise TreeError(f"vertex {c} is not connected to the root", "vertex", c)
         if self.degree(self.root) > 2:
             raise TreeError("root degree must be at most 2", "vertex", self.root)
         leaves = self.leaves()
@@ -260,7 +258,8 @@ def surgery(t: EndTreeSpec, marks=None) -> SurgeredGraph:
     tree and the genus is the number of triangles; only that count is kept.
     Leaves cannot be marked.
     """
-    marks = t.genus_marks if marks is None else frozenset(marks)
+    # marks in repr order, so the mark reported does not depend on str hashing
+    marks = sorted(t.genus_marks if marks is None else frozenset(marks), key=repr)
     leaves = t.leaves()
     ch = t._children
     for v in marks:
@@ -268,7 +267,7 @@ def surgery(t: EndTreeSpec, marks=None) -> SurgeredGraph:
             raise ValueError(f"genus mark {v} is a leaf")
         if v not in ch:
             raise ValueError(f"genus mark {v} not in the tree")
-    for v in sorted(marks, key=repr):
+    for v in marks:
         if len(ch[v]) not in (1, 2):
             raise ValueError(f"marked vertex {v} has {len(ch[v])} descendants; "
                              "only degree 2 and 3 are supported")

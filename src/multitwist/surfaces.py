@@ -37,7 +37,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from .graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
+from .graphs import (BipartiteConfigGraph, HarmonicAssignment, LadderFamily,
+                     _components as _graph_components, harmonic_closed_form)
 from .quadfield import QuadExt, _equal
 
 SIDES = ("E", "W", "N", "S")
@@ -577,27 +578,23 @@ def euler_characteristic(m: RectangleComplex) -> int:
 
 
 def is_translation(m: RectangleComplex) -> bool:
-    """True iff chart rotations can remove every orientation-reversing gluing."""
-    edges = m.edges
-    color = {}
-    for start in edges:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            e = stack.pop()
-            for side in SIDES:
-                if (e, side) not in m.gluings:
-                    continue
-                e2, _, rev = m.gluings[(e, side)]
-                want = color[e] ^ int(rev)
-                if e2 not in color:
-                    color[e2] = want
-                    stack.append(e2)
-                elif color[e2] != want:
-                    return False
-    return True
+    """True iff chart rotations can remove every orientation-reversing gluing.
+
+    That is Harary's balance of the configuration graph, rectangle e signed
+    by the product of its two layout orientations: no component of the
+    curves' two-sign lift (curve v with sign s as vertex 2v + s) holds both
+    signs of one curve."""
+    turn = {}
+    for lay in (*m.h_layouts.values(), *m.v_layouts.values()):
+        for e, o in zip(lay.edges, lay.orients):
+            turn[e] = turn.get(e, 1) * o
+    lift = {}
+    for e, i, j in m.graph.edges:
+        for s in (0, 1):
+            a, b = 2 * i + s, 2 * j + (s ^ (turn[e] < 0))
+            lift.setdefault(a, []).append((e, b))
+            lift.setdefault(b, []).append((e, a))
+    return all(len({v >> 1 for v in part}) == len(part) for part in _graph_components(lift))
 
 
 def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:

@@ -16,7 +16,7 @@ from multitwist.cli import main
 from multitwist.graphs import LadderFamily
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, induced_subtree, loch_ness_tree
-from multitwist.surfaces import RibbonData, build_surface, staircase_complex
+from multitwist.surfaces import RectangleComplex, RibbonData, build_surface, staircase_complex
 from multitwist.svg import surface_svg
 
 K2_GRAPH = "bipartite 1 1 1 2\nedge 0 0 1\n"
@@ -64,6 +64,21 @@ class TestBuildVerify:
         assert "verification pass" in res.output
         res = runner.invoke(main, ["verify", str(surf)])
         assert res.exit_code == 0, res.output
+
+    def test_build_and_verify_derive_no_gluing_table(self, runner, tmp_path, monkeypatch):
+        """The checks read the layouts alone, is_translation included."""
+        surf = tmp_path / "ln.surf"
+        surf.write_text(formats.write_surface(build_multicurves(loch_ness_tree(3), 2).complex))
+
+        def no_table(self):
+            raise AssertionError("the side-gluing table was derived")
+
+        monkeypatch.setattr(RectangleComplex, "gluings", property(no_table))
+        for argv in (["build", str(surf), "--mode", "perron", "-o", str(tmp_path / "out.surf")],
+                     ["verify", str(surf)], ["verify", str(surf), "--m", "2"]):
+            res = runner.invoke(main, argv)
+            assert res.exit_code == 0, (argv, res.exception)
+            assert "translation False" in res.output
 
     def test_broken_corner_cycle_fails_both_counts(self, runner, tmp_path, monkeypatch):
         """A one-square torus whose one 4-quarter cycle is cut down to a
@@ -518,6 +533,7 @@ def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
 # one row per refusal path: (argv with {file} slots, exit code, fragment of
 # stderr); none prints to stdout, and none ends in a traceback
 _START = ["--start", "0:1/4:1/10"]
+_BIG = "1" + "0" * 400
 REFUSALS = {
     "harmonic-o-missing-dir": (["harmonic", "{ladder}", "-o", "{missing}"], 2,
                                "No such file or directory"),
@@ -571,6 +587,9 @@ REFUSALS = {
                                2, "graph is not a ladder window"),
     "closed-form-edgeless-graph": (["harmonic", "{empty}", "--mode", "closed-form",
                                     "--lambda", "3"], 2, "graph is not a ladder window"),
+    # the path 0 - 3 - 2 - 1: contiguous ids and degrees <= 2, yet not the ladder
+    "closed-form-path-out-of-order": (["harmonic", "{path}", "--mode", "closed-form",
+                                       "--lambda", "3"], 2, "graph is not a ladder window"),
     "build-no-source": (["build"], 2, "need a surface file or --family"),
     "verify-wrong-weight": (["verify", "{loch}", "--m", "3"], 1,
                             "FAIL marked face 0 has 4 sides, expected 6"),
@@ -595,6 +614,19 @@ REFUSALS = {
     "truncated-boundary-lambda-inf": (["harmonic", "{ladder}", "--mode", "truncated",
                                        "--lambda", "3", "--boundary", "{infboundary}"], 2,
                                       "line 1: lambda inf is not finite"),
+    # a rational beyond float range is compared exactly, and refused where
+    # a float is needed: the eigendirections of an irrational trace, --float,
+    # the float truncated solve
+    "classify-lambda-401-digits": (["classify", "--word", "aB", "--lambda", _BIG], 2,
+                                   "a number is beyond float range"),
+    "classify-float-lambda-401-digits": (["classify", "--word", "aB", "--lambda", _BIG,
+                                          "--float"], 2, "a number is beyond float range"),
+    "truncated-lambda-401-digits": (["harmonic", "{ladder}", "--mode", "truncated", "--lambda",
+                                     _BIG, "--boundary", "{boundary}"], 2,
+                                    "a number is beyond float range"),
+    "truncated-boundary-401-digits": (["harmonic", "{ladder}", "--mode", "truncated",
+                                       "--lambda", "3", "--boundary", "{bigboundary}"], 2,
+                                      "a number is beyond float range"),
 }
 
 
@@ -605,13 +637,16 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
              "empty": tmp_path / "empty.graph", "tmp": tmp_path,
              "missing": tmp_path / "missing" / "out", "badflip": tmp_path / "flip.surf",
              "infh": tmp_path / "infh.surf", "nanlam": tmp_path / "nanlam.surf",
-             "infboundary": tmp_path / "inf.harm"}
+             "infboundary": tmp_path / "inf.harm", "bigboundary": tmp_path / "big.harm",
+             "path": tmp_path / "path.graph"}
     files["ladder"].write_text(LADDER)
     files["empty"].write_text("bipartite 0 0 0 2\n")
+    files["path"].write_text("bipartite 2 2 3 2\nedge 0 0 3\nedge 1 2 3\nedge 2 2 1\n")
     files["surf"].write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
     files["infh"].write_text(files["surf"].read_text().replace("\nh 0 1\n", "\nh 0 inf\n"))
     files["nanlam"].write_text(files["surf"].read_text().replace("\nlambda 2\n", "\nlambda nan\n"))
     files["infboundary"].write_text("lambda inf\nh -3 1\nh 3 1\n")
+    files["bigboundary"].write_text(f"lambda 3\nh -3 {_BIG}\nh 3 1\n")
     files["badflip"].write_text(files["surf"].read_text() + "flip 3 E\n")
     files["loch"].write_text(formats.write_surface(build_multicurves(loch_ness_tree(2), 2).complex))
     files["boundary"].write_text("lambda 2\nh -3 1\nh 3 1\n")
@@ -632,6 +667,19 @@ def test_unwritable_output_exits_2_in_a_fresh_interpreter(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 2, res.stderr
     assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_large_radicand_lambda_exits_2_in_a_fresh_interpreter():
+    """lam**2 - 4 = (10**30 + 5)(10**30 + 9) once sent trial division past
+    20 s; the timeout makes that a failure."""
+    src = os.path.dirname(os.path.dirname(multitwist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "multitwist.cli", "build", "--family", "staircase",
+                          "--lambda", str(10**30 + 7)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: radicand ") and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_a_bug_is_not_reported_as_bad_input(runner, tmp_path, monkeypatch):

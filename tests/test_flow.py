@@ -1,5 +1,6 @@
 """Straight-line flow, twists, separatrices, convergence scenarios."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -788,3 +789,24 @@ class TestExactQuadraticFlow:
         assert traj.terminal == "budget"
         assert len(traj.segments) == 7
         assert traj.min_corner_distance == 1e-30
+
+
+def _odd_cone():
+    """The square torus with its one 4-quarter cycle cut down to 3 quarters."""
+    m = square_torus()
+    (cycle,) = m.corner_cycles
+    return dataclasses.replace(m, corner_cycles=(cycle._replace(corners=cycle.corners[:3]),))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: flow(square_torus(), SurfacePoint(0, 2, Fraction(1, 2)), (1, 1), 5),
+                 "outside its rectangle", id="start-outside"),
+    pytest.param(lambda: separatrices(_odd_cone(), 0, (1, 1)),
+                 "cone angle 3*pi/2 is not a multiple of pi", id="odd-cone"),
+    pytest.param(lambda: separatrices(square_torus(), 0, (0, 0)), "direction must be nonzero",
+                 id="zero-direction"),
+])
+def test_refusals_name_what_is_wrong(call, fragment):
+    with pytest.raises(FlowError) as err:
+        call()
+    assert fragment in str(err.value)

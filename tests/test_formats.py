@@ -262,9 +262,11 @@ def test_malformed_record_names_line(parser, text, line):
      "frontier vertex 9 not in the tree"),
     ("parse_tree", "vertex 0 root\nvertex 2 1\nvertex 1 0\nfrontier 1\n", 2,
      "leaves [2] are neither punctures nor frontier"),
+    ("parse_tree", "# a family the format does not know\nfamily torus 3\n", 2,
+     "unknown family 'torus'"),
 ], ids=["surface-h-missing", "surface-sigma-missing", "trajectory-end", "tree-root",
         "root-degree", "disconnected", "puncture", "genus-mark", "first-genus-mark", "frontier",
-        "bare-leaf"])
+        "bare-leaf", "unknown-family"])
 def test_whole_file_errors_name_the_record_at_fault(parser, text, line, message):
     with pytest.raises(formats.FormatError) as err:
         getattr(formats, parser)(text)
@@ -303,11 +305,12 @@ def _positive_quads():
                      st.sampled_from([2, 3, 5, 7])).filter(lambda x: x > 0)
 
 
-NUMBERS = st.one_of(RATIOS, st.floats(allow_nan=False), _positive_quads())
+# every value a lambda record accepts: ratios, finite floats, quadratic numbers
+LAMBDAS = st.one_of(RATIOS, st.floats(allow_nan=False, allow_infinity=False), _positive_quads())
 POSITIVE = st.one_of(RATIOS.filter(lambda x: x > 0),
                      st.floats(min_value=0, exclude_min=True, allow_infinity=False),
                      _positive_quads())
-HARMONIC = st.builds(HarmonicAssignment, NUMBERS,
+HARMONIC = st.builds(HarmonicAssignment, LAMBDAS,
                      st.dictionaries(st.integers(-99, 99), POSITIVE, min_size=1, max_size=8))
 BAD_TOKENS = st.one_of(st.sampled_from(["x", "", "-", "1/0", "1+1r", "nan", "-1", "0", "3",
                                         "1_0", "1e400", "bipartite", "edge", "h", "#"]),

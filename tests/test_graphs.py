@@ -299,6 +299,19 @@ class TestTruncated:
             harmonic_truncated(k2(), 0, {0: 1})
 
 
+@pytest.mark.parametrize("lam, values, fragment", [
+    (math.inf, {0: 1}, "harmonic lam inf is not finite"),
+    (-math.inf, {0: 1}, "harmonic lam -inf is not finite"),
+    (math.nan, {0: 1}, "harmonic lam nan is not finite"),
+    (2, {0: 1, 1: math.inf}, "must be finite; offending vertices [1]"),
+], ids=["lam-inf", "lam-minus-inf", "lam-nan", "value-inf"])
+def test_harmonic_assignment_refuses_non_finite_numbers(lam, values, fragment):
+    """What a harmonic file could not hold is refused where it is made."""
+    with pytest.raises(ValueError) as err:
+        HarmonicAssignment(lam=lam, values=values)
+    assert fragment in str(err.value)
+
+
 class TestVerify:
     def test_perturbation_localizes(self):
         fam = LadderFamily(-4, 4)
@@ -365,3 +378,32 @@ def test_empty_boundary_is_refused(solve):
     with pytest.raises(ValueError) as info:
         solve(path3(), {})
     assert str(info.value) == "truncated solve needs at least one boundary vertex"
+
+
+_WINDOW = LadderFamily(-3, 3)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: BipartiteConfigGraph.make([0], [1], {1: (0, 1), "1": (0, 1)}, 2),
+                 "duplicate edge id 1", id="repeated-edge-id"),
+    pytest.param(lambda: BipartiteConfigGraph.make([0], [1], {0: (1, 0)}, 2),
+                 "edge 0=(1,0) does not join I to J", id="edge-not-from-I-to-J"),
+    pytest.param(lambda: HarmonicAssignment(lam=2, values={0: 1, 1: 0}),
+                 "harmonic values must be positive; offending vertices [1]", id="value-zero"),
+    pytest.param(lambda: LadderFamily(3, 3), "window must contain at least one edge",
+                 id="empty-ladder-window"),
+    pytest.param(lambda: perron_pair(BipartiteConfigGraph.make([0], [], {}, 1)),
+                 "graph needs at least one edge", id="edgeless-perron"),
+    # lam = 3/2 lies below sqrt 3, the spectral radius of the interior path
+    pytest.param(lambda: harmonic_truncated(_WINDOW.graph(), Fraction(3, 2),
+                                            {-3: 1, 3: 1}).assignment(),
+                 "solution not positive at (-2, -1, 0, 1, 2)", id="assignment-not-positive"),
+    pytest.param(lambda: harmonic_truncated(_WINDOW.graph(), 3, {99: 1}),
+                 "boundary vertex 99 not in graph", id="boundary-vertex-unknown"),
+    pytest.param(lambda: harmonic_truncated(_WINDOW.graph(), 3, {-3: 0, 3: 1}),
+                 "boundary value at -3 must be positive", id="boundary-value-zero"),
+])
+def test_refusals_name_what_is_wrong(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)

@@ -385,3 +385,24 @@ class TestExactOrFloat:
             v = renormalizable(exp, 3, depth=60)
             assert v.verdict == ("yes" if classify(m) == "hyperbolic" else "no")
         assert radicands - {0, 5}
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: TwistWord.make((3,)), "invalid letter 3", id="word-letter"),
+    pytest.param(lambda: generator(5, 2), "invalid letter 5", id="generator-letter"),
+    pytest.param(lambda: ProjectiveDirection.make(0, 0), "direction (0,0) is not projective",
+                 id="zero-direction"),
+    pytest.param(lambda: renormalizable(ProjectiveDirection.make(1, 1), 3, depth=0),
+                 "depth must be positive", id="depth-0"),
+])
+def test_refusals_name_what_is_wrong(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_rho_compares_lambda_exactly_beyond_float_range():
+    lam = 10 ** 400
+    assert rho(TwistWord.make("aB"), lam).trace() == 2 + lam * lam
+    with pytest.raises(ValueError, match="lam must be positive"):
+        rho(TwistWord.make("aB"), -lam)

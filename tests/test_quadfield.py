@@ -1,11 +1,15 @@
 """Exact quadratic arithmetic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import multitwist
 from multitwist.quadfield import QuadExt, _sign, _squarefree_split, quad_sqrt, root_plus
 
 
@@ -27,6 +31,28 @@ def test_squarefree_split_large_prime_factors():
     assert _squarefree_split(q * (q + 2)) == (1, q * (q + 2))  # two large factors
     # 2 * 5**2 * 58699937 * 340715873: trial division up to its square root hung
     assert _squarefree_split(q * q + 1) == (5, 2 * 58699937 * 340715873)
+
+
+def test_squarefree_split_stops_trial_division_at_two_to_the_twenty():
+    p = 1048583  # the least prime above 2**20
+    assert _squarefree_split(p * p) == (p, 1)  # a square cofactor splits at once
+    assert _squarefree_split(3 * 3 * p) == (3, p)
+    with pytest.raises(ValueError, match=f"radicand {p ** 3} is too large"):
+        _squarefree_split(p ** 3)
+
+
+def test_large_radicand_is_refused_in_a_fresh_interpreter():
+    """Trial division once ran for as long as p**3 <= the cofactor, so this
+    token hung the parser; the timeout makes that a failure."""
+    src = os.path.dirname(os.path.dirname(multitwist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("from multitwist.formats import parse_number\n"
+            "parse_number('1+1r' + str(10**40 + 7), 3)\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=10)
+    assert res.returncode == 1
+    assert "FormatError: line 3: bad number '1+1r1000" in res.stderr
+    assert "is too large to split off its square part" in res.stderr
 
 
 def test_root_plus_at_two_is_one():
@@ -134,3 +160,27 @@ def _assert_order_matches(x, others):
         s = (x - QuadExt(q)).sign()
         assert (x < q, x <= q, x > q, x >= q, x == q) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
     assert x.sign() == _sign(x.a, x.b, x.d) == (0 < x) - (x < 0)  # integer = rational scaling
+
+
+def _assign_a_field():
+    QuadExt(1, 1, 2).a = 0
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: _squarefree_split(-1), ValueError, "negative radicand", id="radicand"),
+    pytest.param(_assign_a_field, AttributeError, "QuadExt is immutable", id="immutable"),
+    pytest.param(lambda: QuadExt(1, 1, 2) / QuadExt(0), ZeroDivisionError,
+                 "division by zero field element", id="divide-by-zero"),
+    pytest.param(lambda: quad_sqrt(-1), ValueError, "square root of negative rational",
+                 id="sqrt-negative"),
+])
+def test_refusals_name_what_is_wrong(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_float_beyond_float_range_is_infinite():
+    big = 10 ** 400
+    assert float(QuadExt(big, 1, 2)) == float("inf")
+    assert float(QuadExt(-big, 1, 2)) == float("-inf")

@@ -1,6 +1,9 @@
 """Tree normal forms, surgery, and the multicurve recipe."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -195,6 +198,19 @@ class TestSurgery:
     def test_unknown_mark_rejected(self):
         with pytest.raises(ValueError, match="genus mark 99 not in the tree"):
             surgery(loch_ness_tree(3), marks={1, 99})
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_first_bad_mark_in_repr_order_under_any_str_hashing(self, seed):
+        """None of the five marks is in the tree; the one named is the least
+        by repr, whatever order the mark set iterates in."""
+        src = os.path.dirname(os.path.dirname(recipe.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("from multitwist.recipe import ladder_tree, surgery\n"
+                "surgery(ladder_tree(3), marks={'x9', 'y9', 'z9', 'l9', 'r9'})\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert "ValueError: genus mark l9 not in the tree" in res.stderr
 
     def test_deep_tree_in_linear_time(self):
         def ratio():
@@ -501,3 +517,31 @@ class TestLargeWeights:
         # at least the first must be feasible
         out = build_multicurves((3, 2), 6)
         assert verify_recipe(out.complex, 6).passes
+
+
+def _splice(port1, port2):
+    asm = recipe._Assembly()
+    asm.add(recipe._GENUS)
+    asm.splice(port1, port2)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: EndTreeSpec.make(0, {0: 1, 1: 0}), "root cannot have a parent",
+                 id="root-with-parent"),
+    pytest.param(lambda: induced_subtree(["ray:012"], depth=3), "address 'ray:012' is not binary",
+                 id="non-binary-address"),
+    pytest.param(lambda: surgery(EndTreeSpec.make(0, {1: 0, 2: 1, 3: 1, 4: 1}, frontier={2, 3, 4}),
+                                 marks={1}),
+                 "marked vertex 1 has 3 descendants", id="three-children"),
+    pytest.param(lambda: recipe._chainlink(1), "chain needs at least 2 curves", id="chainlink-1"),
+    pytest.param(lambda: _splice((0, "E"), (0, "N")), "splice needs two gluings of the same kind",
+                 id="splice-kinds"),
+    pytest.param(lambda: _splice((0, "E"), (1, "W")), "splice needs two disjoint gluings",
+                 id="splice-one-gluing"),
+    pytest.param(lambda: build_multicurves((1, 0), 0), "weight m must be at least 1",
+                 id="weight-0"),
+])
+def test_refusals_name_what_is_wrong(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)

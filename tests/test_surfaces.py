@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from multitwist.flow import SurfacePoint, flow
 from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
-from multitwist.recipe import build_multicurves, loch_ness_tree
+from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import (
     RibbonData,
     RibbonError,
@@ -424,6 +424,58 @@ _XY = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 _FIXED = {"W": (0, 0), "E": (0, 1), "S": (1, 0), "N": (1, 1)}
 
 
+def _colouring_translation(m) -> bool:
+    """is_translation as a colouring walk over the side-gluing table: each
+    rectangle gets a chart sign, a reversed gluing flips it, and a clash
+    means no chart rotations remove every reversal.  Kept as the reference
+    for the balance check on the configuration graph."""
+    color = {}
+    for start in m.edges:
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            for side in "EWNS":
+                if (e, side) not in m.gluings:
+                    continue
+                e2, _, rev = m.gluings[(e, side)]
+                want = color[e] ^ int(rev)
+                if e2 not in color:
+                    color[e2] = want
+                    stack.append(e2)
+                elif color[e2] != want:
+                    return False
+    return True
+
+
+# (1, 1) and (1, 0) at weight 2 build translation surfaces, the others not
+_RECIPE_SOURCES = [((1, 1), 2), ((1, 0), 2), ((0, 4), 2), ((1, 2), 3), ((2, 0), 3), ((2, 3), 4),
+                   (loch_ness_tree(3), 2), (ladder_tree(2), 2)]
+_TRANSLATION_CASES = st.one_of(
+    st.booleans().flatmap(square_tiled).map(_build),
+    st.sampled_from(_RECIPE_SOURCES).map(lambda src: build_multicurves(*src).complex),
+    st.builds(staircase_complex, st.integers(-6, 0), st.integers(1, 6),
+              st.sampled_from([2, 3, Fraction(5, 2)]), st.booleans()),
+    # double covers: the base is read with the reference, the cover is fresh
+    square_tiled(partial=False).map(_build).filter(lambda m: not _colouring_translation(m))
+    .map(orientation_double_cover),
+    st.sampled_from(_RECIPE_SOURCES[2:6]).map(
+        lambda src: orientation_double_cover(build_multicurves(*src).complex)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_TRANSLATION_CASES)
+def test_is_translation_is_the_colouring_walk(m):
+    """The balance check on the curves' two-sign lift gives the colouring
+    walk's verdict, and reads no side-gluing table to do so."""
+    got = is_translation(m)
+    assert "gluings" not in vars(m)
+    assert got == _colouring_translation(m)
+
+
 def _brute_corner_chains(edges, gluings):
     """Corner chains from coordinates: a quarter at (x, y) is left
     counterclockwise through the vertical side when (1-2x)(1-2y) > 0, else
@@ -506,7 +558,7 @@ def test_gluing_table_is_built_on_first_read():
              parse_surface(write_surface(st_float))]
     for m in built:
         # the invariants read the layouts, not the table
-        cylinders(m, "horizontal"), cone_points(m), m.frontier
+        cylinders(m, "horizontal"), cone_points(m), m.frontier, is_translation(m)
         if m.frontier:
             with pytest.raises(ValueError, match="window truncation"):
                 euler_characteristic(m)
@@ -624,3 +676,24 @@ def test_slot_walk_matches_the_dict_walk(case):
         assert str(got.value) == str(exc)
     else:
         assert _components(_slots(mapping, n)) == expected
+
+
+_OPEN_PILLOW = (2, {0: 1, 1: 0}, {0: 1}, {(0, "N")})  # one flipped arrow, one open curve
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: RibbonData.make({0: 0}, {0: 0}, flips=[(0, "W")]),
+                 "flip side must be E or N, got 'W'", id="flip-side-W"),
+    pytest.param(lambda: RibbonData.make({0: 1, 1: 1}, {}), "sigma_h is not injective",
+                 id="sigma-not-injective"),
+    pytest.param(lambda: build_surface(double_edge_graph(), RibbonData.make({0: 9}, {})),
+                 "sigma_h names edges [9] that are not in the graph", id="unknown-edge"),
+    pytest.param(lambda: cylinders(square_torus(), "diagonal"),
+                 "direction must be horizontal or vertical, got 'diagonal'", id="direction"),
+    pytest.param(lambda: orientation_double_cover(_build(_OPEN_PILLOW)),
+                 "double cover of a window truncation is not supported", id="cover-of-a-window"),
+])
+def test_refusals_name_what_is_wrong(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
