@@ -21,12 +21,12 @@ first use); an exact flow reads the complex's own sides and gluings
 canonical_point does.  The exit wall is the nearer of the E/W and the N/S
 wall ahead (E/W on a tie), and segments are Segment NamedTuples, cheap to
 make and still read by field name.  _walk checks the inputs, decides
-between exact and float, and runs the exact loop; a flow run in floats
-goes to _float_walk, a loop with the same IEEE operations in the same
-order (so the same results to the bit) but no test of the number kind per
-crossing and the landing on the next chart written out inline.
-Saddle searches run their rays through _walk without recording segments:
-they read only the terminal, the smallest corner distance and the length.
+between exact and float and sets up the speed once per launch, and runs
+each ray through the exact loop or, in floats, _float_walk, a loop with the
+same IEEE operations in the same order (so the same results to the bit) but
+no test of the number kind per crossing and the landing written out inline.
+flow() is one ray; a saddle search launches once and records no segments:
+it reads only the terminal, the smallest corner distance and the length.
 
 Twists act cylinder by cylinder: inside a horizontal cylinder of
 circumference c and height h with h/c = 1/lam, the point (x, y) in
@@ -45,10 +45,9 @@ from typing import NamedTuple
 from .quadfield import QuadExt, _number, quad_sqrt
 from .surfaces import RectangleComplex, _END_CORNER, _off_modulus
 
-_CORNER_COORDS = {
-    "SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1),
-}
-_ENTRY_TURNS = {"SW": 0, "SE": 1, "NE": 2, "NW": 3}
+# corner -> its chart position in units of the rectangle's width and
+# height, and the quarter turns that take a ray out of it
+_RAY_STARTS = {"SW": (0, 0, 0), "SE": (1, 0, 1), "NE": (1, 1, 2), "NW": (0, 1, 3)}
 
 
 class SurfacePoint(NamedTuple):
@@ -187,7 +186,7 @@ def flow(m: RectangleComplex, p0: SurfacePoint, direction, max_length,
     report the direction as given.
     """
     terminal, detail, final_point, final_direction, min_corner, _, segments = _walk(
-        m, p0, direction, max_length, corner_tol, _allow_corner_start, True)
+        m, direction, max_length, corner_tol, True, p0, _allow_corner_start)(p0, tuple(direction))
     return Trajectory(start=p0, direction=direction, segments=segments,
                       terminal=terminal, terminal_detail=detail,
                       final_point=final_point, final_direction=final_direction,
@@ -202,126 +201,141 @@ def _float_or_refuse(value, name: str) -> float:
         raise FlowError(f"{name} is too large for a float") from None
 
 
-def _walk(m, p0, direction, max_length, corner_tol, allow_corner_start, keep):
-    """flow()'s crossing loop.  Returns (terminal, terminal detail, final
-    point, final direction, smallest corner distance, length, segments):
-    length is the running sum of the segment lengths, added in segment
-    order, so it equals Trajectory.total_length of the same run; segments
-    is a tuple when keep is true, else None, and then none is built.
-    A flow that runs in floats is handed to _float_walk after the checks."""
-    dx, dy = direction
+def _quarter_turns(v) -> tuple:
+    """v turned by 0, 1, 2 and 3 quarter turns; negations and swaps keep signed zeros."""
+    x, y = v
+    return ((x, y), (-y, x), (-x, -y), (y, -x))
+
+
+def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_start=False):
+    """One launch of flow()'s crossing loop: checks the budget, flow()'s start
+    (a search has none) and the direction once, and returns ray(p, d_in),
+    which runs from p along d_in, a quarter turn of the direction, to
+    (terminal, terminal detail, final point, final direction, smallest corner
+    distance, length, segments): length sums the segment lengths in segment
+    order, as total_length does; segments is None unless keep is true."""
     if isinstance(max_length, float) and not math.isfinite(max_length):
         raise FlowError(f"length budget {max_length} is not finite")
     if max_length < 0:
         raise FlowError("length budget must be nonnegative")
-    _validate_point(m, p0)
-    if _is_corner(m, p0) and not allow_corner_start:
-        raise FlowError("start lies on a cone corner; launch via separatrices() instead")
-    e, x, y = p0.edge, p0.x, p0.y
-    d_in = (dx, dy)  # the direction as given, negated at each reversing gluing
+    if start is not None:
+        _validate_point(m, start)
+        if _is_corner(m, start) and not allow_corner_start:
+            raise FlowError("start lies on a cone corner; launch via separatrices() instead")
+    coords = () if start is None else (start.x, start.y)  # a search's rays start on corners
+    dx, dy = d_in = tuple(direction)  # the direction as given
     radicands = m.radicands
-    exact = radicands is not None and not any(isinstance(v, float) for v in (x, y, dx, dy))
+    exact = radicands is not None and not any(isinstance(v, float) for v in (*coords, dx, dy))
     if exact:
         dx, dy = _number(dx), _number(dy)
+        speed2 = dx * dx + dy * dy
+        try:
+            float2 = float(speed2)
+        except OverflowError:
+            float2 = math.inf
+        if not sys.float_info.min <= float2 < math.inf:  # keep times within float range
+            s = _sqrt_approx(speed2)
+            scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
+            dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
+            float2 = float(speed2)
     else:  # keep mixed inputs from dragging exact types through float math
-        x, y, dx, dy = (_float_or_refuse(v, name) for v, name in (
-            (x, "start x"), (y, "start y"), (dx, "direction dx"), (dy, "direction dy")))
+        dx, dy = _float_or_refuse(dx, "direction dx"), _float_or_refuse(dy, "direction dy")
         if not (math.isfinite(dx) and math.isfinite(dy)):  # an exact direction holds no float
             raise FlowError(f"direction ({dx}, {dy}) is not finite")
     sx = (dx > 0) - (dx < 0)  # signs of the direction; a reversing gluing flips both
     sy = (dy > 0) - (dy < 0)
     if not sx and not sy:  # zero, or exact values that round to 0 beside floats
         raise FlowError("direction must be nonzero")
+    # each quarter turn of the direction as given -> its working values and signs
+    turned = {d: (*v, *s) for d, v, s in zip(
+        _quarter_turns(d_in), _quarter_turns((dx, dy)), _quarter_turns((sx, sy)))}
     if not exact:
-        return _float_walk(m.charts, e, x, y, dx, dy, sx, sy, d_in,
-                           _float_or_refuse(max_length, "length budget"), corner_tol, keep)
+        rows, budget = m.charts, _float_or_refuse(max_length, "length budget")
+        return lambda p, d_in: _float_walk(
+            rows, p.edge, _float_or_refuse(p.x, "start x"), _float_or_refuse(p.y, "start y"),
+            *turned[d_in], d_in, budget, corner_tol, keep)
     width, height, gluings = m.width, m.height, m.gluings
     budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
     budget2 = budget * budget
-    speed2 = dx * dx + dy * dy
-    try:
-        float2 = float(speed2)
-    except OverflowError:
-        float2 = math.inf
-    if not sys.float_info.min <= float2 < math.inf:  # keep times within float range
-        s = _sqrt_approx(speed2)
-        scale = Fraction(2) ** (s.denominator.bit_length() - s.numerator.bit_length())
-        dx, dy, speed2 = dx * scale, dy * scale, speed2 * scale * scale
-        float2 = float(speed2)
     speed = _speed_in_field(speed2, radicands.union(
-        v.d for v in (x, y, dx, dy) if isinstance(v, QuadExt)))
+        v.d for v in (*coords, dx, dy) if isinstance(v, QuadExt)))
     float_speed = math.sqrt(float2)
     # below t_screen the exact cut test cannot succeed; the margin covers
     # the rounding of the float conversions
     t_screen = float(budget) / float_speed * (1 - 1e-12)
-    elapsed = 0  # exact time run so far
-    # running sum of the segment lengths in segment order; exact lengths
-    # start from int 0, as total_length does, so their sum stays exact
-    acc = 0.0 if speed is None else 0
-    segments = []
-    add = segments.append
-    new_tuple = tuple.__new__  # a Segment without the Python-level __new__
-    min_corner = math.inf
-    terminal = "budget"
-    detail = None
-    w, h = width[e], height[e]
-    for _ in range(_MAX_STEPS):
-        # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
-        if sx > 0:
-            tx = (w - x) / dx
-        elif sx:
-            tx = -x / dx
-        if sy > 0:
-            ty = (h - y) / dy
-        elif sy:
-            ty = -y / dy
-        across = not sy or (sx and not ty < tx)  # leaves through E or W
-        t = tx if across else ty
-        run = elapsed + t
-        if float(run) >= t_screen and run * run * speed2 >= budget2:
-            s = _sqrt_approx(speed2) if speed is None else speed
-            t_cut = min(max(budget / s - elapsed, 0), t)
-            cut_len = budget - acc  # acc is elapsed * speed when speed is exact
-            x2, y2 = x + t_cut * dx, y + t_cut * dy
-            acc += cut_len
-            if keep:
-                add(Segment(e, x, y, x2, y2, cut_len, d_in))
-            break
-        seg_len = t * speed if speed is not None else float(t) * float_speed
-        elapsed = run
-        x2, y2 = x + t * dx, y + t * dy
-        if across:
-            side = "E" if sx > 0 else "W"
-            coord, side_len = y2, h
-        else:
-            side = "N" if sy > 0 else "S"
-            coord, side_len = x2, w
-        if keep:
-            add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
-        acc += seg_len
-        # a float 0 may be a rounded near miss: the exact distance decides
-        f_coord, f_side = float(coord), float(side_len)
-        dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
-        if dist < min_corner:
-            min_corner = dist
-        if dist == 0:
-            end = "lo" if f_coord <= f_side / 2 else "hi"
-            terminal, detail = "singular", (e, _END_CORNER[(side, end)])
-            break
-        glue = gluings.get((e, side))
-        if glue is None:
-            terminal, detail = "window-exit", (e, side)
-            break
-        e, s2, rev = glue
+
+    def ray(p, d_in):
+        e, x, y = p
+        dx, dy, sx, sy = turned[d_in]
+        elapsed = 0  # exact time run so far
+        # running sum of the segment lengths in segment order; exact lengths
+        # start from int 0, as total_length does, so their sum stays exact
+        acc = 0.0 if speed is None else 0
+        segments = []
+        add = segments.append
+        new_tuple = tuple.__new__  # a Segment without the Python-level __new__
+        min_corner = math.inf
+        terminal = "budget"
+        detail = None
         w, h = width[e], height[e]
-        x, y = _land(w, h, s2, rev, coord)
-        if rev:
-            dx, dy, sx, sy = -dx, -dy, -sx, -sy
-            d_in = (-d_in[0], -d_in[1])
-    else:
-        raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
-    return (terminal, detail, SurfacePoint(e, x2, y2), d_in, min_corner,
-            acc, tuple(segments) if keep else None)
+        for _ in range(_MAX_STEPS):
+            # exit wall: the first of the E/W and N/S walls ahead; E/W wins a tie
+            if sx > 0:
+                tx = (w - x) / dx
+            elif sx:
+                tx = -x / dx
+            if sy > 0:
+                ty = (h - y) / dy
+            elif sy:
+                ty = -y / dy
+            across = not sy or (sx and not ty < tx)  # leaves through E or W
+            t = tx if across else ty
+            run = elapsed + t
+            if float(run) >= t_screen and run * run * speed2 >= budget2:
+                s = _sqrt_approx(speed2) if speed is None else speed
+                t_cut = min(max(budget / s - elapsed, 0), t)
+                cut_len = budget - acc  # acc is elapsed * speed when speed is exact
+                x2, y2 = x + t_cut * dx, y + t_cut * dy
+                acc += cut_len
+                if keep:
+                    add(Segment(e, x, y, x2, y2, cut_len, d_in))
+                break
+            seg_len = t * speed if speed is not None else float(t) * float_speed
+            elapsed = run
+            x2, y2 = x + t * dx, y + t * dy
+            if across:
+                side = "E" if sx > 0 else "W"
+                coord, side_len = y2, h
+            else:
+                side = "N" if sy > 0 else "S"
+                coord, side_len = x2, w
+            if keep:
+                add(new_tuple(Segment, (e, x, y, x2, y2, seg_len, d_in)))
+            acc += seg_len
+            # a float 0 may be a rounded near miss: the exact distance decides
+            f_coord, f_side = float(coord), float(side_len)
+            dist = min(f_coord, f_side - f_coord) or float(min(coord, side_len - coord))
+            if dist < min_corner:
+                min_corner = dist
+            if dist == 0:
+                end = "lo" if f_coord <= f_side / 2 else "hi"
+                terminal, detail = "singular", (e, _END_CORNER[(side, end)])
+                break
+            glue = gluings.get((e, side))
+            if glue is None:
+                terminal, detail = "window-exit", (e, side)
+                break
+            e, s2, rev = glue
+            w, h = width[e], height[e]
+            x, y = _land(w, h, s2, rev, coord)
+            if rev:
+                dx, dy, sx, sy = -dx, -dy, -sx, -sy
+                d_in = (-d_in[0], -d_in[1])
+        else:
+            raise FlowError(f"flow exceeded {_MAX_STEPS} crossings before the length budget")
+        return (terminal, detail, SurfacePoint(e, x2, y2), d_in, min_corner,
+                acc, tuple(segments) if keep else None)
+    return ray
 
 
 def _float_walk(rows, e, x, y, dx, dy, sx, sy, d_in, budget, corner_tol, keep):
@@ -511,13 +525,6 @@ def visit_lengths(traj: Trajectory, edge: int) -> list:
     return out
 
 
-def _rotate_quarters(vec, turns: int) -> tuple:
-    dx, dy = vec
-    for _ in range(turns % 4):
-        dx, dy = -dy, dx
-    return (dx, dy)
-
-
 def separatrices(m: RectangleComplex, index: int, direction):
     """Ray starts of the foliation leaves based at the cone point of corner
     cycle index.
@@ -534,27 +541,17 @@ def separatrices(m: RectangleComplex, index: int, direction):
     dx, dy = direction
     if dx == 0 and dy == 0:
         raise FlowError("direction must be nonzero")
-    # canonical foliation direction: angle in [0, pi)
-    if dy < 0 or (dy == 0 and dx < 0):
-        dx, dy = -dx, -dy
-    if dx > 0:
-        base_quarter, local = 0, (dx, dy)
-    else:  # dx == 0 puts the ray along the quarter's entry side
-        base_quarter, local = 1, (dy, -dx)
+    # canonical foliation direction, angle in [0, pi): the direction turned
+    # twice or not at all; dx == 0 puts the ray along the quarter's entry side
+    half = 2 if dy < 0 or (dy == 0 and dx < 0) else 0
+    base, turns = (0, half) if (-dx if half else dx) > 0 else (1, half + 3)
+    turned = _quarter_turns(direction)
     rays = []
-    j = 0
-    while True:
-        q = base_quarter + 2 * j
-        if q >= cycle.k:
-            break
-        edge, corner = cycle.corners[q]
-        cx, cy = _CORNER_COORDS[corner]
-        pos = SurfacePoint(edge,
-                           m.width[edge] * cx if cx else m.width[edge] - m.width[edge],
-                           m.height[edge] * cy if cy else m.height[edge] - m.height[edge])
-        chart_dir = _rotate_quarters(local, _ENTRY_TURNS[corner])
-        rays.append((pos, chart_dir))
-        j += 1
+    for edge, corner in cycle.corners[base::2]:
+        cx, cy, entry = _RAY_STARTS[corner]
+        w, h = m.width[edge], m.height[edge]
+        rays.append((SurfacePoint(edge, w * cx if cx else w - w, h * cy if cy else h - h),
+                     turned[(turns + entry) % 4]))
     return rays
 
 
@@ -572,30 +569,22 @@ def detect_saddle_connection(m: RectangleComplex, direction, length_bound) -> Sa
     Rays go out cycle by cycle in the order of m.corner_cycles (punctured
     cycles skipped), and within a cycle in the order separatrices() returns
     them; "first" is the first singular ray in that order, and the search
-    stops there.  Each ray runs flow()'s crossing loop without recording
-    segments; the found length is the ray's total_length."""
-    rays_launched = 0
-    window_exits = 0
+    stops there.  All rays share one launch of flow()'s crossing loop and
+    record no segments; the found length is the ray's total_length."""
+    ray = _walk(m, direction, length_bound, _CORNER_TOL, False)
+    rays = exits = 0
     min_corner = math.inf
     for cycle in m.corner_cycles:
         if cycle.puncture:
             continue
         for ridx, (pos, chart_dir) in enumerate(separatrices(m, cycle.index, direction)):
-            rays_launched += 1
-            terminal, detail, _, _, dist, length, _ = _walk(
-                m, pos, chart_dir, length_bound, _CORNER_TOL, True, False)
-            if dist < min_corner:
-                min_corner = dist
+            rays += 1
+            terminal, detail, _, _, dist, length, _ = ray(pos, chart_dir)
+            min_corner = min(min_corner, dist)
             if terminal == "singular":
-                return SaddleSearchReport(
-                    found=(cycle.index, ridx, detail, length),
-                    rays_launched=rays_launched, window_exits=window_exits,
-                    min_corner_distance=dist)
-            if terminal == "window-exit":
-                window_exits += 1
-    return SaddleSearchReport(found=None, rays_launched=rays_launched,
-                              window_exits=window_exits,
-                              min_corner_distance=min_corner)
+                return SaddleSearchReport((cycle.index, ridx, detail, length), rays, exits, dist)
+            exits += terminal == "window-exit"
+    return SaddleSearchReport(None, rays, exits, min_corner)
 
 
 def twist_action(m: RectangleComplex, family: str, p: SurfacePoint, power: int,

@@ -26,7 +26,10 @@ Every computation here is exact exactly when its inputs are: rational or
 quadratic-field lam and entries give exact matrices, directions and
 verdicts, and a float anywhere makes the result float.  Exact values are
 compared with ==, and once a float is involved with a tolerance
-(`quadfield._equal`; every float verdict uses the one tolerance 1e-9).
+(`quadfield._equal`): 1e-12 for the determinant check of MobiusClass.make
+and for is_identity, which classify asks first, and 1e-9 for every other
+float verdict, so classify(MobiusClass(1.0, 5e-10, 0.0, 1.0)) is
+"parabolic".
 The one exception is an exact hyperbolic matrix whose trace is
 irrational: its eigendirections are floats.
 """

@@ -27,6 +27,28 @@ from numbers import Rational
 
 
 _TRIAL_LIMIT = 1 << 20  # largest trial divisor
+# below _PSI13, a strong probable prime to the bases _SPRP_BASES is prime
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017)
+_PSI13 = 3317044064679887385961981
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41 to every base in _SPRP_BASES."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -36,7 +58,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     Every prime factor of what is left is at least p, so a cofactor below
     p**3, or below 2**60 once every p up to 2**20 is tried, has at most two
     of them: it is squarefree unless it is the square of a prime.  A larger
-    cofactor that is not a square could hide a squared prime: ValueError.
+    cofactor is squarefree when it is a prime below _PSI13, which the
+    strong probable prime test decides there; any other cofactor that is
+    not a square could hide a squared prime: ValueError.
     """
     if n < 0:
         raise ValueError("negative radicand")
@@ -53,7 +77,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     t = _isqrt(r)
     if t * t == r:
         s *= t
-    elif r >= _TRIAL_LIMIT ** 3:
+    elif r >= _TRIAL_LIMIT ** 3 and not (r < _PSI13 and _is_strong_probable_prime(r)):
         raise ValueError(f"radicand {n} is too large to split off its square part")
     return s, n // (s * s)
 

@@ -1,6 +1,7 @@
 """Straight-line flow, twists, separatrices, convergence scenarios."""
 
 import dataclasses
+import importlib
 import itertools
 import math
 import random
@@ -34,6 +35,9 @@ from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, loch_ness_tree
 from multitwist.surfaces import (RibbonData, build_surface, mark_faces, square_torus,
                                  staircase_complex)
+
+
+flow_module = importlib.import_module("multitwist.flow")  # the package exports flow()
 
 
 def pillowcase():
@@ -410,6 +414,19 @@ class TestSeparatrices:
                     assert (separatrices(m, cyc.index, (-dx, -dy))
                             == separatrices(m, cyc.index, (dx, dy)))
 
+    @pytest.mark.parametrize("direction, expected", [
+        ((0.0, 1.0), [(-0.0, -1.0), (0.0, 1.0)]),
+        ((-0.0, 1.0), [(0.0, -1.0), (-0.0, 1.0)]),
+        ((1.0, 0.0), [(-1.0, -0.0), (1.0, 0.0)]),
+        ((1.0, -0.0), [(-1.0, 0.0), (1.0, -0.0)]),
+    ])
+    def test_axis_rays_keep_signed_zeros(self, direction, expected):
+        # quarter turns are negations and swaps, so the sign of a zero
+        # component follows the direction as given
+        rays = [d for _, d in separatrices(square_torus(), 0, direction)]
+        signs = [[math.copysign(1, v) for v in d] for d in rays]
+        assert rays == expected and signs == [[math.copysign(1, v) for v in d] for d in expected]
+
     def test_puncture_refused(self):
         m = pillowcase()
         m2 = mark_faces(m, [0])
@@ -508,7 +525,7 @@ class TestSaddleSearchWalk:
         terminals = set()
         for m, p, d, length in runs:
             traj = flow(m, p, d, length, _allow_corner_start=True)
-            got = _walk(m, p, d, length, 1e-9, True, False)
+            got = _walk(m, d, length, 1e-9, False, p, True)(p, d)
             assert got[:5] == (traj.terminal, traj.terminal_detail, traj.final_point,
                                traj.final_direction, traj.min_corner_distance)
             assert got[5] == traj.total_length and type(got[5]) is type(traj.total_length)
@@ -537,6 +554,37 @@ class TestSaddleSearchWalk:
         rep = _assert_same_search(square_torus(), (1, 0), 2)
         assert rep.found is not None and rep.found[3] == 1
 
+    def test_exact_golden_window_speed_in_the_field(self):
+        # speed sqrt(5) lies in Q(sqrt 5): each ray's length is exact
+        st = staircase_complex(-8, 9, 3)
+        rep = _assert_same_search(st, (1, 2), 20)
+        assert rep.found is None and rep.rays_launched == 36 and rep.window_exits == 0
+        pos, chart_dir = separatrices(st, 0, (1, 2))[0]
+        assert flow(st, pos, chart_dir, 20, _allow_corner_start=True).total_length == 20
+
+    def test_exact_golden_window_speed_outside_the_field(self):
+        # speed sqrt(10) lies outside Q(sqrt 5): the found length is a float
+        rep = _assert_same_search(staircase_complex(-8, 9, 3), (1, 3), 6)
+        assert (rep.rays_launched, rep.window_exits) == (2, 1)
+        assert type(rep.found[3]) is float and rep.found[3] == pytest.approx(0.0098208, rel=1e-4)
+
+    def test_one_launch_per_search(self, monkeypatch):
+        """The budget, the direction and the exact speed are read once per
+        search, whatever the number of rays."""
+        calls = []
+        speed_in_field, float_or_refuse = flow_module._speed_in_field, flow_module._float_or_refuse
+        monkeypatch.setattr(flow_module, "_speed_in_field",
+                            lambda *args: calls.append("speed") or speed_in_field(*args))
+        monkeypatch.setattr(flow_module, "_float_or_refuse",
+                            lambda v, name: calls.append(name) or float_or_refuse(v, name))
+        rep = detect_saddle_connection(staircase_complex(-8, 9, 2), (2, 3), 20)
+        assert rep.rays_launched > 1 and calls == ["speed"]
+        calls.clear()
+        rep = detect_saddle_connection(staircase_complex(-8, 9, 3, exact=False), (0.6, 0.8), 30.0)
+        assert rep.rays_launched > 1 and "speed" not in calls
+        assert [calls.count(n) for n in ("direction dx", "direction dy", "length budget")] == [1, 1, 1]
+        assert calls.count("start x") == calls.count("start y") == rep.rays_launched
+
     def test_total_length_adds_in_segment_order(self):
         # a compensated sum (built-in sum() on Python 3.12+) gives 1e16 + 2
         p = SurfacePoint(0, 0.5, 0.5)
@@ -544,6 +592,28 @@ class TestSaddleSearchWalk:
                      for length in (1e16, 1.0, 1.0))
         traj = Trajectory(p, (1.0, 0.0), segs, "budget", None, p, (1.0, 0.0), math.inf)
         assert traj.total_length == 1e16
+
+
+_PLAIN_WINDOW = staircase_complex(-4, 5, 2, exact=False)
+
+
+@pytest.mark.parametrize("direction, budget", [
+    ((1.0, 2.0), math.nan), ((1.0, 2.0), -1.0), ((0, 0), 5.0), ((math.nan, 1.0), 5.0),
+], ids=["nan-budget", "negative-budget", "zero-direction", "nan-direction"])
+def test_a_search_refuses_before_its_first_ray_what_flow_refuses(direction, budget):
+    """A window whose every corner cycle is punctured launches no ray, yet
+    its search refuses bad input as flow() does; a refused direction is
+    named as given, not as a separatrix's turned chart direction."""
+    punctured = mark_faces(_PLAIN_WINDOW, range(len(_PLAIN_WINDOW.corner_cycles)))
+    assert all(c.puncture for c in punctured.corner_cycles)
+    with pytest.raises(FlowError) as want:
+        flow(_PLAIN_WINDOW, SurfacePoint(0, 0.3, 0.2), direction, budget)
+    for m in (punctured, _PLAIN_WINDOW):
+        with pytest.raises(FlowError) as got:
+            detect_saddle_connection(m, direction, budget)
+        assert str(got.value) == str(want.value)
+    if math.isnan(direction[0]):
+        assert str(want.value) == "direction (nan, 1.0) is not finite"
 
 
 def _reversals(traj) -> int:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import multitwist
+from multitwist.formats import parse_number
 from multitwist.quadfield import QuadExt, _sign, _squarefree_split, quad_sqrt, root_plus
 
 
@@ -39,6 +40,26 @@ def test_squarefree_split_stops_trial_division_at_two_to_the_twenty():
     assert _squarefree_split(3 * 3 * p) == (3, p)
     with pytest.raises(ValueError, match=f"radicand {p ** 3} is too large"):
         _squarefree_split(p ** 3)
+
+
+def test_squarefree_split_accepts_a_large_prime_cofactor():
+    # 2**61 - 1 is prime: above 2**60 the split asks a strong probable
+    # prime test, which decides primality below psi13
+    assert _squarefree_split(2**61 - 1) == (1, 2**61 - 1)
+    assert _squarefree_split(9 * (2**61 - 1)) == (3, 2**61 - 1)
+    assert QuadExt(0, 1, 2**61 - 1).d == 2**61 - 1
+    assert parse_number("0+1r2305843009213693951") == QuadExt(0, 1, 2**61 - 1)
+    assert _squarefree_split(3317044064679887385961813) == (1, 3317044064679887385961813)
+
+
+@pytest.mark.parametrize("n", [
+    (2**31 - 1) * (10**9 + 7),  # composite above 2**60: it fails the test
+    3317044064679887385961981,  # psi13 = 1287836182261 * 2575672364521 passes every base
+    2**89 - 1,  # prime, but at or above psi13 the test no longer decides
+], ids=["composite", "psi13", "prime-beyond-psi13"])
+def test_squarefree_split_refuses_what_the_prime_test_cannot_settle(n):
+    with pytest.raises(ValueError, match=f"radicand {n} is too large to split off its square part"):
+        _squarefree_split(n)
 
 
 def test_large_radicand_is_refused_in_a_fresh_interpreter():
