@@ -333,7 +333,7 @@ def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, 
     if (start is None) != (direction is None):
         raise click.UsageError("--start and --dir go together")
     m = formats.parse_surface(_read(surface_file))
-    trajs = [formats.parse_trajectory(_read(tf)) for tf in traj_files]
+    trajs = [_read_dump(tf, m) for tf in traj_files]
     if start is not None:
         p0 = _parse_start(start, False)
         trajs.append(flow(m, p0, _parse_direction(direction, False), length))
@@ -342,6 +342,18 @@ def svg_cmd(surface_file, traj_files, start, direction, length, shade_coverage, 
         for t in trajs:
             shade |= {edge for edge, *_ in t.segments}
     _write_out(out, svgmod.surface_svg(m, trajectories=trajs, shade=shade))
+
+
+def _read_dump(path: str, m):
+    """The trajectory dump in path, to be drawn on m: a seg record naming a
+    rectangle m lacks is refused by its line."""
+    text = _read(path)
+    dump = formats.parse_trajectory(text)
+    if not m.width.keys() >= {seg[0] for seg in dump.segments}:
+        records, _ = formats._records(text, formats._TRAJECTORY)
+        line, e = next((line, e) for line, (_, e, *_) in records["seg"] if int(e) not in m.width)
+        raise formats.FormatError(f"seg names edge {int(e)} that is not in the surface", line)
+    return dump
 
 
 if __name__ == "__main__":

@@ -246,9 +246,13 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
     sy = (dy > 0) - (dy < 0)
     if not sx and not sy:  # zero, or exact values that round to 0 beside floats
         raise FlowError("direction must be nonzero")
-    # each quarter turn of the direction as given -> its working values and signs
-    turned = {d: (*v, *s) for d, v, s in zip(
-        _quarter_turns(d_in), _quarter_turns((dx, dy)), _quarter_turns((sx, sy)))}
+    # each quarter turn of the direction as given that a ray may take -> its
+    # working values and signs
+    if start is None:  # a search: separatrices run along every turn
+        turned = {d: (*v, *s) for d, v, s in zip(
+            _quarter_turns(d_in), _quarter_turns((dx, dy)), _quarter_turns((sx, sy)))}
+    else:  # flow(): one ray along the direction as given
+        turned = {d_in: (dx, dy, sx, sy)}
     if not exact:
         rows, budget = m.charts, _float_or_refuse(max_length, "length budget")
         return lambda p, d_in: _float_walk(

@@ -27,6 +27,8 @@ class FormatError(ValueError):
 
 
 def format_number(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, QuadExt):
         if x.b == 0:
             return str(x.a)
@@ -64,8 +66,11 @@ def parse_number(tok: str, line: int = 0):
     digits), anything else as a float; a token none of these read, or one
     with a zero denominator, is a FormatError.  Both exact forms are
     checked here before Fraction reads them, so what they accept does not
-    change with the Python version."""
+    change with the Python version.  They are built from digits, signs, /
+    and r alone, so a token holding . or e can only be a float."""
     try:
+        if "." in tok or "e" in tok:
+            return float(tok)
         if "r" in tok:
             parts = _quad_parts(tok)
             if parts is not None:
@@ -99,7 +104,7 @@ def _records(text: str, table: dict) -> tuple:
     seen = set()  # once tags read so far
     end = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = tuple(raw.partition("#")[0].split())
+        toks = tuple((raw.partition("#")[0] if "#" in raw else raw).split())
         if not toks:
             continue
         tag = toks[0]
@@ -161,7 +166,11 @@ def _read_graph(records, end: int) -> tuple:
         if toks[0] == "bipartite":
             header = tuple(_int(t, lineno) for t in toks[1:]) + (lineno,)
         else:
-            e, i, j = (_int(t, lineno) for t in toks[1:])
+            _, e, i, j = toks
+            try:
+                e, i, j = int(e), int(i), int(j)
+            except ValueError:  # the walk over the tokens that names the fault
+                e, i, j = (_int(t, lineno) for t in toks[1:])
             if e in edges:
                 raise FormatError(f"duplicate edge id {e}", lineno)
             edges[e] = (i, j)
@@ -268,46 +277,50 @@ def parse_surface(text: str) -> RectangleComplex:
 def _read_surface(records, end: int) -> tuple:
     """A surface file's records, read by the graph, harmonic and ribbon
     readers in turn: (graph, harmonic data or None without lambda and h
-    records, the sigma_h and sigma_v successor maps, flips, the line of
-    the record naming each edge in each map and in the graph, face marks
-    as (tag, cycle index, line))."""
-    graph, where = _read_graph(records["graph"], end)
-    edges = graph.edge_map()
+    records, the sigma_h and sigma_v successor maps, the flips (keys of a
+    dict), the line of the record naming each edge in each map and in the
+    graph, face marks as (tag, cycle index, line))."""
+    graph, where = _read_graph(records["graph"], end)  # where has one key per graph edge
     harmonic = _read_harmonic(records["harmonic"], end) if records["harmonic"] else None
 
     def edge(tok, tag, line):
         e = _int(tok, line)
-        if e not in edges:
+        if e not in where:
             raise FormatError(f"{tag} names edge {e} that is not in the graph", line)
         return e
 
     sigma = {"sigma_h": {}, "sigma_v": {}}
     # edge, or (edge, side) for a flip -> line of the record naming it
     named = {"sigma_h": {}, "sigma_v": {}, "flip": {}, "edge": where}
-    flips = set()
+    flips = named["flip"]
     faces = []  # (tag, cycle index, line)
     for lineno, toks in records["ribbon"]:
         tag = toks[0]
-        if tag.startswith("sigma"):
-            name = tag.rstrip("*")
-            seq = [edge(t, name, lineno) for t in toks[1:]]
-            for e in seq:
-                if e in named[name]:
-                    raise FormatError(f"{name} names edge {e} twice", lineno)
-                named[name][e] = lineno
-            target = sigma[name]
-            for a, b in zip(seq, seq[1:]):
-                target[a] = b
-            if not tag.endswith("*"):
-                target[seq[-1]] = seq[0]
-        elif tag == "flip":
+        if tag == "flip":
             if toks[2] not in ("E", "N"):
                 raise FormatError("flip needs <edge> <E|N>", lineno)
             flip = (edge(toks[1], tag, lineno), toks[2])
             if flip in flips:
                 raise FormatError(f"flip {flip[0]} {flip[1]} named twice", lineno)
-            flips.add(flip)
-            named["flip"][flip] = lineno
+            flips[flip] = lineno
+        elif tag.startswith("sigma"):
+            name = tag.rstrip("*")
+            lines, target = named[name], sigma[name]
+            try:
+                seq = [*map(int, toks[1:])]
+            except ValueError:
+                seq = None
+            if seq is None or not all(map(where.__contains__, seq)):
+                seq = [edge(t, name, lineno) for t in toks[1:]]  # names the token at fault
+            # each edge's arrow to the next; a cycle's last edge goes to its first
+            prev = None if tag.endswith("*") else seq[-1]
+            for e in seq:
+                if e in lines:
+                    raise FormatError(f"{name} names edge {e} twice", lineno)
+                lines[e] = lineno
+                if prev is not None:
+                    target[prev] = e
+                prev = e
         else:
             faces.append((tag, _int(toks[1], lineno), lineno))
     return graph, harmonic, sigma, flips, named, faces
@@ -338,10 +351,9 @@ def dump_of(traj) -> TrajectoryDump:
 
 def write_trajectory(traj_or_dump) -> str:
     dump = traj_or_dump if isinstance(traj_or_dump, TrajectoryDump) else dump_of(traj_or_dump)
-    lines = []
-    for e, xi, yi, xo, yo, ln in dump.segments:
-        lines.append(f"seg {e} {format_number(xi)} {format_number(yi)} "
-                     f"{format_number(xo)} {format_number(yo)} {format_number(ln)}")
+    f = format_number
+    lines = [f"seg {e} {f(xi)} {f(yi)} {f(xo)} {f(yo)} {f(ln)}"
+             for e, xi, yi, xo, yo, ln in dump.segments]
     lines.append(" ".join(("end", dump.terminal) + dump.detail))
     return "\n".join(lines) + "\n"
 
@@ -351,13 +363,26 @@ _TRAJECTORY = {"seg": ("seg", "<edge> <x_in> <y_in> <x_out> <y_out> <length>"),
 
 
 def parse_trajectory(text: str) -> TrajectoryDump:
+    """A trajectory dump; a seg value must be finite."""
     records, end = _records(text, _TRAJECTORY)
-    segs = tuple((_int(toks[1], lineno),) + tuple(parse_number(t, lineno) for t in toks[2:])
-                 for lineno, toks in records["seg"])
+    num, finite = parse_number, math.isfinite
+    segs = []
+    for lineno, (_, e, t1, t2, t3, t4, t5) in records["seg"]:
+        e = _int(e, lineno)
+        x1, y1, x2, y2, ln = vals = (num(t1, lineno), num(t2, lineno), num(t3, lineno),
+                                     num(t4, lineno), num(t5, lineno))
+        # only a float can be infinite or NaN
+        if (type(x1) is float and not finite(x1) or type(y1) is float and not finite(y1)
+                or type(x2) is float and not finite(x2) or type(y2) is float and not finite(y2)
+                or type(ln) is float and not finite(ln)):
+            tok = next(t for t, v in zip((t1, t2, t3, t4, t5), vals)
+                       if type(v) is float and not finite(v))
+            raise FormatError(f"seg value {tok} is not finite", lineno)
+        segs.append((e, x1, y1, x2, y2, ln))
     if not records["end"]:
         raise FormatError("missing end record", end)
     (_, (_, terminal, *detail)), = records["end"]
-    return TrajectoryDump(segments=segs, terminal=terminal, detail=tuple(detail))
+    return TrajectoryDump(segments=tuple(segs), terminal=terminal, detail=tuple(detail))
 
 
 # -- trees ------------------------------------------------------------------

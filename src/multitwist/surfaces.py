@@ -106,8 +106,9 @@ class RibbonData(NamedTuple):
 
     @staticmethod
     def make(sigma_h, sigma_v, flips=()) -> "RibbonData":
-        sh = dict(sorted((int(a), int(b)) for a, b in dict(sigma_h).items()))
-        sv = dict(sorted((int(a), int(b)) for a, b in dict(sigma_v).items()))
+        sh, sv = dict(sigma_h), dict(sigma_v)
+        sh = dict(sorted(zip(map(int, sh), map(int, sh.values()))))
+        sv = dict(sorted(zip(map(int, sv), map(int, sv.values()))))
         fl = frozenset((int(e), str(s)) for e, s in flips)
         for e, s in fl:
             if s not in ("E", "N"):

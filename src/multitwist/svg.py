@@ -13,11 +13,11 @@ from .surfaces import RectangleComplex
 
 _ROW_GAP = 0.6
 _SCALE = 60.0  # pixels per unit length
-_FMT = "{:.6f}"
+_FMT = ".6f"
 
 
 def _f(x) -> str:
-    return _FMT.format(float(x))
+    return format(float(x), _FMT)
 
 
 class _Layout:
@@ -56,40 +56,45 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None) -> str:
     lay = _Layout(m)
     shade = set(shade or ())
     pad = 0.5
-    width = (lay.total_w + 2 * pad) * _SCALE
-    height = (lay.total_h + 2 * pad) * _SCALE
+    width = _f((lay.total_w + 2 * pad) * _SCALE)
+    height = _f((lay.total_h + 2 * pad) * _SCALE)
 
+    # layout coordinates are floats already
     def sx(x):
-        return _f((x + pad) * _SCALE)
+        return format((x + pad) * _SCALE, _FMT)
 
     def sy(y):
         # flip: mathematical y grows upward
-        return _f((lay.total_h - y + pad) * _SCALE)
+        return format((lay.total_h - y + pad) * _SCALE, _FMT)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-        f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
         '<g font-family="monospace" font-size="10">',
     ]
+    gluings = m.gluings
     for e in sorted(lay.pos):
         x0, y0, w, h, o = lay.pos[e]
         fill = "#cfe8ff" if e in shade else "#ffffff"
-        out.append(f'<rect x="{sx(x0)}" y="{sy(y0 + h)}" width="{_f(w * _SCALE)}" '
+        # the label sits at the centre, the gluing annotations at the
+        # midpoints of the east and north sides
+        west, mid_x, east = sx(x0), sx(x0 + w / 2), sx(x0 + w)
+        top, mid_y = sy(y0 + h), sy(y0 + h / 2)
+        out.append(f'<rect x="{west}" y="{top}" width="{_f(w * _SCALE)}" '
                    f'height="{_f(h * _SCALE)}" fill="{fill}" stroke="#333333" '
                    'stroke-width="1"/>')
-        cx, cy = x0 + w / 2, y0 + h / 2
         rot = "" if o == 1 else " (rot)"
-        out.append(f'<text x="{sx(cx)}" y="{sy(cy)}" text-anchor="middle">'
+        out.append(f'<text x="{mid_x}" y="{mid_y}" text-anchor="middle">'
                    f'{e}{rot}</text>')
-        # gluing annotations on the east and north sides
-        for side, ax, ay in (("E", x0 + w, cy), ("N", cx, y0 + h)):
-            if (e, side) in m.gluings:
-                e2, s2, rev = m.gluings[(e, side)]
+        for side, ax, ay in (("E", east, mid_y), ("N", mid_x, top)):
+            glue = gluings.get((e, side))
+            if glue is not None:
+                e2, s2, rev = glue
                 label = f"{e2}{s2}{'~' if rev else ''}"
             else:  # a frontier side
                 label = "…"
-            out.append(f'<text x="{sx(ax)}" y="{sy(ay)}" text-anchor="middle" '
+            out.append(f'<text x="{ax}" y="{ay}" text-anchor="middle" '
                        f'fill="#888888" font-size="7">{label}</text>')
     palette = ("#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
     for k, traj in enumerate(trajectories):
@@ -97,15 +102,16 @@ def surface_svg(m: RectangleComplex, trajectories=(), shade=None) -> str:
         for edge, x_in, y_in, x_out, y_out, *_ in traj.segments:
             x1, y1 = lay.point(edge, x_in, y_in)
             x2, y2 = lay.point(edge, x_out, y_out)
-            out.append(f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" '
-                       f'y2="{sy(y2)}" stroke="{color}" stroke-width="1.5"/>')
-        if traj.segments:  # (x2, y2) is where the last segment leaves
+            out_x, out_y = sx(x2), sy(y2)
+            out.append(f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{out_x}" '
+                       f'y2="{out_y}" stroke="{color}" stroke-width="1.5"/>')
+        if traj.segments:  # (out_x, out_y) is where the last segment leaves
             if traj.terminal == "window-exit":
-                out.append(f'<circle cx="{sx(x2)}" cy="{sy(y2)}" r="4" '
+                out.append(f'<circle cx="{out_x}" cy="{out_y}" r="4" '
                            f'fill="none" stroke="{color}" stroke-width="1.5" '
                            'stroke-dasharray="2,2"/>')
             elif traj.terminal == "singular":
-                out.append(f'<circle cx="{sx(x2)}" cy="{sy(y2)}" r="3" '
+                out.append(f'<circle cx="{out_x}" cy="{out_y}" r="3" '
                            f'fill="{color}"/>')
     out.append("</g>")
     out.append("</svg>")

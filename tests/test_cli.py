@@ -614,6 +614,11 @@ REFUSALS = {
     "truncated-boundary-lambda-inf": (["harmonic", "{ladder}", "--mode", "truncated",
                                        "--lambda", "3", "--boundary", "{infboundary}"], 2,
                                       "line 1: lambda inf is not finite"),
+    # a dump drawn on a surface: each seg value finite, each seg edge in the surface
+    "svg-traj-non-finite": (["svg", "{surf}", "--traj", "{nantraj}"], 2,
+                            "error: line 1: seg value nan is not finite"),
+    "svg-traj-unknown-edge": (["svg", "{surf}", "--traj", "{edgetraj}"], 2,
+                              "error: line 1: seg names edge 99 that is not in the surface"),
     # a rational beyond float range is compared exactly, and refused where
     # a float is needed: the eigendirections of an irrational trace, --float,
     # the float truncated solve
@@ -638,7 +643,8 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
              "missing": tmp_path / "missing" / "out", "badflip": tmp_path / "flip.surf",
              "infh": tmp_path / "infh.surf", "nanlam": tmp_path / "nanlam.surf",
              "infboundary": tmp_path / "inf.harm", "bigboundary": tmp_path / "big.harm",
-             "path": tmp_path / "path.graph"}
+             "path": tmp_path / "path.graph", "nantraj": tmp_path / "nan.traj",
+             "edgetraj": tmp_path / "edge.traj"}
     files["ladder"].write_text(LADDER)
     files["empty"].write_text("bipartite 0 0 0 2\n")
     files["path"].write_text("bipartite 2 2 3 2\nedge 0 0 3\nedge 1 2 3\nedge 2 2 1\n")
@@ -650,6 +656,8 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
     files["badflip"].write_text(files["surf"].read_text() + "flip 3 E\n")
     files["loch"].write_text(formats.write_surface(build_multicurves(loch_ness_tree(2), 2).complex))
     files["boundary"].write_text("lambda 2\nh -3 1\nh 3 1\n")
+    files["nantraj"].write_text("seg 0 nan 0.2 inf 0.4 0.5\nend budget\n")
+    files["edgetraj"].write_text("seg 99 0.1 0.2 0.3 0.4 0.5\nend budget\n")
     res = runner.invoke(main, [a.format(**files) for a in argv])
     assert res.exit_code == code, res.output
     assert isinstance(res.exception, SystemExit), res.exception

@@ -1,5 +1,6 @@
 """File formats: round trips, exact-value serialization, error reporting."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from multitwist import formats
 from multitwist.cli import main
 from multitwist.flow import SurfacePoint, flow
-from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, LadderFamily, harmonic_closed_form
+from multitwist.graphs import (BipartiteConfigGraph, HarmonicAssignment, LadderFamily,
+                               harmonic_closed_form, perron_pair)
 from multitwist.quadfield import QuadExt
 from multitwist.recipe import EndTreeSpec, build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import RibbonData, build_surface, mark_faces, square_torus, staircase_complex
+from multitwist.svg import surface_svg
 from test_recipe import _TREE_GRID
 from test_surfaces import _build, square_tiled
 
@@ -54,6 +57,59 @@ class TestNumbers:
         with pytest.raises(formats.FormatError) as err:
             formats.parse_number(tok, line=7)
         assert str(err.value) == f"line 7: bad number {tok!r}" and err.value.line == 7
+
+
+def _reference_parse_number(tok: str, line: int = 0):
+    """parse_number as it read tokens before its float shortcut: the exact
+    forms are tried first, float() reads the rest."""
+    def is_ratio(s):
+        num, slash, den = s.partition("/")
+        return num.isdecimal() and (not slash or den.isdecimal())
+
+    try:
+        if "r" in tok:
+            head, _, d = tok.partition("r")
+            cut = max(head.rfind("+"), head.rfind("-"))
+            a, b = head[:cut], head[cut + 1:]
+            if (cut > 0 and d.removesuffix("\n").isdecimal() and is_ratio(b)
+                    and is_ratio(a[1:] if a[:1] in ("+", "-") else a)):
+                b = Fraction(b)
+                return QuadExt(Fraction(a), -b if head[cut] == "-" else b, int(d))
+        if is_ratio(tok[1:] if tok[:1] in ("+", "-") else tok):
+            return Fraction(tok)
+        return float(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise formats.FormatError(f"bad number {tok!r}", line) from exc
+
+
+def _outcome(parse, tok):
+    """(kind, value) of parse(tok, 7): a float as its repr, so that the sign
+    of zero and NaN compare; an error as its text."""
+    try:
+        x = parse(tok, 7)
+    except formats.FormatError as err:
+        return "error", str(err)
+    return type(x).__name__, repr(x) if isinstance(x, float) else x
+
+
+# float reprs, their other spellings, and tokens mixing the characters the
+# exact forms are built from with those of floats
+NUMBER_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-inf", "+Infinity", "-iNfInItY", "1e308",
+                     "1e309", "-1e309", "5e-324", "-0.0", "+0.0", "0e0", "1E5", "2.2250738585072014e-308"]),
+    st.text(alphabet="0123456789.er/+-_", max_size=12))
+
+
+class TestNumberShortcut:
+    @settings(max_examples=500)
+    @given(NUMBER_TOKENS)
+    def test_parse_number_reads_as_before(self, tok):
+        assert _outcome(formats.parse_number, tok) == _outcome(_reference_parse_number, tok)
+
+    @given(st.floats())
+    def test_format_number_of_a_float_is_its_repr(self, x):
+        assert formats.format_number(x) == repr(x)
 
 
 class TestGraphFormat:
@@ -433,7 +489,10 @@ class TestParserFuzz:
     @given(st.data())
     def test_cli_svg_exits_2_on_a_malformed_trajectory(self, data):
         text = data.draw(edited(data.draw(st.sampled_from(TRAJECTORIES))))
-        assume(not _parses_or_names_a_line(formats.parse_trajectory, text))
+        # a dump that parses is malformed for the surface when it names a
+        # rectangle the surface lacks
+        assume(not _parses_or_names_a_line(formats.parse_trajectory, text)
+               or not {s[0] for s in formats.parse_trajectory(text).segments} <= STAIR.width.keys())
         res = self._cli(["svg", "s.surf", "--traj", "t.traj"], {"s.surf": STAIRCASE, "t.traj": text})
         assert res.exit_code == 2, res.output
         assert "error: line " in res.output
@@ -476,6 +535,22 @@ class TestTrajectoryFormat:
         assert dump.terminal == traj.terminal
         assert len(dump.segments) == len(traj.segments)
         assert dump.segments[0][1] == Fraction(1, 4)
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "-Infinity", "1e400"])
+    def test_non_finite_seg_value_names_its_line(self, field, tok):
+        values = ["0.1", "0.2", "0.3", "0.4", "0.5"]
+        values[field] = tok
+        text = f"seg 0 0.1 0.2 0.3 0.4 0.5\n# x\nseg 1 {' '.join(values)}\nend budget\n"
+        with pytest.raises(formats.FormatError) as err:
+            formats.parse_trajectory(text)
+        assert str(err.value) == f"line 3: seg value {tok} is not finite"
+
+    def test_exact_seg_values_beyond_float_range_are_finite(self):
+        big = "1" + "0" * 400
+        dump = formats.parse_trajectory(f"seg 0 {big} 1/3 {big}/7 1+1r5 0.5\nend budget\n")
+        assert dump.segments[0][1:4] == (Fraction(10 ** 400), Fraction(1, 3),
+                                          Fraction(10 ** 400, 7))
 
 
 class TestTreeFormat:
@@ -524,3 +599,47 @@ class TestTreeFormat:
     def test_unwritable_id_is_refused(self, vertex):
         with pytest.raises(ValueError, match="vertex id"):
             formats.write_tree(EndTreeSpec.make(vertex, {}, frontier={vertex}))
+
+
+def _pinned_corpus():
+    """(name, complex, trajectories) whose dumps and pictures are pinned:
+    float staircase flows ending at a window edge, at the budget and at a
+    corner, a Fraction flow on the square torus, a Q(sqrt 5) flow, and
+    float flows on a Perron recipe surface through reversing gluings."""
+    fl = staircase_complex(-4, 5, 2, exact=False)
+    floats = [flow(fl, SurfacePoint(*p), d, length) for p, d, length in (
+        ((0, 0.25, 0.5), (1.0, 0.7), 40.0), ((3, 0.1, 0.9), (-0.3, 1.0), 200.0),
+        ((-2, 0.5, 0.5), (1.0, -2.0), 15.0), ((0, 0.5, 0.5), (1.0, 1.0), 50.0))]
+    torus = square_torus()
+    fractions = [flow(torus, SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)), (3, 4),
+                      Fraction(17, 2))]
+    quad = staircase_complex(-8, 9, 3)
+    quads = [flow(quad, SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)), (1, 2), 20)]
+    r = build_multicurves(loch_ness_tree(3), 2).complex
+    rec = build_surface(r.graph, r.ribbon, harmonic=perron_pair(r.graph))
+    recipe = [flow(rec, SurfacePoint(0, rec.width[0] / 3, rec.height[0] / 4), d, 30.0)
+              for d in ((1.0, 0.7), (-1.0, 0.45))]
+    assert all(any(s.dir_in != t.direction for s in t.segments) for t in recipe)
+    return [("float", fl, floats), ("fraction", torus, fractions), ("quad", quad, quads),
+            ("recipe", rec, recipe)]
+
+
+# sha256 of the corpus's trajectory dumps, then its picture with the
+# visited rectangles shaded
+PINNED = {
+    "float": "f6edb18e9a74844c2b68de369827d7e0c018a6ccbca09cdaefe800261bff7a49",
+    "fraction": "29b714659536e642a352e8d585e58a63d486c88a773ad584d50f716fd5254f2a",
+    "quad": "84995e8ad5848a91c02915e13467451315f570d49b93b8178cf5f824023c0131",
+    "recipe": "237d2d6b308b5dd6fc8728cbd83f1aa3979221917c5c36c8a5df9a7aa2e9456a",
+}
+
+
+@pytest.mark.parametrize("name, m, trajs", [pytest.param(*c, id=c[0]) for c in _pinned_corpus()])
+def test_trajectory_dumps_and_pictures_keep_their_bytes(name, m, trajs):
+    dumps = [formats.write_trajectory(t) for t in trajs]
+    shade = {s.edge for t in trajs for s in t.segments}
+    picture = surface_svg(m, trajectories=trajs, shade=shade)
+    # the svg command draws parsed dumps: the same picture
+    assert surface_svg(m, [formats.parse_trajectory(d) for d in dumps], shade) == picture
+    digest = hashlib.sha256("".join(dumps + [picture]).encode("utf-8")).hexdigest()
+    assert digest == PINNED[name]
