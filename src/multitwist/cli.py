@@ -19,8 +19,7 @@ from . import formats, graphs, mobius, svg as svgmod
 from .flow import _CORNER_TOL, SurfacePoint, coverage_stats, flow
 
 from .recipe import build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
-from .surfaces import (_off_modulus, build_surface, euler_characteristic, is_translation,
-                       mark_faces, staircase_complex)
+from .surfaces import _off_modulus, euler_characteristic, is_translation, staircase_complex
 
 DEFAULT_TOL = 1e-10
 _TOL = click.FloatRange(min=0, min_open=True)
@@ -158,15 +157,13 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
         m = staircase_complex(lo, hi, 2 if lam is None else _parse_lambda(lam, exact),
                               exact=exact)
     elif surface_file:
-        m = formats.parse_surface(_read(surface_file))
-        # a given file keeps its harmonic data; one without takes the Perron pair
-        if mode != "given" or m.harmonic is None:
-            h, _ = _harmonic_of(m.graph, "perron" if mode == "given" else mode, lam, exact)
-            # gluings do not depend on side lengths: the corner cycles
-            # are the parsed complex's, and keep its flags
-            m = mark_faces(build_surface(m.graph, m.ribbon, harmonic=h),
-                           [c.index for c in m.corner_cycles if c.puncture],
-                           next((c.index for c in m.corner_cycles if c.marked), None))
+        def harmonic_of(graph, given):
+            # a given file keeps its harmonic data; one without takes the Perron pair
+            if mode == "given" and given is not None:
+                return given
+            return _harmonic_of(graph, "perron" if mode == "given" else mode, lam, exact)[0]
+
+        m = formats._parse_surface(_read(surface_file), harmonic_of)
     else:
         raise click.UsageError("need a surface file or --family")
     _write_out(out, formats.write_surface(m))

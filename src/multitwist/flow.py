@@ -20,8 +20,10 @@ first use); an exact flow reads the complex's own sides and gluings
 (width, height, gluings) and lands on the next chart with _land, as
 canonical_point does.  The exit wall is the nearer of the E/W and the N/S
 wall ahead (E/W on a tie), and segments are Segment NamedTuples, cheap to
-make and still read by field name.  _walk checks the inputs, decides
-between exact and float and sets up the speed once per launch, and runs
+make and still read by field name.  _walk checks the inputs, decides the
+field once per launch (exact only when the sides, the start and the
+direction share one quadratic field: a Q(sqrt 13) direction on a Q(sqrt 5)
+window flows as its float rounding does), sets up the speed, and runs
 each ray through the exact loop or, in floats, _float_walk, a loop with the
 same IEEE operations in the same order (so the same results to the bit) but
 no test of the number kind per crossing and the landing written out inline.
@@ -224,8 +226,11 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
             raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     coords = () if start is None else (start.x, start.y)  # a search's rays start on corners
     dx, dy = d_in = tuple(direction)  # the direction as given
-    radicands = m.radicands
-    exact = radicands is not None and not any(isinstance(v, float) for v in (*coords, dx, dy))
+    inputs = (*coords, dx, dy)
+    # exact when the sides and inputs hold no float and one irrational radicand at most
+    fields = None if m.radicands is None or any(isinstance(v, float) for v in inputs) else (
+        m.radicands.union(v.d for v in inputs if isinstance(v, QuadExt)) - {0})
+    exact = fields is not None and len(fields) < 2
     if exact:
         dx, dy = _number(dx), _number(dy)
         speed2 = dx * dx + dy * dy
@@ -261,8 +266,7 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
     width, height, gluings = m.width, m.height, m.gluings
     budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
     budget2 = budget * budget
-    speed = _speed_in_field(speed2, radicands.union(
-        v.d for v in (*coords, dx, dy) if isinstance(v, QuadExt)))
+    speed = _speed_in_field(speed2, next(iter(fields), 0))  # 0 over the rationals
     float_speed = math.sqrt(float2)
     # below t_screen the exact cut test cannot succeed; the margin covers
     # the rounding of the float conversions
@@ -445,12 +449,11 @@ def _float_walk(rows, e, x, y, dx, dy, sx, sy, d_in, budget, corner_tol, keep):
 _FACTOR_LIMIT = 1 << 40  # trial division up to 2**20 stays fast
 
 
-def _speed_in_field(speed2, radicands):
-    """sqrt(speed2) when it shares one quadratic field with the values whose
-    squarefree radicands are given (0 for rationals), else None.  Only
-    rational speed2 is tried.  Over rational values the speed opens the
-    field, and its radicand is factored only below _FACTOR_LIMIT (trial
-    division)."""
+def _speed_in_field(speed2, d):
+    """sqrt(speed2) when it lies in Q(sqrt d), the field of the values with
+    the squarefree radicand d (0 for rationals), else None.  Only rational
+    speed2 is tried.  Over rational values the speed opens the field, and
+    its radicand is factored only below _FACTOR_LIMIT (trial division)."""
     if isinstance(speed2, QuadExt):
         if not speed2.is_rational():
             return None
@@ -461,12 +464,8 @@ def _speed_in_field(speed2, radicands):
     root = math.isqrt(n)
     if root * root == n:
         return Fraction(root, q)
-    radicands = set(radicands) - {0}
-    if not radicands:
+    if not d:
         return quad_sqrt(speed2) if n < _FACTOR_LIMIT else None
-    if len(radicands) > 1:
-        return None
-    d = radicands.pop()
     root = math.isqrt(n * d)  # n*d = root**2 gives sqrt(n) = root*sqrt(d)/d
     return QuadExt(0, Fraction(root, q * d), d) if root * root == n * d else None
 

@@ -250,10 +250,24 @@ def write_surface(m: RectangleComplex) -> str:
 
 
 def parse_surface(text: str) -> RectangleComplex:
+    return _parse_surface(text)
+
+
+def _parse_surface(text: str, harmonic_of=None) -> RectangleComplex:
+    """parse_surface, built with harmonic_of(graph, the file's harmonic data
+    or None) when that is given; the file's h records are checked either way."""
     # the text is walked once; its records are dropped before the build
     records, end = _records(text, _SURFACE)
     graph, harmonic, sigma, flips, named, faces = _read_surface(records, end)
     del records
+    if harmonic is not None:  # a vertex without an h record: the first edge record naming it
+        v = next((v for v in graph.vertices() if v not in harmonic.values), None)
+        if v is not None:
+            emap = graph.edge_map()
+            raise FormatError(f"no value for vertex {v}",
+                              min(line for e, line in named["edge"].items() if v in emap[e]))
+    if harmonic_of is not None:
+        harmonic = harmonic_of(graph, harmonic)
     try:
         m = build_surface(graph, RibbonData.make(sigma["sigma_h"], sigma["sigma_v"], flips),
                           harmonic=harmonic)
@@ -261,11 +275,6 @@ def parse_surface(text: str) -> RectangleComplex:
         # the sigma record that names the edge at fault, else its edge record
         line = named.get(exc.record, {}).get(exc.edge) or named["edge"].get(exc.edge, end)
         raise FormatError(str(exc), line) from exc
-    except ValueError as exc:  # a vertex without an h record: the first edge record naming it
-        v = next(v for v in graph.vertices() if v not in harmonic.values)
-        emap = graph.edge_map()
-        raise FormatError(str(exc), min(line for e, line in named["edge"].items()
-                                        if v in emap[e])) from exc
     flagged = {"puncture": [], "marked": []}
     for tag, idx, line in faces:
         if not 0 <= idx < len(m.corner_cycles):

@@ -30,8 +30,9 @@ compared with ==, and once a float is involved with a tolerance
 and for is_identity, which classify asks first, and 1e-9 for every other
 float verdict, so classify(MobiusClass(1.0, 5e-10, 0.0, 1.0)) is
 "parabolic".
-The one exception is an exact hyperbolic matrix whose trace is
-irrational: its eigendirections are floats.
+The one exception is an exact hyperbolic matrix whose fixed directions
+leave one quadratic field (an irrational trace, or sqrt(trace^2 - 4) outside
+its entries' field, as sqrt 6 for aB at lam = 2 sqrt 2): they are floats.
 """
 
 from __future__ import annotations
@@ -302,20 +303,20 @@ def eigendirections(m: MobiusClass):
     if cls == "parabolic":
         return [_fixed_direction(a, b, c, d, tr / 2, (1, 0))]
     disc = tr * tr - 4
-    root = None
-    if m.is_exact():
-        try:
-            root = quad_sqrt(QuadExt.of(disc).as_fraction())
-        except ValueError:  # irrational trace: drop to floats
-            pass
-    if root is None:
-        tr, a, b, c, d = (float(x) for x in (tr, a, b, c, d))
-        root = float(disc) ** 0.5
     # expanding eigenvalue first; a diagonal matrix expands along the axis
     # of its entry of modulus > 1 and contracts along the other
-    mus = sorted(((tr + root) / 2, (tr - root) / 2), key=lambda mu: -abs(float(mu)))
     axes = ((1, 0), (0, 1)) if abs(float(a)) > 1 else ((0, 1), (1, 0))
-    return [_fixed_direction(a, b, c, d, mu, axis) for mu, axis in zip(mus, axes)]
+
+    def directions(tr, root, a, b, c, d):
+        mus = sorted(((tr + root) / 2, (tr - root) / 2), key=lambda mu: -abs(float(mu)))
+        return [_fixed_direction(a, b, c, d, mu, axis) for mu, axis in zip(mus, axes)]
+
+    if m.is_exact():
+        try:  # exact when the root of the discriminant lies in the entries' field
+            return directions(tr, quad_sqrt(QuadExt.of(disc).as_fraction()), a, b, c, d)
+        except ValueError:  # an irrational trace, or a root in a second field: drop to floats
+            pass
+    return directions(float(tr), float(disc) ** 0.5, *(float(x) for x in (a, b, c, d)))
 
 
 class RenormVerdict(NamedTuple):

@@ -7,7 +7,8 @@ values from different extensions can at least be compared for equality.
 The constructor canonicalizes; results of arithmetic on canonical operands
 keep the operands' squarefree radicand and only fold b == 0 to d == 0.
 Mixing two genuinely different irrational radicands in one sum raises;
-callers that need that live in floating point instead.
+callers that may meet that (mobius.eigendirections, a flow's launch)
+compute in floating point instead.
 
 Everything the builders need stays inside one extension: for a rational
 stretch factor lam >= 2 the cylinder data lives in Q(sqrt(lam^2-4)), and
@@ -15,8 +16,9 @@ eigendirections of integer matrices live in Q(sqrt(trace^2-4)).
 
 One rule says which values are exact: a number is exact when it is a
 rational or a QuadExt, and a computation is exact exactly when its inputs
-are; a float anywhere makes it float.  `_number` coerces a value under that
-rule and `_equal` compares two values under it.
+are and lie in one quadratic field; a float anywhere, or a second field,
+makes it float.  `_number` coerces a value under that rule and `_equal`
+compares two values under it.
 """
 
 from __future__ import annotations

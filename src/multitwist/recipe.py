@@ -51,8 +51,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import BipartiteConfigGraph, _components
-from .surfaces import (_END_CORNER, RectangleComplex, _aligned_walks, _config_graph,
-                       _corner_chains, _glue_axis, build_surface, mark_faces, ribbon_from_gluings)
+from .surfaces import (_END_CORNER, RectangleComplex, _aligned_walks, _corner_chains,
+                       _glue_axis, build_surface, configuration, mark_faces)
 
 FACE_BOUND = 8
 _MAX_FLANK = 4  # largest face beside a splice port
@@ -372,7 +372,7 @@ class _Assembly:
     (square, side) -> (square, side, reversed) over squares 0..squares-1.
 
     Blocks are glued in from their templates and a splice swaps four table
-    entries; the successor maps are read off the table by configuration.
+    entries; surfaces.configuration reads the ribbon and graph off the table.
     """
 
     def __init__(self):
@@ -423,16 +423,8 @@ class _Assembly:
         face_of = {q: idx for idx, chain in enumerate(quarters) for q in chain}
         return _Faces([len(chain) for chain in quarters], face_of, quarters)
 
-    def configuration(self) -> tuple:
-        """(ribbon, configuration graph) read off the table.  ValueError
-        when the surface is not connected or a curve crosses a square
-        twice (the walk of a cylinder with an odd number of flips)."""
-        squares = range(self.squares)
-        ribbon = ribbon_from_gluings(squares, self.gluings)
-        return ribbon, _config_graph(ribbon.sigma_h, ribbon.sigma_v, squares)
-
     def build(self) -> RectangleComplex:
-        ribbon, graph = self.configuration()
+        ribbon, graph = configuration(range(self.squares), self.gluings)
         return build_surface(graph, ribbon)
 
 
@@ -507,7 +499,7 @@ def _find_handle(asm: _Assembly, sizes, fl: dict, marked: int, marked_token) -> 
                 if best is not None and key > best:
                     continue
                 try:
-                    _, graph = asm.configuration()
+                    _, graph = configuration(range(asm.squares), asm.gluings)
                 except ValueError:  # the swap cut the surface in two or made an odd cylinder
                     continue
                 if max(_pair_meetings(graph).values()) > 2:

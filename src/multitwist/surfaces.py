@@ -31,7 +31,6 @@ as truncated instead of closed.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -285,23 +284,6 @@ def _curves(mapping: dict, edges) -> list:
     return [([edges[k] for k in seq], closed) for seq, closed in comps]
 
 
-def _config_graph(sigma_h: dict, sigma_v: dict, edges,
-                  valence_bound=None) -> BipartiteConfigGraph:
-    """Configuration graph read off two successor maps: one I-vertex (even
-    id) per sigma_h component, one J-vertex (odd id) per sigma_v component,
-    one graph edge per entry of edges.  valence_bound defaults to the
-    largest degree."""
-    ends = {e: [None, None] for e in edges}
-    for side, mapping in enumerate((sigma_h, sigma_v)):
-        for k, (seq, _) in enumerate(_curves(mapping, edges)):
-            for e in seq:
-                ends[e][side] = 2 * k + side
-    if valence_bound is None:
-        valence_bound = max(Counter(v for ij in ends.values() for v in ij).values())
-    return BipartiteConfigGraph.make({i for i, _ in ends.values()}, {j for _, j in ends.values()},
-                                     ends, valence_bound)
-
-
 def _orient(seq, flips, axis) -> tuple:
     """The orientation walk along the edges seq of one cylinder: the chart
     orientation at each rectangle, +1 chart-aligned or -1 rotated by pi,
@@ -452,27 +434,41 @@ def _aligned_walks(edges, gluings) -> list:
             for seq, _ in _components(succ) if seq[0] & 3 < 2]
 
 
-def ribbon_from_gluings(edges, gluings) -> RibbonData:
-    """Reconstruct successor maps and flip flags from a side-gluing table.
+def configuration(edges, gluings, valence_bound=None) -> tuple:
+    """(RibbonData, BipartiteConfigGraph) read off a complete side-gluing table.
 
-    Inverse of the cycle walk in build_surface, for complete complexes: the
-    arrows are the steps of the chart-aligned walks (_aligned_walks), and a
-    same-letter gluing (E-E, W-W, ...) on one records a flip on the
-    outgoing arrow.  Side letters are kept, so gluing the returned ribbon
-    again (as _glue_axis does) gives back the same table.
+    Inverse of the cycle walk in build_surface: the arrows are the steps of
+    the chart-aligned walks (_aligned_walks), and a same-letter gluing
+    (E-E, W-W, ...) on one records a flip on the outgoing arrow.  Side
+    letters are kept, so gluing the returned ribbon again (as _glue_axis
+    does) gives back the same table.  Each walk is numbered as it is read:
+    the k-th horizontal walk by least edge is curve 2k, the k-th vertical
+    one curve 2k + 1, and each rectangle is one graph edge between the two
+    curves crossing it.  valence_bound defaults to the largest degree.
     """
     sigma = {"E": {}, "N": {}}  # keyed by the side an aligned walk leaves by
     flips = set()
+    ends = {e: [None, None] for e in edges}  # edge -> [its I-curve, its J-curve]
+    count = [0, 0]  # horizontal and vertical curves numbered so far
+    degree = 0
     for seq in _aligned_walks(edges, gluings):
         axis = seq[0][1]
+        mapping = sigma[axis]
+        k = int(axis == "N")
+        v = 2 * count[k] + k
+        count[k] += 1
+        degree = max(degree, len(seq))
         for e, side in seq:
-            if e in sigma[axis]:  # turned back at a side glued to itself
+            if e in mapping:  # turned back at a side glued to itself
                 raise RibbonError(f"one curve crosses edge {e} twice")
             e2, side2, _ = gluings[(e, side)]
-            sigma[axis][e] = e2
+            mapping[e] = e2
+            ends[e][k] = v
             if side2 == side:
                 flips.add((e, axis))
-    return RibbonData.make(sigma["E"], sigma["N"], flips)
+    graph = BipartiteConfigGraph.make(range(0, 2 * count[0], 2), range(1, 2 * count[1], 2), ends,
+                                      degree if valence_bound is None else valence_bound)
+    return RibbonData.make(sigma["E"], sigma["N"], flips), graph
 
 
 def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
@@ -621,13 +617,10 @@ def orientation_double_cover(m: RectangleComplex) -> RectangleComplex:
             side_b = side2 if s2 == 0 else OPPOSITE[side2]
             lifted[(cover_id[(e, s)], side_a)] = (cover_id[(e2, s2)], side_b, False)
 
-    cover_edges = sorted(cover_id.values())
-    ribbon = ribbon_from_gluings(cover_edges, lifted)
-    graph = _config_graph(ribbon.sigma_h, ribbon.sigma_v, cover_edges, m.graph.valence_bound)
-    back = {ce: es for es, ce in cover_id.items()}
+    ribbon, graph = configuration(range(len(cover_id)), lifted, m.graph.valence_bound)
     values = {}
-    for ce, (i, j) in graph.edge_map().items():
-        e, _ = back[ce]
+    for ce, i, j in graph.edges:
+        e = base_edges[ce >> 1]
         values[i] = m.height[e]
         values[j] = m.width[e]
     harmonic = None

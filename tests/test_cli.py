@@ -229,6 +229,13 @@ class TestClassify:
         assert "integer form: not checked (brenner_check needs rational lam >= 2)" in res.output
         assert "hyperbolic" in res.output and "eigendirection" in res.output
 
+    def test_root_in_a_second_field_gives_float_eigendirections(self, runner):
+        # the entries lie in Q(sqrt 6), the root of trace^2 - 4 = 672 in Q(sqrt 42)
+        res = runner.invoke(main, ["classify", "--word", "aB", "--lambda", "0+2r6"])
+        assert res.exit_code == 0, res.output
+        assert "trace 26  class hyperbolic" in res.output
+        assert res.output.count("\neigendirection ") == 2
+
     def test_empty_word_is_identity(self, runner):
         res = runner.invoke(main, ["classify", "--word", "", "--lambda", "2"])
         assert res.exit_code == 0
@@ -511,6 +518,27 @@ class TestBuildModes:
         assert res.exit_code == 0, res.output
         assert rebuilt.read_text() == surf.read_text()
 
+    @pytest.mark.parametrize("mode", ["perron", "given"])
+    def test_a_file_is_built_once(self, runner, tmp_path, monkeypatch, mode):
+        # a multicurve file has no harmonic data: both modes take the Perron pair
+        mc = tmp_path / "ln.mc.surf"
+        mc.write_text(formats.write_surface(build_multicurves(loch_ness_tree(3), 2).complex))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_surface(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("multitwist")
+                    and getattr(module, "build_surface", None) is build_surface):
+                monkeypatch.setattr(module, "build_surface", counted)
+        out = tmp_path / "ln.surf"
+        res = runner.invoke(main, ["build", str(mc), "--mode", mode, "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+        assert formats.parse_surface(out.read_text()).harmonic is not None
+
 
 @pytest.mark.parametrize("command", ["harmonic", "flow", "build", "verify"])
 def test_nonpositive_tolerance_exits_2(runner, tmp_path, command):
@@ -554,6 +582,12 @@ REFUSALS = {
                                        "closed-form mode needs --lambda"),
     "build-closed-form-no-lambda": (["build", "{surf}", "--mode", "closed-form"], 2,
                                     "closed-form mode needs --lambda"),
+    # a file's h records are checked whichever harmonic data the build takes
+    "build-missing-h": (["build", "{noh}"], 2, "error: line 4: no value for vertex 0"),
+    "build-perron-missing-h": (["build", "{noh}", "--mode", "perron"], 2,
+                               "error: line 4: no value for vertex 0"),
+    "build-closed-form-missing-h": (["build", "{noh}", "--mode", "closed-form", "--lambda", "2"],
+                                    2, "error: line 4: no value for vertex 0"),
     "flow-negative-window": (["flow", "{surf}", *_START, "--dir", "1:1", "--window", "-2"], 2,
                              "Invalid value for '--window'"),
     # lam = 3/2 is below the spectral radius sqrt 3 of the interior path
@@ -644,12 +678,13 @@ def test_refusal_exits_without_traceback(runner, tmp_path, argv, code, fragment)
              "infh": tmp_path / "infh.surf", "nanlam": tmp_path / "nanlam.surf",
              "infboundary": tmp_path / "inf.harm", "bigboundary": tmp_path / "big.harm",
              "path": tmp_path / "path.graph", "nantraj": tmp_path / "nan.traj",
-             "edgetraj": tmp_path / "edge.traj"}
+             "edgetraj": tmp_path / "edge.traj", "noh": tmp_path / "noh.surf"}
     files["ladder"].write_text(LADDER)
     files["empty"].write_text("bipartite 0 0 0 2\n")
     files["path"].write_text("bipartite 2 2 3 2\nedge 0 0 3\nedge 1 2 3\nedge 2 2 1\n")
     files["surf"].write_text(formats.write_surface(staircase_complex(-3, 4, 2)))
     files["infh"].write_text(files["surf"].read_text().replace("\nh 0 1\n", "\nh 0 inf\n"))
+    files["noh"].write_text(files["surf"].read_text().replace("\nh 0 1\n", "\n"))
     files["nanlam"].write_text(files["surf"].read_text().replace("\nlambda 2\n", "\nlambda nan\n"))
     files["infboundary"].write_text("lambda inf\nh -3 1\nh 3 1\n")
     files["bigboundary"].write_text(f"lambda 3\nh -3 {_BIG}\nh 3 1\n")

@@ -568,6 +568,28 @@ class TestSaddleSearchWalk:
         assert (rep.rays_launched, rep.window_exits) == (2, 1)
         assert type(rep.found[3]) is float and rep.found[3] == pytest.approx(0.0098208, rel=1e-4)
 
+    @pytest.mark.parametrize("word", ["aB", "aaB", "aBB"])
+    def test_direction_in_a_second_field_runs_in_floats(self, word):
+        # the window's sides lie in Q(sqrt 5) and the lam = 3 eigendirection
+        # in Q(sqrt 13) or Q(sqrt 11): search and flow run in floats, as
+        # they do along the direction rounded to floats
+        st = staircase_complex(-8, 9, 3)
+        d = eigendirections(rho(TwistWord.make(word), 3))[0]
+        rounded = (float(d.x), float(d.y))
+        assert isinstance(d.y, QuadExt) and d.y.d not in (0, 5)
+        rep = detect_saddle_connection(st, d.vector(), 20)
+        assert rep == detect_saddle_connection(st, rounded, 20)
+        start = SurfacePoint(0, st.width[0] / 3, st.height[0] / 5)
+        traj, ref = flow(st, start, d.vector(), 20), flow(st, start, rounded, 20)
+        assert traj.direction == d.vector() and ref.direction == rounded
+
+        def floats(t):  # the direction as given, rounded
+            return t._replace(direction=None, final_direction=tuple(map(float, t.final_direction)),
+                              segments=[s._replace(dir_in=tuple(map(float, s.dir_in)))
+                                        for s in t.segments])
+
+        assert floats(traj) == floats(ref) and len(ref.segments) > 1
+
     def test_one_launch_per_search(self, monkeypatch):
         """The budget, the direction and the exact speed are read once per
         search, whatever the number of rays."""

@@ -216,6 +216,21 @@ class TestEigendirections:
         exp, con = eigendirections(m)
         assert exp.vector() == (0, 1) and con.vector() == (1, 0)
 
+    @pytest.mark.parametrize("radicand", [2, 5, 6])
+    @pytest.mark.parametrize("word", ["aB", "aaB", "aBB"])
+    def test_root_in_a_second_field_gives_float_directions(self, word, radicand):
+        # at lam = 2 sqrt(d) the entries lie in Q(sqrt d), and the root of
+        # trace^2 - 4 in another quadratic field
+        m = rho(TwistWord.make(word), QuadExt(0, 2, radicand))
+        a, b, c, d = (float(x) for x in m.entries())
+        dirs = eigendirections(m)
+        assert len(dirs) == 2 and not any(v.is_exact() for v in dirs)
+        images = [(a * v.x + b * v.y, c * v.x + d * v.y) for v in dirs]
+        for v, image in zip(dirs, images):
+            assert ProjectiveDirection.make(*image).close_to(v)
+        # expanding first
+        assert [abs(x) + abs(y) > 1 for x, y in images] == [True, False]
+
     def test_elliptic_has_none(self):
         m = MobiusClass.make(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
         assert eigendirections(m) == []

@@ -22,7 +22,7 @@ from multitwist.recipe import (
     surgery,
     verify_recipe,
 )
-from multitwist.surfaces import cylinders, euler_characteristic, mark_faces, ribbon_from_gluings
+from multitwist.surfaces import configuration, cylinders, euler_characteristic, mark_faces
 
 
 class TestInducedSubtree:
@@ -330,20 +330,21 @@ def _golden_output(case):
 class TestAssembly:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_outputs_are_pinned(self, case):
-        text = write_surface(_golden_output(case).complex)
-        assert hashlib.sha1(text.encode()).hexdigest() == GOLDEN[case]
+        m = _golden_output(case).complex
+        assert hashlib.sha1(write_surface(m).encode()).hexdigest() == GOLDEN[case]
+        assert configuration(m.edges, m.gluings) == (m.ribbon, m.graph)
 
     def test_ribbon_read_per_arm_not_per_splice(self, monkeypatch):
         # a long arm of through blocks splices once per handle, but the
-        # successor maps are read off the gluing table only by the one
+        # ribbon and graph are read off the gluing table only by the one
         # build of the output
         calls = []
 
         def counted(edges, gluings):
             calls.append(edges)
-            return ribbon_from_gluings(edges, gluings)
+            return configuration(edges, gluings)
 
-        monkeypatch.setattr(recipe, "ribbon_from_gluings", counted)
+        monkeypatch.setattr(recipe, "configuration", counted)
         counts = []
         for d in (20, 40):
             calls.clear()
@@ -370,9 +371,10 @@ class TestAssembly:
             return built
 
         monkeypatch.setattr(recipe._Assembly, "build", compared)
-        out = build_multicurves(source, m)
-        assert hashlib.sha256(write_surface(out.complex).encode()).hexdigest()[:16] == pinned
+        out = build_multicurves(source, m).complex
+        assert hashlib.sha256(write_surface(out).encode()).hexdigest()[:16] == pinned
         assert checked == [True]
+        assert configuration(out.edges, out.gluings) == (out.ribbon, out.graph)
 
     def test_configuration_refuses_a_disconnected_table(self):
         # two unspliced genus blocks: two tori, which no graph joins
@@ -380,7 +382,7 @@ class TestAssembly:
         asm.add(recipe._GENUS)
         asm.add(recipe._GENUS)
         with pytest.raises(ValueError, match="graph is not connected"):
-            asm.configuration()
+            configuration(range(asm.squares), asm.gluings)
         with pytest.raises(ValueError, match="graph is not connected"):
             asm.build()
 

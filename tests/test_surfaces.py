@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,10 @@ from multitwist.surfaces import (
     mark_faces,
     orientation_double_cover,
     _components,
-    _config_graph,
     _corner_chains,
+    _curves,
     _glue_axis,
-    ribbon_from_gluings,
+    configuration,
     square_torus,
     staircase_complex,
 )
@@ -223,6 +224,9 @@ class TestDoubleCover:
         # odd cones (angle pi) lift to single cones of angle 2 pi
         assert sorted(c.k for c in cov.corner_cycles) == [4, 4, 4, 4]
         assert sum(c.k for c in cov.corner_cycles) == 2 * sum(c.k for c in m.corner_cycles)
+        # the cover keeps the base's valence bound; its table gives back its configuration
+        bound = m.graph.valence_bound
+        assert configuration(cov.edges, cov.gluings, bound) == (cov.ribbon, cov.graph)
 
     def test_even_cone_lifts_to_two_copies(self):
         # half-translation sphere with two 2pi cones and four pi cones
@@ -255,8 +259,9 @@ class TestIsTranslation:
 class TestRibbonRoundTrip:
     def test_gluings_reconstruct_ribbon(self):
         for m in (square_torus(), pillowcase()):
-            rib = ribbon_from_gluings(m.edges, m.gluings)
-            m2 = build_surface(m.graph, rib, values={v: 1 for v in m.graph.vertices()})
+            rib, graph = configuration(m.edges, m.gluings, m.graph.valence_bound)
+            assert (rib, graph) == (m.ribbon, m.graph)
+            m2 = build_surface(graph, rib, values={v: 1 for v in graph.vertices()})
             assert m2.gluings == {k: v for k, v in m.gluings.items()}
 
     def test_side_glued_to_itself_has_no_ribbon(self):
@@ -265,7 +270,7 @@ class TestRibbonRoundTrip:
         gluings = {(0, "E"): (0, "E", True), (0, "W"): (0, "W", True),
                    (0, "N"): (0, "S", False), (0, "S"): (0, "N", False)}
         with pytest.raises(RibbonError, match="crosses edge 0 twice"):
-            ribbon_from_gluings([0], gluings)
+            configuration([0], gluings)
 
     @pytest.mark.parametrize("source, weight", [((3, 2), 6), ((1, 2), 3),
                                                 (loch_ness_tree(5), 2)])
@@ -273,8 +278,8 @@ class TestRibbonRoundTrip:
         # flipped arrows, handle splices ((3, 2, 6)) and arms of through
         # blocks (loch-ness): the table alone gives back the ribbon
         m = build_multicurves(source, weight).complex
-        rib = ribbon_from_gluings(m.edges, m.gluings)
-        assert rib == m.ribbon and rib.flips
+        rib, graph = configuration(m.edges, m.gluings)
+        assert (rib, graph) == (m.ribbon, m.graph) and rib.flips
         m2 = build_surface(m.graph, rib, values={v: 1 for v in m.graph.vertices()})
         assert m2.gluings == m.gluings
 
@@ -413,8 +418,20 @@ def square_tiled(draw, partial: bool):
 
 
 def _build(case):
+    """The complex of a drawn case.  Its maps may be cut open, leaving no
+    complete gluing table to read a graph off, so its curves are numbered
+    here: one I-vertex (even id) per sigma_h component, one J-vertex (odd
+    id) per sigma_v component, each in _curves order (paths first), and the
+    largest degree as the valence bound."""
     n, sigma_h, sigma_v, flips = case
-    graph = _config_graph(sigma_h, sigma_v, range(n))
+    ends = {e: [None, None] for e in range(n)}
+    for side, mapping in enumerate((sigma_h, sigma_v)):
+        for k, (seq, _) in enumerate(_curves(mapping, range(n))):
+            for e in seq:
+                ends[e][side] = 2 * k + side
+    bound = max(Counter(v for ij in ends.values() for v in ij).values())
+    graph = BipartiteConfigGraph.make({i for i, _ in ends.values()}, {j for _, j in ends.values()},
+                                      ends, bound)
     return build_surface(graph, RibbonData.make(sigma_h, sigma_v, flips))
 
 
@@ -521,9 +538,10 @@ def test_corner_chains_match_a_brute_force_walk(case):
 @settings(max_examples=150, deadline=None)
 @given(case=square_tiled(partial=False))
 def test_ribbon_from_gluings_inverts_the_build(case):
+    # a complete table has no paths, so _build numbers its curves as configuration does
     m = _build(case)
     assert not m.frontier
-    assert ribbon_from_gluings(m.edges, m.gluings) == m.ribbon
+    assert configuration(m.edges, m.gluings) == (m.ribbon, m.graph)
 
 
 def _assert_table_of_the_ribbon(m):
