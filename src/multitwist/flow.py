@@ -21,9 +21,10 @@ first use); an exact flow reads the complex's own sides and gluings
 canonical_point does.  The exit wall is the nearer of the E/W and the N/S
 wall ahead (E/W on a tie), and segments are Segment NamedTuples, cheap to
 make and still read by field name.  _walk checks the inputs, decides the
-field once per launch (exact only when the sides, the start and the
-direction share one quadratic field: a Q(sqrt 13) direction on a Q(sqrt 5)
-window flows as its float rounding does), sets up the speed, and runs
+field once per launch (exact only when the sides, the start, the
+direction and a QuadExt budget share one quadratic field: a Q(sqrt 13)
+direction or a 3 sqrt 7 budget on a Q(sqrt 5) window flows as its float
+rounding does), sets up the speed, and runs
 each ray through the exact loop or, in floats, _float_walk, a loop with the
 same IEEE operations in the same order (so the same results to the bit) but
 no test of the number kind per crossing and the landing written out inline.
@@ -227,9 +228,10 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
     coords = () if start is None else (start.x, start.y)  # a search's rays start on corners
     dx, dy = d_in = tuple(direction)  # the direction as given
     inputs = (*coords, dx, dy)
-    # exact when the sides and inputs hold no float and one irrational radicand at most
+    # exact when the sides and inputs hold no float and, with the budget,
+    # one irrational radicand at most
     fields = None if m.radicands is None or any(isinstance(v, float) for v in inputs) else (
-        m.radicands.union(v.d for v in inputs if isinstance(v, QuadExt)) - {0})
+        m.radicands.union(v.d for v in (*inputs, max_length) if isinstance(v, QuadExt)) - {0})
     exact = fields is not None and len(fields) < 2
     if exact:
         dx, dy = _number(dx), _number(dy)

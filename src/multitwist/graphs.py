@@ -69,6 +69,10 @@ class BipartiteConfigGraph:
         return g
 
     def _validate(self):
+        """Check the graph's rules and fill _incident.  The rows must be
+        sorted by edge id, as make sorts them: a duplicate id then sits next
+        to its twin, and each vertex's incidences are appended in sorted
+        order, so neither needs a set or a sort here."""
         overlap = self.part_i & self.part_j
         if overlap:
             raise GraphError("parts I and J overlap", self._first_edge(min(overlap)))
@@ -80,18 +84,17 @@ class BipartiteConfigGraph:
                 raise GraphError(f"part-J vertex {v} must have an odd id", self._first_edge(v))
         if self.valence_bound < 1:
             raise GraphError("valence bound must be positive")
-        seen = set()
         inc: dict = {v: [] for v in self.vertices()}
+        prev = None
         for e, i, j in self.edges:
-            if e in seen:
+            if e == prev:
                 raise GraphError(f"duplicate edge id {e}", e)
-            seen.add(e)
+            prev = e
             if i not in self.part_i or j not in self.part_j:
                 raise GraphError(f"edge {e}=({i},{j}) does not join I to J", e)
             inc[i].append((e, j))
             inc[j].append((e, i))
         for v, lst in inc.items():
-            lst.sort()
             if len(lst) > self.valence_bound:
                 raise GraphError(f"vertex {v} has degree {len(lst)} > bound {self.valence_bound}",
                                  lst[self.valence_bound][0])

@@ -284,19 +284,18 @@ def _curves(mapping: dict, edges) -> list:
     return [([edges[k] for k in seq], closed) for seq, closed in comps]
 
 
-def _orient(seq, flips, axis) -> tuple:
-    """The orientation walk along the edges seq of one cylinder: the chart
-    orientation at each rectangle, +1 chart-aligned or -1 rotated by pi,
-    and the one the walk ends with (+1 again after a cycle exactly when it
-    has an even number of flips).  The walk starts aligned, and an arrow
-    flagged in flips, keyed (edge, E) for axis "h" and (edge, N) for "v",
-    turns it over."""
-    side = _PORTS[axis][1][0]
+def _orient(seq, turns) -> tuple:
+    """The orientation walk along the rectangles seq of one cylinder, as
+    integer slots or as edges: the chart orientation at each rectangle, +1
+    chart-aligned or -1 rotated by pi, and the one the walk ends with (+1
+    again after a cycle exactly when it has an even number of flips).  The
+    walk starts aligned, and the arrow leaving a rectangle in turns (the
+    axis's flipped arrows, by source) turns it over."""
     o = 1
     orients = []
-    for e in seq:
+    for k in seq:
         orients.append(o)
-        if (e, side) in flips:
+        if k in turns:
             o = -o
     return orients, o
 
@@ -322,9 +321,11 @@ def _glue_axis(mapping, flips, axis) -> dict:
     """Side gluings of one axis's arrows, walked component by component
     over the edges mapping names, paths first, each kind ascending: the
     orientation walk and arrow rule of build_surface, without its checks."""
+    side = _PORTS[axis][1][0]
+    turns = {e for e, s in flips if s == side}
     gluings = {}
     for seq, closed in _curves(mapping, sorted({*mapping, *mapping.values()})):
-        orients, end = _orient(seq, flips, axis)
+        orients, end = _orient(seq, turns)
         _glue(gluings, seq, orients, end, closed, axis)
     return gluings
 
@@ -343,46 +344,58 @@ def _cylinders(edges, pos, fibre, mapping, flips, axis, size, values, succ) -> d
 
     Each component lies in the fibre over one curve v, so each of its
     rectangles has values[v] as its other side: that is the cylinder's
-    transverse size, and the sides glued along it match.
+    transverse size, and the sides glued along it match.  The walk runs
+    on slots: the fibre is checked slot by slot, _orient turns at the
+    slots of this axis's flipped arrows, and each arrow's two quarter
+    successors are written from the links table as the walk reaches it.
     """
     record = f"sigma_{axis}"
     # the components partition the edges; with one fibre per component and
     # one component per fibre, each component covers its fibre exactly
     by_vertex = {}
     for slots, closed in _components([pos[mapping[e]] if e in mapping else -1 for e in edges]):
-        verts = set(map(fibre.__getitem__, slots))
-        if len(verts) != 1:
-            raise RibbonError(f"{record} component {[edges[k] for k in slots]} mixes fibers "
-                              f"{sorted(verts)}", record, edges[slots[0]])
-        v = verts.pop()
+        v = fibre[slots[0]]
+        for k in slots:
+            if fibre[k] != v:
+                raise RibbonError(f"{record} component {[edges[k] for k in slots]} mixes fibers "
+                                  f"{sorted(set(map(fibre.__getitem__, slots)))}",
+                                  record, edges[slots[0]])
         if v in by_vertex:
             raise RibbonError(f"vertex {v} split across several {record} components",
                               record, edges[slots[0]])
         by_vertex[v] = (slots, closed)
 
-    # the arrow rule joined with the landing rows: (o, o2) -> (quarter the
+    # the arrow rule joined with the landing rows: o -> o2 -> (quarter the
     # corner walk leaves the source by, the target quarter it lands in, the
     # same from the target)
-    links = {}
-    for key, (side_a, side_b, rev) in _ARROWS[axis].items():
+    links = {1: {}, -1: {}}
+    for (o, o2), (side_a, side_b, rev) in _ARROWS[axis].items():
         (s_a, land_a), (s_b, land_b) = _CCW_ROWS[side_a], _CCW_ROWS[side_b]
-        links[key] = (s_a, land_a[side_b][rev], s_b, land_b[side_a][rev])
+        links[o][o2] = (s_a, land_a[side_b][rev], s_b, land_b[side_a][rev])
+    side = _PORTS[axis][1][0]
+    turns = {pos[e] for e, s in flips if s == side}
+    new_layout = tuple.__new__  # a CylinderLayout without the Python-level __new__
     layouts = {}
     for v in sorted(by_vertex):
         slots, closed = by_vertex[v]
+        orients, end = _orient(slots, turns)
         seq = tuple(map(edges.__getitem__, slots))
-        orients, end = _orient(seq, flips, axis)
         if closed and end != 1:
             raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
                               record, seq[0])
-        # running sums of the sizes along the cylinder, added in walk order
-        ends = list(accumulate(map(size.__getitem__, seq)))
-        for k, k2, o, o2 in _arrows(slots, orients, end, closed):
-            s_a, t_a, s_b, t_b = links[o, o2]
+        # the arrows in walk order, a closed walk's last one (back to the
+        # aligned start) first: each sets the quarter successors both ways
+        walk = zip(slots, orients)
+        k, o = (slots[-1], orients[-1]) if closed else next(walk)
+        for k2, o2 in walk:
+            s_a, t_a, s_b, t_b = links[o][o2]
             succ[4 * k + s_a] = 4 * k2 + t_a
             succ[4 * k2 + s_b] = 4 * k + t_b
-        layouts[v] = CylinderLayout(v, seq, tuple(orients), (0, *ends[:-1]), ends[-1],
-                                    values[v], closed)
+            k, o = k2, o2
+        # running sums of the sizes along the cylinder, added in walk order
+        ends = list(accumulate(map(size.__getitem__, seq)))
+        layouts[v] = new_layout(CylinderLayout, (v, seq, tuple(orients), (0, *ends[:-1]),
+                                                 ends[-1], values[v], closed))
     return layouts
 
 
@@ -478,9 +491,9 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
     Rectangle e gets width values[j] and height values[i] for its endpoints
     (i, j); values defaults to the harmonic assignment, or to all-1 squares
     when neither is given (combinatorial census builds).  Only an explicit
-    values argument is checked positive here: a HarmonicAssignment checked
-    its own values when it was made.  No corner cycle is punctured or
-    marked; mark_faces sets those flags on the result.
+    values argument is checked positive and finite here: a
+    HarmonicAssignment checked its own values when it was made.  No corner
+    cycle is punctured or marked; mark_faces sets those flags on the result.
     """
     checked = values is None
     if checked:
@@ -490,6 +503,8 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
             raise ValueError(f"no value for vertex {v}")
         if not (checked or values[v] > 0):
             raise ValueError(f"value at vertex {v} must be positive")
+        if not checked and values[v] == math.inf:
+            raise ValueError(f"value at vertex {v} must be finite")
     rows = graph.edges  # (edge, i, j), ascending by edge
     edges = [e for e, _, _ in rows]
     pos = {e: k for k, e in enumerate(edges)}

@@ -590,6 +590,25 @@ class TestSaddleSearchWalk:
 
         assert floats(traj) == floats(ref) and len(ref.segments) > 1
 
+    def test_budget_in_a_second_field_runs_in_floats(self):
+        # the window's sides lie in Q(sqrt 5) and the budget 3 sqrt 7 in
+        # Q(sqrt 7): search and flow run in floats, as they do with the
+        # direction and the budget rounded to floats
+        st = staircase_complex(-8, 9, 3)
+        budget = QuadExt(0, 3, 7)
+        start = SurfacePoint(0, st.width[0] / 3, st.height[0] / 5)
+        traj = flow(st, start, (1, 2), budget)
+        assert traj == flow(st, start, (1.0, 2.0), float(budget))
+        assert traj.terminal == "budget" and type(traj.total_length) is float
+        rep = detect_saddle_connection(st, (1, 2), budget)
+        assert rep == detect_saddle_connection(st, (1.0, 2.0), float(budget))
+        assert rep.rays_launched == 36
+        # a budget in the sides' own field keeps the flow exact
+        golden = flow(st, start, (1, 2), QuadExt(0, 3, 5))
+        assert golden.terminal == "budget" and golden.total_length == QuadExt(0, 3, 5)
+        assert all(type(s.length) is QuadExt for s in golden.segments)
+        assert _assert_same_search(st, (1, 2), QuadExt(0, 3, 5)).rays_launched == 36
+
     def test_one_launch_per_search(self, monkeypatch):
         """The budget, the direction and the exact speed are read once per
         search, whatever the number of rays."""

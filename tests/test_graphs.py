@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from multitwist import graphs
 from multitwist.graphs import (
     BipartiteConfigGraph,
+    GraphError,
     HarmonicAssignment,
     LadderFamily,
     apply_adjacency,
@@ -370,6 +371,27 @@ def test_lambda_zero_takes_the_largest_component(mult, rho):
     assert lz == pytest.approx(rho, rel=1e-14)
     assert harmonic_truncated(g, lz * (1 + 1e-9), {11: 1.0}).positive
     assert not harmonic_truncated(g, lz * (1 - 1e-9), {11: 1.0}).positive
+
+
+@given(g=config_graphs(), data=st.data())
+def test_make_sorts_shuffled_edges(g, data):
+    """make sorts the rows, so a shuffled edge dict gives the same graph,
+    and each vertex's incidences come out sorted without a sort of their
+    own; a duplicate id is still refused wherever it was inserted."""
+    rows = data.draw(st.permutations(g.edges))
+    h = BipartiteConfigGraph.make(g.part_i, g.part_j, {e: (i, j) for e, i, j in rows},
+                                  g.valence_bound)
+    assert h == g
+    for v in h.vertices():
+        expected = sorted((e, j if v == i else i) for e, i, j in rows if v in (i, j))
+        assert h.incident(v) == g.incident(v) == tuple(expected)
+    e, i, j = data.draw(st.sampled_from(rows))
+    at = data.draw(st.integers(0, len(rows)))
+    items = [(e2, (i2, j2)) for e2, i2, j2 in rows]
+    twin = dict(items[:at] + [(str(e), (i, j))] + items[at:])
+    with pytest.raises(GraphError) as err:
+        BipartiteConfigGraph.make(g.part_i, g.part_j, twin, 2 * len(rows))
+    assert (str(err.value), err.value.edge) == (f"duplicate edge id {e}", e)
 
 
 @pytest.mark.parametrize("solve", [lambda g, b: harmonic_truncated(g, 3, b), lambda_zero],

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,9 @@ from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
 from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import (
+    CornerCycle,
+    CylinderLayout,
+    RectangleComplex,
     RibbonData,
     RibbonError,
     build_surface,
@@ -22,6 +27,10 @@ from multitwist.surfaces import (
     is_translation,
     mark_faces,
     orientation_double_cover,
+    _ARROWS,
+    _CCW_ROWS,
+    _PORTS,
+    _chains,
     _components,
     _corner_chains,
     _curves,
@@ -107,6 +116,16 @@ class TestBuild:
         with pytest.raises(ValueError, match="no value for vertex 1"):
             build_surface(g, rib, HarmonicAssignment(lam=1, values={0: 1}))
 
+    def test_infinite_values_rejected(self):
+        # HarmonicAssignment refuses the same value
+        m = staircase_complex(-2, 3, 2, exact=False)
+        values = {**m.harmonic.values, 0: math.inf}
+        with pytest.raises(ValueError) as err:
+            build_surface(m.graph, m.ribbon, values=values)
+        assert str(err.value) == "value at vertex 0 must be finite"
+        with pytest.raises(ValueError, match="must be finite"):
+            HarmonicAssignment(lam=m.lam, values=values)
+
     def test_cylinder_layout_reads_by_field(self):
         lay = square_torus().h_layouts[0]
         assert lay._fields == ("vertex", "edges", "orients", "offsets", "length",
@@ -180,8 +199,6 @@ class TestCylinders:
 
 class TestConePoints:
     def test_torus_regular_point(self):
-        import math
-
         pts = cone_points(square_torus())
         assert len(pts) == 1
         cyc, angle, punct, valence = pts[0]
@@ -194,7 +211,6 @@ class TestConePoints:
 
     def test_angle_is_quarter_of_cycle_length(self):
         m = pillowcase()
-        import math
         for c in m.corner_cycles:
             assert c.angle() == pytest.approx(c.k * math.pi / 2)
 
@@ -715,3 +731,193 @@ def test_refusals_name_what_is_wrong(call, fragment):
     with pytest.raises(ValueError) as err:
         call()
     assert fragment in str(err.value)
+
+
+# -- the build before the slot walk, kept as the reference ----------------
+# Each cylinder had its own orientation walk over (edge, side) keys, a set
+# for its fibre check, and its arrows zipped from slices; everything else
+# is build_surface as it was.
+
+def _reference_orient(seq, flips, axis):
+    side = _PORTS[axis][1][0]
+    o = 1
+    orients = []
+    for e in seq:
+        orients.append(o)
+        if (e, side) in flips:
+            o = -o
+    return orients, o
+
+
+def _reference_arrows(seq, orients, end, closed):
+    return zip(seq, seq[1:] + seq[:1] if closed else seq[1:], orients, (*orients[1:], end))
+
+
+def _reference_cylinders(edges, pos, fibre, mapping, flips, axis, size, values, succ):
+    record = f"sigma_{axis}"
+    by_vertex = {}
+    for slots, closed in _components([pos[mapping[e]] if e in mapping else -1 for e in edges]):
+        verts = set(map(fibre.__getitem__, slots))
+        if len(verts) != 1:
+            raise RibbonError(f"{record} component {[edges[k] for k in slots]} mixes fibers "
+                              f"{sorted(verts)}", record, edges[slots[0]])
+        v = verts.pop()
+        if v in by_vertex:
+            raise RibbonError(f"vertex {v} split across several {record} components",
+                              record, edges[slots[0]])
+        by_vertex[v] = (slots, closed)
+    links = {}
+    for key, (side_a, side_b, rev) in _ARROWS[axis].items():
+        (s_a, land_a), (s_b, land_b) = _CCW_ROWS[side_a], _CCW_ROWS[side_b]
+        links[key] = (s_a, land_a[side_b][rev], s_b, land_b[side_a][rev])
+    layouts = {}
+    for v in sorted(by_vertex):
+        slots, closed = by_vertex[v]
+        seq = tuple(map(edges.__getitem__, slots))
+        orients, end = _reference_orient(seq, flips, axis)
+        if closed and end != 1:
+            raise RibbonError(f"{record} cycle at vertex {v} has an odd number of flips",
+                              record, seq[0])
+        ends = list(accumulate(map(size.__getitem__, seq)))
+        for k, k2, o, o2 in _reference_arrows(slots, orients, end, closed):
+            s_a, t_a, s_b, t_b = links[o, o2]
+            succ[4 * k + s_a] = 4 * k2 + t_a
+            succ[4 * k2 + s_b] = 4 * k + t_b
+        layouts[v] = CylinderLayout(v, seq, tuple(orients), (0, *ends[:-1]), ends[-1],
+                                    values[v], closed)
+    return layouts
+
+
+def _reference_build(graph, ribbon, harmonic=None, values=None):
+    checked = values is None
+    if checked:
+        values = harmonic.values if harmonic is not None else {v: 1 for v in graph.vertices()}
+    for v in graph.vertices():
+        if v not in values:
+            raise ValueError(f"no value for vertex {v}")
+        if not (checked or values[v] > 0):
+            raise ValueError(f"value at vertex {v} must be positive")
+    rows = graph.edges
+    edges = [e for e, _, _ in rows]
+    pos = {e: k for k, e in enumerate(edges)}
+    width = {e: values[j] for e, _, j in rows}
+    height = {e: values[i] for e, i, _ in rows}
+    for name, named in (("sigma_h", {*ribbon.sigma_h, *ribbon.sigma_h.values()}),
+                        ("sigma_v", {*ribbon.sigma_v, *ribbon.sigma_v.values()}),
+                        ("flips", {e for e, _ in ribbon.flips})):
+        unknown = named - pos.keys()
+        if unknown:
+            raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
+    succ = [-1] * (4 * len(edges))
+    lay_h = _reference_cylinders(edges, pos, [i for _, i, _ in rows], ribbon.sigma_h,
+                                 ribbon.flips, "h", width, values, succ)
+    lay_v = _reference_cylinders(edges, pos, [j for _, _, j in rows], ribbon.sigma_v,
+                                 ribbon.flips, "v", height, values, succ)
+    for e, side in sorted(ribbon.flips):
+        if e not in (ribbon.sigma_h if side == "E" else ribbon.sigma_v):
+            name = "sigma_h" if side == "E" else "sigma_v"
+            raise RibbonError(f"flip {e} {side} names no arrow: {name} has no successor of {e}",
+                              "flip", (e, side))
+    cycles = tuple(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed)
+                   for idx, (chain, closed) in enumerate(_chains(edges, succ)))
+    return RectangleComplex(graph=graph, ribbon=ribbon, width=width, height=height,
+                            corner_cycles=cycles, h_layouts=lay_h, v_layouts=lay_v,
+                            harmonic=harmonic)
+
+
+def _assert_reference_build(graph, ribbon, harmonic=None, values=None):
+    """build_surface gives the reference's complex, equal field by field
+    and with both layout dicts in the same order, or raises the reference's
+    RibbonError with the same text, record and edge.  Returns the complex,
+    or None on a refusal."""
+    try:
+        want = _reference_build(graph, ribbon, harmonic, values)
+    except RibbonError as exc:
+        with pytest.raises(RibbonError) as got:
+            build_surface(graph, ribbon, harmonic, values=values)
+        assert (str(got.value), got.value.record, got.value.edge) == (str(exc), exc.record,
+                                                                      exc.edge)
+        return None
+    got = build_surface(graph, ribbon, harmonic, values=values)
+    assert got == want
+    assert got.corner_cycles == want.corner_cycles
+    for name in ("h_layouts", "v_layouts"):
+        layouts = getattr(got, name)
+        assert list(layouts.items()) == list(getattr(want, name).items())
+        assert all(type(lay) is CylinderLayout for lay in layouts.values())
+    return got
+
+
+def _rebuild_against_the_reference(m):
+    """Build m's graph and ribbon again, with m's harmonic data or, without
+    any, with the side lengths of m as explicit values."""
+    values = None
+    if m.harmonic is None:
+        values = {}
+        for e, i, j in m.graph.edges:
+            values[i], values[j] = m.height[e], m.width[e]
+    assert _assert_reference_build(m.graph, m.ribbon, m.harmonic, values) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.booleans().flatmap(square_tiled))
+def test_build_matches_the_reference_on_drawn_surfaces(case):
+    _rebuild_against_the_reference(_build(case))
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param((loch_ness_tree(d), 2), id=f"loch-ness d={d}") for d in (10, 20)] + [
+    pytest.param((ladder_tree(d), 2), id=f"ladder d={d}") for d in (10, 20)] + [
+    pytest.param(((1, 2), 3), id="(1, 2) weight 3")])
+def test_build_matches_the_reference_on_recipe_outputs(source):
+    m = build_multicurves(*source).complex
+    _rebuild_against_the_reference(m)
+    if not is_translation(m):
+        _rebuild_against_the_reference(orientation_double_cover(m))
+
+
+@pytest.mark.parametrize("lo, hi, lam, exact", _WINDOWS + [
+    pytest.param(-250, 250, 2, False, id="[-250,250] lam=2 exact=False"),
+    pytest.param(-125, 125, 3, True, id="[-125,125] lam=3 exact=True")])
+def test_build_matches_the_reference_on_staircase_windows(lo, hi, lam, exact):
+    _rebuild_against_the_reference(staircase_complex(lo, hi, lam, exact))
+
+
+@st.composite
+def _any_ribbon(draw):
+    """A drawn surface's graph with another ribbon on its edges: partial
+    injective maps and flips drawn freely, so that most are malformed."""
+    m = _build(draw(square_tiled(partial=False)))
+    n = len(m.edges)
+    maps = []
+    for _ in "hv":
+        targets = draw(st.permutations(range(n)))
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        maps.append({e: t for e, (t, kept) in enumerate(zip(targets, keep)) if kept})
+    flips = draw(st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("EN"))))
+    return m.graph, RibbonData.make(*maps, flips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_any_ribbon())
+def test_build_matches_the_reference_on_any_ribbon(case):
+    _assert_reference_build(*case)
+
+
+@pytest.mark.parametrize("graph, ribbon, fragment", [
+    pytest.param(BipartiteConfigGraph.make([0, 2], [1, 3],
+                                           {0: (0, 1), 1: (2, 1), 2: (2, 3), 3: (0, 3)}, 2),
+                 RibbonData.make({0: 1, 1: 2, 2: 3, 3: 0}, {0: 0, 1: 1, 2: 2, 3: 3}),
+                 "sigma_h component [0, 1, 2, 3] mixes fibers [0, 2]", id="mixed-fibres"),
+    pytest.param(double_edge_graph(), RibbonData.make({0: 0, 1: 1}, {0: 1, 1: 0}),
+                 "vertex 0 split across several sigma_h components", id="split-vertex"),
+    pytest.param(double_edge_graph(), RibbonData.make({0: 1, 1: 0}, {0: 1, 1: 0}, [(0, "N")]),
+                 "sigma_v cycle at vertex 1 has an odd number of flips", id="odd-flips"),
+    pytest.param(double_edge_graph(), RibbonData.make({0: 1}, {0: 1, 1: 0}, [(1, "E")]),
+                 "flip 1 E names no arrow: sigma_h has no successor of 1", id="flip-on-no-arrow"),
+])
+def test_build_refuses_as_the_reference_does(graph, ribbon, fragment):
+    assert _assert_reference_build(graph, ribbon) is None
+    with pytest.raises(RibbonError) as err:
+        build_surface(graph, ribbon)
+    assert str(err.value) == fragment
