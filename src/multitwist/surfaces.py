@@ -303,7 +303,9 @@ def _orient(seq, turns) -> tuple:
 def _arrows(seq, orients, end, closed):
     """The arrows of one orientation walk (_orient) over seq, in walk order,
     as (source, target, orientation at the source, at the target); a closed
-    walk's last arrow lands on seq[0] with the walk's end orientation."""
+    walk's last arrow lands on seq[0] with the walk's end orientation.
+    _cylinders lists the same arrows inline, a closed walk's last arrow
+    first; the quarter successors it writes do not depend on the order."""
     return zip(seq, seq[1:] + seq[:1] if closed else seq[1:], orients, (*orients[1:], end))
 
 
@@ -503,7 +505,7 @@ def build_surface(graph: BipartiteConfigGraph, ribbon: RibbonData,
             raise ValueError(f"no value for vertex {v}")
         if not (checked or values[v] > 0):
             raise ValueError(f"value at vertex {v} must be positive")
-        if not checked and values[v] == math.inf:
+        if not checked and isinstance(values[v], float) and not math.isfinite(values[v]):
             raise ValueError(f"value at vertex {v} must be finite")
     rows = graph.edges  # (edge, i, j), ascending by edge
     edges = [e for e, _, _ in rows]

@@ -15,9 +15,7 @@ from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
 from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import (
-    CornerCycle,
     CylinderLayout,
-    RectangleComplex,
     RibbonData,
     RibbonError,
     build_surface,
@@ -30,7 +28,6 @@ from multitwist.surfaces import (
     _ARROWS,
     _CCW_ROWS,
     _PORTS,
-    _chains,
     _components,
     _corner_chains,
     _curves,
@@ -39,6 +36,7 @@ from multitwist.surfaces import (
     square_torus,
     staircase_complex,
 )
+from multitwist import surfaces
 from multitwist.svg import surface_svg
 
 
@@ -733,10 +731,10 @@ def test_refusals_name_what_is_wrong(call, fragment):
     assert fragment in str(err.value)
 
 
-# -- the build before the slot walk, kept as the reference ----------------
+# -- the cylinder walk before the slot walk, kept as the reference --------
 # Each cylinder had its own orientation walk over (edge, side) keys, a set
-# for its fibre check, and its arrows zipped from slices; everything else
-# is build_surface as it was.
+# for its fibre check, and its arrows zipped from slices; the reference
+# build is build_surface with this walk in place of _cylinders.
 
 def _reference_orient(seq, flips, axis):
     side = _PORTS[axis][1][0]
@@ -788,50 +786,15 @@ def _reference_cylinders(edges, pos, fibre, mapping, flips, axis, size, values, 
     return layouts
 
 
-def _reference_build(graph, ribbon, harmonic=None, values=None):
-    checked = values is None
-    if checked:
-        values = harmonic.values if harmonic is not None else {v: 1 for v in graph.vertices()}
-    for v in graph.vertices():
-        if v not in values:
-            raise ValueError(f"no value for vertex {v}")
-        if not (checked or values[v] > 0):
-            raise ValueError(f"value at vertex {v} must be positive")
-    rows = graph.edges
-    edges = [e for e, _, _ in rows]
-    pos = {e: k for k, e in enumerate(edges)}
-    width = {e: values[j] for e, _, j in rows}
-    height = {e: values[i] for e, i, _ in rows}
-    for name, named in (("sigma_h", {*ribbon.sigma_h, *ribbon.sigma_h.values()}),
-                        ("sigma_v", {*ribbon.sigma_v, *ribbon.sigma_v.values()}),
-                        ("flips", {e for e, _ in ribbon.flips})):
-        unknown = named - pos.keys()
-        if unknown:
-            raise RibbonError(f"{name} names edges {sorted(unknown)} that are not in the graph")
-    succ = [-1] * (4 * len(edges))
-    lay_h = _reference_cylinders(edges, pos, [i for _, i, _ in rows], ribbon.sigma_h,
-                                 ribbon.flips, "h", width, values, succ)
-    lay_v = _reference_cylinders(edges, pos, [j for _, _, j in rows], ribbon.sigma_v,
-                                 ribbon.flips, "v", height, values, succ)
-    for e, side in sorted(ribbon.flips):
-        if e not in (ribbon.sigma_h if side == "E" else ribbon.sigma_v):
-            name = "sigma_h" if side == "E" else "sigma_v"
-            raise RibbonError(f"flip {e} {side} names no arrow: {name} has no successor of {e}",
-                              "flip", (e, side))
-    cycles = tuple(CornerCycle(index=idx, corners=tuple(chain), truncated=not closed)
-                   for idx, (chain, closed) in enumerate(_chains(edges, succ)))
-    return RectangleComplex(graph=graph, ribbon=ribbon, width=width, height=height,
-                            corner_cycles=cycles, h_layouts=lay_h, v_layouts=lay_v,
-                            harmonic=harmonic)
-
-
 def _assert_reference_build(graph, ribbon, harmonic=None, values=None):
     """build_surface gives the reference's complex, equal field by field
     and with both layout dicts in the same order, or raises the reference's
     RibbonError with the same text, record and edge.  Returns the complex,
     or None on a refusal."""
     try:
-        want = _reference_build(graph, ribbon, harmonic, values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_cylinders", _reference_cylinders)
+            want = surfaces.build_surface(graph, ribbon, harmonic, values=values)
     except RibbonError as exc:
         with pytest.raises(RibbonError) as got:
             build_surface(graph, ribbon, harmonic, values=values)
