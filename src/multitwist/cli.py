@@ -17,6 +17,7 @@ import click
 
 from . import formats, graphs, mobius, svg as svgmod
 from .flow import _CORNER_TOL, SurfacePoint, coverage_stats, flow
+from .quadfield import field_of
 
 from .recipe import build_multicurves, ladder_tree, loch_ness_tree, verify_recipe
 from .surfaces import _off_modulus, euler_characteristic, is_translation, staircase_complex
@@ -154,8 +155,10 @@ def build(surface_file, family, window, lam, mode, exact, tol, out):
     """Assemble a flat surface and write its surface file."""
     if family == "staircase":
         lo, hi = (int(t) for t in window.split(":"))
-        m = staircase_complex(lo, hi, 2 if lam is None else _parse_lambda(lam, exact),
-                              exact=exact)
+        lam_v = 2 if lam is None else _parse_lambda(lam, exact)
+        if exact and field_of((lam_v,)) != 0:  # its heights would need a second field
+            raise click.UsageError(f"--exact needs a rational lambda, got {lam}")
+        m = staircase_complex(lo, hi, lam_v, exact=exact)
     elif surface_file:
         def harmonic_of(graph, given):
             # a given file keeps its harmonic data; one without takes the Perron pair

@@ -20,11 +20,11 @@ first use); an exact flow reads the complex's own sides and gluings
 (width, height, gluings) and lands on the next chart with _land, as
 canonical_point does.  The exit wall is the nearer of the E/W and the N/S
 wall ahead (E/W on a tie), and segments are Segment NamedTuples, cheap to
-make and still read by field name.  _walk checks the inputs, decides the
-field once per launch (exact only when the sides, the start, the
-direction and a QuadExt budget share one quadratic field: a Q(sqrt 13)
-direction or a 3 sqrt 7 budget on a Q(sqrt 5) window flows as its float
-rounding does), sets up the speed, and runs
+make and still read by field name.  _walk checks the inputs, asks
+quadfield.field_of once per launch whether the sides, the start, the
+direction and a QuadExt budget share one quadratic field (exact only then:
+a Q(sqrt 13) direction or a 3 sqrt 7 budget on a Q(sqrt 5) window flows as
+its float rounding does), sets up the speed in that field, and runs
 each ray through the exact loop or, in floats, _float_walk, a loop with the
 same IEEE operations in the same order (so the same results to the bit) but
 no test of the number kind per crossing and the landing written out inline.
@@ -43,9 +43,10 @@ import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
-from .quadfield import QuadExt, _number, quad_sqrt
+from .quadfield import QuadExt, _number, field_of, quad_sqrt
 from .surfaces import RectangleComplex, _END_CORNER, _off_modulus
 
 # corner -> its chart position in units of the rectangle's width and
@@ -227,13 +228,11 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
             raise FlowError("start lies on a cone corner; launch via separatrices() instead")
     coords = () if start is None else (start.x, start.y)  # a search's rays start on corners
     dx, dy = d_in = tuple(direction)  # the direction as given
-    inputs = (*coords, dx, dy)
-    # exact when the sides and inputs hold no float and, with the budget,
-    # one irrational radicand at most
-    fields = None if m.radicands is None or any(isinstance(v, float) for v in inputs) else (
-        m.radicands.union(v.d for v in (*inputs, max_length) if isinstance(v, QuadExt)) - {0})
-    exact = fields is not None and len(fields) < 2
-    if exact:
+    # exact when the inputs, a QuadExt budget and the sides share one field;
+    # the inputs go first, so a float one stops the scan before the sides
+    quad_budget = (max_length,) if isinstance(max_length, QuadExt) else ()
+    field = field_of(chain(coords, d_in, quad_budget, m.width.values(), m.height.values()))
+    if field is not None:
         dx, dy = _number(dx), _number(dy)
         speed2 = dx * dx + dy * dy
         try:
@@ -260,7 +259,7 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
             _quarter_turns(d_in), _quarter_turns((dx, dy)), _quarter_turns((sx, sy)))}
     else:  # flow(): one ray along the direction as given
         turned = {d_in: (dx, dy, sx, sy)}
-    if not exact:
+    if field is None:
         rows, budget = m.charts, _float_or_refuse(max_length, "length budget")
         return lambda p, d_in: _float_walk(
             rows, p.edge, _float_or_refuse(p.x, "start x"), _float_or_refuse(p.y, "start y"),
@@ -268,7 +267,7 @@ def _walk(m, direction, max_length, corner_tol, keep, start=None, allow_corner_s
     width, height, gluings = m.width, m.height, m.gluings
     budget = max_length if isinstance(max_length, QuadExt) else Fraction(max_length)
     budget2 = budget * budget
-    speed = _speed_in_field(speed2, next(iter(fields), 0))  # 0 over the rationals
+    speed = _speed_in_field(speed2, field)
     float_speed = math.sqrt(float2)
     # below t_screen the exact cut test cannot succeed; the margin covers
     # the rounding of the float conversions

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .quadfield import _ZERO, QuadExt, _field, _squarefree_split
+from .quadfield import _ZERO, QuadExt, _field, _squarefree_split, field_of
 
 
 class GraphError(ValueError):
@@ -313,8 +313,9 @@ def _lucas_pair(p: int, q2: int, disc: int, n: int) -> tuple:
 def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     """h(n) = r^n on the ladder window, r the larger root of r + 1/r = lam.
 
-    Exact (quadratic-field) values when lam is an int or a Fraction; floats
-    when lam is a float or irrational.  Below lam = 2 the bi-infinite path
+    Exact (quadratic-field) values when lam is an int, a Fraction or a
+    rational QuadExt (quadfield.field_of puts it in Q); floats when lam is
+    a float or irrational.  Below lam = 2 the bi-infinite path
     carries no positive harmonic function, so that is a domain error, as is
     a lam that is not finite.  At lam = 2 the function is constant 1, one
     shared QuadExt(1).
@@ -333,11 +334,8 @@ def harmonic_closed_form(fam: LadderFamily, lam) -> HarmonicAssignment:
     d = 0.  The exact heights are powers of r > 0, so positive by
     construction; only the float path checks its values.
     """
-    try:
-        lam_q = None if isinstance(lam, float) else Fraction(lam)
-    except (TypeError, ValueError):
-        lam_q = None
-    if lam_q is not None:
+    if field_of((lam,)) == 0:
+        lam_q = QuadExt.of(lam).a
         if lam_q < 2:
             raise ValueError("ladder harmonic functions need lam >= 2")
         if lam_q == 2:

@@ -22,17 +22,17 @@ the point into a gap (not in the limit set), reaches an excluded
 eigendirection, or survives, in which case the direction is declared
 renormalizable at the probed depth.
 
-Every computation here is exact exactly when its inputs are: rational or
-quadratic-field lam and entries give exact matrices, directions and
-verdicts, and a float anywhere makes the result float.  Exact values are
+Every computation here is exact exactly when its inputs are exact and share
+one quadratic field (`quadfield.field_of`): rational or quadratic-field lam
+and entries give exact matrices, directions and verdicts, and a float
+anywhere, or a second field, makes the result float.  Exact values are
 compared with ==, and once a float is involved with a tolerance
 (`quadfield._equal`): 1e-12 for the determinant check of MobiusClass.make
 and for is_identity, which classify asks first, and 1e-9 for every other
 float verdict, so classify(MobiusClass(1.0, 5e-10, 0.0, 1.0)) is
 "parabolic".
-The one exception is an exact hyperbolic matrix whose fixed directions
-leave one quadratic field (an irrational trace, or sqrt(trace^2 - 4) outside
-its entries' field, as sqrt 6 for aB at lam = 2 sqrt 2): they are floats.
+So the fixed directions of an exact hyperbolic matrix are floats when they
+leave its entries' field (sqrt 42 for aB at lam = 2 sqrt 6).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quadfield import QuadExt, _equal, _number, quad_sqrt, root_plus
+from .quadfield import QuadExt, _equal, _number, field_of, quad_sqrt, root_plus
 
 # word letters: +1 = A, -1 = A^-1, +2 = B, -2 = B^-1
 LETTER_NAMES = {1: "A", -1: "A'", 2: "B", -2: "B'"}
@@ -139,9 +139,6 @@ class MobiusClass(NamedTuple):
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
-    def is_exact(self) -> bool:
-        return not any(isinstance(x, float) for x in self.entries())
-
     def is_identity(self) -> bool:
         return all(_equal(x, y, _MATRIX_TOL) for x, y in zip(self.entries(), (1, 0, 0, 1)))
 
@@ -206,11 +203,9 @@ def brenner_check(m: MobiusClass, lam) -> BrennerReport:
     """Recover the integer parameters (k11, k12, k21, k22) and test the
     trace-field interval exclusion with t = (lam + sqrt(lam^2 - 4))/2.
     lam must be a rational >= 2 (a QuadExt with no sqrt part counts)."""
-    lam = _number(lam)
-    if isinstance(lam, QuadExt) and lam.is_rational():
-        lam = lam.as_fraction()
-    if not isinstance(lam, Fraction) or lam < 2:
+    if field_of((lam,)) != 0 or lam < 2:
         raise ValueError("brenner_check needs rational lam >= 2")
+    lam = QuadExt.of(lam).a
     lam2 = lam * lam
 
     def try_sign(sign):
@@ -253,7 +248,7 @@ class ProjectiveDirection(NamedTuple):
         if x == 0 and y == 0:
             raise ValueError("direction (0,0) is not projective")
         x, y = _number(x), _number(y)
-        if isinstance(x, float) or isinstance(y, float):
+        if field_of((x, y)) is None:
             x, y = float(x), float(y)
             n = (x * x + y * y) ** 0.5
             x, y = x / n, y / n
@@ -271,10 +266,12 @@ class ProjectiveDirection(NamedTuple):
         return self.x / self.y
 
     def is_exact(self) -> bool:
-        return not (isinstance(self.x, float) or isinstance(self.y, float))
+        return field_of(self) is not None
 
     def close_to(self, other: "ProjectiveDirection") -> bool:
-        return _equal(self.x * other.y - self.y * other.x, 0, _FLOAT_TOL)
+        values = (*self, *other)
+        x, y, u, v = values if field_of(values) is not None else map(float, values)
+        return _equal(x * v - y * u, 0, _FLOAT_TOL)
 
     def vector(self) -> tuple:
         return (self.x, self.y)
@@ -311,11 +308,12 @@ def eigendirections(m: MobiusClass):
         mus = sorted(((tr + root) / 2, (tr - root) / 2), key=lambda mu: -abs(float(mu)))
         return [_fixed_direction(a, b, c, d, mu, axis) for mu, axis in zip(mus, axes)]
 
-    if m.is_exact():
-        try:  # exact when the root of the discriminant lies in the entries' field
-            return directions(tr, quad_sqrt(QuadExt.of(disc).as_fraction()), a, b, c, d)
-        except ValueError:  # an irrational trace, or a root in a second field: drop to floats
-            pass
+    try:  # exact when the root of a rational discriminant lies in the entries' field
+        root = quad_sqrt(QuadExt.of(disc).a) if field_of((disc,)) == 0 else None
+    except ValueError:  # a radicand too large to split off its square part
+        root = None
+    if root is not None and field_of(m.entries(), root.d) is not None:
+        return directions(tr, root, a, b, c, d)
     return directions(float(tr), float(disc) ** 0.5, *(float(x) for x in (a, b, c, d)))
 
 
@@ -348,7 +346,7 @@ def renormalizable(d: ProjectiveDirection, lam, depth: int = 60) -> RenormVerdic
         raise ValueError("renormalizable directions need lam >= 2")
     if depth < 1:
         raise ValueError("depth must be positive")
-    exact = d.is_exact() and not isinstance(lam, float)
+    exact = field_of((*d, lam)) is not None
     u = d.slope_u()
     if not exact:
         lam = float(lam)

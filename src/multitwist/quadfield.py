@@ -6,9 +6,7 @@ into b, rationals forced to d == 0), so equality is componentwise and
 values from different extensions can at least be compared for equality.
 The constructor canonicalizes; results of arithmetic on canonical operands
 keep the operands' squarefree radicand and only fold b == 0 to d == 0.
-Mixing two genuinely different irrational radicands in one sum raises;
-callers that may meet that (mobius.eigendirections, a flow's launch)
-compute in floating point instead.
+Mixing two genuinely different irrational radicands in one sum raises.
 
 Everything the builders need stays inside one extension: for a rational
 stretch factor lam >= 2 the cylinder data lives in Q(sqrt(lam^2-4)), and
@@ -17,8 +15,8 @@ eigendirections of integer matrices live in Q(sqrt(trace^2-4)).
 One rule says which values are exact: a number is exact when it is a
 rational or a QuadExt, and a computation is exact exactly when its inputs
 are and lie in one quadratic field; a float anywhere, or a second field,
-makes it float.  `_number` coerces a value under that rule and `_equal`
-compares two values under it.
+makes it float.  `field_of` decides it for every layer, `_number` coerces
+a value under it and `_equal` compares two values under it.
 """
 
 from __future__ import annotations
@@ -317,6 +315,18 @@ def _number(x):
     if not _isfinite(x):
         raise ValueError(f"{x} is not a finite number")
     return x
+
+
+def field_of(values, d: int = 0):
+    """The radicand of the one quadratic field that holds Q(sqrt d), d 0 or
+    squarefree, and every value (0 for the rationals); None as soon as a
+    value is a float (neither rational nor QuadExt) or needs a second field."""
+    for v in values:
+        e = v.d if isinstance(v, QuadExt) else 0 if isinstance(v, Rational) else None
+        if e is None or (e and d and e != d):  # a float, or a second field
+            return None
+        d = d or e
+    return d
 
 
 def _equal(a, b, tol) -> bool:

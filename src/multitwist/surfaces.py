@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .graphs import (BipartiteConfigGraph, HarmonicAssignment, LadderFamily,
                      _components as _graph_components, harmonic_closed_form)
-from .quadfield import QuadExt, _equal
+from .quadfield import _equal
 
 SIDES = ("E", "W", "N", "S")
 OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
@@ -216,16 +216,6 @@ class RectangleComplex:
         return {e: (float(w), float(height[e]), get((e, "E")), get((e, "W")), get((e, "N")),
                     get((e, "S")))
                 for e, w in self.width.items()}
-
-    @cached_property
-    def radicands(self):
-        """The squarefree radicands of the QuadExt side lengths, or None
-        when a side length is a float (flows on the complex then run in
-        floats).  Read on first use and kept on the complex."""
-        sides = (*self.width.values(), *self.height.values())
-        if any(isinstance(v, float) for v in sides):
-            return None
-        return frozenset(v.d for v in sides if isinstance(v, QuadExt)) - {0}
 
 
 def _components(succ: list) -> list:

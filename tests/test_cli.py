@@ -165,6 +165,22 @@ class TestBuildVerify:
         assert res.exit_code == 0, res.output
         assert "lambda 5.55" in res.output
 
+    def test_rational_field_element_lambda_builds_as_the_rational(self, runner):
+        outs = [runner.invoke(main, ["build", "--family", "staircase", "--window", "-2:3",
+                                     "--lambda", lam]) for lam in ("3", "3+0r5")]
+        assert [r.exit_code for r in outs] == [0, 0], outs[1].output
+        assert "lambda 3\n" in outs[1].output
+        assert outs[1].output == outs[0].output
+
+    def test_exact_build_of_an_irrational_lambda_exits_2(self, runner):
+        argv = ["build", "--family", "staircase", "--window", "-2:3", "--lambda", "1+1r5"]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, res.output
+        assert "--exact needs a rational lambda, got 1+1r5" in res.output
+        res = runner.invoke(main, argv + ["--float"])
+        assert res.exit_code == 0, res.output
+        assert "lambda 3.23606797749979" in res.output
+
     @pytest.mark.parametrize("lam", ["inf", "nan", "-inf", "1.5"])
     def test_float_build_of_a_bad_lambda_exits_2(self, runner, lam):
         res = runner.invoke(main, ["build", "--family", "staircase", "--float",
@@ -517,6 +533,24 @@ class TestBuildModes:
                                    "--lambda", "3", "-o", str(rebuilt)])
         assert res.exit_code == 0, res.output
         assert rebuilt.read_text() == surf.read_text()
+
+    @pytest.mark.parametrize("first", [
+        pytest.param(["--family", "staircase", "--window", "-3:4", "--lambda", "3"],
+                     id="exact-staircase"),
+        pytest.param(["{mc}", "--mode", "perron"], id="float-perron-loch-ness"),
+    ])
+    def test_a_file_with_harmonic_data_rebuilds_to_the_same_bytes(self, runner, tmp_path,
+                                                                 first):
+        # the default --mode given keeps the file's own lambda and heights
+        mc = tmp_path / "ln.mc.surf"
+        mc.write_text(formats.write_surface(build_multicurves(loch_ness_tree(3), 2).complex))
+        surf, again = tmp_path / "a.surf", tmp_path / "b.surf"
+        res = runner.invoke(main, ["build", *(a.format(mc=mc) for a in first), "-o", str(surf)])
+        assert res.exit_code == 0, res.output
+        assert formats.parse_surface(surf.read_text()).harmonic is not None
+        res = runner.invoke(main, ["build", str(surf), "-o", str(again)])
+        assert res.exit_code == 0, res.output
+        assert again.read_bytes() == surf.read_bytes()
 
     @pytest.mark.parametrize("mode", ["perron", "given"])
     def test_a_file_is_built_once(self, runner, tmp_path, monkeypatch, mode):

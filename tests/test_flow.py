@@ -198,10 +198,8 @@ class TestFlowKernel:
         st = staircase_complex(-8, 9, 3)
         flow(st, SurfacePoint(0, Fraction(1, 3), Fraction(1, 5)), (Fraction(2), Fraction(1)), 6)
         assert "charts" not in vars(st)  # exact flows read width, height and gluings
-        assert st.radicands == {5}
         flow(st, SurfacePoint(1, 0.4, 0.3), (0.8, -0.6), 20.0)
         assert all(type(w) is float and type(h) is float for w, h, *_ in st.charts.values())
-        assert staircase_complex(-8, 9, 3, exact=False).radicands is None
 
     def test_float_flow_on_an_exact_window_matches_the_float_window(self):
         ex = staircase_complex(-20, 21, 3)
@@ -816,6 +814,23 @@ class TestExactQuadraticFlow:
         assert traj.final_point.as_floats() == pytest.approx(mirror.final_point.as_floats(),
                                                             rel=1e-12)
         assert traj.total_length == pytest.approx(20.0, rel=1e-12)
+
+    def test_field_direction_with_a_rational_squared_speed(self):
+        # (sqrt 5, 2 sqrt 5) has squared speed 25 over a Q(sqrt 5) window:
+        # it flows as (1, 2) does, with the exact speed 5, and is reported as given
+        st = staircase_complex(-8, 9, 3)
+        p0 = SurfacePoint(0, st.width[0] / 3, st.height[0] / 5)
+        r5 = QuadExt(0, 1, 5)
+        traj = flow(st, p0, (r5, 2 * r5), 6)
+        ref = flow(st, p0, (1, 2), 6)
+        assert traj.terminal == ref.terminal == "budget"
+        assert [s[:6] for s in traj.segments] == [s[:6] for s in ref.segments]
+        assert not any(isinstance(s.length, float) for s in traj.segments)
+        assert traj.final_point == ref.final_point and traj.total_length == 6
+        assert traj.direction == (r5, 2 * r5)
+        assert [s.dir_in for s in traj.segments] == [
+            (s.dir_in[0] * r5, s.dir_in[1] * r5) for s in ref.segments]
+        assert traj.final_direction == (ref.final_direction[0] * r5, ref.final_direction[1] * r5)
 
     def test_int_direction_on_int_sides_stays_exact(self):
         # the unit torus has int sides and the direction is int: the flow

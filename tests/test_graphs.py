@@ -199,11 +199,19 @@ class TestClosedForm:
     def test_constant_and_float_paths(self):
         h = harmonic_closed_form(LadderFamily(-3, 4), 2)
         assert h.lam == QuadExt(2) and h.values == {n: QuadExt(1) for n in range(-3, 5)}
-        lam = QuadExt(1, 1, 5)  # irrational: no Fraction, so floats
+        lam = QuadExt(1, 1, 5)  # irrational: a second field, so floats
         h = harmonic_closed_form(LadderFamily(-3, 4), lam)
         lam_f = float(lam)
         r = (lam_f + (lam_f * lam_f - 4.0) ** 0.5) / 2.0
         assert h.lam == lam_f and h.values == {n: r ** float(n) for n in range(-3, 5)}
+
+    @pytest.mark.parametrize("lam", [QuadExt(3), QuadExt(Fraction(5, 2)), QuadExt(3, 0, 5)],
+                             ids=["3", "5/2", "3+0r5"])
+    def test_rational_field_element_lambda_is_exact(self, lam):
+        fam = LadderFamily(-2, 3)
+        h = harmonic_closed_form(fam, lam)
+        assert h == harmonic_closed_form(fam, lam.a)
+        assert all(isinstance(x, QuadExt) for x in h.values.values())
 
     def test_float_lambda_takes_float_path(self):
         # a float is not turned into its exact binary fraction (a radicand

@@ -387,6 +387,28 @@ class TestExactOrFloat:
         with pytest.raises(ValueError, match="determinant must be 1"):
             MobiusClass.make(Fraction(1), Fraction(0), Fraction(0), 1 + Fraction(1, 10**15))
 
+    def test_direction_in_two_fields_is_a_float_direction(self):
+        d = ProjectiveDirection.make(QuadExt(0, 1, 5), QuadExt(0, 1, 13))
+        assert d == ProjectiveDirection.make(5 ** 0.5, 13 ** 0.5)
+        assert not d.is_exact()
+        assert not ProjectiveDirection(QuadExt(0, 1, 5), QuadExt(0, 1, 13)).is_exact()
+
+    def test_close_to_across_two_fields_compares_in_floats(self):
+        root5 = ProjectiveDirection.make(1, QuadExt(0, 1, 5))
+        # a Q(sqrt 13) slope within about 1e-12 of sqrt 5
+        near = ProjectiveDirection.make(1, Fraction(2236067977500, 10**12)
+                                        + QuadExt(0, Fraction(1, 10**13), 13))
+        far = ProjectiveDirection.make(1, QuadExt(0, 1, 13))
+        assert root5.is_exact() and near.is_exact() and far.is_exact()
+        assert root5.close_to(near) and near.close_to(root5)
+        assert not root5.close_to(far) and not far.close_to(root5)
+
+    def test_coding_a_direction_from_another_field_runs_in_floats(self):
+        d = eigendirections(rho(TwistWord.make("aB"), 3))[0]  # in Q(sqrt 13)
+        lam = QuadExt(0, 2, 5)
+        assert d.is_exact()
+        assert renormalizable(d, lam) == renormalizable(d, float(lam))
+
     def test_exact_coding_compares_across_quadratic_fields(self):
         # the excluded slopes at lam = 3 lie in Q(sqrt 5); most positive
         # words of length 6 have their eigendirections in other fields

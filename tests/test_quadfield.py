@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 import multitwist
 from multitwist.formats import parse_number
-from multitwist.quadfield import QuadExt, _sign, _squarefree_split, quad_sqrt, root_plus
+from multitwist.quadfield import (QuadExt, _sign, _squarefree_split, field_of, quad_sqrt,
+                                  root_plus)
 
 
 def test_root_plus_satisfies_trace_identity():
@@ -109,6 +110,47 @@ def test_mixed_float_degrades():
     assert isinstance(r + 0.5, float)
     assert abs((r * 2.0) - 2 * float(r)) < 1e-12
     assert r > 2.6 and r < 2.62
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda x, y: x + y, id="add"),
+    pytest.param(lambda x, y: y + x, id="radd"),
+    pytest.param(lambda x, y: x - y, id="sub"),
+    pytest.param(lambda x, y: y - x, id="rsub"),
+    pytest.param(lambda x, y: x * y, id="mul"),
+    pytest.param(lambda x, y: y * x, id="rmul"),
+    pytest.param(lambda x, y: x / y, id="truediv"),
+    pytest.param(lambda x, y: y / x, id="rtruediv"),
+])
+@pytest.mark.parametrize("q", [root_plus(3), QuadExt(Fraction(-7, 3)), QuadExt(2, -3, 13)])
+def test_float_operand_gives_the_float_operation(op, q):
+    result = op(q, 0.375)
+    assert type(result) is float and result == op(float(q), 0.375)
+
+
+@pytest.mark.parametrize("values, d, field", [
+    ((), 0, 0),
+    ((1, Fraction(2, 3), QuadExt(4)), 0, 0),
+    ((QuadExt(0, 1, 5), 2), 0, 5),
+    ((QuadExt(0, 1, 5), QuadExt(1, 2, 20)), 0, 5),
+    ((QuadExt(0, 1, 5),), 5, 5),
+    ((Fraction(1, 2),), 13, 13),
+    ((QuadExt(0, 1, 5), QuadExt(0, 1, 13)), 0, None),
+    ((QuadExt(0, 1, 5),), 13, None),
+    ((QuadExt(0, 1, 5), 0.5), 0, None),
+    ((1, 2.0), 0, None),
+], ids=["empty", "rationals", "one-field", "square-part", "given-field", "rationals-in-a-field",
+        "two-fields", "another-field", "float", "float-among-rationals"])
+def test_field_of_names_the_one_field(values, d, field):
+    assert field_of(values, d) == field
+    assert field_of(iter(values), d) == field
+
+
+def test_field_of_stops_at_the_first_float():
+    def values():
+        yield 0.5
+        raise AssertionError("read past the float")
+    assert field_of(values()) is None
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from multitwist.flow import SurfacePoint, flow
 from multitwist.formats import parse_surface, write_surface
 from multitwist.graphs import BipartiteConfigGraph, HarmonicAssignment, perron_pair
+from multitwist.quadfield import QuadExt
 from multitwist.recipe import build_multicurves, ladder_tree, loch_ness_tree
 from multitwist.surfaces import (
     CylinderLayout,
@@ -171,6 +172,11 @@ class TestCylinders:
                 for cyl in cylinders(st, direction):
                     if not cyl.truncated:
                         assert cyl.modulus * lam == 1
+
+    def test_rational_field_element_lambda_builds_exactly(self):
+        st = staircase_complex(-2, 3, QuadExt(3))
+        assert st == staircase_complex(-2, 3, 3)
+        assert all(isinstance(w, QuadExt) for w in st.width.values())
 
     def test_cylinders_are_the_complex_layouts(self):
         st = staircase_complex(-4, 5, 3)
